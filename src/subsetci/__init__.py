@@ -21,10 +21,8 @@ from .criteria import (
 from .geometry import (
     EtaDecomposition,
     SelectionEvent,
-    comparison_feasible_set,
     decompose,
     selection_event,
-    simplified_comparison,
     superset_lower_bound,
 )
 from .harness import (
@@ -89,7 +87,6 @@ __all__ = [
     "analyze",
     "best_subset",
     "classical_ci",
-    "comparison_feasible_set",
     "corrected_ci",
     "criterion_score",
     "decompose",
@@ -109,7 +106,6 @@ __all__ = [
     "residual_project",
     "rss",
     "selection_event",
-    "simplified_comparison",
     "simulate_coverage",
     "superset_lower_bound",
     "truncated_cdf",

@@ -18,7 +18,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import errors
-from .linmodel import Dataset, IndexSet
+from .linmodel import RANK_TOL, Dataset, IndexSet
 
 
 class Criterion(enum.Enum):
@@ -122,14 +122,54 @@ def penalty_ratio_sizes(size_tilde: int, size: int, spec: CriterionSpec) -> floa
     return math.exp((spec.penalty(size_tilde) - spec.penalty(size)) / spec.n)
 
 
+# Refuse candidate sets whose stacked per-model bases would exceed this many
+# bytes; exhaustive enumeration at that scale also takes minutes.
+MAX_CANDIDATE_BYTES = 256 * 2 ** 20
+
+# Column-membership bitmasks are int64 with the sign bit kept clear.
+MAX_MASK_COLUMNS = 62
+
+
+def _free_sizes(data: Dataset, policy: CandidatePolicy) -> range:
+    """Free-column counts admitted by ``policy``."""
+    n_free = len(data.free_indices)
+    cap = n_free if policy.max_size is None else min(policy.max_size, n_free)
+    return range(0 if policy.include_empty else 1, cap + 1)
+
+
+def _check_budget(data: Dataset, policy: CandidatePolicy) -> None:
+    """Raise ``InputError`` before enumerating a candidate set too large to hold.
+
+    The estimate counts the models and the bytes of their stacked complement
+    bases (see :class:`CandidateSet`), ``sum_k C(p_free, k) * p * (p - width_k)
+    * 8`` over the admitted free sizes ``k``.
+    """
+    if data.p > MAX_MASK_COLUMNS:
+        raise errors.InputError(
+            f"p={data.p} exceeds {MAX_MASK_COLUMNS}, the most columns a "
+            "candidate bitmask can hold")
+    n_free = len(data.free_indices)
+    n_forced = len(data.forced_indices)
+    count = 0
+    stack_bytes = 0
+    for k in _free_sizes(data, policy):
+        m = math.comb(n_free, k)
+        count += m
+        stack_bytes += m * data.p * (data.p - k - n_forced) * 8
+    if stack_bytes > MAX_CANDIDATE_BYTES:
+        raise errors.InputError(
+            f"candidate policy admits {count} models whose stacked bases "
+            f"need about {stack_bytes / 2 ** 20:.0f} MiB, above the "
+            f"{MAX_CANDIDATE_BYTES / 2 ** 20:.0f} MiB limit; cap the model "
+            "size with CandidatePolicy(max_size=...)")
+
+
 def enumerate_candidates(data: Dataset, policy: CandidatePolicy) -> List[IndexSet]:
     """All candidate models in canonical order (free size, then lexicographic)."""
     forced = data.forced_indices
     free = data.free_indices
-    cap = len(free) if policy.max_size is None else min(policy.max_size, len(free))
-    start = 0 if policy.include_empty else 1
     out = []
-    for k in range(start, cap + 1):
+    for k in _free_sizes(data, policy):
         for combo in itertools.combinations(free, k):
             out.append(IndexSet(tuple(sorted(forced + combo))))
     if not out:
@@ -137,28 +177,25 @@ def enumerate_candidates(data: Dataset, policy: CandidatePolicy) -> List[IndexSe
     return out
 
 
-class _Group:
-    """Candidates sharing a column count, with their stacked thin-Q factors."""
-
-    __slots__ = ("width", "positions", "q")
-
-    def __init__(self, width: int, positions: np.ndarray, q: np.ndarray):
-        self.width = width
-        self.positions = positions  # indices into the canonical model list
-        self.q = q  # (m, n, width)
-
-
 class CandidateSet:
     """Candidate models of one design plus batched per-model kernels.
 
-    Built once per (design, policy) and cached on the dataset; every kernel
-    here is a pure function of the design columns and its vector argument.
+    Built once per (design, policy) and cached on the dataset.  The kernels
+    work in the coordinates of the full design's thin QR ``X = Q R``: with
+    ``u = Q'v`` and ``v_perp = v - Q u``, the residual maker ``R_S`` of model
+    ``S`` (not to be confused with the triangular factor ``R``) satisfies
+    ``|R_S v|^2 = |v_perp|^2 + |N_S'u|^2``, where the columns of
+    ``N_S`` (p by p - |S|) are an orthonormal basis of the complement of the
+    span of ``R[:, S]``.  Each model therefore stores p-dimensional vectors
+    only, and one matrix product over the stacked bases serves every model.
     """
 
     def __init__(self, data: Dataset, policy: CandidatePolicy):
+        _check_budget(data, policy)
         self.data = data
         self.policy = policy
         self.models = enumerate_candidates(data, policy)
+        self._position = {m: pos for pos, m in enumerate(self.models)}
         forced = set(data.forced_indices)
         self.free_sizes = np.array(
             [sum(1 for i in m.indices if i not in forced) for m in self.models],
@@ -169,71 +206,103 @@ class CandidateSet:
             [sum(1 << (i - 1) for i in m.indices) for m in self.models],
             dtype=np.int64,
         )
-        by_width: dict[int, list[int]] = {}
-        for pos, m in enumerate(self.models):
-            by_width.setdefault(len(m), []).append(pos)
-        self.groups: List[_Group] = []
-        n = data.n
-        for width in sorted(by_width):
-            positions = np.array(by_width[width], dtype=int)
-            q = np.empty((len(positions), n, width))
-            for row, pos in enumerate(positions):
-                q[row] = data.thin_q(self.models[pos])
-            self.groups.append(_Group(width, positions, q))
+        self._penalties: dict = {}
+        self._q, r = data._qr_of(data.full_model().indices)
+        p = data.p
+        widths = np.array([len(m) for m in self.models])
+        for m in self.models:
+            data.validate_model(m)
+        blocks = []
+        # canonical order sorts by free size, so each width is one run
+        for width in np.unique(widths):
+            start, stop = np.searchsorted(widths, [width, width + 1])
+            if width == 0:
+                basis = np.broadcast_to(np.eye(p), (stop - start, p, p))
+            else:
+                cols = np.array([m.indices for m in self.models[start:stop]]) - 1
+                q_s, r_s = np.linalg.qr(r[:, cols].transpose(1, 0, 2),
+                                        mode="complete")
+                # |diag| of the QR of R[:, S] equals that of X[:, S]
+                d = np.abs(np.diagonal(r_s, axis1=1, axis2=2))
+                floor = RANK_TOL * np.maximum(d.max(axis=1), np.finfo(float).tiny)
+                bad = np.flatnonzero(d.min(axis=1) < floor)
+                if bad.size:
+                    raise errors.RankDeficient(
+                        "submodel columns are collinear beyond tolerance",
+                        model=self.models[start + bad[0]])
+                basis = q_s[:, :, width:]
+            blocks.append(basis.transpose(0, 2, 1).reshape(-1, p))
+        # model i owns rows row_start[i] : row_start[i] + p - |S_i|
+        self._basis = np.concatenate(blocks)
+        rows = p - widths
+        self._has_rows = rows > 0
+        self._row_starts = (np.cumsum(rows) - rows)[self._has_rows]
 
     def __len__(self) -> int:
         return len(self.models)
 
     def index_of(self, S: IndexSet) -> int:
         try:
-            return self.models.index(S)
-        except ValueError:
+            return self._position[S]
+        except KeyError:
             raise errors.InputError(
                 f"model {S} is not a candidate under the current policy"
             ) from None
 
+    def _gram(self, vs: np.ndarray) -> np.ndarray:
+        """Residual inner products ``(R_S v_i)'(R_S v_j)``, ``i <= j``, for
+        every candidate: a (k(k+1)/2, M) array, pairs in row-major order.
+
+        ``vs`` is (k, n).  The part of each vector outside the full design's
+        span is shared by all candidates; the rest is a sum over the vector's
+        coordinates in each model's complement basis.
+        """
+        u = vs @ self._q  # (k, p)
+        perp = vs - u @ self._q.T
+        i, j = np.triu_indices(len(vs))
+        coords = u @ self._basis.T  # (k, rows)
+        out = np.zeros((len(i), len(self.models)))
+        if self._row_starts.size:
+            out[:, self._has_rows] = np.add.reduceat(
+                coords[i] * coords[j], self._row_starts, axis=1)
+        return out + np.einsum("tn,tn->t", perp[i], perp[j])[:, None]
+
     def rss_all(self, y: np.ndarray) -> np.ndarray:
         """Residual sum of squares of every candidate, canonical order."""
-        y = np.asarray(y, dtype=float).reshape(-1)
-        out = np.empty(len(self.models))
-        for g in self.groups:
-            if g.width == 0:
-                out[g.positions] = float(y @ y)
-                continue
-            qty = np.einsum("mnw,n->mw", g.q, y)
-            resid = y[None, :] - np.einsum("mnw,mw->mn", g.q, qty)
-            out[g.positions] = np.einsum("mn,mn->m", resid, resid)
-        return out
+        return self._gram(np.asarray(y, dtype=float).reshape(1, -1))[0]
 
-    def scores(self, y: np.ndarray, spec: CriterionSpec) -> Tuple[np.ndarray, np.ndarray]:
-        """(scores, rss) arrays over all candidates; raises on interpolation."""
+    def gram(self, a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(|R_S a|^2, (R_S a)'(R_S b), |R_S b|^2)`` over all candidates."""
+        vs = np.stack([np.asarray(a, dtype=float).reshape(-1),
+                       np.asarray(b, dtype=float).reshape(-1)])
+        aa, ab, bb = self._gram(vs)
+        return aa, ab, bb
+
+    def penalties(self, spec: CriterionSpec) -> np.ndarray:
+        """Size penalty of every candidate under ``spec``; computed once."""
+        hit = self._penalties.get(spec)
+        if hit is None:
+            hit = np.array([spec.penalty(int(k)) for k in self.free_sizes])
+            hit.flags.writeable = False
+            self._penalties[spec] = hit
+        return hit
+
+    def score_rss(self, rss: np.ndarray, spec: CriterionSpec) -> np.ndarray:
+        """Criterion scores from candidate RSS values; raises on interpolation."""
         if spec.n != self.data.n:
             raise errors.InputError(
                 f"criterion has n={spec.n} but data has n={self.data.n}")
-        rss = self.rss_all(y)
         bad = np.flatnonzero(rss <= 0.0)
         if bad.size:
             raise errors.NonPositiveRSS(
                 "a candidate interpolates the response exactly",
                 model=self.models[bad[0]])
-        penalties = np.array([spec.penalty(int(k)) for k in self.free_sizes])
-        return penalties + spec.n * np.log(rss), rss
+        return self.penalties(spec) + spec.n * np.log(rss)
 
-    def argmin_model(self, y: np.ndarray, spec: CriterionSpec) -> IndexSet:
-        scores, _ = self.scores(y, spec)
-        return self.models[int(np.argmin(scores))]
-
-    def projections(self, v: np.ndarray) -> np.ndarray:
-        """Residual-maker of every candidate applied to ``v``: an (M, n) array."""
-        v = np.asarray(v, dtype=float).reshape(-1)
-        out = np.empty((len(self.models), self.data.n))
-        for g in self.groups:
-            if g.width == 0:
-                out[g.positions] = v[None, :]
-                continue
-            qtv = np.einsum("mnw,n->mw", g.q, v)
-            out[g.positions] = v[None, :] - np.einsum("mnw,mw->mn", g.q, qtv)
-        return out
+    def scores(self, y: np.ndarray, spec: CriterionSpec) -> Tuple[np.ndarray, np.ndarray]:
+        """(scores, rss) arrays over all candidates; raises on interpolation."""
+        rss = self.rss_all(y)
+        return self.score_rss(rss, spec), rss
 
 
 def candidate_set(data: Dataset, policy: CandidatePolicy = DEFAULT_POLICY) -> CandidateSet:

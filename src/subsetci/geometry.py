@@ -22,10 +22,9 @@ from .criteria import (
     CriterionSpec,
     DEFAULT_POLICY,
     candidate_set,
-    penalty_ratio_sizes,
 )
-from .intervals import EMPTY, FULL_LINE, IntervalUnion, interval_union
-from .linmodel import Dataset, IndexSet, residual_project
+from .intervals import MERGE_REL, IntervalUnion, interval_union
+from .linmodel import Dataset, IndexSet
 
 # |leading coefficient| below LEAD_TOL times its natural scale is treated as
 # zero; the scale is the Cauchy-Schwarz bound of the coefficient.
@@ -51,16 +50,6 @@ class EtaDecomposition:
 
     def reconstruct(self) -> np.ndarray:
         return self.eta_dot_y * self.eta_tilde + self.z
-
-
-@dataclass(frozen=True)
-class ComparisonQuadratic:
-    """Coefficients of ``a2*t^2 + a1*t + a0 > 0`` for one pairwise comparison."""
-
-    a2: float
-    a1: float
-    a0: float
-    competitor: IndexSet
 
 
 @dataclass(frozen=True)
@@ -97,13 +86,68 @@ def decompose(y: np.ndarray, eta: np.ndarray) -> EtaDecomposition:
                             eta_dot_y=eta_dot_y, z=z)
 
 
-def _stable_roots(a2: float, a1: float, a0: float, disc: float) -> Tuple[float, float]:
-    """Both roots of ``a2 t^2 + a1 t + a0`` for ``disc > 0``, cancellation-free."""
-    sq = math.sqrt(disc)
-    q = -0.5 * (a1 + math.copysign(sq, a1))
-    r1 = q / a2
-    r2 = a0 / q
-    return (r1, r2) if r1 <= r2 else (r2, r1)
+def _forbidden(a2, a1, a0, scale2, scale1, flat):
+    """Closed sets of ``t`` where ``a2 t^2 + a1 t + a0 > 0`` fails.
+
+    Each comparison yields at most two closed intervals, returned as (K, 2)
+    arrays ``lo`` and ``hi``; unused slots hold ``lo = inf > hi = -inf``.
+    ``scale2`` and ``scale1`` are the natural magnitudes of the leading and
+    linear coefficients; values within ``LEAD_TOL`` of zero relative to them
+    are treated as exact zeros.  Where ``flat`` is set the comparison is
+    constant in ``t`` and only the sign of ``a0`` counts.
+    """
+    k = a2.shape[0]
+    lo = np.full((k, 2), math.inf)
+    hi = np.full((k, 2), -math.inf)
+    quad = ~flat & (np.abs(a2) > LEAD_TOL * scale2)
+    lin = ~flat & ~quad & (np.abs(a1) > LEAD_TOL * scale1)
+    disc = a1 * a1 - 4.0 * a2 * a0
+    two = np.flatnonzero(quad & (disc > 0.0))
+    # both roots, cancellation-free: q = -(a1 + sign(a1) sqrt(disc)) / 2
+    q = -0.5 * (a1[two] + np.copysign(np.sqrt(disc[two]), a1[two]))
+    ra, rb = q / a2[two], a0[two] / q
+    r1, r2 = np.minimum(ra, rb), np.maximum(ra, rb)
+    up = a2[two] > 0.0
+    # upward parabola: fails between its roots.  A gap no wider than the
+    # interval merge tolerance is a floating-point sliver; the canonical
+    # feasible set closes it, so it forbids nothing.
+    wide = r2 - r1 > MERGE_REL * np.maximum(1.0, np.maximum(np.abs(r1), np.abs(r2)))
+    between = up & wide
+    lo[two[between], 0] = r1[between]
+    hi[two[between], 0] = r2[between]
+    # downward parabola: fails outside its roots
+    down = two[~up]
+    hi[down, 0] = r1[~up]
+    lo[down, 0] = -math.inf
+    lo[down, 1] = r2[~up]
+    hi[down, 1] = math.inf
+    # linear: fails on the half-line where a1 t + a0 <= 0
+    idx = np.flatnonzero(lin)
+    t0 = -a0[idx] / a1[idx]
+    rising = a1[idx] > 0.0
+    lo[idx, 0] = np.where(rising, -math.inf, t0)
+    hi[idx, 0] = np.where(rising, t0, math.inf)
+    # everywhere: a downward parabola without real roots, or a
+    # non-positive constant
+    never = (quad & (a2 < 0.0) & ~(disc > 0.0)) | (~quad & ~lin & ~(a0 > 0.0))
+    lo[never, 0] = -math.inf
+    hi[never, 0] = math.inf
+    return lo, hi
+
+
+def _allowed(lo: np.ndarray, hi: np.ndarray) -> IntervalUnion:
+    """Open complement of the union of the closed intervals ``[lo, hi]``.
+
+    One sort by left end and a running maximum of right ends: every left end
+    beyond the reach of all intervals before it opens a gap.
+    """
+    keep = lo <= hi
+    lo, hi = lo[keep], hi[keep]
+    order = np.argsort(lo, kind="stable")
+    starts = np.concatenate(([-math.inf], np.maximum.accumulate(hi[order])))
+    ends = np.concatenate((lo[order], [math.inf]))
+    gap = starts < ends
+    return interval_union(zip(starts[gap].tolist(), ends[gap].tolist()))
 
 
 def feasible_from_quadratic(
@@ -115,110 +159,10 @@ def feasible_from_quadratic(
     linear coefficients; values within ``LEAD_TOL`` of zero relative to them
     are treated as exact zeros.
     """
-    if abs(a2) > LEAD_TOL * scale2:
-        disc = a1 * a1 - 4.0 * a2 * a0
-        if a2 > 0.0:
-            if disc <= 0.0:
-                return FULL_LINE
-            r1, r2 = _stable_roots(a2, a1, a0, disc)
-            return interval_union([(-math.inf, r1), (r2, math.inf)])
-        if disc <= 0.0:
-            return EMPTY
-        r1, r2 = _stable_roots(a2, a1, a0, disc)
-        return interval_union([(r1, r2)])
-    if abs(a1) > LEAD_TOL * scale1:
-        t0 = -a0 / a1
-        if a1 > 0.0:
-            return interval_union([(t0, math.inf)])
-        return interval_union([(-math.inf, t0)])
-    return FULL_LINE if a0 > 0.0 else EMPTY
-
-
-def _pair_scales(decomp: EtaDecomposition, omega: float) -> Tuple[float, float]:
-    et2 = float(decomp.eta_tilde @ decomp.eta_tilde)
-    z2 = float(decomp.z @ decomp.z)
-    big = max(1.0, omega)
-    return et2 * big, 2.0 * math.sqrt(et2 * z2) * big
-
-
-def comparison_quadratic(
-    decomp: EtaDecomposition,
-    data: Dataset,
-    S_hat: IndexSet,
-    S: IndexSet,
-    spec: CriterionSpec,
-) -> ComparisonQuadratic:
-    """Quadratic in ``t`` whose positivity means ``S_hat`` beats ``S``."""
-    if S == S_hat:
-        raise errors.InputError("competitor must differ from the selected model")
-    omega = penalty_ratio_sizes(data.free_size(S_hat), data.free_size(S), spec)
-    p_eta_s = residual_project(data, S, decomp.eta_tilde)
-    p_eta_hat = residual_project(data, S_hat, decomp.eta_tilde)
-    p_z_s = residual_project(data, S, decomp.z)
-    p_z_hat = residual_project(data, S_hat, decomp.z)
-    a2 = float(p_eta_s @ p_eta_s) - omega * float(p_eta_hat @ p_eta_hat)
-    a1 = 2.0 * (float(p_z_s @ p_eta_s) - omega * float(p_z_hat @ p_eta_hat))
-    a0 = float(p_z_s @ p_z_s) - omega * float(p_z_hat @ p_z_hat)
-    return ComparisonQuadratic(a2=a2, a1=a1, a0=a0, competitor=S)
-
-
-def comparison_feasible_set(
-    decomp: EtaDecomposition,
-    data: Dataset,
-    S_hat: IndexSet,
-    S: IndexSet,
-    spec: CriterionSpec,
-) -> IntervalUnion:
-    """Exact set of ``t`` for which the criterion prefers ``S_hat`` over ``S``.
-
-    Substituting ``y(t) = t * eta_tilde + z`` into the score comparison
-    yields a quadratic inequality; an empty result is legal and simply says
-    the comparison can never favor ``S_hat`` at this ``z``.
-    """
-    quad = comparison_quadratic(decomp, data, S_hat, S, spec)
-    omega = penalty_ratio_sizes(data.free_size(S_hat), data.free_size(S), spec)
-    scale2, scale1 = _pair_scales(decomp, omega)
-    return feasible_from_quadratic(quad.a2, quad.a1, quad.a0, scale2, scale1)
-
-
-def _require_eta_in_span(decomp: EtaDecomposition, data: Dataset, S_hat: IndexSet):
-    resid = residual_project(data, S_hat, decomp.eta)
-    nrm = math.sqrt(decomp.eta_norm2)
-    if float(np.linalg.norm(resid)) > ETA_SPAN_TOL * nrm:
-        raise errors.EtaNotInSpan(
-            "eta must lie in the column span of the selected model")
-
-
-def simplified_comparison(
-    decomp: EtaDecomposition,
-    data: Dataset,
-    S_hat: IndexSet,
-    S: IndexSet,
-    spec: CriterionSpec,
-) -> IntervalUnion:
-    """Feasible set using the closed form available when ``eta`` is in the
-    selected model's column span.
-
-    The leading coefficient reduces to ``|P_S eta_tilde|^2 >= 0``; competitors
-    containing the selected model contribute a comparison that is constant in
-    ``t`` (decided by ``z`` alone).
-    """
-    if S == S_hat:
-        raise errors.InputError("competitor must differ from the selected model")
-    _require_eta_in_span(decomp, data, S_hat)
-    omega = penalty_ratio_sizes(data.free_size(S_hat), data.free_size(S), spec)
-    p_z_s = residual_project(data, S, decomp.z)
-    p_z_hat = residual_project(data, S_hat, decomp.z)
-    if S.issuperset(S_hat):
-        # eta in span of the competitor too: constant-in-t comparison
-        a0 = float(p_z_s @ p_z_s) - omega * float(p_z_hat @ p_z_hat)
-        return FULL_LINE if a0 > 0.0 else EMPTY
-    p_eta_s = residual_project(data, S, decomp.eta_tilde)
-    a2 = float(p_eta_s @ p_eta_s)
-    a1 = 2.0 * float(p_z_s @ p_eta_s)
-    a0 = float(p_z_s @ p_z_s) - omega * float(p_z_hat @ p_z_hat)
-    scale2, scale1 = _pair_scales(decomp, omega)
-    return feasible_from_quadratic(a2, a1, a0, scale2, scale1)
+    lo, hi = _forbidden(*(np.array([v], dtype=float)
+                          for v in (a2, a1, a0, scale2, scale1)),
+                        flat=np.zeros(1, dtype=bool))
+    return _allowed(lo.ravel(), hi.ravel())
 
 
 def selection_event(
@@ -238,82 +182,76 @@ def selection_event(
     intersection: they are constant in ``t`` whenever ``eta`` lies in the
     selected span, so they cannot move the conditional distribution.
 
+    Along ``y(t) = t * eta_tilde + z`` every candidate's RSS is the quadratic
+    ``c2 t^2 + 2 c1 t + c0`` of residual inner products, so one Gram kernel
+    call yields every comparison.  The region is the complement of the union
+    of the comparisons' closed failure sets.
+
     ``keep_comparisons=False`` drops the per-comparison records (the region
     is unaffected); replication loops use it to avoid building thousands of
     record objects.
     """
     cs = candidate_set(data, policy)
-    y = decomp.reconstruct()
-    observed_best = cs.argmin_model(y, spec)
-    if observed_best != S_hat:
-        raise errors.NotSelectedModel(
-            f"criterion selects {observed_best}, not {S_hat}, for this response")
-
-    eta_in_span = True
     try:
-        _require_eta_in_span(decomp, data, S_hat)
-    except errors.EtaNotInSpan:
-        eta_in_span = False
+        hat = cs.index_of(S_hat)
+    except errors.InputError:
+        raise errors.NotSelectedModel(
+            f"{S_hat} is not a candidate under the current policy") from None
+    c2, c1, c0 = cs.gram(decomp.eta_tilde, decomp.z)
+    t = decomp.eta_dot_y
+    scores = cs.score_rss(c2 * t * t + 2.0 * c1 * t + c0, spec)
+    best = int(np.argmin(scores))
+    if best != hat:
+        raise errors.NotSelectedModel(
+            f"criterion selects {cs.models[best]}, not {S_hat}, for this response")
+
+    # |R_hat eta| = sqrt(c2[hat]) * |eta|^2 since eta_tilde = eta / |eta|^2
+    eta_in_span = (math.sqrt(c2[hat]) * decomp.eta_norm2
+                   <= ETA_SPAN_TOL * math.sqrt(decomp.eta_norm2))
     if skip_supersets and not eta_in_span:
         raise errors.EtaNotInSpan(
             "skipping superset comparisons is only valid when eta lies in "
             "the selected model's column span")
 
-    # batched projections of eta_tilde and z through every candidate
-    r_eta = cs.projections(decomp.eta_tilde)
-    r_z = cs.projections(decomp.z)
-    c2 = np.einsum("mn,mn->m", r_eta, r_eta)
-    c1 = np.einsum("mn,mn->m", r_z, r_eta)
-    c0 = np.einsum("mn,mn->m", r_z, r_z)
-    p_eta_hat = residual_project(data, S_hat, decomp.eta_tilde)
-    p_z_hat = residual_project(data, S_hat, decomp.z)
-    h2 = float(p_eta_hat @ p_eta_hat)
-    h1 = float(p_z_hat @ p_eta_hat)
-    h0 = float(p_z_hat @ p_z_hat)
-    k_hat = data.free_size(S_hat)
-    pen_hat = spec.penalty(k_hat)
-    omegas = np.exp(
-        (pen_hat - np.array([spec.penalty(int(k)) for k in cs.free_sizes]))
-        / spec.n
-    )
-
-    a2 = c2 - omegas * h2
-    a1 = 2.0 * (c1 - omegas * h1)
-    a0 = c0 - omegas * h0
+    penalties = cs.penalties(spec)
+    omegas = np.exp((penalties[hat] - penalties) / spec.n)
+    a2 = c2 - omegas * c2[hat]
+    a1 = 2.0 * (c1 - omegas * c1[hat])
+    a0 = c0 - omegas * c0[hat]
     et2 = float(decomp.eta_tilde @ decomp.eta_tilde)
     z2 = float(decomp.z @ decomp.z)
     big = np.maximum(1.0, omegas)
     scale2 = et2 * big
     scale1 = 2.0 * math.sqrt(et2 * z2) * big
 
-    hat_mask = sum(1 << (i - 1) for i in S_hat.indices)
+    hat_mask = cs.masks[hat]
     superset = ((cs.masks & hat_mask) == hat_mask) & (cs.masks != hat_mask)
+    active = np.ones(len(cs), dtype=bool)
+    active[hat] = False
+    if skip_supersets:
+        active &= ~superset
+    idx = np.flatnonzero(active)
+    # with eta in the selected span a superset comparison does not involve t
+    flat = superset[idx] & eta_in_span
+    lo, hi = _forbidden(a2[idx], a1[idx], a0[idx], scale2[idx], scale1[idx], flat)
+    region = _allowed(lo.ravel(), hi.ravel())
 
     records: List[ComparisonRecord] = []
-    region = FULL_LINE
-    for m, model in enumerate(cs.models):
-        if model == S_hat:
-            continue
-        is_superset = bool(superset[m])
-        if skip_supersets and is_superset:
-            if keep_comparisons:
+    if keep_comparisons:
+        row = np.full(len(cs), -1)
+        row[idx] = np.arange(idx.size)
+        for m, model in enumerate(cs.models):
+            if m == hat:
+                continue
+            if row[m] < 0:
                 records.append(ComparisonRecord(
                     competitor=model, region=None, skipped=True,
                     reason="superset of the selected model; constant in t"))
-            continue
-        if is_superset and eta_in_span:
-            # exact simplification: the comparison does not involve t
-            piece = FULL_LINE if float(a0[m]) > 0.0 else EMPTY
-        else:
-            piece = feasible_from_quadratic(
-                float(a2[m]), float(a1[m]), float(a0[m]),
-                float(scale2[m]), float(scale1[m]))
-        if keep_comparisons:
-            records.append(ComparisonRecord(competitor=model, region=piece))
-        if not piece.is_full_line:
-            region = region.intersect(piece)
+            else:
+                records.append(ComparisonRecord(
+                    competitor=model, region=_allowed(lo[row[m]], hi[row[m]])))
 
-    if not region.contains(decomp.eta_dot_y):
+    if not region.contains(t):
         raise errors.InvariantViolation(
             "observed eta'y fell outside its own selection event; "
             "endpoints may be numerically degenerate")
@@ -342,20 +280,13 @@ def superset_lower_bound(
         raise errors.IndexNotInModel(
             f"column {coefficient_index} not in selected model {S_hat}")
     cs = candidate_set(data, policy)
-    p_z_hat = residual_project(data, S_hat, decomp.z)
-    h0 = float(p_z_hat @ p_z_hat)
-    k_hat = data.free_size(S_hat)
-    allowed = set(S_hat.indices) - {coefficient_index}
-    best = 0.0
-    found = False
-    for model in cs.models:
-        if model == S_hat or not set(model.indices) <= allowed:
-            continue
-        omega = penalty_ratio_sizes(k_hat, data.free_size(model), spec)
-        p_z_s = residual_project(data, model, decomp.z)
-        val = omega * h0 - float(p_z_s @ p_z_s)
-        best = max(best, val)
-        found = True
-    if not found:
+    hat = cs.index_of(S_hat)
+    allowed = int(cs.masks[hat]) & ~(1 << (coefficient_index - 1))
+    family = np.flatnonzero((cs.masks & ~allowed) == 0)
+    if not family.size:
         return 0.0
+    rss_z = cs.rss_all(decomp.z)
+    penalties = cs.penalties(spec)
+    omegas = np.exp((penalties[hat] - penalties[family]) / spec.n)
+    best = max(0.0, float(np.max(omegas * rss_z[hat] - rss_z[family])))
     return decomp.eta_norm2 * best

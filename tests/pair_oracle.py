@@ -1,0 +1,212 @@
+"""Per-pair n-space comparison sets: an independent oracle for the geometry.
+
+Each comparison "S_hat beats S" is formed from explicit length-n residual
+projections (``linmodel.residual_project``) and solved one pair at a time with
+scalar root-finding; the region is the sequential intersection of those sets.
+The library builds the same region from p-dimensional Gram coefficients and a
+single vectorized sweep, so agreement checks both the coefficient algebra and
+the sweep.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Tuple
+
+import numpy as np
+
+from subsetci import errors
+from subsetci.criteria import (
+    CandidatePolicy,
+    CriterionSpec,
+    DEFAULT_POLICY,
+    enumerate_candidates,
+    penalty_ratio_sizes,
+)
+from subsetci.geometry import ETA_SPAN_TOL, LEAD_TOL, EtaDecomposition
+from subsetci.intervals import EMPTY, FULL_LINE, IntervalUnion, interval_union
+from subsetci.linmodel import Dataset, IndexSet, residual_project
+
+
+@dataclass(frozen=True)
+class ComparisonQuadratic:
+    """Coefficients of ``a2*t^2 + a1*t + a0 > 0`` for one pairwise comparison."""
+
+    a2: float
+    a1: float
+    a0: float
+    competitor: IndexSet
+
+
+def _stable_roots(a2: float, a1: float, a0: float, disc: float) -> Tuple[float, float]:
+    """Both roots of ``a2 t^2 + a1 t + a0`` for ``disc > 0``, cancellation-free."""
+    sq = math.sqrt(disc)
+    q = -0.5 * (a1 + math.copysign(sq, a1))
+    r1 = q / a2
+    r2 = a0 / q
+    return (r1, r2) if r1 <= r2 else (r2, r1)
+
+
+def scalar_feasible_set(
+    a2: float, a1: float, a0: float, scale2: float, scale1: float
+) -> IntervalUnion:
+    """Solution set of ``a2 t^2 + a1 t + a0 > 0`` by scalar case analysis."""
+    if abs(a2) > LEAD_TOL * scale2:
+        disc = a1 * a1 - 4.0 * a2 * a0
+        if a2 > 0.0:
+            if disc <= 0.0:
+                return FULL_LINE
+            r1, r2 = _stable_roots(a2, a1, a0, disc)
+            return interval_union([(-math.inf, r1), (r2, math.inf)])
+        if disc <= 0.0:
+            return EMPTY
+        r1, r2 = _stable_roots(a2, a1, a0, disc)
+        return interval_union([(r1, r2)])
+    if abs(a1) > LEAD_TOL * scale1:
+        t0 = -a0 / a1
+        if a1 > 0.0:
+            return interval_union([(t0, math.inf)])
+        return interval_union([(-math.inf, t0)])
+    return FULL_LINE if a0 > 0.0 else EMPTY
+
+
+def _pair_scales(decomp: EtaDecomposition, omega: float) -> Tuple[float, float]:
+    et2 = float(decomp.eta_tilde @ decomp.eta_tilde)
+    z2 = float(decomp.z @ decomp.z)
+    big = max(1.0, omega)
+    return et2 * big, 2.0 * math.sqrt(et2 * z2) * big
+
+
+def comparison_quadratic(
+    decomp: EtaDecomposition,
+    data: Dataset,
+    S_hat: IndexSet,
+    S: IndexSet,
+    spec: CriterionSpec,
+) -> ComparisonQuadratic:
+    """Quadratic in ``t`` whose positivity means ``S_hat`` beats ``S``."""
+    if S == S_hat:
+        raise errors.InputError("competitor must differ from the selected model")
+    omega = penalty_ratio_sizes(data.free_size(S_hat), data.free_size(S), spec)
+    p_eta_s = residual_project(data, S, decomp.eta_tilde)
+    p_eta_hat = residual_project(data, S_hat, decomp.eta_tilde)
+    p_z_s = residual_project(data, S, decomp.z)
+    p_z_hat = residual_project(data, S_hat, decomp.z)
+    a2 = float(p_eta_s @ p_eta_s) - omega * float(p_eta_hat @ p_eta_hat)
+    a1 = 2.0 * (float(p_z_s @ p_eta_s) - omega * float(p_z_hat @ p_eta_hat))
+    a0 = float(p_z_s @ p_z_s) - omega * float(p_z_hat @ p_z_hat)
+    return ComparisonQuadratic(a2=a2, a1=a1, a0=a0, competitor=S)
+
+
+def comparison_feasible_set(
+    decomp: EtaDecomposition,
+    data: Dataset,
+    S_hat: IndexSet,
+    S: IndexSet,
+    spec: CriterionSpec,
+) -> IntervalUnion:
+    """Exact set of ``t`` for which the criterion prefers ``S_hat`` over ``S``."""
+    quad = comparison_quadratic(decomp, data, S_hat, S, spec)
+    omega = penalty_ratio_sizes(data.free_size(S_hat), data.free_size(S), spec)
+    scale2, scale1 = _pair_scales(decomp, omega)
+    return scalar_feasible_set(quad.a2, quad.a1, quad.a0, scale2, scale1)
+
+
+def require_eta_in_span(decomp: EtaDecomposition, data: Dataset, S_hat: IndexSet):
+    resid = residual_project(data, S_hat, decomp.eta)
+    if float(np.linalg.norm(resid)) > ETA_SPAN_TOL * math.sqrt(decomp.eta_norm2):
+        raise errors.EtaNotInSpan(
+            "eta must lie in the column span of the selected model")
+
+
+def simplified_comparison(
+    decomp: EtaDecomposition,
+    data: Dataset,
+    S_hat: IndexSet,
+    S: IndexSet,
+    spec: CriterionSpec,
+) -> IntervalUnion:
+    """Feasible set using the closed form available when ``eta`` is in the
+    selected model's column span.
+
+    The leading coefficient reduces to ``|P_S eta_tilde|^2 >= 0``; competitors
+    containing the selected model contribute a comparison that is constant in
+    ``t`` (decided by ``z`` alone).
+    """
+    if S == S_hat:
+        raise errors.InputError("competitor must differ from the selected model")
+    require_eta_in_span(decomp, data, S_hat)
+    omega = penalty_ratio_sizes(data.free_size(S_hat), data.free_size(S), spec)
+    p_z_s = residual_project(data, S, decomp.z)
+    p_z_hat = residual_project(data, S_hat, decomp.z)
+    if S.issuperset(S_hat):
+        a0 = float(p_z_s @ p_z_s) - omega * float(p_z_hat @ p_z_hat)
+        return FULL_LINE if a0 > 0.0 else EMPTY
+    p_eta_s = residual_project(data, S, decomp.eta_tilde)
+    a2 = float(p_eta_s @ p_eta_s)
+    a1 = 2.0 * float(p_z_s @ p_eta_s)
+    a0 = float(p_z_s @ p_z_s) - omega * float(p_z_hat @ p_z_hat)
+    scale2, scale1 = _pair_scales(decomp, omega)
+    return scalar_feasible_set(a2, a1, a0, scale2, scale1)
+
+
+def sequential_region(
+    decomp: EtaDecomposition,
+    data: Dataset,
+    S_hat: IndexSet,
+    spec: CriterionSpec,
+    skip_supersets: bool,
+    policy: CandidatePolicy = DEFAULT_POLICY,
+) -> IntervalUnion:
+    """Intersection of the per-pair sets, one competitor at a time.
+
+    Competitors containing ``S_hat`` are left out under ``skip_supersets``
+    (which needs ``eta`` in the selected span); otherwise they give constant
+    comparisons when ``eta`` lies in that span.
+    """
+    try:
+        require_eta_in_span(decomp, data, S_hat)
+        in_span = True
+    except errors.EtaNotInSpan:
+        if skip_supersets:
+            raise
+        in_span = False
+    region = FULL_LINE
+    for S in enumerate_candidates(data, policy):
+        if S == S_hat:
+            continue
+        if S.issuperset(S_hat) and skip_supersets:
+            continue
+        if S.issuperset(S_hat) and in_span:
+            piece = simplified_comparison(decomp, data, S_hat, S, spec)
+        else:
+            piece = comparison_feasible_set(decomp, data, S_hat, S, spec)
+        region = region.intersect(piece)
+    return region
+
+
+def superset_lower_bound(
+    decomp: EtaDecomposition,
+    data: Dataset,
+    S_hat: IndexSet,
+    coefficient_index: int,
+    spec: CriterionSpec,
+    policy: CandidatePolicy = DEFAULT_POLICY,
+) -> float:
+    """Bound on ``(eta'y)^2`` from the sub-models of ``S_hat`` that drop
+    ``coefficient_index``, one n-space projection per sub-model."""
+    p_z_hat = residual_project(data, S_hat, decomp.z)
+    h0 = float(p_z_hat @ p_z_hat)
+    k_hat = data.free_size(S_hat)
+    allowed = set(S_hat.indices) - {coefficient_index}
+    best = 0.0
+    found = False
+    for model in enumerate_candidates(data, policy):
+        if model == S_hat or not set(model.indices) <= allowed:
+            continue
+        omega = penalty_ratio_sizes(k_hat, data.free_size(model), spec)
+        p_z_s = residual_project(data, model, decomp.z)
+        best = max(best, omega * h0 - float(p_z_s @ p_z_s))
+        found = True
+    return decomp.eta_norm2 * best if found else 0.0

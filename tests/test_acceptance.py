@@ -39,8 +39,10 @@ from subsetci.truncnorm import TruncatedNormalSpec, invert_mean, truncated_cdf
 
 # The quadrature oracle needs working precision far beyond the smallest
 # tail masses it integrates (~1e-46 for pieces near 14 sigma), otherwise the
-# oracle itself is the inaccurate side of the comparison.
-mpmath.mp.dps = 60
+# oracle itself is the inaccurate side of the comparison.  The precision is
+# scoped to each oracle call so that no module changes the process-wide
+# setting for another.
+DPS = 60
 
 WORKERS = max(1, min(8, os.cpu_count() or 1))
 
@@ -245,6 +247,7 @@ def _quad_measure(lo, hi, mu, lam):
     return mpmath.quad(lambda t: mpmath.npdf(t, mu, lam), [a, b])
 
 
+@mpmath.workdps(DPS)
 def _quad_truncated_cdf(x, mu, lam, region):
     num = mpmath.mpf(0)
     den = mpmath.mpf(0)
@@ -430,11 +433,13 @@ def test_criterion_8_bic_aicc_variants():
         k1 = int(rng.integers(1, min(8, n - 2)))
         k2 = int(rng.integers(1, min(8, n - 2)))
         bic = penalty_ratio_sizes(k1, k2, CriterionSpec(Criterion.BIC, n))
-        bic_hp = float(mpmath.exp(mpmath.log(n) * (k1 - k2) / n))
-        worst = max(worst, abs(bic - bic_hp) / bic_hp)
         aicc = penalty_ratio_sizes(k1, k2, CriterionSpec(Criterion.AICC, n))
-        aicc_hp = float(mpmath.exp(
-            2 * (mpmath.mpf(k1) / (n - k1 - 1) - mpmath.mpf(k2) / (n - k2 - 1))))
+        with mpmath.workdps(DPS):
+            bic_hp = float(mpmath.exp(mpmath.log(n) * (k1 - k2) / n))
+            aicc_hp = float(mpmath.exp(
+                2 * (mpmath.mpf(k1) / (n - k1 - 1)
+                     - mpmath.mpf(k2) / (n - k2 - 1))))
+        worst = max(worst, abs(bic - bic_hp) / bic_hp)
         worst = max(worst, abs(aicc - aicc_hp) / aicc_hp)
     assert worst <= 1e-12, f"penalty-ratio error {worst:.2e}"
 

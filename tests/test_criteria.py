@@ -19,7 +19,9 @@ from subsetci.criteria import (
 
 from conftest import random_dataset
 
-mpmath.mp.dps = 40
+# working precision of the mpmath oracles, scoped to each use so that no
+# module changes the process-wide setting for another
+DPS = 40
 
 
 def hp_exp(x) -> float:
@@ -65,19 +67,23 @@ class TestPenaltyRatio:
     def test_aic_against_high_precision(self):
         spec = CriterionSpec(Criterion.AIC, 50)
         got = penalty_ratio(IndexSet((1, 2, 3)), IndexSet((1, 2, 3, 4)), spec)
-        assert got == pytest.approx(hp_exp(mpmath.mpf(-2) / 50), rel=1e-14)
+        with mpmath.workdps(DPS):
+            expect = hp_exp(mpmath.mpf(-2) / 50)
+        assert got == pytest.approx(expect, rel=1e-14)
 
     def test_bic_against_high_precision(self):
         spec = CriterionSpec(Criterion.BIC, 100)
         got = penalty_ratio_sizes(2, 5, spec)
-        expect = hp_exp(mpmath.mpf(-3) * mpmath.log(100) / 100)
+        with mpmath.workdps(DPS):
+            expect = hp_exp(mpmath.mpf(-3) * mpmath.log(100) / 100)
         assert got == pytest.approx(expect, rel=1e-14)
 
     def test_aicc_against_high_precision(self):
         spec = CriterionSpec(Criterion.AICC, 30)
         got = penalty_ratio_sizes(3, 5, spec)
-        expect = hp_exp(2 * (mpmath.mpf(3) / (30 - 3 - 1)
-                             - mpmath.mpf(5) / (30 - 5 - 1)))
+        with mpmath.workdps(DPS):
+            expect = hp_exp(2 * (mpmath.mpf(3) / (30 - 3 - 1)
+                                 - mpmath.mpf(5) / (30 - 5 - 1)))
         assert got == pytest.approx(expect, rel=1e-13)
 
     def test_score_difference_consistent_with_ratio(self, rng):

@@ -12,18 +12,20 @@ from subsetci.criteria import (
     penalty_ratio_sizes,
 )
 from subsetci.geometry import (
-    comparison_feasible_set,
-    comparison_quadratic,
     decompose,
     feasible_from_quadratic,
     selection_event,
-    simplified_comparison,
     superset_lower_bound,
 )
 from subsetci.inference import InferenceTarget, eta_for_target
 from subsetci.intervals import EMPTY, FULL_LINE
 
 from conftest import random_dataset
+from pair_oracle import (
+    comparison_feasible_set,
+    comparison_quadratic,
+    simplified_comparison,
+)
 
 INF = math.inf
 

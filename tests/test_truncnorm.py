@@ -15,10 +15,13 @@ from subsetci.truncnorm import (
     truncated_cdf,
 )
 
-mpmath.mp.dps = 50
+# working precision of the mpmath oracles, scoped to each oracle call so that
+# no module changes the process-wide setting for another
+DPS = 50
 INF = math.inf
 
 
+@mpmath.workdps(DPS)
 def hp_measure(lo, hi, mu, lam) -> float:
     """High-precision normal interval mass (the oracle)."""
     a = (mpmath.mpf(lo) - mu) / lam if math.isfinite(lo) else mpmath.mpf("-inf")
@@ -26,6 +29,7 @@ def hp_measure(lo, hi, mu, lam) -> float:
     return float(mpmath.ncdf(b) - mpmath.ncdf(a))
 
 
+@mpmath.workdps(DPS)
 def hp_truncated_cdf(x, mu, lam, region) -> float:
     num = mpmath.mpf(0)
     den = mpmath.mpf(0)
@@ -65,7 +69,8 @@ class TestNormalMeasure:
         lv = log_normal_measure((40.0, 41.0), 0.0, 1.0)
         assert -900 < lv < -700
         # oracle via the mirrored lower tail, where mpmath keeps precision
-        expect = float(mpmath.log(mpmath.ncdf(-40) - mpmath.ncdf(-41)))
+        with mpmath.workdps(DPS):
+            expect = float(mpmath.log(mpmath.ncdf(-40) - mpmath.ncdf(-41)))
         assert lv == pytest.approx(expect, rel=1e-12)
 
     def test_random_intervals_against_oracle(self, rng):
