@@ -10,10 +10,11 @@ geometry consumes.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -130,9 +131,8 @@ MAX_CANDIDATE_BYTES = 256 * 2 ** 20
 MAX_MASK_COLUMNS = 62
 
 
-def _free_sizes(data: Dataset, policy: CandidatePolicy) -> range:
-    """Free-column counts admitted by ``policy``."""
-    n_free = len(data.free_indices)
+def _free_sizes(n_free: int, policy: CandidatePolicy) -> range:
+    """Free-column counts admitted by ``policy`` among ``n_free`` free columns."""
     cap = n_free if policy.max_size is None else min(policy.max_size, n_free)
     return range(0 if policy.include_empty else 1, cap + 1)
 
@@ -152,7 +152,7 @@ def _check_budget(data: Dataset, policy: CandidatePolicy) -> None:
     n_forced = len(data.forced_indices)
     count = 0
     stack_bytes = 0
-    for k in _free_sizes(data, policy):
+    for k in _free_sizes(n_free, policy):
         m = math.comb(n_free, k)
         count += m
         stack_bytes += m * data.p * (data.p - k - n_forced) * 8
@@ -164,17 +164,41 @@ def _check_budget(data: Dataset, policy: CandidatePolicy) -> None:
             "size with CandidatePolicy(max_size=...)")
 
 
+@dataclass(frozen=True, eq=False)
+class _CandidateList:
+    """Candidate models of a column layout, with their positions, free
+    sizes and column-membership bitmasks; shared (read-only) by every
+    design with that layout."""
+
+    models: Tuple[IndexSet, ...]
+    position: Dict[IndexSet, int]
+    free_sizes: np.ndarray
+    masks: np.ndarray
+
+
+@functools.lru_cache(maxsize=16)
+def _candidate_list(forced: Tuple[int, ...], free: Tuple[int, ...],
+                    policy: CandidatePolicy) -> _CandidateList:
+    """Canonical order: free size, then lexicographic.  The list depends on
+    the forced and free columns and the policy only, never on the design."""
+    models = tuple(
+        IndexSet(tuple(sorted(forced + combo)))
+        for k in _free_sizes(len(free), policy)
+        for combo in itertools.combinations(free, k))
+    if not models:
+        raise errors.InputError("candidate policy admits no models")
+    free_sizes = np.array([len(m) - len(forced) for m in models], dtype=int)
+    masks = np.array([sum(1 << (i - 1) for i in m.indices) for m in models],
+                     dtype=np.int64)
+    free_sizes.flags.writeable = False
+    masks.flags.writeable = False
+    return _CandidateList(models, {m: pos for pos, m in enumerate(models)},
+                          free_sizes, masks)
+
+
 def enumerate_candidates(data: Dataset, policy: CandidatePolicy) -> List[IndexSet]:
     """All candidate models in canonical order (free size, then lexicographic)."""
-    forced = data.forced_indices
-    free = data.free_indices
-    out = []
-    for k in _free_sizes(data, policy):
-        for combo in itertools.combinations(free, k):
-            out.append(IndexSet(tuple(sorted(forced + combo))))
-    if not out:
-        raise errors.InputError("candidate policy admits no models")
-    return out
+    return list(_candidate_list(data.forced_indices, data.free_indices, policy).models)
 
 
 class CandidateSet:
@@ -194,24 +218,16 @@ class CandidateSet:
         _check_budget(data, policy)
         self.data = data
         self.policy = policy
-        self.models = enumerate_candidates(data, policy)
-        self._position = {m: pos for pos, m in enumerate(self.models)}
-        forced = set(data.forced_indices)
-        self.free_sizes = np.array(
-            [sum(1 for i in m.indices if i not in forced) for m in self.models],
-            dtype=int,
-        )
+        listed = _candidate_list(data.forced_indices, data.free_indices, policy)
+        self.models = list(listed.models)
+        self._position = listed.position
+        self.free_sizes = listed.free_sizes
         # column-membership bitmasks, for fast subset/superset tests
-        self.masks = np.array(
-            [sum(1 << (i - 1) for i in m.indices) for m in self.models],
-            dtype=np.int64,
-        )
+        self.masks = listed.masks
         self._penalties: dict = {}
         self._q, r = data._qr_of(data.full_model().indices)
         p = data.p
-        widths = np.array([len(m) for m in self.models])
-        for m in self.models:
-            data.validate_model(m)
+        widths = listed.free_sizes + len(data.forced_indices)
         blocks = []
         # canonical order sorts by free size, so each width is one run
         for width in np.unique(widths):

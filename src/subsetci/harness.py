@@ -32,9 +32,10 @@ from .criteria import (
 from .geometry import decompose, selection_event
 from .inference import (
     InferenceTarget,
+    METHOD_CORRECTED,
     SigmaSpec,
-    classical_ci,
-    corrected_ci,
+    corrected_limits,
+    critical_value,
     estimate_sigma,
     eta_for_target,
 )
@@ -334,8 +335,17 @@ def _run_rep_chunk(
             scores, _ = local_cs.scores(data.y, spec)
             S_hat = local_cs.models[int(np.argmin(scores))]
             sizes[row] = data.free_size(S_hat)
-            sig_vals = [estimate_sigma(data, S_hat, s) for s in strategies]
-            sigmas[row] = sig_vals
+            sig = np.array([estimate_sigma(data, S_hat, s) for s in strategies])
+            quant = np.array([critical_value(data, S_hat, s, config.alpha)[0]
+                              for s in strategies])
+            sigmas[row] = sig
+            # every applicable target's problem, then one batched inversion
+            # and one batched pivot evaluation for the whole replication
+            rows_t: List[int] = []
+            truths: List[float] = []
+            x_obs: List[float] = []
+            scales: List[float] = []
+            regions = []
             for ti, target in enumerate(targets):
                 true_val = truth_of(data, mean_r, S_hat, ti, target)
                 if true_val is None:
@@ -354,17 +364,26 @@ def _run_rep_chunk(
                     data, dec, S_hat, spec,
                     skip_supersets=config.skip_supersets,
                     keep_comparisons=False)
-                x_obs = dec.eta_dot_y
-                for si, (strat, sig) in enumerate(zip(strategies, sig_vals)):
-                    ci_u = classical_ci(data, S_hat, target, config.alpha, strat)
-                    hits_unc[row, ti, si] = int(ci_u.lower < true_val < ci_u.upper)
-                    ci_c = corrected_ci(
-                        data, None, S_hat, target, config.alpha, strat, spec,
-                        skip_supersets=config.skip_supersets, event=event)
-                    hits_cor[row, ti, si] = int(ci_c.lower < true_val < ci_c.upper)
-                    pivots[row, ti, si] = truncated_cdf(
-                        x_obs, TruncatedNormalSpec(
-                            mu=true_val, lam=sig * scale, region=event.region))
+                rows_t.append(ti)
+                truths.append(true_val)
+                x_obs.append(dec.eta_dot_y)
+                scales.append(scale)
+                regions.append(event.region)
+            if rows_t:
+                # (target, strategy) grid, strategies fastest
+                truth = np.repeat(truths, n_s)
+                x = np.repeat(x_obs, n_s)
+                lam = np.outer(scales, sig).ravel()
+                grid = [r for r in regions for _ in range(n_s)]
+                half = np.outer(scales, sig * quant).ravel()
+                hits_unc[row, rows_t] = ((x - half < truth)
+                                         & (truth < x + half)).reshape(-1, n_s)
+                lower, upper = corrected_limits(config.alpha, x, lam, grid)
+                hits_cor[row, rows_t] = ((lower < truth)
+                                         & (truth < upper)).reshape(-1, n_s)
+                pivots[row, rows_t] = truncated_cdf(x, [
+                    TruncatedNormalSpec(mu=m, lam=s, region=r)
+                    for m, s, r in zip(truth, lam, grid)]).reshape(-1, n_s)
             ok[row] = True
         except errors.NumericalError as exc:
             failures.append((rep, f"{type(exc).__name__}: {exc}"))
@@ -400,7 +419,7 @@ def simulate_coverage(config: SimulationConfig, workers: int = 1) -> CoverageRep
         targets = tuple(InferenceTarget.prediction_mean(x) for x in pts)
     strategies = config.resolved_strategies()
 
-    workers = max(1, int(workers))
+    workers = max(1, min(int(workers), config.reps, os.cpu_count() or 1))
     bounds = np.linspace(0, config.reps, workers + 1).astype(int)
     chunks = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:])
               if hi > lo]
@@ -513,6 +532,7 @@ def load_csv_dataset(
                 raise errors.ParseError(
                     f"response column {response_column!r} not in header {header}")
             rows: List[List[float]] = []
+            labels = set()  # columns holding non-numeric labels
             for rowno, row in enumerate(reader, start=2):
                 if not row or all(not c.strip() for c in row):
                     continue
@@ -527,6 +547,7 @@ def load_csv_dataset(
                     except ValueError:
                         if header[j].lower() in ("quarter", "date", "time", "index"):
                             vals.append(math.nan)  # label column, dropped below
+                            labels.add(j)
                         else:
                             raise errors.ParseError(
                                 f"non-numeric value {cell!r}",
@@ -537,7 +558,11 @@ def load_csv_dataset(
     if not rows:
         raise errors.ParseError("CSV contains no data rows")
     arr = np.asarray(rows, dtype=float)
-    numeric = [j for j in range(len(header)) if not np.isnan(arr[:, j]).any()]
+    for j in np.flatnonzero(np.isnan(arr).any(axis=0)):
+        if j not in labels or header[j] == response_column:
+            raise errors.ParseError(
+                f"column {header[j]!r} has a missing or non-numeric value")
+    numeric = [j for j in range(len(header)) if j not in labels]
     names = [header[j] for j in numeric]
     arr = arr[:, numeric]
     yj = names.index(response_column)
@@ -602,30 +627,47 @@ def dataset_report(
     if targets is None:
         targets = [InferenceTarget.coefficient(data.name_of(i))
                    for i in selected.indices]
-    rows: List[AnalysisRow] = []
     excluded: List[Tuple[str, Tuple[Tuple[float, float], ...]]] = []
     events: List[Tuple[str, Dict]] = []
+    # one classical row per (target, strategy), then every corrected row's
+    # limits from one batched inversion and pivots from one batched CDF
+    classical: List[AnalysisRow] = []
+    x_obs: List[float] = []
+    lam: List[float] = []
+    regions = []
+    noise = [(estimate_sigma(data, selected, s),
+              *critical_value(data, selected, s, alpha)) for s in sigma_strategies]
     for target in targets:
         tlabel = target.label(data)
-        event = None
-        if sigma_strategies:
-            eta = eta_for_target(data, selected, target)
-            dec = decompose(data.y, eta)
-            event = selection_event(data, dec, selected, spec,
-                                    skip_supersets=skip_supersets, policy=policy)
-            excluded.append((tlabel, event.region.complement().intervals))
-            events.append((tlabel, selection_event_to_dict(event)))
-        for strat in sigma_strategies:
-            ci_u = classical_ci(data, selected, target, alpha, strat)
-            rows.append(AnalysisRow(tlabel, strat.label, ci_u.method,
-                                    ci_u.lower, ci_u.upper, ci_u.point_estimate,
-                                    None, ci_u.sigma_used))
-            ci_c = corrected_ci(data, None, selected, target, alpha, strat,
-                                spec, skip_supersets=skip_supersets,
-                                policy=policy, event=event)
-            rows.append(AnalysisRow(tlabel, strat.label, ci_c.method,
-                                    ci_c.lower, ci_c.upper, ci_c.point_estimate,
-                                    ci_c.pivot, ci_c.sigma_used))
+        if not sigma_strategies:
+            continue
+        eta = eta_for_target(data, selected, target)
+        scale = float(np.linalg.norm(eta))
+        dec = decompose(data.y, eta)
+        event = selection_event(data, dec, selected, spec,
+                                skip_supersets=skip_supersets, policy=policy)
+        excluded.append((tlabel, event.region.complement().intervals))
+        events.append((tlabel, selection_event_to_dict(event)))
+        point = dec.eta_dot_y
+        for strat, (sigma, quant, method) in zip(sigma_strategies, noise):
+            half = quant * sigma * scale
+            classical.append(AnalysisRow(tlabel, strat.label, method,
+                                         point - half, point + half, point,
+                                         None, sigma))
+            x_obs.append(point)
+            lam.append(sigma * scale)
+            regions.append(event.region)
+    rows: List[AnalysisRow] = []
+    if classical:
+        lower, upper = corrected_limits(alpha, x_obs, lam, regions)
+        pivots = truncated_cdf(x_obs, [
+            TruncatedNormalSpec(mu=0.0, lam=s, region=r)
+            for s, r in zip(lam, regions)])
+        for i, row in enumerate(classical):
+            rows.append(row)
+            rows.append(AnalysisRow(row.target, row.strategy, METHOD_CORRECTED,
+                                    float(lower[i]), float(upper[i]), row.point,
+                                    float(pivots[i]), row.sigma_used))
     return AnalysisReport(
         source=source,
         response=response,

@@ -7,9 +7,10 @@ textbook normal/t interval with no conditioning.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -18,6 +19,7 @@ from scipy.stats import norm as norm_dist, t as t_dist
 from . import errors
 from .criteria import CandidatePolicy, CriterionSpec, DEFAULT_POLICY
 from .geometry import SelectionEvent, decompose, selection_event
+from .intervals import IntervalUnion
 from .linmodel import Dataset, IndexSet, fit_submodel
 from .truncnorm import TruncatedNormalSpec, invert_mean, truncated_cdf
 
@@ -192,6 +194,29 @@ def estimate_sigma(data: Dataset, S_hat: IndexSet, spec: SigmaSpec) -> float:
     return math.sqrt(r / df)
 
 
+@functools.lru_cache(maxsize=64)
+def _upper_quantile(alpha: float, df: Optional[int]) -> float:
+    """``1 - alpha/2`` quantile of the standard normal (``df`` None) or of t."""
+    if df is None:
+        return float(norm_dist.ppf(1.0 - alpha / 2.0))
+    return float(t_dist.ppf(1.0 - alpha / 2.0, df))
+
+
+def critical_value(
+    data: Dataset, S_hat: IndexSet, sigma_spec: SigmaSpec, alpha: float,
+) -> Tuple[float, str]:
+    """(two-sided critical value, method) of the classical interval.
+
+    A known or external sigma takes the normal quantile; an estimated one
+    takes the t quantile on the residual degrees of freedom of the model it
+    was estimated from.
+    """
+    if sigma_spec.strategy in ("known", "external"):
+        return _upper_quantile(alpha, None), METHOD_CLASSICAL_KNOWN
+    S = S_hat if sigma_spec.strategy == "mse_aic" else data.full_model()
+    return _upper_quantile(alpha, data.df_residual(S)), METHOD_CLASSICAL_T
+
+
 def classical_ci(
     data: Dataset,
     S_hat: IndexSet,
@@ -206,13 +231,7 @@ def classical_ci(
     point = float(eta @ data.y)
     scale = float(np.linalg.norm(eta))
     sigma = estimate_sigma(data, S_hat, sigma_spec)
-    if sigma_spec.strategy in ("known", "external"):
-        quant = float(norm_dist.ppf(1.0 - alpha / 2.0))
-        method = METHOD_CLASSICAL_KNOWN
-    else:
-        S = S_hat if sigma_spec.strategy == "mse_aic" else data.full_model()
-        quant = float(t_dist.ppf(1.0 - alpha / 2.0, data.df_residual(S)))
-        method = METHOD_CLASSICAL_T
+    quant, method = critical_value(data, S_hat, sigma_spec, alpha)
     half = quant * sigma * scale
     return CIResult(
         lower=point - half,
@@ -223,6 +242,29 @@ def classical_ci(
         method=method,
         sigma_used=sigma,
     )
+
+
+def corrected_limits(
+    alpha: float,
+    x_obs: Sequence[float],
+    lam: Sequence[float],
+    regions: Sequence[IntervalUnion],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Equal-tail corrected (lower, upper) limits for a batch of problems.
+
+    Element ``i`` observes ``x_obs[i]`` from a normal with scale ``lam[i]``
+    truncated to ``regions[i]``.  Both limits of every element come from one
+    batched :func:`invert_mean` call; a limit that cannot be bracketed (the
+    CDF is pinned) is reported as infinite rather than fabricated.
+    """
+    if not 0.0 < alpha < 1.0:
+        raise errors.InputError(f"alpha must be in (0,1), got {alpha}")
+    k = len(regions)
+    x_obs = np.asarray(x_obs, dtype=float)
+    lam = np.asarray(lam, dtype=float)
+    targets = np.repeat([1.0 - alpha / 2.0, alpha / 2.0], k)
+    mu = invert_mean(targets, np.tile(x_obs, 2), np.tile(lam, 2), list(regions) * 2)
+    return mu[:k], mu[k:]
 
 
 def corrected_ci(
@@ -259,19 +301,12 @@ def corrected_ci(
     sigma = estimate_sigma(data, S_hat, sigma_spec)
     lam = sigma * math.sqrt(decomp.eta_norm2)
     x_obs = decomp.eta_dot_y
-    try:
-        lower = invert_mean(1.0 - alpha / 2.0, x_obs, lam, event.region)
-    except (errors.BracketFailure, errors.RegionMassUnderflow):
-        lower = -math.inf
-    try:
-        upper = invert_mean(alpha / 2.0, x_obs, lam, event.region)
-    except (errors.BracketFailure, errors.RegionMassUnderflow):
-        upper = math.inf
+    lower, upper = corrected_limits(alpha, [x_obs], [lam], [event.region])
     pivot = truncated_cdf(
         x_obs, TruncatedNormalSpec(mu=0.0, lam=lam, region=event.region))
     return CIResult(
-        lower=lower,
-        upper=upper,
+        lower=float(lower[0]),
+        upper=float(upper[0]),
         point_estimate=x_obs,
         pivot=pivot,
         alpha=alpha,

@@ -83,6 +83,11 @@ class LeastSquaresFit:
     df_residual: int
 
 
+def _require_finite_response(y: np.ndarray) -> None:
+    if not np.isfinite(y).all():
+        raise errors.InputError("the response holds a non-finite value")
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """A fixed design matrix with response and column names.
@@ -117,6 +122,11 @@ class Dataset:
                 f"{len(names)} column names for {p} columns")
         if len(set(names)) != p:
             raise errors.ParseError("column names must be unique")
+        bad = np.flatnonzero(~np.isfinite(X).all(axis=0))
+        if bad.size:
+            raise errors.InputError(
+                f"column {names[bad[0]]!r} holds a non-finite value")
+        _require_finite_response(y)
         if self.intercept_policy not in (INTERCEPT_NONE, INTERCEPT_FORCED):
             raise errors.InputError(
                 f"unknown intercept policy {self.intercept_policy!r}")
@@ -184,6 +194,7 @@ class Dataset:
         if yy.shape[0] != self.n:
             raise errors.DimensionMismatch(
                 f"y has length {yy.shape[0]}, expected {self.n}")
+        _require_finite_response(yy)
         yy.flags.writeable = False
         object.__setattr__(new, "X", self.X)
         object.__setattr__(new, "y", yy)

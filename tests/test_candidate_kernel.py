@@ -183,6 +183,19 @@ def test_collinear_submodel_raises_from_candidate_build():
     assert exc.value.model == IndexSet((2, 3))
 
 
+def test_candidate_list_is_shared_but_rank_check_runs_per_design(rng):
+    names = ("a", "b", "c")
+    first = candidate_set(Dataset(rng.standard_normal((6, 3)),
+                                  np.arange(1.0, 7.0), names))
+    with pytest.raises(errors.RankDeficient):
+        candidate_set(_collinear_pair_design())
+    second = candidate_set(Dataset(rng.standard_normal((6, 3)),
+                                   np.arange(1.0, 7.0), names))
+    assert second is not first
+    assert len(second.models) == len(first.models) == 7
+    assert all(a is b for a, b in zip(first.models, second.models))
+
+
 def test_candidate_build_caches_no_per_model_factors(small_data):
     candidate_set(small_data)
     n_space = [k for k in small_data._cache if isinstance(k[0], int)]

@@ -113,6 +113,31 @@ def test_bad_response_is_input_error(data_csv):
     assert code == 2
 
 
+def _csv_with_cell(tmp_path, column, value):
+    rng = np.random.default_rng(5)
+    rows = ["y,a,b"]
+    for i in range(12):
+        cells = {c: repr(float(v)) for c, v in zip("yab", rng.standard_normal(3))}
+        if i == 4:
+            cells[column] = value
+        rows.append(",".join(cells[c] for c in "yab"))
+    path = tmp_path / "cells.csv"
+    path.write_text("\n".join(rows) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("column, value", [
+    ("a", "inf"), ("b", "-inf"), ("y", "inf"), ("a", "nan"), ("y", "nan")])
+def test_non_finite_cell_is_input_error(tmp_path, capsys, column, value):
+    path = _csv_with_cell(tmp_path, column, value)
+    code = main(["analyze", path, "--response", "y"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if column != "y" or value == "nan":
+        assert repr(column) in err
+
+
 def test_rank_deficient_is_numerical_error(tmp_path):
     path = tmp_path / "collinear.csv"
     rows = ["y,a,b"]

@@ -1,5 +1,6 @@
 import json
 import math
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -120,6 +121,36 @@ class TestSimulateCoverage:
         seq.pop("generated_at")
         par.pop("generated_at")
         assert seq == par
+
+    @pytest.mark.parametrize("workers, reps, cpus, started", [
+        (8, 5, 2, 2), (8, 3, 64, 3), (2, 30, 4, 2), (4, 30, None, None)])
+    def test_worker_count_clamped(self, monkeypatch, workers, reps, cpus, started):
+        """min(workers, reps, cpu count) processes; none when that is one.
+        The executor runs chunks inline, so no process is spawned."""
+        from subsetci import harness
+
+        pools = []
+
+        class InlineExecutor:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                fut = Future()
+                fut.set_result(fn(*args))
+                return fut
+
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlineExecutor)
+        rep = simulate_coverage(tiny_config(reps=reps), workers=workers)
+        assert pools == ([] if started is None else [started])
+        assert rep.reps_completed == reps
 
     def test_histogram_conserves_replications(self):
         cfg = tiny_config(reps=35)

@@ -3,6 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import norm
 
 from subsetci import errors
@@ -19,6 +20,8 @@ from subsetci.truncnorm import (
 # no module changes the process-wide setting for another
 DPS = 50
 INF = math.inf
+
+BATCH_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
 
 @mpmath.workdps(DPS)
@@ -226,3 +229,97 @@ def test_spec_validation():
     from subsetci.intervals import EMPTY
     with pytest.raises(errors.InputError):
         TruncatedNormalSpec(mu=0.0, lam=1.0, region=EMPTY)
+
+
+@st.composite
+def problems(draw):
+    """(target, x, lam, region): 1-4 pieces, the last possibly unbounded,
+    and an observation interior to a random piece."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pieces = []
+    lo = float(rng.normal(scale=3))
+    for _ in range(int(rng.integers(1, 5))):
+        hi = lo + float(rng.uniform(0.05, 3))
+        pieces.append((lo, hi))
+        lo = hi + float(rng.uniform(0.05, 3))
+    if rng.random() < 0.3:
+        pieces[-1] = (pieces[-1][0], INF)
+    plo, phi = pieces[int(rng.integers(0, len(pieces)))]
+    x = plo + float(rng.uniform(0.01, 0.99)) * (min(phi, plo + 3.0) - plo)
+    lam = float(rng.uniform(0.05, 4.0))
+    target = float(rng.uniform(0.01, 0.99))
+    return target, x, lam, interval_union(pieces)
+
+
+@BATCH_SETTINGS
+@given(st.lists(problems(), min_size=1, max_size=12), st.randoms(use_true_random=False))
+def test_batch_elements_equal_single_calls(batch, shuffle):
+    """Each element of a batched call is bit-for-bit a one-element call,
+    whatever the batch order and the padding other elements force; an
+    element the batch reports as infinite is one the scalar call refuses."""
+    order = list(range(len(batch)))
+    shuffle.shuffle(order)
+    targets, xs, lams, regions = zip(*[batch[i] for i in order])
+    mus = invert_mean(np.array(targets), np.array(xs), np.array(lams), regions)
+    solved = [j for j in range(len(order)) if np.isfinite(mus[j])]
+    specs = [TruncatedNormalSpec(mu=float(mus[j]), lam=lams[j], region=regions[j])
+             for j in solved]
+    cdfs = truncated_cdf(np.array([xs[j] for j in solved]), specs)
+    for j in range(len(order)):
+        if j not in solved:
+            with pytest.raises((errors.BracketFailure, errors.RegionMassUnderflow)):
+                invert_mean(targets[j], xs[j], lams[j], regions[j])
+            continue
+        assert mus[j] == invert_mean(targets[j], xs[j], lams[j], regions[j])
+        cdf = cdfs[solved.index(j)]
+        assert cdf == truncated_cdf(xs[j], specs[solved.index(j)])
+        assert cdf == pytest.approx(targets[j], abs=1e-10)
+
+
+@BATCH_SETTINGS
+@given(problems(), st.floats(-6.0, 6.0), st.floats(-6.0, 6.0),
+       st.floats(-8.0, 8.0), st.floats(-8.0, 8.0))
+def test_cdf_increases_in_x_and_decreases_in_mu(problem, mu1, mu2, x1, x2):
+    _, _, lam, region = problem
+    mu1, mu2 = sorted((mu1, mu2))
+    x1, x2 = sorted((x1, x2))
+    lo_spec = TruncatedNormalSpec(mu=mu1, lam=lam, region=region)
+    hi_spec = TruncatedNormalSpec(mu=mu2, lam=lam, region=region)
+    f = truncated_cdf([x1, x2, x1, x2], [lo_spec, lo_spec, hi_spec, hi_spec])
+    assert np.all((0.0 <= f) & (f <= 1.0))
+    # rounding in log space allows ulp-sized reversals only
+    slack = 1e-12
+    assert f[0] <= f[1] + slack and f[2] <= f[3] + slack
+    assert f[0] >= f[2] - slack and f[1] >= f[3] - slack
+
+
+class TestBatchFailureIsolation:
+    # a standard deviation far below the resolution of the mean pins the
+    # CDF at 1/2: no finite bracket reaches a target away from the median
+    PINNED = (1.5, 1e-300, single(1.0, 2.0))
+
+    def test_pinned_element_gives_infinite_endpoint_only(self):
+        region = interval_union([(-1.0, 0.5), (1.0, 4.0)])
+        x, lam = 2.0, 0.8
+        targets = np.array([0.975, 0.975, 0.025, 0.025])
+        xs = np.array([x, self.PINNED[0], x, self.PINNED[0]])
+        lams = np.array([lam, self.PINNED[1], lam, self.PINNED[1]])
+        regions = [region, self.PINNED[2], region, self.PINNED[2]]
+        mus = invert_mean(targets, xs, lams, regions)
+        assert mus[1] == -INF and mus[3] == INF
+        assert mus[0] == invert_mean(0.975, x, lam, region)
+        assert mus[2] == invert_mean(0.025, x, lam, region)
+
+    def test_scalar_call_still_raises(self):
+        with pytest.raises(errors.BracketFailure):
+            invert_mean(0.975, *self.PINNED)
+        with pytest.raises(errors.BracketFailure):
+            invert_mean(0.025, *self.PINNED)
+
+    def test_batch_input_validation(self):
+        with pytest.raises(errors.DimensionMismatch):
+            invert_mean(np.array([0.5, 0.5]), np.array([0.0]), np.array([1.0]),
+                        [FULL_LINE])
+        with pytest.raises(errors.ObservationOutsideRegion):
+            invert_mean(np.array([0.5, 0.5]), np.array([0.0, 5.0]),
+                        np.array([1.0, 1.0]), [FULL_LINE, single(-1.0, 1.0)])
