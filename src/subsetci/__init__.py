@@ -23,6 +23,7 @@ from .geometry import (
     SelectionEvent,
     decompose,
     selection_event,
+    selection_events,
     superset_lower_bound,
 )
 from .harness import (
@@ -106,6 +107,7 @@ __all__ = [
     "residual_project",
     "rss",
     "selection_event",
+    "selection_events",
     "simulate_coverage",
     "superset_lower_bound",
     "truncated_cdf",

@@ -266,33 +266,51 @@ class CandidateSet:
             ) from None
 
     def _gram(self, vs: np.ndarray) -> np.ndarray:
-        """Residual inner products ``(R_S v_i)'(R_S v_j)``, ``i <= j``, for
-        every candidate: a (k(k+1)/2, M) array, pairs in row-major order.
+        """Residual inner products of ``vs = [v_0, v_1, ..., v_T]`` (a (T+1, n)
+        array) for every candidate: a (2T+1, M) array whose rows are
+        ``|R_S v_0|^2``, then ``(R_S v_0)'(R_S v_t)`` and then ``|R_S v_t|^2``
+        for ``t = 1..T``.
 
-        ``vs`` is (k, n).  The part of each vector outside the full design's
-        span is shared by all candidates; the rest is a sum over the vector's
-        coordinates in each model's complement basis.
+        The part of each vector outside the full design's span is shared by
+        all candidates; the rest is a sum over the vector's coordinates in
+        each model's complement basis.  The basis stack is read once per
+        call, whatever the number of vectors.
         """
-        u = vs @ self._q  # (k, p)
+        u = vs @ self._q  # (T+1, p)
         perp = vs - u @ self._q.T
-        i, j = np.triu_indices(len(vs))
-        coords = u @ self._basis.T  # (k, rows)
-        out = np.zeros((len(i), len(self.models)))
+        coords = u @ self._basis.T  # (T+1, rows)
+        t = len(vs) - 1
+        prod = np.empty((2 * t + 1, coords.shape[1]))
+        np.multiply(coords[0], coords, out=prod[:t + 1])
+        np.multiply(coords[1:], coords[1:], out=prod[t + 1:])
+        out = np.zeros((2 * t + 1, len(self.models)))
         if self._row_starts.size:
-            out[:, self._has_rows] = np.add.reduceat(
-                coords[i] * coords[j], self._row_starts, axis=1)
-        return out + np.einsum("tn,tn->t", perp[i], perp[j])[:, None]
+            out[:, self._has_rows] = np.add.reduceat(prod, self._row_starts, axis=1)
+        shared = np.concatenate([
+            np.einsum("tn,tn->t", np.broadcast_to(perp[0], perp.shape), perp),
+            np.einsum("tn,tn->t", perp[1:], perp[1:])])
+        return out + shared[:, None]
 
     def rss_all(self, y: np.ndarray) -> np.ndarray:
         """Residual sum of squares of every candidate, canonical order."""
         return self._gram(np.asarray(y, dtype=float).reshape(1, -1))[0]
 
     def gram(self, a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(|R_S a|^2, (R_S a)'(R_S b), |R_S b|^2)`` over all candidates."""
-        vs = np.stack([np.asarray(a, dtype=float).reshape(-1),
-                       np.asarray(b, dtype=float).reshape(-1)])
-        aa, ab, bb = self._gram(vs)
-        return aa, ab, bb
+        """``(|R_S a|^2, (R_S a)'(R_S b), |R_S b|^2)`` over all candidates.
+
+        ``b`` may be a (T, n) stack of vectors; the last two results are then
+        (T, M), one row per vector, all from one kernel call over
+        ``[a, b_1, ..., b_T]`` (2T + 1 inner products per candidate).
+        """
+        a = np.asarray(a, dtype=float).reshape(1, -1)
+        b = np.asarray(b, dtype=float)
+        stack = b.reshape(-1, a.shape[1])
+        t = stack.shape[0]
+        out = self._gram(np.concatenate([a, stack]))
+        ab, bb = out[1:t + 1], out[t + 1:]
+        if b.ndim == 1:
+            ab, bb = ab[0], bb[0]
+        return out[0], ab, bb
 
     def penalties(self, spec: CriterionSpec) -> np.ndarray:
         """Size penalty of every candidate under ``spec``; computed once."""

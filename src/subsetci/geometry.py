@@ -5,7 +5,10 @@ Fixing a direction ``eta``, the response splits as
 spherical normal noise.  Each pairwise criterion comparison
 "selected model beats competitor S" is then a quadratic inequality in the
 scalar ``t = eta'y``, so the event "the criterion picks this model" is a
-finite union of open intervals in ``t``.  This module builds those unions.
+finite union of open intervals in ``t``.  This module builds those unions,
+for every direction of a response in one pass, with each comparison written
+around the observation (``u = t - eta'y``), where its constant term is the
+observed score gap.
 """
 
 from __future__ import annotations
@@ -86,15 +89,16 @@ def decompose(y: np.ndarray, eta: np.ndarray) -> EtaDecomposition:
                             eta_dot_y=eta_dot_y, z=z)
 
 
-def _forbidden(a2, a1, a0, scale2, scale1, flat):
-    """Closed sets of ``t`` where ``a2 t^2 + a1 t + a0 > 0`` fails.
+def _forbidden(a2, a1, a0, scale2, scale1, flat, shift):
+    """Closed sets of ``s = shift + u`` where ``a2 u^2 + a1 u + a0 > 0`` fails.
 
     Each comparison yields at most two closed intervals, returned as (K, 2)
-    arrays ``lo`` and ``hi``; unused slots hold ``lo = inf > hi = -inf``.
+    arrays ``lo`` and ``hi`` in ``s``; unused slots hold ``lo = inf > hi = -inf``.
     ``scale2`` and ``scale1`` are the natural magnitudes of the leading and
     linear coefficients; values within ``LEAD_TOL`` of zero relative to them
     are treated as exact zeros.  Where ``flat`` is set the comparison is
-    constant in ``t`` and only the sign of ``a0`` counts.
+    constant in ``u`` and only the sign of ``a0`` counts.  ``shift`` holds
+    each comparison's origin, so roots found in ``u`` come back in ``s``.
     """
     k = a2.shape[0]
     lo = np.full((k, 2), math.inf)
@@ -106,7 +110,8 @@ def _forbidden(a2, a1, a0, scale2, scale1, flat):
     # both roots, cancellation-free: q = -(a1 + sign(a1) sqrt(disc)) / 2
     q = -0.5 * (a1[two] + np.copysign(np.sqrt(disc[two]), a1[two]))
     ra, rb = q / a2[two], a0[two] / q
-    r1, r2 = np.minimum(ra, rb), np.maximum(ra, rb)
+    r1 = shift[two] + np.minimum(ra, rb)
+    r2 = shift[two] + np.maximum(ra, rb)
     up = a2[two] > 0.0
     # upward parabola: fails between its roots.  A gap no wider than the
     # interval merge tolerance is a floating-point sliver; the canonical
@@ -121,9 +126,9 @@ def _forbidden(a2, a1, a0, scale2, scale1, flat):
     lo[down, 0] = -math.inf
     lo[down, 1] = r2[~up]
     hi[down, 1] = math.inf
-    # linear: fails on the half-line where a1 t + a0 <= 0
+    # linear: fails on the half-line where a1 u + a0 <= 0
     idx = np.flatnonzero(lin)
-    t0 = -a0[idx] / a1[idx]
+    t0 = shift[idx] - a0[idx] / a1[idx]
     rising = a1[idx] > 0.0
     lo[idx, 0] = np.where(rising, -math.inf, t0)
     hi[idx, 0] = np.where(rising, t0, math.inf)
@@ -161,7 +166,7 @@ def feasible_from_quadratic(
     """
     lo, hi = _forbidden(*(np.array([v], dtype=float)
                           for v in (a2, a1, a0, scale2, scale1)),
-                        flat=np.zeros(1, dtype=bool))
+                        flat=np.zeros(1, dtype=bool), shift=np.zeros(1))
     return _allowed(lo.ravel(), hi.ravel())
 
 
@@ -182,47 +187,78 @@ def selection_event(
     intersection: they are constant in ``t`` whenever ``eta`` lies in the
     selected span, so they cannot move the conditional distribution.
 
-    Along ``y(t) = t * eta_tilde + z`` every candidate's RSS is the quadratic
-    ``c2 t^2 + 2 c1 t + c0`` of residual inner products, so one Gram kernel
-    call yields every comparison.  The region is the complement of the union
-    of the comparisons' closed failure sets.
-
-    ``keep_comparisons=False`` drops the per-comparison records (the region
-    is unaffected); replication loops use it to avoid building thousands of
-    record objects.
+    This is the one-direction case of :func:`selection_events`, which
+    describes the construction.  ``keep_comparisons=False`` drops the
+    per-comparison records (the region is unaffected); replication loops use
+    it to avoid building thousands of record objects.
     """
+    return selection_events(data, decomp.reconstruct(), decomp.eta[None, :],
+                            S_hat, spec, skip_supersets, policy,
+                            keep_comparisons)[0]
+
+
+def selection_events(
+    data: Dataset,
+    y: np.ndarray,
+    etas: np.ndarray,
+    S_hat: IndexSet,
+    spec: CriterionSpec,
+    skip_supersets: bool = True,
+    policy: CandidatePolicy = DEFAULT_POLICY,
+    keep_comparisons: bool = True,
+) -> List[SelectionEvent]:
+    """The selection event of ``S_hat`` along each row of the (T, n) ``etas``.
+
+    Event ``i`` is that of ``selection_event(data, decompose(y, etas[i]),
+    ...)``, and all of them come from one pass.  Along the line
+    ``y + u * eta_tilde_i`` through the observation, with ``u = s - eta_i'y``,
+    every candidate's RSS is ``rss_S(y) + 2 u b_Si + u^2 c2_Si``, where
+    ``b_Si = (R_S eta_tilde_i)'(R_S y)`` and ``c2_Si = |R_S eta_tilde_i|^2``.
+    One Gram kernel call over ``[y, eta_tilde_1, ..., eta_tilde_T]`` yields
+    every coefficient; the constant term of each comparison is its observed
+    score gap.  The roots of all T x (M - 1) comparisons are solved at once
+    and shifted back by ``eta_i'y``, and each region is the complement of
+    the union of its comparisons' closed failure sets, found in one sorted
+    sweep over the sets that are not empty.
+
+    A failure raises what the first failing direction's own call would
+    raise; no event is returned for the others.
+    """
+    y = np.asarray(y, dtype=float).reshape(-1)
+    etas = np.asarray(etas, dtype=float)
+    if etas.ndim != 2 or etas.shape[1] != y.shape[0]:
+        raise errors.DimensionMismatch(
+            f"y has length {y.shape[0]}, etas have shape {etas.shape}")
+    norm2 = np.einsum("tn,tn->t", etas, etas)
+    zero = np.flatnonzero(norm2 == 0.0)
+    if zero.size:
+        # the directions before the first zero one still fail as their own
+        # calls would
+        if zero[0]:
+            selection_events(data, y, etas[:zero[0]], S_hat, spec,
+                             skip_supersets, policy, keep_comparisons=False)
+        raise errors.ZeroEta("eta must be nonzero")
+    t = etas @ y
     cs = candidate_set(data, policy)
     try:
         hat = cs.index_of(S_hat)
     except errors.InputError:
         raise errors.NotSelectedModel(
             f"{S_hat} is not a candidate under the current policy") from None
-    c2, c1, c0 = cs.gram(decomp.eta_tilde, decomp.z)
-    t = decomp.eta_dot_y
-    scores = cs.score_rss(c2 * t * t + 2.0 * c1 * t + c0, spec)
-    best = int(np.argmin(scores))
+    eta_tilde = etas / norm2[:, None]
+    rss, b, c2 = cs.gram(y, eta_tilde)
+    best = int(np.argmin(cs.score_rss(rss, spec)))
     if best != hat:
         raise errors.NotSelectedModel(
             f"criterion selects {cs.models[best]}, not {S_hat}, for this response")
 
     # |R_hat eta| = sqrt(c2[hat]) * |eta|^2 since eta_tilde = eta / |eta|^2
-    eta_in_span = (math.sqrt(c2[hat]) * decomp.eta_norm2
-                   <= ETA_SPAN_TOL * math.sqrt(decomp.eta_norm2))
-    if skip_supersets and not eta_in_span:
-        raise errors.EtaNotInSpan(
-            "skipping superset comparisons is only valid when eta lies in "
-            "the selected model's column span")
-
-    penalties = cs.penalties(spec)
-    omegas = np.exp((penalties[hat] - penalties) / spec.n)
-    a2 = c2 - omegas * c2[hat]
-    a1 = 2.0 * (c1 - omegas * c1[hat])
-    a0 = c0 - omegas * c0[hat]
-    et2 = float(decomp.eta_tilde @ decomp.eta_tilde)
-    z2 = float(decomp.z @ decomp.z)
-    big = np.maximum(1.0, omegas)
-    scale2 = et2 * big
-    scale1 = 2.0 * math.sqrt(et2 * z2) * big
+    in_span = np.sqrt(c2[:, hat]) * norm2 <= ETA_SPAN_TOL * np.sqrt(norm2)
+    # the directions before the first one outside the selected span are
+    # still checked, so the first failing direction decides the error
+    n_ok = len(t)
+    if skip_supersets and not in_span.all():
+        n_ok = int(np.argmin(in_span))
 
     hat_mask = cs.masks[hat]
     superset = ((cs.masks & hat_mask) == hat_mask) & (cs.masks != hat_mask)
@@ -231,32 +267,60 @@ def selection_event(
     if skip_supersets:
         active &= ~superset
     idx = np.flatnonzero(active)
+    penalties = cs.penalties(spec)
+    omegas = np.exp((penalties[hat] - penalties[idx]) / spec.n)
+    big = np.maximum(1.0, omegas)
+    b, c2, t = b[:n_ok], c2[:n_ok], t[:n_ok]
+    # S_hat beats S along the line where rss_S > omega_S * rss_hat, with
+    # rss_S(y + u eta_tilde) = rss_S(y) + 2 u b_S + u^2 c2_S: the constant
+    # term is the observed score gap, which selecting S_hat made positive
+    a2 = c2[:, idx] - np.outer(c2[:, hat], omegas)
+    a1 = 2.0 * (b[:, idx] - np.outer(b[:, hat], omegas))
+    a0 = np.tile(rss[idx] - omegas * rss[hat], n_ok)
+    et2 = np.einsum("tn,tn->t", eta_tilde[:n_ok], eta_tilde[:n_ok])
+    scale2 = np.outer(et2, big)
+    scale1 = np.outer(2.0 * np.sqrt(et2 * float(y @ y)), big)
     # with eta in the selected span a superset comparison does not involve t
-    flat = superset[idx] & eta_in_span
-    lo, hi = _forbidden(a2[idx], a1[idx], a0[idx], scale2[idx], scale1[idx], flat)
-    region = _allowed(lo.ravel(), hi.ravel())
+    flat = np.logical_and.outer(in_span[:n_ok], superset[idx])
+    lo, hi = _forbidden(a2.ravel(), a1.ravel(), a0, scale2.ravel(),
+                        scale1.ravel(), flat.ravel(), np.repeat(t, idx.size))
+    # each direction's sweep sees its nonempty failure sets only
+    lo, hi = lo.reshape(n_ok, 2 * idx.size), hi.reshape(n_ok, 2 * idx.size)
+    kept = lo <= hi
+    cuts = np.cumsum(kept.sum(axis=1))[:-1]
+    regions = [_allowed(l, h) for l, h in
+               zip(np.split(lo[kept], cuts), np.split(hi[kept], cuts))]
+    for region, ti in zip(regions, t.tolist()):
+        if not region.contains(ti):
+            raise errors.InvariantViolation(
+                "observed eta'y fell outside its own selection event; "
+                "endpoints may be numerically degenerate")
+    if n_ok < len(in_span):
+        raise errors.EtaNotInSpan(
+            "skipping superset comparisons is only valid when eta lies in "
+            "the selected model's column span")
 
-    records: List[ComparisonRecord] = []
+    records: List[Tuple[ComparisonRecord, ...]] = [()] * n_ok
     if keep_comparisons:
         row = np.full(len(cs), -1)
-        row[idx] = np.arange(idx.size)
-        for m, model in enumerate(cs.models):
-            if m == hat:
-                continue
-            if row[m] < 0:
-                records.append(ComparisonRecord(
-                    competitor=model, region=None, skipped=True,
-                    reason="superset of the selected model; constant in t"))
-            else:
-                records.append(ComparisonRecord(
-                    competitor=model, region=_allowed(lo[row[m]], hi[row[m]])))
-
-    if not region.contains(t):
-        raise errors.InvariantViolation(
-            "observed eta'y fell outside its own selection event; "
-            "endpoints may be numerically degenerate")
-    return SelectionEvent(selected=S_hat, region=region,
-                          comparisons=tuple(records))
+        row[idx] = 2 * np.arange(idx.size)
+        for i in range(n_ok):
+            out = []
+            for m, model in enumerate(cs.models):
+                if m == hat:
+                    continue
+                if row[m] < 0:
+                    out.append(ComparisonRecord(
+                        competitor=model, region=None, skipped=True,
+                        reason="superset of the selected model; constant in t"))
+                else:
+                    r = row[m]
+                    out.append(ComparisonRecord(
+                        competitor=model,
+                        region=_allowed(lo[i, r:r + 2], hi[i, r:r + 2])))
+            records[i] = tuple(out)
+    return [SelectionEvent(selected=S_hat, region=region, comparisons=rec)
+            for region, rec in zip(regions, records)]
 
 
 def superset_lower_bound(

@@ -29,7 +29,7 @@ from .criteria import (
     best_subset,
     candidate_set,
 )
-from .geometry import decompose, selection_event
+from .geometry import selection_events
 from .inference import (
     InferenceTarget,
     METHOD_CORRECTED,
@@ -339,13 +339,13 @@ def _run_rep_chunk(
             quant = np.array([critical_value(data, S_hat, s, config.alpha)[0]
                               for s in strategies])
             sigmas[row] = sig
-            # every applicable target's problem, then one batched inversion
-            # and one batched pivot evaluation for the whole replication
+            # every applicable target's direction, then one pass for all
+            # their selection events, one batched inversion and one batched
+            # pivot evaluation for the whole replication
             rows_t: List[int] = []
             truths: List[float] = []
-            x_obs: List[float] = []
             scales: List[float] = []
-            regions = []
+            etas: List[np.ndarray] = []
             for ti, target in enumerate(targets):
                 true_val = truth_of(data, mean_r, S_hat, ti, target)
                 if true_val is None:
@@ -359,22 +359,22 @@ def _run_rep_chunk(
                     scale = float(np.linalg.norm(eta))
                     if config.fixed_design:
                         eta_cache[ckey] = (eta, scale)
-                dec = decompose(data.y, eta)
-                event = selection_event(
-                    data, dec, S_hat, spec,
-                    skip_supersets=config.skip_supersets,
-                    keep_comparisons=False)
                 rows_t.append(ti)
                 truths.append(true_val)
-                x_obs.append(dec.eta_dot_y)
                 scales.append(scale)
-                regions.append(event.region)
+                etas.append(eta)
             if rows_t:
+                eta_stack = np.stack(etas)
+                events = selection_events(
+                    data, data.y, eta_stack, S_hat, spec,
+                    skip_supersets=config.skip_supersets,
+                    keep_comparisons=False)
+                x_obs = eta_stack @ data.y  # the points the events center on
                 # (target, strategy) grid, strategies fastest
                 truth = np.repeat(truths, n_s)
                 x = np.repeat(x_obs, n_s)
                 lam = np.outer(scales, sig).ravel()
-                grid = [r for r in regions for _ in range(n_s)]
+                grid = [e.region for e in events for _ in range(n_s)]
                 half = np.outer(scales, sig * quant).ravel()
                 hits_unc[row, rows_t] = ((x - half < truth)
                                          & (truth < x + half)).reshape(-1, n_s)
@@ -628,7 +628,7 @@ def dataset_report(
         targets = [InferenceTarget.coefficient(data.name_of(i))
                    for i in selected.indices]
     excluded: List[Tuple[str, Tuple[Tuple[float, float], ...]]] = []
-    events: List[Tuple[str, Dict]] = []
+    events_out: List[Tuple[str, Dict]] = []
     # one classical row per (target, strategy), then every corrected row's
     # limits from one batched inversion and pivots from one batched CDF
     classical: List[AnalysisRow] = []
@@ -637,26 +637,25 @@ def dataset_report(
     regions = []
     noise = [(estimate_sigma(data, selected, s),
               *critical_value(data, selected, s, alpha)) for s in sigma_strategies]
-    for target in targets:
-        tlabel = target.label(data)
-        if not sigma_strategies:
-            continue
-        eta = eta_for_target(data, selected, target)
-        scale = float(np.linalg.norm(eta))
-        dec = decompose(data.y, eta)
-        event = selection_event(data, dec, selected, spec,
-                                skip_supersets=skip_supersets, policy=policy)
-        excluded.append((tlabel, event.region.complement().intervals))
-        events.append((tlabel, selection_event_to_dict(event)))
-        point = dec.eta_dot_y
-        for strat, (sigma, quant, method) in zip(sigma_strategies, noise):
-            half = quant * sigma * scale
-            classical.append(AnalysisRow(tlabel, strat.label, method,
-                                         point - half, point + half, point,
-                                         None, sigma))
-            x_obs.append(point)
-            lam.append(sigma * scale)
-            regions.append(event.region)
+    if sigma_strategies and targets:
+        etas = np.stack([eta_for_target(data, selected, t) for t in targets])
+        events = selection_events(data, data.y, etas, selected, spec,
+                                  skip_supersets=skip_supersets, policy=policy)
+        points = etas @ data.y  # the points the events center on
+        for target, eta, event, point in zip(targets, etas, events,
+                                             points.tolist()):
+            tlabel = target.label(data)
+            scale = float(np.linalg.norm(eta))
+            excluded.append((tlabel, event.region.complement().intervals))
+            events_out.append((tlabel, selection_event_to_dict(event)))
+            for strat, (sigma, quant, method) in zip(sigma_strategies, noise):
+                half = quant * sigma * scale
+                classical.append(AnalysisRow(tlabel, strat.label, method,
+                                             point - half, point + half, point,
+                                             None, sigma))
+                x_obs.append(point)
+                lam.append(sigma * scale)
+                regions.append(event.region)
     rows: List[AnalysisRow] = []
     if classical:
         lower, upper = corrected_limits(alpha, x_obs, lam, regions)
@@ -682,7 +681,7 @@ def dataset_report(
         scores=scored,
         rows=rows,
         excluded_regions=excluded,
-        events=events,
+        events=events_out,
     )
 
 

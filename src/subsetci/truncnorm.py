@@ -31,7 +31,9 @@ _LOG_HALF = -math.log(2.0)
 _EPS = np.finfo(float).eps
 
 # The batched Chandrupatla iteration of ``invert_mean`` stops an element as
-# soon as its CDF residual is at most this; tolerances live in CDF space
+# soon as its CDF residual is at most this, or once its bracket has shrunk to
+# the rounding of the mean while still straddling the root (where the CDF's
+# own rounding exceeds this tolerance); tolerances live in CDF space
 # because the CDF is flat in x across gaps of the region.  The stopping rule
 # is well inside the 1e-8 accuracy contract so that inverted endpoints are
 # also accurate in mean space at moderate densities.
@@ -261,12 +263,16 @@ def _solve(target: np.ndarray, x: np.ndarray, lam: np.ndarray,
             t_iqi = (fa / (fb - fa) * fc / (fb - fc)
                      + (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb))
         t = np.clip(np.where(iqi, t_iqi, 0.5), tlim, 1.0 - tlim)
-        # a bracket narrower than rounding cannot reach the CDF tolerance
-        stalled = ~(tlim <= 0.5)
+        # a bracket narrower than rounding cannot shrink further; where the
+        # CDF's own rounding exceeds CDF_TOL it still brackets the root, and
+        # its end with the smaller residual is the root to working precision
+        stalled = ~bad & ~hit & ~(tlim <= 0.5)
+        ends = stalled & (np.sign(fa) * np.sign(fb) < 0.0)
         done = bad | hit | stalled
         if done.any():
             mu[live[hit]] = xt[hit]
-            status[live[stalled & ~hit]] = _STALLED
+            mu[live[ends]] = xm[ends]
+            status[live[stalled & ~ends]] = _STALLED
             status[live[bad]] = _UNDERFLOW
             keep = ~done
             live, goal, scale, a, fa, b, fb, t = (
@@ -281,7 +287,8 @@ def invert_mean(target, x_obs, lam, region):
     The CDF is strictly decreasing in the mean.  A geometric bracket
     expansion from ``x_obs ± lam`` finds a sign change, then Chandrupatla's
     safeguarded inverse-quadratic/bisection iteration narrows it until the
-    CDF residual is at most ``CDF_TOL``.
+    CDF residual is at most ``CDF_TOL``, or until the bracket is as narrow as
+    rounding allows; its end with the smaller residual is then the root.
 
     With one ``IntervalUnion`` as ``region`` the arguments are scalars, the
     result is a float, and a root that cannot be bracketed or whose region

@@ -1,7 +1,8 @@
 """Acceptance gate: every criterion prints one PASS line when it holds.
 
-Run with ``pytest tests/test_acceptance.py -v -s``.  The coverage study
-(criteria 4 and 5) takes a few minutes; everything else is fast.
+Run with ``pytest tests/test_acceptance.py -v -s``.  The coverage studies
+(criteria 3 to 5) and the quadrature oracle of criterion 6 carry the
+``slow`` marker; ``pytest -m "not slow"`` leaves them out.
 """
 
 import math
@@ -154,6 +155,7 @@ def test_criterion_2_superset_skip_invariance():
 # criterion 3: pivot uniformity
 
 
+@pytest.mark.slow
 def test_criterion_3_pivot_uniformity():
     config = SimulationConfig(
         n=50, p=6, beta=(1.0, 2.0, 3.0, 0.0, 0.0, 0.0), rho=0.5, sigma=1.0,
@@ -174,6 +176,7 @@ def test_criterion_3_pivot_uniformity():
 # criteria 4 and 5: coverage replication and per-size behaviour
 
 
+@pytest.mark.slow
 def test_criterion_4_coverage_bands(table1_report):
     rep = table1_report
     assert rep.reps_completed >= 1990
@@ -206,6 +209,7 @@ def test_criterion_4_coverage_bands(table1_report):
           f"full {rep.sigma_means['mse_full']:.3f})")
 
 
+@pytest.mark.slow
 def test_criterion_5_per_size_behaviour(table1_report):
     rep = table1_report
     total = rep.reps_completed
@@ -288,6 +292,7 @@ def _random_truncation_spec(rng, tail_only: bool):
     return mu, lam, region, x
 
 
+@pytest.mark.slow
 def test_criterion_6_truncated_normal_numerics():
     rng = np.random.default_rng(606)
     worst_rel = 0.0

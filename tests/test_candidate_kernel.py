@@ -20,7 +20,12 @@ from subsetci.criteria import (
     best_subset,
     candidate_set,
 )
-from subsetci.geometry import decompose, selection_event, superset_lower_bound
+from subsetci.geometry import (
+    decompose,
+    selection_event,
+    selection_events,
+    superset_lower_bound,
+)
 from subsetci.inference import InferenceTarget, eta_for_target
 from subsetci.linmodel import INTERCEPT_FORCED, INTERCEPT_NONE
 
@@ -160,6 +165,153 @@ def test_superset_lower_bound_matches_pair_oracle(case, criterion):
     got = superset_lower_bound(dec, data, S_hat, i, spec, policy)
     want = pair_oracle.superset_lower_bound(dec, data, S_hat, i, spec, policy)
     assert got == pytest.approx(want, rel=1e-9, abs=1e-12 * dec.eta_norm2)
+
+
+def _directions(data, S_hat, rng, count, off_span):
+    """``count`` directions: coefficient and prediction targets of the
+    selected model, plus arbitrary vectors of R^n when ``off_span``."""
+    etas = []
+    for _ in range(count):
+        kind = rng.integers(3 if off_span else 2)
+        if kind == 0:
+            target = InferenceTarget.coefficient(int(rng.choice(S_hat.indices)))
+            etas.append(eta_for_target(data, S_hat, target))
+        elif kind == 1:
+            target = InferenceTarget.prediction_mean(rng.standard_normal(data.p))
+            etas.append(eta_for_target(data, S_hat, target))
+        else:
+            etas.append(rng.standard_normal(data.n))
+    return np.array(etas)
+
+
+def cs_models(data, policy):
+    return candidate_set(data, policy).models
+
+
+def _oracle_records(dec, data, S_hat, spec, skip, policy):
+    """(competitor, per-pair set or None if skipped) in canonical order."""
+    try:
+        pair_oracle.require_eta_in_span(dec, data, S_hat)
+        in_span = True
+    except errors.EtaNotInSpan:
+        in_span = False
+    out = []
+    for S in cs_models(data, policy):
+        if S == S_hat:
+            continue
+        superset = S.issuperset(S_hat)
+        if superset and skip:
+            out.append((S, None))
+        elif superset and in_span:
+            out.append((S, pair_oracle.simplified_comparison(
+                dec, data, S_hat, S, spec)))
+        else:
+            out.append((S, pair_oracle.comparison_feasible_set(
+                dec, data, S_hat, S, spec)))
+    return out
+
+
+@KERNEL_SETTINGS
+@given(designs(), st.sampled_from(list(Criterion)), st.booleans(),
+       st.integers(1, 4))
+def test_batched_events_match_single_calls_and_pair_oracle(case, criterion,
+                                                           skip, count):
+    data, policy, rng = case
+    spec, S_hat, _ = _selected_direction(data, policy, rng, criterion)
+    etas = _directions(data, S_hat, rng, count, off_span=not skip)
+    events = selection_events(data, data.y, etas, S_hat, spec,
+                              skip_supersets=skip, policy=policy,
+                              keep_comparisons=False)
+    assert len(events) == count
+    for eta, event in zip(etas, events):
+        dec = decompose(data.y, eta)
+        assert event.selected == S_hat and event.comparisons == ()
+        one = selection_event(data, dec, S_hat, spec, skip_supersets=skip,
+                              policy=policy, keep_comparisons=False)
+        _assert_same_region(event.region, one.region)
+        _assert_same_region(event.region, pair_oracle.sequential_region(
+            dec, data, S_hat, spec, skip, policy))
+
+
+@KERNEL_SETTINGS
+@given(designs(), st.sampled_from(list(Criterion)), st.booleans(),
+       st.integers(1, 3))
+def test_batched_comparison_records_match_single_calls_and_pair_oracle(
+        case, criterion, skip, count):
+    data, policy, rng = case
+    spec, S_hat, _ = _selected_direction(data, policy, rng, criterion)
+    etas = _directions(data, S_hat, rng, count, off_span=not skip)
+    events = selection_events(data, data.y, etas, S_hat, spec,
+                              skip_supersets=skip, policy=policy)
+    for eta, event in zip(etas, events):
+        dec = decompose(data.y, eta)
+        one = selection_event(data, dec, S_hat, spec, skip_supersets=skip,
+                              policy=policy)
+        want = _oracle_records(dec, data, S_hat, spec, skip, policy)
+        assert len(event.comparisons) == len(one.comparisons) == len(want)
+        for got, single, (competitor, oracle) in zip(event.comparisons,
+                                                     one.comparisons, want):
+            assert got.competitor == single.competitor == competitor
+            assert got.skipped == single.skipped == (oracle is None)
+            assert got.reason == single.reason
+            if oracle is not None:
+                _assert_same_region(got.region, single.region)
+                _assert_same_region(got.region, oracle)
+
+
+def _single_call_error(data, y, eta, S_hat, spec, skip, policy):
+    try:
+        selection_event(data, decompose(y, eta), S_hat, spec,
+                        skip_supersets=skip, policy=policy)
+    except errors.SubsetCIError as exc:
+        return type(exc)
+    return None
+
+
+@KERNEL_SETTINGS
+@given(designs(), st.sampled_from(list(Criterion)), st.booleans(),
+       st.lists(st.sampled_from(["in-span", "off-span", "zero"]),
+                min_size=1, max_size=4),
+       st.booleans())
+def test_first_failing_direction_decides_the_error(case, criterion, skip,
+                                                   kinds, wrong_model):
+    data, policy, rng = case
+    spec, S_hat, _ = _selected_direction(data, policy, rng, criterion)
+    if wrong_model:
+        others = [S for S in cs_models(data, policy) if S != S_hat]
+        assume(others)
+        S_hat = others[int(rng.integers(len(others)))]
+    etas = []
+    for kind in kinds:
+        if kind == "zero":
+            etas.append(np.zeros(data.n))
+        elif kind == "off-span":
+            etas.append(rng.standard_normal(data.n))
+        elif len(S_hat):
+            etas.append(eta_for_target(data, S_hat, InferenceTarget.coefficient(
+                int(rng.choice(S_hat.indices)))))
+        else:
+            etas.append(data.X[:, 0].copy())
+    errs = [_single_call_error(data, data.y, eta, S_hat, spec, skip, policy)
+            for eta in etas]
+    first = next((e for e in errs if e is not None), None)
+    if first is None:
+        events = selection_events(data, data.y, np.array(etas), S_hat, spec,
+                                  skip_supersets=skip, policy=policy)
+        assert len(events) == len(etas)
+    else:
+        with pytest.raises(errors.SubsetCIError) as exc:
+            selection_events(data, data.y, np.array(etas), S_hat, spec,
+                             skip_supersets=skip, policy=policy)
+        assert type(exc.value) is first
+
+
+def test_batched_events_refuse_mismatched_directions(small_data):
+    spec = CriterionSpec(Criterion.AIC, small_data.n)
+    S_hat, _ = best_subset(small_data, spec)
+    with pytest.raises(errors.DimensionMismatch):
+        selection_events(small_data, small_data.y,
+                         np.ones((2, small_data.n + 1)), S_hat, spec)
 
 
 def _collinear_pair_design():

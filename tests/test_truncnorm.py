@@ -323,3 +323,72 @@ class TestBatchFailureIsolation:
         with pytest.raises(errors.ObservationOutsideRegion):
             invert_mean(np.array([0.5, 0.5]), np.array([0.0, 5.0]),
                         np.array([1.0, 1.0]), [FULL_LINE, single(-1.0, 1.0)])
+
+
+class TestRegionMassUnderflow:
+    # 1e155 standard deviations from the mean the log mass overflows
+    FAR = TruncatedNormalSpec(mu=0.0, lam=1.0, region=single(1e155, 1e156))
+    # one scale away from x, the ends of a region far narrower than the
+    # scale standardize to the same number, so the region has no mass
+    NARROW = (2.0, 1e300, single(1.0, 3.0))
+
+    def test_truncated_cdf_raises(self):
+        with pytest.raises(errors.RegionMassUnderflow):
+            truncated_cdf(1.5e155, self.FAR)
+
+    def test_batched_truncated_cdf_raises_for_any_element(self):
+        fine = TruncatedNormalSpec(mu=0.0, lam=1.0, region=FULL_LINE)
+        with pytest.raises(errors.RegionMassUnderflow):
+            truncated_cdf([0.0, 1.5e155], [fine, self.FAR])
+
+    def test_scalar_invert_mean_raises(self):
+        with pytest.raises(errors.RegionMassUnderflow):
+            invert_mean(0.975, *self.NARROW)
+        with pytest.raises(errors.RegionMassUnderflow):
+            invert_mean(0.025, *self.NARROW)
+
+    def test_batch_gives_infinite_endpoint_for_that_element_only(self):
+        region = interval_union([(-1.0, 0.5), (1.0, 4.0)])
+        x, lam = 2.0, 0.8
+        x_bad, lam_bad, region_bad = self.NARROW
+        targets = np.array([0.975, 0.975, 0.025, 0.025])
+        mus = invert_mean(targets, np.array([x, x_bad, x, x_bad]),
+                          np.array([lam, lam_bad, lam, lam_bad]),
+                          [region, region_bad, region, region_bad])
+        assert mus[1] == -INF and mus[3] == INF
+        assert mus[0] == invert_mean(0.975, x, lam, region)
+        assert mus[2] == invert_mean(0.025, x, lam, region)
+
+
+@mpmath.workdps(DPS)
+def hp_upper_tail_cdf(x, mu, lam, lo, hi):
+    """Truncated CDF over one interval from upper-tail masses, exact far
+    from the mean, where ``ncdf`` differences cancel."""
+    def upper(v):
+        return mpmath.erfc((mpmath.mpf(v) - mu) / (lam * mpmath.sqrt(2))) / 2
+    return (upper(lo) - upper(x)) / (upper(lo) - upper(hi))
+
+
+class TestRootAtCdfRounding:
+    """Roots where one ulp of the mean, or the rounding of huge log masses,
+    moves the CDF by more than ``CDF_TOL``: the bracket shrinks to rounding
+    while still straddling the root, and its better end is returned."""
+
+    def test_one_ulp_of_the_mean_exceeds_the_tolerance(self):
+        args = (0.975, 1e6 + 0.5, 0.05, single(1e6, 1e6 + 1))
+        mu = invert_mean(*args)
+        with mpmath.workdps(DPS):
+            root = mpmath.findroot(
+                lambda m: hp_upper_tail_cdf(1e6 + 0.5, m, 0.05, 1e6, 1e6 + 1)
+                - mpmath.mpf(0.975), mu)
+        assert abs(mu - float(root)) <= math.ulp(mu)
+        assert invert_mean(np.array([args[0]]), np.array([args[1]]),
+                           np.array([args[2]]), [args[3]])[0] == mu
+
+    def test_root_thousands_of_scales_away(self):
+        # the root lies near mu = -5000, where log masses are about -8e5
+        target, x, lam = 0.8638524125458623, -2.3319759408218856, 3.8310297261403004
+        lo, hi = -2.3377685884745807, -2.052799590599084
+        mu = invert_mean(target, x, lam, single(lo, hi))
+        assert -6000.0 < mu < -4000.0
+        assert abs(float(hp_upper_tail_cdf(x, mu, lam, lo, hi)) - target) <= 1e-9
