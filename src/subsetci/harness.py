@@ -33,11 +33,10 @@ from .geometry import selection_events
 from .inference import (
     InferenceTarget,
     METHOD_CORRECTED,
+    PREDICTION_MEAN,
     SigmaSpec,
-    corrected_limits,
-    critical_value,
-    estimate_sigma,
-    eta_for_target,
+    interval_table,
+    target_directions,
 )
 from .linmodel import (
     Dataset,
@@ -46,7 +45,6 @@ from .linmodel import (
     IndexSet,
     adjusted_coefficients,
 )
-from .truncnorm import TruncatedNormalSpec, truncated_cdf
 
 UNCORRECTED = "uncorrected"
 CORRECTED = "corrected"
@@ -100,6 +98,8 @@ class SimulationConfig:
             raise errors.InputError("sigma must be positive")
         if not 0.0 < self.alpha < 1.0:
             raise errors.InputError("alpha must be in (0,1)")
+        if self.sigma_strategies is not None and not self.sigma_strategies:
+            raise errors.InputError("sigma_strategies must name at least one strategy")
 
     def resolved_strategies(self) -> Tuple[SigmaSpec, ...]:
         if self.sigma_strategies is not None:
@@ -165,28 +165,36 @@ def parse_config_text(text: str) -> SimulationConfig:
 # design generation
 
 
+def _ar1_cholesky(config: SimulationConfig) -> np.ndarray:
+    """Cholesky factor of the AR(1) covariance ``Sigma_jk = rho^|j-k|``."""
+    if not -1.0 < config.rho < 1.0:
+        raise errors.InvalidRho(f"rho must be in (-1,1), got {config.rho}")
+    idx = np.arange(config.p)
+    return np.linalg.cholesky(config.rho ** np.abs(idx[:, None] - idx[None, :]))
+
+
 def generate_design(config: SimulationConfig) -> Tuple[np.ndarray, np.ndarray]:
     """Design matrix rows and evaluation points, both iid N(0, Sigma) with
     AR(1) covariance ``Sigma_jk = rho^|j-k|``; deterministic in the seed."""
-    if not -1.0 < config.rho < 1.0:
-        raise errors.InvalidRho(f"rho must be in (-1,1), got {config.rho}")
-    p = config.p
-    idx = np.arange(p)
-    cov = config.rho ** np.abs(idx[:, None] - idx[None, :])
-    chol = np.linalg.cholesky(cov)
-    X = _stream(config.master_seed, 0).standard_normal((config.n, p)) @ chol.T
+    chol = _ar1_cholesky(config)
+    X = _stream(config.master_seed, 0).standard_normal((config.n, config.p)) @ chol.T
     points = _stream(config.master_seed, 1).standard_normal(
-        (config.n_new_points, p)) @ chol.T
+        (config.n_new_points, config.p)) @ chol.T
     return X, points
 
 
+def _with_intercept(X: np.ndarray, y: np.ndarray, names: Sequence[str],
+                    intercept: bool) -> Dataset:
+    """The Dataset of ``X``, with a forced leading column of ones if asked."""
+    if intercept:
+        return Dataset(np.column_stack([np.ones(X.shape[0]), X]), y,
+                       ("Intercept", *names), intercept_policy=INTERCEPT_FORCED)
+    return Dataset(X, y, tuple(names), intercept_policy=INTERCEPT_NONE)
+
+
 def _design_dataset(config: SimulationConfig, X: np.ndarray, y: np.ndarray) -> Dataset:
-    if config.intercept:
-        Xfull = np.column_stack([np.ones(config.n), X])
-        names = ("Intercept",) + tuple(f"x{j}" for j in range(1, config.p + 1))
-        return Dataset(Xfull, y, names, intercept_policy=INTERCEPT_FORCED)
-    names = tuple(f"x{j}" for j in range(1, config.p + 1))
-    return Dataset(X, y, names, intercept_policy=INTERCEPT_NONE)
+    return _with_intercept(X, y, [f"x{j}" for j in range(1, config.p + 1)],
+                           config.intercept)
 
 
 # --------------------------------------------------------------------------
@@ -257,12 +265,29 @@ def ks_uniform(values: np.ndarray) -> float:
     return float(max(np.max(np.abs(v - grid)), np.max(np.abs(v - (grid - 1.0 / n)))))
 
 
-def _prediction_truth(target: InferenceTarget, beta: np.ndarray, intercept: bool) -> float:
-    x = np.asarray(target.x, dtype=float)
-    if intercept:
-        # the generating mean has no intercept term; x carries a leading 1
-        return float(x[1:] @ beta)
-    return float(x @ beta)
+def _truths(data: Dataset, S_hat: IndexSet, targets: Sequence[InferenceTarget],
+            beta: np.ndarray, mean: np.ndarray, intercept: bool) -> np.ndarray:
+    """Each target's true value given the selected model; NaN marks a
+    coefficient target whose column was not selected.
+
+    A prediction target's truth is the generating mean at its point (which
+    carries a leading 1 when the design has an intercept, a term the
+    generating mean does not have); a coefficient's is the coefficient the
+    selected model estimates on average.
+    """
+    out = np.full(len(targets), np.nan)
+    adjusted = None
+    for i, target in enumerate(targets):
+        if target.kind == PREDICTION_MEAN:
+            out[i] = np.asarray(target.x, dtype=float)[int(intercept):] @ beta
+            continue
+        which = (target.index if target.index is not None
+                 else data.index_of(target.name))
+        if which in S_hat:
+            if adjusted is None:
+                adjusted = adjusted_coefficients(data, S_hat, mean)
+            out[i] = adjusted[S_hat.position_of(which)]
+    return out
 
 
 def _run_rep_chunk(
@@ -281,9 +306,8 @@ def _run_rep_chunk(
 
     base = _design_dataset(config, X, np.zeros(config.n))
     base_mean = X @ beta  # noiseless response under the true coefficients
-    idx = np.arange(config.p)
-    cov_chol = np.linalg.cholesky(
-        config.rho ** np.abs(idx[:, None] - idx[None, :]))
+    cov_chol = _ar1_cholesky(config)
+    cs = candidate_set(base, DEFAULT_POLICY)
 
     hits_unc = np.zeros((n_reps, n_t, n_s), dtype=np.int8)
     hits_cor = np.zeros((n_reps, n_t, n_s), dtype=np.int8)
@@ -293,30 +317,6 @@ def _run_rep_chunk(
     sizes = np.full(n_reps, -1, dtype=int)
     ok = np.zeros(n_reps, dtype=bool)
     failures: List[Tuple[int, str]] = []
-
-    # direction / truth caches are valid only while the design is fixed
-    eta_cache: Dict[Tuple[IndexSet, int], Tuple[np.ndarray, float]] = {}
-    truth_cache: Dict[Tuple[IndexSet, int], Optional[float]] = {}
-    cs = candidate_set(base, DEFAULT_POLICY)
-
-    def truth_of(data: Dataset, mean_r: np.ndarray, S_hat: IndexSet,
-                 ti: int, target: InferenceTarget) -> Optional[float]:
-        key = (S_hat, ti)
-        if config.fixed_design and key in truth_cache:
-            return truth_cache[key]
-        if target.kind == "prediction_mean":
-            val: Optional[float] = _prediction_truth(target, beta, config.intercept)
-        else:
-            which = (target.index if target.index is not None
-                     else data.index_of(target.name))
-            if which not in S_hat:
-                val = None
-            else:
-                adj = adjusted_coefficients(data, S_hat, mean_r)
-                val = float(adj[S_hat.position_of(which)])
-        if config.fixed_design:
-            truth_cache[key] = val
-        return val
 
     for row, rep in enumerate(range(rep_lo, rep_hi)):
         noise = rep_stream(config.master_seed, rep).standard_normal(config.n)
@@ -335,55 +335,24 @@ def _run_rep_chunk(
             scores, _ = local_cs.scores(data.y, spec)
             S_hat = local_cs.models[int(np.argmin(scores))]
             sizes[row] = data.free_size(S_hat)
-            sig = np.array([estimate_sigma(data, S_hat, s) for s in strategies])
-            quant = np.array([critical_value(data, S_hat, s, config.alpha)[0]
-                              for s in strategies])
-            sigmas[row] = sig
-            # every applicable target's direction, then one pass for all
-            # their selection events, one batched inversion and one batched
-            # pivot evaluation for the whole replication
-            rows_t: List[int] = []
-            truths: List[float] = []
-            scales: List[float] = []
-            etas: List[np.ndarray] = []
-            for ti, target in enumerate(targets):
-                true_val = truth_of(data, mean_r, S_hat, ti, target)
-                if true_val is None:
-                    continue
-                applicable[row, ti] = 1
-                ckey = (S_hat, ti)
-                if config.fixed_design and ckey in eta_cache:
-                    eta, scale = eta_cache[ckey]
-                else:
-                    eta = eta_for_target(data, S_hat, target)
-                    scale = float(np.linalg.norm(eta))
-                    if config.fixed_design:
-                        eta_cache[ckey] = (eta, scale)
-                rows_t.append(ti)
-                truths.append(true_val)
-                scales.append(scale)
-                etas.append(eta)
-            if rows_t:
-                eta_stack = np.stack(etas)
-                events = selection_events(
-                    data, data.y, eta_stack, S_hat, spec,
-                    skip_supersets=config.skip_supersets,
-                    keep_comparisons=False)
-                x_obs = eta_stack @ data.y  # the points the events center on
-                # (target, strategy) grid, strategies fastest
-                truth = np.repeat(truths, n_s)
-                x = np.repeat(x_obs, n_s)
-                lam = np.outer(scales, sig).ravel()
-                grid = [e.region for e in events for _ in range(n_s)]
-                half = np.outer(scales, sig * quant).ravel()
-                hits_unc[row, rows_t] = ((x - half < truth)
-                                         & (truth < x + half)).reshape(-1, n_s)
-                lower, upper = corrected_limits(config.alpha, x, lam, grid)
-                hits_cor[row, rows_t] = ((lower < truth)
-                                         & (truth < upper)).reshape(-1, n_s)
-                pivots[row, rows_t] = truncated_cdf(x, [
-                    TruncatedNormalSpec(mu=m, lam=s, region=r)
-                    for m, s, r in zip(truth, lam, grid)]).reshape(-1, n_s)
+            truth = _truths(data, S_hat, targets, beta, mean_r, config.intercept)
+            rows_t = np.flatnonzero(~np.isnan(truth))
+            # every applicable target's direction, selection event and
+            # intervals for the whole replication, each in one call
+            etas = target_directions(data, S_hat, [targets[i] for i in rows_t])
+            events = selection_events(
+                data, data.y, etas, S_hat, spec,
+                skip_supersets=config.skip_supersets,
+                keep_comparisons=False) if rows_t.size else []
+            table = interval_table(data, S_hat, etas, [e.region for e in events],
+                                   strategies, config.alpha)
+            sigmas[row] = table.sigmas
+            applicable[row, rows_t] = 1
+            t = truth[rows_t, None]
+            x = table.points[:, None]
+            hits_unc[row, rows_t] = (x - table.half < t) & (t < x + table.half)
+            hits_cor[row, rows_t] = (table.lower < t) & (t < table.upper)
+            pivots[row, rows_t] = table.pivots(truth[rows_t])
             ok[row] = True
         except errors.NumericalError as exc:
             failures.append((rep, f"{type(exc).__name__}: {exc}"))
@@ -478,17 +447,6 @@ def simulate_coverage(config: SimulationConfig, workers: int = 1) -> CoverageRep
         for si, sname in enumerate(s_names)
     }
 
-    contribution = None
-    known_like = next((s.label for s in strategies
-                       if s.strategy in ("known", "external")), None)
-    if known_like is not None and "mse_aic" in s_names:
-        cov_t = _pooled(cells, "mse_aic", UNCORRECTED)
-        cov_known = _pooled(cells, known_like, UNCORRECTED)
-        level = 1.0 - config.alpha
-        loss_t = level - min(level, cov_t)
-        loss_known = level - min(level, cov_known)
-        contribution = (1.0 - loss_known / loss_t) if loss_t > 0 else None
-
     report = CoverageReport(
         config=dataclasses.replace(config, targets=targets),
         targets=targets,
@@ -496,18 +454,20 @@ def simulate_coverage(config: SimulationConfig, workers: int = 1) -> CoverageRep
         histogram=histogram,
         per_size=per_size,
         sigma_means=sigma_means,
-        sigma_contribution=contribution,
+        sigma_contribution=None,
         pivots=pivot_store,
         reps_completed=int(ok.sum()),
         failures=failures,
     )
+    known_like = next((s.label for s in strategies
+                       if s.strategy in ("known", "external")), None)
+    if known_like is not None and "mse_aic" in s_names:
+        level = 1.0 - config.alpha
+        loss_t = level - min(level, report.pooled_coverage("mse_aic", UNCORRECTED))
+        loss_known = level - min(level, report.pooled_coverage(known_like, UNCORRECTED))
+        if loss_t > 0:
+            report.sigma_contribution = 1.0 - loss_known / loss_t
     return report
-
-
-def _pooled(cells: Sequence[CoverageCell], strategy: str, method: str) -> float:
-    hits = sum(c.hits for c in cells if c.strategy == strategy and c.method == method)
-    count = sum(c.count for c in cells if c.strategy == strategy and c.method == method)
-    return hits / count if count else math.nan
 
 
 # --------------------------------------------------------------------------
@@ -568,13 +528,7 @@ def load_csv_dataset(
     yj = names.index(response_column)
     y = arr[:, yj]
     Xcols = [j for j in range(arr.shape[1]) if j != yj]
-    X = arr[:, Xcols]
-    xnames = [names[j] for j in Xcols]
-    if intercept:
-        X = np.column_stack([np.ones(X.shape[0]), X])
-        xnames = ["Intercept"] + xnames
-        return Dataset(X, y, tuple(xnames), intercept_policy=INTERCEPT_FORCED)
-    return Dataset(X, y, tuple(xnames), intercept_policy=INTERCEPT_NONE)
+    return _with_intercept(arr[:, Xcols], y, [names[j] for j in Xcols], intercept)
 
 
 @dataclass
@@ -629,44 +583,27 @@ def dataset_report(
                    for i in selected.indices]
     excluded: List[Tuple[str, Tuple[Tuple[float, float], ...]]] = []
     events_out: List[Tuple[str, Dict]] = []
-    # one classical row per (target, strategy), then every corrected row's
-    # limits from one batched inversion and pivots from one batched CDF
-    classical: List[AnalysisRow] = []
-    x_obs: List[float] = []
-    lam: List[float] = []
-    regions = []
-    noise = [(estimate_sigma(data, selected, s),
-              *critical_value(data, selected, s, alpha)) for s in sigma_strategies]
+    rows: List[AnalysisRow] = []
     if sigma_strategies and targets:
-        etas = np.stack([eta_for_target(data, selected, t) for t in targets])
+        etas = target_directions(data, selected, targets)
         events = selection_events(data, data.y, etas, selected, spec,
                                   skip_supersets=skip_supersets, policy=policy)
-        points = etas @ data.y  # the points the events center on
-        for target, eta, event, point in zip(targets, etas, events,
-                                             points.tolist()):
+        table = interval_table(data, selected, etas, [e.region for e in events],
+                               sigma_strategies, alpha)
+        # a classical then a corrected row per (target, strategy)
+        cols = zip(table.points.tolist(), table.half.tolist(), table.lower.tolist(),
+                   table.upper.tolist(), table.pivots(np.zeros(len(targets))).tolist())
+        for target, event, (point, half, lower, upper, pivot) in zip(targets, events, cols):
             tlabel = target.label(data)
-            scale = float(np.linalg.norm(eta))
             excluded.append((tlabel, event.region.complement().intervals))
             events_out.append((tlabel, selection_event_to_dict(event)))
-            for strat, (sigma, quant, method) in zip(sigma_strategies, noise):
-                half = quant * sigma * scale
-                classical.append(AnalysisRow(tlabel, strat.label, method,
-                                             point - half, point + half, point,
-                                             None, sigma))
-                x_obs.append(point)
-                lam.append(sigma * scale)
-                regions.append(event.region)
-    rows: List[AnalysisRow] = []
-    if classical:
-        lower, upper = corrected_limits(alpha, x_obs, lam, regions)
-        pivots = truncated_cdf(x_obs, [
-            TruncatedNormalSpec(mu=0.0, lam=s, region=r)
-            for s, r in zip(lam, regions)])
-        for i, row in enumerate(classical):
-            rows.append(row)
-            rows.append(AnalysisRow(row.target, row.strategy, METHOD_CORRECTED,
-                                    float(lower[i]), float(upper[i]), row.point,
-                                    float(pivots[i]), row.sigma_used))
+            for j, strat in enumerate(sigma_strategies):
+                sigma = float(table.sigmas[j])
+                rows.append(AnalysisRow(tlabel, strat.label, table.methods[j],
+                                        point - half[j], point + half[j], point,
+                                        None, sigma))
+                rows.append(AnalysisRow(tlabel, strat.label, METHOD_CORRECTED,
+                                        lower[j], upper[j], point, pivot[j], sigma))
     return AnalysisReport(
         source=source,
         response=response,

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.stats import norm as norm_dist, t as t_dist
 
 from . import errors
@@ -121,10 +120,6 @@ class SigmaSpec:
 
     @property
     def label(self) -> str:
-        if self.strategy == "known":
-            return "known"
-        if self.strategy == "external":
-            return "external"
         return self.strategy
 
 
@@ -165,17 +160,27 @@ def _target_weights(data: Dataset, S_hat: IndexSet, target: InferenceTarget) -> 
     raise errors.InputError(f"unknown target kind {target.kind!r}")
 
 
-def eta_for_target(data: Dataset, S_hat: IndexSet, target: InferenceTarget) -> np.ndarray:
-    """Direction ``eta`` with ``eta'y`` equal to the plug-in estimate of the target.
+def target_directions(
+    data: Dataset, S_hat: IndexSet, targets: Sequence[InferenceTarget],
+) -> np.ndarray:
+    """(T, n) stack of the directions ``eta`` of ``targets``, one per row.
 
-    ``eta = X_S (X_S'X_S)^{-1} w``, always in the selected model's column
-    span, which keeps the selection geometry in its simplified regime.
+    ``eta = X_S (X_S'X_S)^{-1} w`` has ``eta'y`` equal to the plug-in
+    estimate ``w' beta_S`` of its target and always lies in the selected
+    model's column span, which keeps the selection geometry in its
+    simplified regime.  All targets share one solve against ``R_S'``.
     """
-    w = _target_weights(data, S_hat, target)
+    W = np.array([_target_weights(data, S_hat, t) for t in targets],
+                 dtype=float).reshape(len(targets), len(S_hat))
     q, r = data._qr_of(S_hat.indices)
     if not len(S_hat):
         raise errors.InputError("cannot build a target direction for an empty model")
-    return q @ solve_triangular(r, w, trans="T", check_finite=False)
+    return np.linalg.solve(r.T, W.T).T @ q.T
+
+
+def eta_for_target(data: Dataset, S_hat: IndexSet, target: InferenceTarget) -> np.ndarray:
+    """Direction ``eta`` of one target; see :func:`target_directions`."""
+    return target_directions(data, S_hat, [target])[0]
 
 
 def estimate_sigma(data: Dataset, S_hat: IndexSet, spec: SigmaSpec) -> float:
@@ -244,27 +249,88 @@ def classical_ci(
     )
 
 
-def corrected_limits(
-    alpha: float,
-    x_obs: Sequence[float],
-    lam: Sequence[float],
-    regions: Sequence[IntervalUnion],
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Equal-tail corrected (lower, upper) limits for a batch of problems.
+@dataclass(frozen=True)
+class IntervalTable:
+    """Every classical and corrected interval of one response.
 
-    Element ``i`` observes ``x_obs[i]`` from a normal with scale ``lam[i]``
-    truncated to ``regions[i]``.  Both limits of every element come from one
-    batched :func:`invert_mean` call; a limit that cannot be bracketed (the
-    CDF is pinned) is reported as infinite rather than fabricated.
+    Row ``i`` is the target with direction ``etas[i]``; column ``j`` is
+    noise strategy ``j``.  The classical interval is ``points[i] ± half[i, j]``;
+    the corrected one is ``(lower[i, j], upper[i, j])``, the equal-tail
+    inversion of the normal with scale ``lam[i, j] = sigmas[j] |eta_i|``
+    truncated to the target's region.  A corrected limit that cannot be
+    bracketed (the CDF is pinned) is infinite rather than fabricated.
+    """
+
+    points: np.ndarray  # (T,) eta'y
+    lam: np.ndarray  # (T, S)
+    half: np.ndarray  # (T, S)
+    lower: np.ndarray  # (T, S)
+    upper: np.ndarray  # (T, S)
+    sigmas: np.ndarray  # (S,)
+    methods: Tuple[str, ...]  # classical method of each strategy
+    grid: Tuple[IntervalUnion, ...]  # region of each (i, j), j fastest
+
+    def pivots(self, mu: Sequence[float]) -> np.ndarray:
+        """(T, S) truncated CDFs of ``points`` at the mean ``mu[i]`` of row ``i``."""
+        n_s = self.lam.shape[1]
+        specs = [TruncatedNormalSpec(mu=m, lam=s, region=r) for m, s, r
+                 in zip(np.repeat(mu, n_s), self.lam.ravel(), self.grid)]
+        return truncated_cdf(np.repeat(self.points, n_s), specs).reshape(self.lam.shape)
+
+
+def interval_table(
+    data: Dataset,
+    S_hat: IndexSet,
+    etas: np.ndarray,
+    regions: Sequence[IntervalUnion],
+    strategies: Sequence[SigmaSpec],
+    alpha: float,
+) -> IntervalTable:
+    """Classical and corrected intervals of every (target, strategy) pair.
+
+    ``etas`` is the (T, n) stack of target directions and ``regions`` their
+    selection events' regions for the response ``data.y``.  Estimated noise
+    levels are plugged into the known-sigma machinery; every corrected limit
+    comes from one batched :func:`invert_mean` call.
     """
     if not 0.0 < alpha < 1.0:
         raise errors.InputError(f"alpha must be in (0,1), got {alpha}")
-    k = len(regions)
-    x_obs = np.asarray(x_obs, dtype=float)
-    lam = np.asarray(lam, dtype=float)
-    targets = np.repeat([1.0 - alpha / 2.0, alpha / 2.0], k)
-    mu = invert_mean(targets, np.tile(x_obs, 2), np.tile(lam, 2), list(regions) * 2)
-    return mu[:k], mu[k:]
+    etas = np.asarray(etas, dtype=float)
+    if etas.shape[0] != len(regions):
+        raise errors.DimensionMismatch(
+            f"{etas.shape[0]} directions for {len(regions)} regions")
+    sigmas = np.array([estimate_sigma(data, S_hat, s) for s in strategies],
+                      dtype=float)
+    crit = [critical_value(data, S_hat, s, alpha) for s in strategies]
+    quants = np.array([q for q, _ in crit], dtype=float)
+    points = etas @ data.y
+    scales = np.linalg.norm(etas, axis=1)
+    lam = np.outer(scales, sigmas)
+    grid = tuple(r for r in regions for _ in strategies)
+    k = lam.size
+    mu = invert_mean(np.repeat([1.0 - alpha / 2.0, alpha / 2.0], k),
+                     np.tile(np.repeat(points, len(sigmas)), 2),
+                     np.tile(lam.ravel(), 2), grid * 2)
+    return IntervalTable(
+        points=points, lam=lam, half=np.outer(scales, sigmas * quants),
+        lower=mu[:k].reshape(lam.shape), upper=mu[k:].reshape(lam.shape),
+        sigmas=sigmas, methods=tuple(m for _, m in crit), grid=grid)
+
+
+def _single_target(
+    data: Dataset, y: Optional[np.ndarray], S_hat: IndexSet,
+    target: InferenceTarget, criterion_spec: CriterionSpec, skip_supersets: bool,
+    policy: CandidatePolicy, event: Optional[SelectionEvent],
+) -> Tuple[Dataset, np.ndarray, SelectionEvent]:
+    """(data with response ``y``, the target's direction, its selection event)."""
+    if y is not None and y is not data.y:
+        data = data.replace_y(y)
+    eta = eta_for_target(data, S_hat, target)
+    if event is None:
+        event = selection_event(data, decompose(data.y, eta), S_hat,
+                                criterion_spec, skip_supersets=skip_supersets,
+                                policy=policy)
+    return data, eta, event
 
 
 def corrected_ci(
@@ -281,37 +347,26 @@ def corrected_ci(
 ) -> CIResult:
     """Selection-corrected equal-tail interval for the target.
 
-    Inverts the truncated-normal CDF of ``eta'y`` over the selection-event
-    region in its mean.  Estimated noise levels are plugged into the known-
-    sigma machinery.  If an endpoint cannot be bracketed (the CDF is pinned),
-    that endpoint is reported as infinite rather than fabricated.
+    The one-target, one-strategy case of :func:`interval_table`; ``pivot``
+    is the truncated CDF of ``eta'y`` at mean 0.
 
     ``event`` may carry a precomputed selection event for this exact target
     and response, which skips rebuilding the region.
     """
     if not 0.0 < alpha < 1.0:
         raise errors.InputError(f"alpha must be in (0,1), got {alpha}")
-    if y is not None and y is not data.y:
-        data = data.replace_y(y)
-    eta = eta_for_target(data, S_hat, target)
-    decomp = decompose(data.y, eta)
-    if event is None:
-        event = selection_event(data, decomp, S_hat, criterion_spec,
-                                skip_supersets=skip_supersets, policy=policy)
-    sigma = estimate_sigma(data, S_hat, sigma_spec)
-    lam = sigma * math.sqrt(decomp.eta_norm2)
-    x_obs = decomp.eta_dot_y
-    lower, upper = corrected_limits(alpha, [x_obs], [lam], [event.region])
-    pivot = truncated_cdf(
-        x_obs, TruncatedNormalSpec(mu=0.0, lam=lam, region=event.region))
+    data, eta, event = _single_target(data, y, S_hat, target, criterion_spec,
+                                      skip_supersets, policy, event)
+    table = interval_table(data, S_hat, eta[None, :], [event.region],
+                           [sigma_spec], alpha)
     return CIResult(
-        lower=float(lower[0]),
-        upper=float(upper[0]),
-        point_estimate=x_obs,
-        pivot=pivot,
+        lower=float(table.lower[0, 0]),
+        upper=float(table.upper[0, 0]),
+        point_estimate=float(table.points[0]),
+        pivot=float(table.pivots([0.0])[0, 0]),
         alpha=alpha,
         method=METHOD_CORRECTED,
-        sigma_used=sigma,
+        sigma_used=float(table.sigmas[0]),
         event_summary=event,
     )
 
@@ -333,16 +388,10 @@ def pivot_value(
     Under the true value and conditional on the selection, this is uniform
     on (0,1); it is the quantity the corrected interval inverts.
     """
-    if y is not None and y is not data.y:
-        data = data.replace_y(y)
-    eta = eta_for_target(data, S_hat, target)
-    decomp = decompose(data.y, eta)
-    if event is None:
-        event = selection_event(data, decomp, S_hat, criterion_spec,
-                                skip_supersets=skip_supersets, policy=policy)
-    sigma = estimate_sigma(data, S_hat, sigma_spec)
-    lam = sigma * math.sqrt(decomp.eta_norm2)
+    data, eta, event = _single_target(data, y, S_hat, target, criterion_spec,
+                                      skip_supersets, policy, event)
+    lam = estimate_sigma(data, S_hat, sigma_spec) * float(np.linalg.norm(eta))
     return truncated_cdf(
-        decomp.eta_dot_y,
+        float(eta @ data.y),
         TruncatedNormalSpec(mu=float(hypothesized_value), lam=lam,
                             region=event.region))

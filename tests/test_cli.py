@@ -157,3 +157,15 @@ def test_console_script_entry_point(data_csv):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "x1" in json.loads(proc.stdout)["selected_model"]["names"]
+
+
+def test_empty_strategy_list_is_input_error(tmp_path, capsys):
+    path = tmp_path / "empty.cfg"
+    path.write_text("n = 15\np = 3\nbeta = 2,1,0\nrho = 0.3\nsigma = 1.0\n"
+                    "reps = 4\nsigma_strategies =\n")
+    code = main(["simulate", str(path), "--format", "plotdata",
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "sigma_strategies" in err

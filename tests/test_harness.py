@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from subsetci import Dataset, IndexSet, errors
-from subsetci.criteria import Criterion
+from subsetci.criteria import Criterion, CriterionSpec, best_subset
 from subsetci.harness import (
     SimulationConfig,
+    _run_rep_chunk,
+    _stream,
     analyze,
     dataset_report,
     emit_report,
@@ -16,10 +18,19 @@ from subsetci.harness import (
     ks_uniform,
     load_csv_dataset,
     parse_config_text,
+    rep_stream,
     report_to_dict,
     simulate_coverage,
 )
-from subsetci.inference import InferenceTarget, SigmaSpec
+from subsetci.inference import (
+    InferenceTarget,
+    SigmaSpec,
+    classical_ci,
+    corrected_ci,
+    estimate_sigma,
+    pivot_value,
+)
+from subsetci.linmodel import adjusted_coefficients
 
 
 def tiny_config(**over):
@@ -67,6 +78,8 @@ class TestGenerateDesign:
             tiny_config(reps=0)
         with pytest.raises(errors.InputError):
             tiny_config(beta=(1.0,))
+        with pytest.raises(errors.InputError):
+            tiny_config(sigma_strategies=())
 
 
 class TestParseConfig:
@@ -219,6 +232,137 @@ class TestSimulateCoverage:
         # field must exist and be in [0, 1] when defined
         if rep.sigma_contribution is not None:
             assert rep.sigma_contribution <= 1.0
+
+
+def _replications(cfg, X):
+    """(data, noiseless mean, selected model) of every replication, drawn
+    the way the coverage study draws them; designs without an intercept."""
+    idx = np.arange(cfg.p)
+    chol = np.linalg.cholesky(cfg.rho ** np.abs(idx[:, None] - idx[None, :]))
+    names = tuple(f"x{j}" for j in range(1, cfg.p + 1))
+    spec = CriterionSpec(cfg.criterion, cfg.n)
+    for rep in range(cfg.reps):
+        noise = rep_stream(cfg.master_seed, rep).standard_normal(cfg.n)
+        Xr = X if cfg.fixed_design else _stream(
+            cfg.master_seed, 3, rep).standard_normal((cfg.n, cfg.p)) @ chol.T
+        mean = Xr @ np.asarray(cfg.beta)
+        data = Dataset(Xr, mean + cfg.sigma * noise, names)
+        yield data, mean, best_subset(data, spec)[0]
+
+
+# x1 is selected in every replication, x3 (beta 0) in some of them
+COEF_TARGETS = (InferenceTarget.coefficient("x1"), InferenceTarget.coefficient("x3"))
+
+
+class TestCoefficientTargets:
+    @pytest.mark.parametrize("fixed", [True, False])
+    def test_applicable_follows_selection(self, fixed):
+        cfg = tiny_config(reps=30, beta=(3.0, 1.0, 0.0), targets=COEF_TARGETS,
+                          fixed_design=fixed)
+        X, _ = generate_design(cfg)
+        chunk = _run_rep_chunk(cfg, X, cfg.targets, 0, cfg.reps)
+        assert chunk["ok"].all()
+        selected = [S_hat for _, _, S_hat in _replications(cfg, X)]
+        expect = [[int(1 in S), int(3 in S)] for S in selected]
+        assert chunk["applicable"].tolist() == expect
+        assert all(row[0] for row in expect)
+        assert 0 < sum(row[1] for row in expect) < cfg.reps
+
+    @pytest.mark.parametrize("fixed", [True, False])
+    def test_replication_without_applicable_target_still_counts(self, fixed):
+        cfg = tiny_config(reps=30, beta=(3.0, 1.0, 0.0), fixed_design=fixed,
+                          targets=(InferenceTarget.coefficient("x3"),))
+        rep = simulate_coverage(cfg)
+        X, _ = generate_design(cfg)
+        reps = list(_replications(cfg, X))
+        dropped = sum(3 not in S_hat for _, _, S_hat in reps)
+        assert 0 < dropped < cfg.reps
+        assert rep.reps_completed == cfg.reps
+        assert sum(rep.histogram.values()) == cfg.reps
+        assert rep.cell("x3", "mse_aic", "corrected").count == cfg.reps - dropped
+        mse = [estimate_sigma(d, S_hat, SigmaSpec.mse_aic()) for d, _, S_hat in reps]
+        assert rep.sigma_means["mse_aic"] == pytest.approx(np.mean(mse), rel=1e-12)
+
+    @pytest.mark.parametrize("fixed", [True, False])
+    def test_worker_count_does_not_change_report(self, fixed):
+        cfg = tiny_config(reps=20, beta=(3.0, 1.0, 0.0), targets=COEF_TARGETS,
+                          fixed_design=fixed)
+        seq = report_to_dict(simulate_coverage(cfg, workers=1))
+        par = report_to_dict(simulate_coverage(cfg, workers=2))
+        seq.pop("generated_at")
+        par.pop("generated_at")
+        assert seq == par
+
+
+ALL_STRATEGIES = (SigmaSpec.known(0.5), SigmaSpec.external(0.6),
+                  SigmaSpec.mse_aic(), SigmaSpec.mse_full())
+
+
+class TestOneArithmetic:
+    """The coverage study and the analysis report build their intervals the
+    way the single-target API does."""
+
+    def test_analysis_rows_match_single_target_api(self):
+        import importlib.resources as ir
+
+        data = load_csv_dataset(
+            str(ir.files("subsetci") / "data" / "us_consumption.csv"),
+            "Consumption", intercept=True)
+        alpha = 0.05
+        rep = dataset_report(data, Criterion.AIC, alpha, ALL_STRATEGIES)
+        spec = CriterionSpec(Criterion.AIC, data.n)
+        rows = {(r.target, r.strategy, r.method): r for r in rep.rows}
+        assert len(rows) == 2 * len(ALL_STRATEGIES) * len(rep.selected)
+
+        def close(a, b):
+            return a == pytest.approx(b, rel=1e-12, abs=0.0)
+
+        for name in rep.selected_names:
+            target = InferenceTarget.coefficient(name)
+            for strat in ALL_STRATEGIES:
+                cl = classical_ci(data, rep.selected, target, alpha, strat)
+                cc = corrected_ci(data, None, rep.selected, target, alpha,
+                                  strat, spec)
+                for ci in (cl, cc):
+                    row = rows[(name, strat.label, ci.method)]
+                    assert close(row.lower, ci.lower)
+                    assert close(row.upper, ci.upper)
+                    assert close(row.point, ci.point_estimate)
+                    assert close(row.sigma_used, ci.sigma_used)
+                row = rows[(name, strat.label, cc.method)]
+                assert close(row.pivot, pivot_value(
+                    data, None, rep.selected, target, 0.0, strat, spec))
+
+    @pytest.mark.parametrize("fixed", [True, False])
+    def test_hits_are_containment_in_single_target_intervals(self, fixed):
+        cfg = tiny_config(reps=6, beta=(3.0, 1.0, 0.0), fixed_design=fixed,
+                          n_new_points=2, sigma_strategies=ALL_STRATEGIES)
+        X, points = generate_design(cfg)
+        targets = tuple(InferenceTarget.prediction_mean(x) for x in points)
+        targets += COEF_TARGETS
+        chunk = _run_rep_chunk(cfg, X, targets, 0, cfg.reps)
+        assert chunk["ok"].all()
+        spec = CriterionSpec(cfg.criterion, cfg.n)
+        for r, (data, mean, S_hat) in enumerate(_replications(cfg, X)):
+            adj = adjusted_coefficients(data, S_hat, mean)
+            for ti, target in enumerate(targets):
+                if target.kind == "prediction_mean":
+                    truth = float(np.asarray(target.x) @ np.asarray(cfg.beta))
+                elif data.index_of(target.name) in S_hat:
+                    truth = float(adj[S_hat.position_of(data.index_of(target.name))])
+                else:
+                    assert chunk["applicable"][r, ti] == 0
+                    continue
+                assert chunk["applicable"][r, ti] == 1
+                for si, strat in enumerate(ALL_STRATEGIES):
+                    cl = classical_ci(data, S_hat, target, cfg.alpha, strat)
+                    cc = corrected_ci(data, None, S_hat, target, cfg.alpha,
+                                      strat, spec)
+                    assert chunk["hits_unc"][r, ti, si] == (cl.lower < truth < cl.upper)
+                    assert chunk["hits_cor"][r, ti, si] == (cc.lower < truth < cc.upper)
+                    assert chunk["pivots"][r, ti, si] == pytest.approx(pivot_value(
+                        data, None, S_hat, target, truth, strat, spec),
+                        rel=1e-12, abs=0.0)
 
 
 class TestAnalyze:
