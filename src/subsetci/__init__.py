@@ -59,8 +59,6 @@ from .linmodel import (
 from .truncnorm import (
     TruncatedNormalSpec,
     invert_mean,
-    log_normal_measure,
-    normal_measure,
     truncated_cdf,
 )
 
@@ -100,8 +98,6 @@ __all__ = [
     "interval_union",
     "invert_mean",
     "load_csv_dataset",
-    "log_normal_measure",
-    "normal_measure",
     "penalty_ratio",
     "pivot_value",
     "residual_project",

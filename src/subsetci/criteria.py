@@ -316,7 +316,8 @@ class CandidateSet:
         """Size penalty of every candidate under ``spec``; computed once."""
         hit = self._penalties.get(spec)
         if hit is None:
-            hit = np.array([spec.penalty(int(k)) for k in self.free_sizes])
+            sizes, of_size = np.unique(self.free_sizes, return_inverse=True)
+            hit = np.array([spec.penalty(int(k)) for k in sizes])[of_size]
             hit.flags.writeable = False
             self._penalties[spec] = hit
         return hit

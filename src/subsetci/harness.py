@@ -32,6 +32,7 @@ from .criteria import (
 from .geometry import selection_events
 from .inference import (
     InferenceTarget,
+    LINEAR_COMBO,
     METHOD_CORRECTED,
     PREDICTION_MEAN,
     SigmaSpec,
@@ -100,6 +101,10 @@ class SimulationConfig:
             raise errors.InputError("alpha must be in (0,1)")
         if self.sigma_strategies is not None and not self.sigma_strategies:
             raise errors.InputError("sigma_strategies must name at least one strategy")
+        if any(t.kind == LINEAR_COMBO for t in self.targets or ()):
+            raise errors.InputError(
+                "a linear-combination target has no study truth yet; "
+                "use prediction or coefficient targets")
 
     def resolved_strategies(self) -> Tuple[SigmaSpec, ...]:
         if self.sigma_strategies is not None:

@@ -9,9 +9,11 @@ half-``erf`` terms that cannot cancel.
 
 Every evaluation is batched: a batch of problems, one region each, is padded
 into a table of pieces, and the CDF, its inversion in the mean, and the
-log-measure kernel under both work on whole arrays.  Each element's result
-depends on that element alone, so a batch gives bit-for-bit the values of
-one-element calls.
+log-measure kernel under both work on whole arrays.  The table returns the
+log CDF; ``truncated_cdf`` exponentiates it, and the inversion maps it to the
+probit scale, where a region without truncation gives a residual exactly
+linear in the mean.  Each element's result depends on that element alone, so
+a batch gives bit-for-bit the values of one-element calls.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy.special import erf, log_ndtr
+from scipy.special import erf, log_ndtr, ndtri, ndtri_exp
 
 from . import errors
 from .intervals import IntervalUnion
@@ -30,8 +32,8 @@ _SQRT2 = math.sqrt(2.0)
 _LOG_HALF = -math.log(2.0)
 _EPS = np.finfo(float).eps
 
-# The batched Chandrupatla iteration of ``invert_mean`` stops an element as
-# soon as its CDF residual is at most this, or once its bracket has shrunk to
+# The batched root-finder of ``invert_mean`` stops an element as soon as its
+# CDF residual is at most this, or once its bracket has shrunk to
 # the rounding of the mean while still straddling the root (where the CDF's
 # own rounding exceeds this tolerance); tolerances live in CDF space
 # because the CDF is flat in x across gaps of the region.  The stopping rule
@@ -92,25 +94,6 @@ def _logsumexp_rows(logs: np.ndarray) -> np.ndarray:
     return np.where(top == -np.inf, -np.inf, shift + np.log(total))
 
 
-def log_normal_measure(interval: Tuple[float, float], mu: float, lam: float) -> float:
-    """log of the normal(mu, lam^2) mass of the open interval ``(lo, hi)``."""
-    lo, hi = interval
-    if not hi > lo:
-        return -math.inf
-    if lam <= 0.0:
-        raise errors.InputError("standard deviation must be positive")
-    a = (lo - mu) / lam
-    b = (hi - mu) / lam
-    return float(_log_measure_std(np.array([a], dtype=float),
-                                  np.array([b], dtype=float))[0])
-
-
-def normal_measure(interval: Tuple[float, float], mu: float, lam: float) -> float:
-    """Normal(mu, lam^2) probability of the open interval ``(lo, hi)``."""
-    lv = log_normal_measure(interval, mu, lam)
-    return math.exp(lv) if lv > -math.inf else 0.0
-
-
 @dataclass(frozen=True)
 class TruncatedNormalSpec:
     """Normal(mu, lambda^2) truncated to ``region``."""
@@ -152,8 +135,8 @@ class _PieceTable:
         self.lo = np.hstack([lo, lo])
         self.hi = np.hstack([hi, np.minimum(hi, x[:, None])])
 
-    def cdf(self, mu: np.ndarray, rows=slice(None)) -> Tuple[np.ndarray, np.ndarray]:
-        """(CDF at the mean ``mu``, region-mass underflow flag) for ``rows``."""
+    def log_cdf(self, mu: np.ndarray, rows=slice(None)) -> Tuple[np.ndarray, np.ndarray]:
+        """(log CDF at the mean ``mu``, region-mass underflow flag) for ``rows``."""
         lam = self.lam[rows][:, None]
         shift = mu[:, None]
         logs = _log_measure_std((self.lo[rows] - shift) / lam,
@@ -162,7 +145,7 @@ class _PieceTable:
             sums = _logsumexp_rows(logs.reshape(-1, self.width))
             logden, lognum = sums[0::2], sums[1::2]
             underflow = ~(logden > -np.inf)  # -inf or nan
-            return np.exp(np.minimum(lognum - logden, 0.0)), underflow
+            return np.minimum(lognum - logden, 0.0), underflow
 
 
 def truncated_cdf(x, spec):
@@ -183,11 +166,12 @@ def truncated_cdf(x, spec):
         return np.zeros(0)
     mu = np.array([s.mu for s in specs], dtype=float)
     lam = np.array([s.lam for s in specs], dtype=float)
-    vals, underflow = _PieceTable(xs, lam, [s.region for s in specs]).cdf(mu)
+    logf, underflow = _PieceTable(xs, lam, [s.region for s in specs]).log_cdf(mu)
     if underflow.any():
         i = int(np.flatnonzero(underflow)[0])
         raise errors.RegionMassUnderflow(
             f"region carries no representable mass at mu={mu[i]}")
+    vals = np.exp(logf)
     return float(vals[0]) if single else vals
 
 
@@ -201,55 +185,62 @@ def _solve(target: np.ndarray, x: np.ndarray, lam: np.ndarray,
     """
     k = target.shape[0]
     table = _PieceTable(x, lam, regions)
+    z = ndtri(target)
     status = np.full(k, _SOLVED)
-    every = np.arange(k)
+    mu = np.full(k, np.nan)
 
-    # geometric bracket expansion from x -+ lam, both sides at once; the CDF
-    # decreases in the mean, so the low end needs F >= target, the high end
-    # F <= target
-    mu_lo, mu_hi = x - lam, x + lam
-    step_lo, step_hi = lam.copy(), lam.copy()
-    f, bad = table.cdf(np.concatenate([mu_lo, mu_hi]), np.concatenate([every, every]))
-    f_lo, f_hi = f[:k], f[k:]
-    status[bad[:k] | bad[k:]] = _UNDERFLOW
+    def probe(m, rows):
+        """(probit residual g, CDF within CDF_TOL, underflow) at means ``m``.
+
+        ``g = Phi^-1(F) - Phi^-1(target)`` decreases in the mean like F, and
+        is exactly linear in it for an untruncated region."""
+        logf, bad = table.log_cdf(m, rows)
+        hit = ~bad & (np.abs(np.exp(logf) - target[rows]) <= CDF_TOL)
+        return ndtri_exp(logf) - z[rows], hit, bad
+
+    # start at the classical endpoint, the root for an untruncated region
+    a = x - lam * z
+    fa, hit, bad = probe(a, np.arange(k))
+    mu[hit] = a[hit]
+    status[bad] = _UNDERFLOW
+    # step towards the root, first by 1.5 |g| scales (g falls by one per
+    # scale without truncation), then doubling the step until g changes
+    # sign; a is the last point with the start's sign, b the newest
+    step = np.copysign(lam * np.clip(1.5 * np.abs(fa), 1e-3, 64.0), fa)
+    b, fb = a.copy(), fa.copy()
+    grow = np.flatnonzero(~hit & ~bad)
     for expansions in range(MAX_EXPAND + 1):
-        grow_lo = np.flatnonzero((status == _SOLVED) & ~(f_lo >= target))
-        grow_hi = np.flatnonzero((status == _SOLVED) & ~(f_hi <= target))
-        if not (grow_lo.size or grow_hi.size):
+        grow = grow[np.sign(fb[grow]) == np.sign(fa[grow])]
+        if not grow.size:
             break
         if expansions == MAX_EXPAND:
-            status[grow_lo] = _BELOW
-            status[grow_hi] = _ABOVE
+            status[grow] = np.where(fa[grow] < 0.0, _BELOW, _ABOVE)
             break
-        mu_lo[grow_lo] -= step_lo[grow_lo]
-        step_lo[grow_lo] *= 2.0
-        mu_hi[grow_hi] += step_hi[grow_hi]
-        step_hi[grow_hi] *= 2.0
-        rows = np.concatenate([grow_lo, grow_hi])
-        f, bad = table.cdf(np.concatenate([mu_lo[grow_lo], mu_hi[grow_hi]]), rows)
-        f_lo[grow_lo] = f[:grow_lo.size]
-        f_hi[grow_hi] = f[grow_lo.size:]
-        status[rows[bad]] = _UNDERFLOW
+        a[grow], fa[grow] = b[grow], fb[grow]
+        b[grow] += step[grow]
+        step[grow] *= 2.0
+        fb[grow], hit, bad = probe(b[grow], grow)
+        mu[grow[hit]] = b[grow[hit]]
+        status[grow[bad]] = _UNDERFLOW
+        grow = grow[~hit & ~bad]
 
-    # Chandrupatla's method on g = F - target (Chandrupatla 1997, "A new
-    # hybrid quadratic/bisection algorithm for finding the zero of a
-    # nonlinear function without using derivatives"): a is the newest
-    # iterate, b the bracket end with the opposite sign, c the iterate
-    # dropped from the bracket; inverse quadratic interpolation through the
-    # three when it is safe, bisection otherwise.
-    mu = np.full(k, np.nan)
-    live = np.flatnonzero(status == _SOLVED)
-    goal, scale = target[live], lam[live]
-    a, fa = mu_lo[live], f_lo[live] - goal
-    b, fb = mu_hi[live], f_hi[live] - goal
-    t = np.full(live.size, 0.5)
+    # Chandrupatla's method on g (Chandrupatla 1997, "A new hybrid
+    # quadratic/bisection algorithm for finding the zero of a nonlinear
+    # function without using derivatives"), from a regula falsi point: a is
+    # the newest iterate, b the bracket end with the opposite sign, c the
+    # iterate dropped from the bracket; inverse quadratic interpolation
+    # through the three when it is safe, bisection otherwise.
+    live = np.flatnonzero((status == _SOLVED) & np.isnan(mu))
+    scale = lam[live]
+    a, fa, b, fb = a[live], fa[live], b[live], fb[live]
+    with np.errstate(all="ignore"):
+        t = fa / (fa - fb)
+    t = np.where((t > 0.0) & (t < 1.0), t, 0.5)  # no secant past an infinite g
     for _ in range(MAX_ROOT_ITER):
         if not live.size:
             break
         xt = a + t * (b - a)
-        f, bad = table.cdf(xt, live)
-        ft = f - goal
-        hit = ~bad & (np.abs(ft) <= CDF_TOL)
+        ft, hit, bad = probe(xt, live)
         same = np.sign(ft) == np.sign(fa)
         c, fc = np.where(same, a, b), np.where(same, fa, fb)
         b, fb = np.where(same, b, a), np.where(same, fb, fa)
@@ -275,8 +266,8 @@ def _solve(target: np.ndarray, x: np.ndarray, lam: np.ndarray,
             status[live[stalled & ~ends]] = _STALLED
             status[live[bad]] = _UNDERFLOW
             keep = ~done
-            live, goal, scale, a, fa, b, fb, t = (
-                v[keep] for v in (live, goal, scale, a, fa, b, fb, t))
+            live, scale, a, fa, b, fb, t = (
+                v[keep] for v in (live, scale, a, fa, b, fb, t))
     status[live] = _STALLED
     return mu, status
 
@@ -284,11 +275,17 @@ def _solve(target: np.ndarray, x: np.ndarray, lam: np.ndarray,
 def invert_mean(target, x_obs, lam, region):
     """Mean ``mu`` at which the truncated CDF of ``x_obs`` equals ``target``.
 
-    The CDF is strictly decreasing in the mean.  A geometric bracket
-    expansion from ``x_obs ± lam`` finds a sign change, then Chandrupatla's
-    safeguarded inverse-quadratic/bisection iteration narrows it until the
-    CDF residual is at most ``CDF_TOL``, or until the bracket is as narrow as
-    rounding allows; its end with the smaller residual is then the root.
+    The CDF is strictly decreasing in the mean.  The root is sought on the
+    probit scale, ``g(mu) = Phi^-1(F(mu)) - Phi^-1(target)``, which is
+    exactly linear in the mean when nothing is truncated.  Each element
+    starts at its classical endpoint ``x_obs - lam * Phi^-1(target)``, the
+    root in that case; otherwise it steps towards the root, first by
+    ``1.5 * |g| * lam`` (clipped to between 1e-3 and 64 scales), doubling
+    the step until ``g`` changes sign.  A regula falsi point, then
+    Chandrupatla's safeguarded inverse-quadratic/bisection iteration on
+    ``g``, narrow the bracket until the CDF residual is at most ``CDF_TOL``,
+    or until the bracket is as narrow as rounding allows; its end with the
+    smaller residual is then the root.
 
     With one ``IntervalUnion`` as ``region`` the arguments are scalars, the
     result is a float, and a root that cannot be bracketed or whose region

@@ -6,6 +6,9 @@ scalar root-finding; the region is the sequential intersection of those sets.
 The library builds the same region from p-dimensional Gram coefficients and a
 single vectorized sweep, so agreement checks both the coefficient algebra and
 the sweep.
+
+The scalar normal interval masses at the end (``normal_measure``) are the
+one-interval view of the library's log-measure kernel, used by tests only.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from subsetci.criteria import (
 from subsetci.geometry import ETA_SPAN_TOL, LEAD_TOL, EtaDecomposition
 from subsetci.intervals import EMPTY, FULL_LINE, IntervalUnion, interval_union
 from subsetci.linmodel import Dataset, IndexSet, residual_project
+from subsetci.truncnorm import _log_measure_std
 
 
 @dataclass(frozen=True)
@@ -210,3 +214,22 @@ def superset_lower_bound(
         best = max(best, omega * h0 - float(p_z_s @ p_z_s))
         found = True
     return decomp.eta_norm2 * best if found else 0.0
+
+
+def log_normal_measure(interval: Tuple[float, float], mu: float, lam: float) -> float:
+    """log of the normal(mu, lam^2) mass of the open interval ``(lo, hi)``."""
+    lo, hi = interval
+    if not hi > lo:
+        return -math.inf
+    if lam <= 0.0:
+        raise errors.InputError("standard deviation must be positive")
+    a = (lo - mu) / lam
+    b = (hi - mu) / lam
+    return float(_log_measure_std(np.array([a], dtype=float),
+                                  np.array([b], dtype=float))[0])
+
+
+def normal_measure(interval: Tuple[float, float], mu: float, lam: float) -> float:
+    """Normal(mu, lam^2) probability of the open interval ``(lo, hi)``."""
+    lv = log_normal_measure(interval, mu, lam)
+    return math.exp(lv) if lv > -math.inf else 0.0

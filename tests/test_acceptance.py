@@ -394,7 +394,7 @@ def test_criterion_7_real_data_golden():
 
 def test_supplementary_negligible_exclusion_matches_classical():
     from subsetci.inference import classical_ci
-    from subsetci.truncnorm import normal_measure
+    from pair_oracle import normal_measure
 
     rng = np.random.default_rng(222)
     qualifying = 0

@@ -360,6 +360,28 @@ def test_penalties_computed_once_per_spec(small_data):
     assert cs.penalties(spec) is cs.penalties(spec)
 
 
+@pytest.mark.parametrize("kind", list(Criterion))
+def test_penalties_evaluated_once_per_size(small_data, monkeypatch, kind):
+    cs = candidate_set(small_data)
+    spec = CriterionSpec(kind, small_data.n)
+    expect = [spec.penalty(int(k)) for k in cs.free_sizes]
+    sizes = []
+    penalty = CriterionSpec.penalty
+    monkeypatch.setattr(CriterionSpec, "penalty",
+                        lambda self, size: sizes.append(size) or penalty(self, size))
+    assert cs.penalties(spec).tolist() == expect
+    assert sorted(sizes) == sorted(set(cs.free_sizes.tolist()))
+
+
+def test_aicc_degenerate_only_for_sizes_that_occur(small_data):
+    # at n=5 AICc is undefined for 4 free columns, the full model of p=4
+    spec = CriterionSpec(Criterion.AICC, 5)
+    with pytest.raises(errors.AICcDegenerate):
+        candidate_set(small_data).penalties(spec)
+    capped = candidate_set(small_data, CandidatePolicy(max_size=3))
+    assert np.all(np.isfinite(capped.penalties(spec)))
+
+
 class TestCandidateBudget:
     @staticmethod
     def _wide(rng, p, n=None):

@@ -81,6 +81,11 @@ class TestGenerateDesign:
         with pytest.raises(errors.InputError):
             tiny_config(sigma_strategies=())
 
+    def test_linear_combo_target_refused_at_config_time(self):
+        with pytest.raises(errors.InputError, match="no study truth"):
+            tiny_config(targets=(InferenceTarget.coefficient(1),
+                                 InferenceTarget.linear_combo([1.0])))
+
 
 class TestParseConfig:
     def test_round_trip_fields(self):

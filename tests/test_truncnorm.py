@@ -4,17 +4,17 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import brentq
+from scipy.special import ndtri
 from scipy.stats import norm
 
-from subsetci import errors
+from subsetci import errors, truncnorm
+from subsetci.criteria import Criterion
+from subsetci.harness import SimulationConfig, simulate_coverage
+from subsetci.inference import SigmaSpec
 from subsetci.intervals import FULL_LINE, interval_union, single
-from subsetci.truncnorm import (
-    TruncatedNormalSpec,
-    invert_mean,
-    log_normal_measure,
-    normal_measure,
-    truncated_cdf,
-)
+from subsetci.truncnorm import CDF_TOL, TruncatedNormalSpec, invert_mean, truncated_cdf
+from pair_oracle import log_normal_measure, normal_measure
 
 # working precision of the mpmath oracles, scoped to each oracle call so that
 # no module changes the process-wide setting for another
@@ -392,3 +392,119 @@ class TestRootAtCdfRounding:
         mu = invert_mean(target, x, lam, single(lo, hi))
         assert -6000.0 < mu < -4000.0
         assert abs(float(hp_upper_tail_cdf(x, mu, lam, lo, hi)) - target) <= 1e-9
+
+
+def count_solver_work(monkeypatch):
+    """Patch the solver to tally, across its calls, the endpoints it solves
+    and the CDF evaluations it spends on them (truncated-CDF calls from
+    elsewhere are not counted)."""
+    tally = {"endpoints": 0, "evals": 0, "rounds": 0}
+    solve, log_cdf = truncnorm._solve, truncnorm._PieceTable.log_cdf
+
+    def counted_log_cdf(self, mu, rows=slice(None)):
+        tally["evals"] += mu.shape[0]
+        tally["rounds"] += 1
+        return log_cdf(self, mu, rows)
+
+    def counted_solve(target, x, lam, regions):
+        monkeypatch.setattr(truncnorm._PieceTable, "log_cdf", counted_log_cdf)
+        try:
+            return solve(target, x, lam, regions)
+        finally:
+            tally["endpoints"] += target.shape[0]
+            monkeypatch.setattr(truncnorm._PieceTable, "log_cdf", log_cdf)
+
+    monkeypatch.setattr(truncnorm, "_solve", counted_solve)
+    return tally
+
+
+class TestSolverWork:
+    def test_untruncated_region_solves_at_the_classical_endpoint(self, monkeypatch):
+        # the probit residual is exactly linear in the mean without
+        # truncation, so the warm start is the root: one evaluation per row
+        tally = count_solver_work(monkeypatch)
+        targets = np.array([0.975, 0.025, 1e-6, 1 - 1e-6, 0.5])
+        xs = np.array([2.3, 2.3, -1.0, 40.0, 0.0])
+        lams = np.array([1.7, 1.7, 0.2, 3.0, 1e-3])
+        mus = invert_mean(targets, xs, lams, [FULL_LINE] * 5)
+        assert tally == {"endpoints": 5, "evals": 5, "rounds": 1}
+        assert np.array_equal(mus, xs - lams * ndtri(targets))
+        assert invert_mean(0.975, 2.3, 1.7, FULL_LINE) == mus[0]
+
+    def test_table1_study_spends_at_most_six_evaluations_per_endpoint(
+            self, monkeypatch):
+        """A count, not a time: the same 2,400 endpoints on every run.
+
+        Thirty replications, because the mean of a few is dominated by how
+        many of them have step-shaped regions: over seeds 0-29 a 3-replication
+        mean ranges from 1.8 to 7.4 evaluations, while 30-replication means
+        over seeds 0-11 stay within 4.3-5.4."""
+        tally = count_solver_work(monkeypatch)
+        p = 10
+        config = SimulationConfig(
+            n=50, p=p, beta=(1.0, 2.0, 3.0) + (0.0,) * (p - 3), rho=0.5,
+            sigma=1.0, reps=30, alpha=0.05, criterion=Criterion.AIC,
+            sigma_strategies=tuple(SigmaSpec.parse(s) for s in (
+                "known:1.0", "mse-aic", "mse-full", "external:1.1")),
+            n_new_points=10, master_seed=11)
+        report = simulate_coverage(config)
+        assert report.reps_completed == 30
+        assert tally["endpoints"] == 30 * 10 * 4 * 2
+        assert tally["evals"] / tally["endpoints"] <= 6.0
+
+
+@st.composite
+def hard_problems(draw):
+    """(target, x, lam, region): unions with pieces up to 30 scales apart,
+    the observation often a fraction of a scale from a piece end (a
+    step-shaped CDF in the mean), and targets as extreme as 1e-6."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    lam = float(rng.uniform(0.05, 4.0))
+    pieces = []
+    lo = float(rng.normal(scale=3))
+    for _ in range(int(rng.integers(1, 5))):
+        hi = lo + lam * float(rng.uniform(0.05, 3))
+        pieces.append((lo, hi))
+        gap = rng.uniform(0.05, 3) if rng.random() < 0.5 else rng.uniform(8, 30)
+        lo = hi + lam * float(gap)
+    if rng.random() < 0.3:
+        pieces[-1] = (pieces[-1][0], INF)
+    if rng.random() < 0.3:
+        pieces[0] = (-INF, pieces[0][1])
+    plo, phi = pieces[int(rng.integers(0, len(pieces)))]
+    if math.isinf(plo) and math.isinf(phi):
+        plo, phi = -lam, lam
+    elif math.isinf(plo):
+        plo = phi - 3 * lam
+    elif math.isinf(phi):
+        phi = plo + 3 * lam
+    d = min(lam * float(rng.uniform(0.02, 0.2)), 0.5 * (phi - plo))
+    x = (plo + d, phi - d, plo + float(rng.uniform(0.01, 0.99)) * (phi - plo))[
+        int(rng.integers(0, 3))]
+    target = (1e-6, 1 - 1e-6, 0.025, 0.975, float(rng.uniform(0.01, 0.99)))[
+        int(rng.integers(0, 5))]
+    return target, x, lam, interval_union(pieces)
+
+
+@BATCH_SETTINGS
+@given(hard_problems())
+def test_inversion_matches_brentq_oracle(problem):
+    """The root meets the CDF tolerance and agrees with a Brent root of
+    ``truncated_cdf``: within 1e-8 relative, plus the width of the band
+    where the CDF is within ``CDF_TOL`` of the target, which is what that
+    tolerance leaves open where the CDF is flat in the mean."""
+    target, x, lam, region = problem
+    mu = invert_mean(target, x, lam, region)
+
+    def gap(m):
+        return truncated_cdf(x, TruncatedNormalSpec(m, lam, region)) - target
+
+    assert abs(gap(mu)) <= CDF_TOL
+    width = lam
+    while not gap(mu - width) > 0.0 > gap(mu + width):
+        width *= 2.0
+    root = brentq(gap, mu - width, mu + width, xtol=1e-300,
+                  rtol=4 * np.finfo(float).eps, maxiter=500)
+    step = 1e-6 * max(abs(root), lam)
+    slope = (gap(root - step) - gap(root + step)) / (2.0 * step)
+    assert abs(mu - root) <= 1e-8 * max(abs(root), lam) + 2.0 * CDF_TOL / slope
