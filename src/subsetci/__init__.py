@@ -15,8 +15,6 @@ from .criteria import (
     CriterionSpec,
     ScoredModel,
     best_subset,
-    criterion_score,
-    penalty_ratio,
 )
 from .geometry import (
     EtaDecomposition,
@@ -24,7 +22,6 @@ from .geometry import (
     decompose,
     selection_event,
     selection_events,
-    superset_lower_bound,
 )
 from .harness import (
     AnalysisReport,
@@ -50,11 +47,7 @@ from .intervals import IntervalUnion, interval_union
 from .linmodel import (
     Dataset,
     IndexSet,
-    LeastSquaresFit,
     adjusted_coefficients,
-    fit_submodel,
-    residual_project,
-    rss,
 )
 from .truncnorm import (
     TruncatedNormalSpec,
@@ -76,7 +69,6 @@ __all__ = [
     "IndexSet",
     "InferenceTarget",
     "IntervalUnion",
-    "LeastSquaresFit",
     "ScoredModel",
     "SelectionEvent",
     "SigmaSpec",
@@ -87,24 +79,18 @@ __all__ = [
     "best_subset",
     "classical_ci",
     "corrected_ci",
-    "criterion_score",
     "decompose",
     "emit_report",
     "errors",
     "estimate_sigma",
     "eta_for_target",
-    "fit_submodel",
     "generate_design",
     "interval_union",
     "invert_mean",
     "load_csv_dataset",
-    "penalty_ratio",
     "pivot_value",
-    "residual_project",
-    "rss",
     "selection_event",
     "selection_events",
     "simulate_coverage",
-    "superset_lower_bound",
     "truncated_cdf",
 ]

@@ -54,11 +54,14 @@ def _parse_target(text: str) -> InferenceTarget:
         if name.isdigit():
             return InferenceTarget.coefficient(int(name))
         return InferenceTarget.coefficient(name)
-    if kind == "prediction":
-        vals = [float(v) for v in rest.split(",") if v.strip()]
-        return InferenceTarget.prediction_mean(vals)
-    if kind == "combo":
-        vals = [float(v) for v in rest.split(",") if v.strip()]
+    if kind in ("prediction", "combo"):
+        try:
+            vals = [float(v) for v in rest.split(",") if v.strip()]
+        except ValueError:
+            raise errors.InputError(
+                f"cannot parse the numbers of target {text!r}") from None
+        if kind == "prediction":
+            return InferenceTarget.prediction_mean(vals)
         return InferenceTarget.linear_combo(vals)
     raise errors.InputError(
         f"cannot parse target {text!r}; expected coefficient:<name>, "

@@ -83,43 +83,9 @@ class CandidatePolicy:
 DEFAULT_POLICY = CandidatePolicy()
 
 
-def criterion_score(
-    S: IndexSet,
-    rss: float,
-    spec: CriterionSpec,
-    free_size: Optional[int] = None,
-) -> float:
-    """Score of model ``S`` with residual sum of squares ``rss``.
-
-    ``free_size`` overrides the size used in the penalty (needed when a
-    forced column should not count); defaults to ``len(S)``.
-    """
-    if not rss > 0.0:
-        raise errors.NonPositiveRSS(
-            "rss must be positive for a finite score", model=S)
-    k = len(S) if free_size is None else free_size
-    return spec.penalty(k) + spec.n * math.log(rss)
-
-
-def penalty_ratio(
-    S_tilde: IndexSet,
-    S: IndexSet,
-    spec: CriterionSpec,
-    free_sizes: Optional[Tuple[int, int]] = None,
-) -> float:
-    """Threshold on ``rss(S)/rss(S_tilde)`` above which ``S_tilde`` wins.
-
-    ``score(S_tilde) < score(S)`` iff ``rss(S)/rss(S_tilde)`` exceeds this
-    ratio.
-    """
-    if free_sizes is None:
-        k1, k2 = len(S_tilde), len(S)
-    else:
-        k1, k2 = free_sizes
-    return penalty_ratio_sizes(k1, k2, spec)
-
-
 def penalty_ratio_sizes(size_tilde: int, size: int, spec: CriterionSpec) -> float:
+    """Threshold on ``rss(S)/rss(S_tilde)`` above which ``S_tilde`` wins,
+    for models with ``size_tilde`` and ``size`` free columns."""
     return math.exp((spec.penalty(size_tilde) - spec.penalty(size)) / spec.n)
 
 
@@ -194,11 +160,6 @@ def _candidate_list(forced: Tuple[int, ...], free: Tuple[int, ...],
     masks.flags.writeable = False
     return _CandidateList(models, {m: pos for pos, m in enumerate(models)},
                           free_sizes, masks)
-
-
-def enumerate_candidates(data: Dataset, policy: CandidatePolicy) -> List[IndexSet]:
-    """All candidate models in canonical order (free size, then lexicographic)."""
-    return list(_candidate_list(data.forced_indices, data.free_indices, policy).models)
 
 
 class CandidateSet:

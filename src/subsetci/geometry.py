@@ -155,21 +155,6 @@ def _allowed(lo: np.ndarray, hi: np.ndarray) -> IntervalUnion:
     return interval_union(zip(starts[gap].tolist(), ends[gap].tolist()))
 
 
-def feasible_from_quadratic(
-    a2: float, a1: float, a0: float, scale2: float, scale1: float
-) -> IntervalUnion:
-    """Solution set of ``a2 t^2 + a1 t + a0 > 0`` as an interval union.
-
-    ``scale2`` and ``scale1`` are the natural magnitudes of the leading and
-    linear coefficients; values within ``LEAD_TOL`` of zero relative to them
-    are treated as exact zeros.
-    """
-    lo, hi = _forbidden(*(np.array([v], dtype=float)
-                          for v in (a2, a1, a0, scale2, scale1)),
-                        flat=np.zeros(1, dtype=bool), shift=np.zeros(1))
-    return _allowed(lo.ravel(), hi.ravel())
-
-
 def selection_event(
     data: Dataset,
     decomp: EtaDecomposition,
@@ -321,36 +306,3 @@ def selection_events(
             records[i] = tuple(out)
     return [SelectionEvent(selected=S_hat, region=region, comparisons=rec)
             for region, rec in zip(regions, records)]
-
-
-def superset_lower_bound(
-    decomp: EtaDecomposition,
-    data: Dataset,
-    S_hat: IndexSet,
-    coefficient_index: int,
-    spec: CriterionSpec,
-    policy: CandidatePolicy = DEFAULT_POLICY,
-) -> float:
-    """Lower bound on ``(eta'y)^2`` implied by beating the sub-models that
-    drop ``coefficient_index``.
-
-    For a coefficient direction, each comparison against a candidate
-    contained in the selected model but missing the coefficient reduces to
-    ``(eta'y)^2 > |eta|^2 (omega(S) z'P_hat z - z'P_S z)``; the bound is the
-    max over that family, floored at zero (vacuously zero when the family is
-    empty).
-    """
-    if coefficient_index not in S_hat:
-        raise errors.IndexNotInModel(
-            f"column {coefficient_index} not in selected model {S_hat}")
-    cs = candidate_set(data, policy)
-    hat = cs.index_of(S_hat)
-    allowed = int(cs.masks[hat]) & ~(1 << (coefficient_index - 1))
-    family = np.flatnonzero((cs.masks & ~allowed) == 0)
-    if not family.size:
-        return 0.0
-    rss_z = cs.rss_all(decomp.z)
-    penalties = cs.penalties(spec)
-    omegas = np.exp((penalties[hat] - penalties[family]) / spec.n)
-    best = max(0.0, float(np.max(omegas * rss_z[hat] - rss_z[family])))
-    return decomp.eta_norm2 * best

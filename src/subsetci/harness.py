@@ -95,8 +95,12 @@ class SimulationConfig:
                 f"beta has length {len(self.beta)}, expected p={self.p}")
         if not -1.0 < self.rho < 1.0:
             raise errors.InvalidRho(f"rho must be in (-1,1), got {self.rho}")
-        if not self.sigma > 0.0:
-            raise errors.InputError("sigma must be positive")
+        if not 0.0 < self.sigma < math.inf:
+            raise errors.InputError("sigma must be positive and finite")
+        if self.n_new_points < 1:
+            raise errors.InputError("n_new_points must be >= 1")
+        if self.master_seed < 0:
+            raise errors.InputError("master_seed must be >= 0")
         if not 0.0 < self.alpha < 1.0:
             raise errors.InputError("alpha must be in (0,1)")
         if self.sigma_strategies is not None and not self.sigma_strategies:

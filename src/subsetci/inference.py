@@ -17,9 +17,9 @@ from scipy.stats import norm as norm_dist, t as t_dist
 
 from . import errors
 from .criteria import CandidatePolicy, CriterionSpec, DEFAULT_POLICY
-from .geometry import SelectionEvent, decompose, selection_event
+from .geometry import SelectionEvent, selection_events
 from .intervals import IntervalUnion
-from .linmodel import Dataset, IndexSet, fit_submodel
+from .linmodel import Dataset, IndexSet
 from .truncnorm import TruncatedNormalSpec, invert_mean, truncated_cdf
 
 PREDICTION_MEAN = "prediction_mean"
@@ -45,6 +45,12 @@ class InferenceTarget:
     index: Optional[int] = None
     name: Optional[str] = None
     combo: Optional[Tuple[float, ...]] = None
+
+    def __post_init__(self):
+        for values in (self.x, self.combo):
+            if values is not None and not all(map(math.isfinite, values)):
+                raise errors.InputError(
+                    f"{self.kind} target holds a non-finite value")
 
     @classmethod
     def prediction_mean(cls, x) -> "InferenceTarget":
@@ -81,9 +87,9 @@ class SigmaSpec:
 
     def __post_init__(self):
         if self.strategy in ("known", "external"):
-            if self.sigma is None or not self.sigma > 0.0:
+            if self.sigma is None or not 0.0 < self.sigma < math.inf:
                 raise errors.InputError(
-                    f"{self.strategy} sigma requires a positive value")
+                    f"{self.strategy} sigma requires a positive finite value")
         elif self.strategy not in ("mse_aic", "mse_full"):
             raise errors.InputError(f"unknown sigma strategy {self.strategy!r}")
 
@@ -105,15 +111,16 @@ class SigmaSpec:
 
     @classmethod
     def parse(cls, text: str) -> "SigmaSpec":
-        t = text.strip().lower().replace("-", "_")
-        if t.startswith("known:"):
-            return cls.known(float(t.split(":", 1)[1]))
-        if t.startswith("external:"):
-            return cls.external(float(t.split(":", 1)[1]))
-        if t == "mse_aic":
-            return cls.mse_aic()
-        if t == "mse_full":
-            return cls.mse_full()
+        name, colon, value = text.strip().partition(":")
+        t = name.lower().replace("-", "_")
+        if t in ("known", "external") and colon:
+            try:
+                return cls(t, float(value))
+            except ValueError:
+                raise errors.InputError(
+                    f"cannot parse the sigma value in {text!r}") from None
+        if t in ("mse_aic", "mse_full") and not colon:
+            return cls(t)
         raise errors.InputError(
             f"cannot parse sigma strategy {text!r}; expected known:<v>, "
             "mse-aic, mse-full or external:<v>")
@@ -192,7 +199,10 @@ def estimate_sigma(data: Dataset, S_hat: IndexSet, spec: SigmaSpec) -> float:
     if df <= 0:
         raise errors.NonPositiveDF(
             f"model {S} leaves no residual degrees of freedom (df={df})")
-    r = fit_submodel(data, S).rss
+    data.validate_model(S)
+    q, _ = data._qr_of(S.indices)
+    resid = data.y - q @ (q.T @ data.y)
+    r = float(resid @ resid)
     if r <= 0.0:
         raise errors.NonPositiveRSS(
             "zero residual sum of squares; sigma estimate degenerates", model=S)
@@ -327,9 +337,8 @@ def _single_target(
         data = data.replace_y(y)
     eta = eta_for_target(data, S_hat, target)
     if event is None:
-        event = selection_event(data, decompose(data.y, eta), S_hat,
-                                criterion_spec, skip_supersets=skip_supersets,
-                                policy=policy)
+        event = selection_events(data, data.y, eta[None, :], S_hat,
+                                 criterion_spec, skip_supersets, policy)[0]
     return data, eta, event
 
 

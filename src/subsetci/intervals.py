@@ -26,8 +26,8 @@ def _merge_tol(a: float, b: float) -> float:
 class IntervalUnion:
     """Canonical union of open intervals ``(lo, hi)`` with ``lo < hi``.
 
-    Construct through :func:`interval_union` (or the helpers below), which
-    canonicalize; the raw constructor trusts its input.
+    Construct through :func:`interval_union`, which canonicalizes; the raw
+    constructor trusts its input.
     """
 
     intervals: Tuple[Tuple[float, float], ...]
@@ -42,27 +42,6 @@ class IntervalUnion:
     def is_empty(self) -> bool:
         return not self.intervals
 
-    @property
-    def is_full_line(self) -> bool:
-        return self.intervals == ((-INF, INF),)
-
-    @property
-    def infimum(self) -> float:
-        if not self.intervals:
-            raise ValueError("empty union has no infimum")
-        return self.intervals[0][0]
-
-    @property
-    def supremum(self) -> float:
-        if not self.intervals:
-            raise ValueError("empty union has no supremum")
-        return self.intervals[-1][1]
-
-    @property
-    def total_length(self) -> float:
-        """Lebesgue measure of the union; ``inf`` if any piece is unbounded."""
-        return sum(hi - lo for lo, hi in self.intervals)
-
     def contains(self, t: float) -> bool:
         """Strict interior membership (endpoints count as outside)."""
         for lo, hi in self.intervals:
@@ -71,27 +50,6 @@ class IntervalUnion:
             if t <= lo:
                 break
         return False
-
-    def intersect(self, other: "IntervalUnion") -> "IntervalUnion":
-        if self.is_empty or other.is_empty:
-            return EMPTY
-        if self.is_full_line:
-            return other
-        if other.is_full_line:
-            return self
-        out = []
-        a, b = self.intervals, other.intervals
-        i = j = 0
-        while i < len(a) and j < len(b):
-            lo = max(a[i][0], b[j][0])
-            hi = min(a[i][1], b[j][1])
-            if lo < hi:
-                out.append((lo, hi))
-            if a[i][1] < b[j][1]:
-                i += 1
-            else:
-                j += 1
-        return interval_union(out)
 
     def complement(self) -> "IntervalUnion":
         """Open complement; shared endpoints (measure zero) are dropped."""
@@ -142,19 +100,5 @@ def interval_union(pairs: Iterable[Tuple[float, float]]) -> IntervalUnion:
     return IntervalUnion(tuple(merged))
 
 
-def single(lo: float, hi: float) -> IntervalUnion:
-    return interval_union([(lo, hi)])
-
-
 EMPTY = IntervalUnion(())
 FULL_LINE = IntervalUnion(((-INF, INF),))
-
-
-def intersect_all(unions: Iterable[IntervalUnion]) -> IntervalUnion:
-    """Intersection of many unions (associative; order independent)."""
-    acc = FULL_LINE
-    for u in unions:
-        if acc.is_empty:
-            return EMPTY
-        acc = acc.intersect(u)
-    return acc

@@ -41,10 +41,6 @@ class IndexSet:
             raise errors.IndexOutOfRange(f"column indices are 1-based, got {idx}")
         object.__setattr__(self, "indices", idx)
 
-    @classmethod
-    def of(cls, *indices: int) -> "IndexSet":
-        return cls(tuple(sorted(int(i) for i in set(indices))))
-
     def __len__(self) -> int:
         return len(self.indices)
 
@@ -53,12 +49,6 @@ class IndexSet:
 
     def __iter__(self):
         return iter(self.indices)
-
-    def issubset(self, other: "IndexSet") -> bool:
-        return set(self.indices) <= set(other.indices)
-
-    def issuperset(self, other: "IndexSet") -> bool:
-        return set(self.indices) >= set(other.indices)
 
     def position_of(self, i: int) -> int:
         """0-based position of column ``i`` within this set."""
@@ -69,18 +59,6 @@ class IndexSet:
 
     def __str__(self) -> str:
         return "{" + ",".join(map(str, self.indices)) + "}"
-
-
-@dataclass(frozen=True)
-class LeastSquaresFit:
-    """Least-squares fit of a submodel."""
-
-    model: IndexSet
-    coefficients: np.ndarray
-    fitted: np.ndarray
-    residuals: np.ndarray
-    rss: float
-    df_residual: int
 
 
 def _require_finite_response(y: np.ndarray) -> None:
@@ -205,10 +183,6 @@ class Dataset:
 
     # -- factorizations ---------------------------------------------------
 
-    def submatrix(self, S: IndexSet) -> np.ndarray:
-        cols = [i - 1 for i in S.indices]
-        return self.X[:, cols]
-
     def _qr_of(self, key: Tuple[int, ...]):
         """Thin QR (Q, R) of the columns ``key``; cached; rank-checked."""
         hit = self._cache.get(key)
@@ -230,51 +204,6 @@ class Dataset:
         r.flags.writeable = False
         self._cache[key] = (q, r)
         return q, r
-
-    def thin_q(self, S: IndexSet) -> np.ndarray:
-        self.validate_model(S)
-        return self._qr_of(S.indices)[0]
-
-
-def fit_submodel(data: Dataset, S: IndexSet) -> LeastSquaresFit:
-    """Least-squares fit of ``y`` on the columns in ``S`` via thin QR."""
-    data.validate_model(S)
-    q, r = data._qr_of(S.indices)
-    qty = q.T @ data.y
-    if len(S):
-        coef = solve_triangular(r, qty, check_finite=False)
-    else:
-        coef = np.zeros(0)
-    fitted = q @ qty
-    residuals = data.y - fitted
-    rss_val = float(residuals @ residuals)
-    return LeastSquaresFit(
-        model=S,
-        coefficients=coef,
-        fitted=fitted,
-        residuals=residuals,
-        rss=rss_val,
-        df_residual=data.df_residual(S),
-    )
-
-
-def rss(data: Dataset, S: IndexSet) -> float:
-    """Residual sum of squares of the submodel ``S``."""
-    data.validate_model(S)
-    q, _ = data._qr_of(S.indices)
-    resid = data.y - q @ (q.T @ data.y)
-    return float(resid @ resid)
-
-
-def residual_project(data: Dataset, S: IndexSet, v: np.ndarray) -> np.ndarray:
-    """Apply the residual-maker of ``S`` to ``v`` (no n-by-n matrix formed)."""
-    data.validate_model(S)
-    v = np.asarray(v, dtype=float).reshape(-1)
-    if v.shape[0] != data.n:
-        raise errors.DimensionMismatch(
-            f"vector has length {v.shape[0]}, expected {data.n}")
-    q, _ = data._qr_of(S.indices)
-    return v - q @ (q.T @ v)
 
 
 def adjusted_coefficients(

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy.special import erf, log_ndtr, ndtri, ndtri_exp
+from scipy.special import erf, log_ndtr, ndtr, ndtri, ndtri_exp
 
 from . import errors
 from .intervals import IntervalUnion
@@ -40,6 +40,10 @@ _EPS = np.finfo(float).eps
 # is well inside the 1e-8 accuracy contract so that inverted endpoints are
 # also accurate in mean space at moderate densities.
 CDF_TOL = 1e-11
+# A bracket stalled at the rounding of the mean gives a root only if its
+# better end meets the 1e-8 contract; far in a tail, where the CDF's own
+# rounding is coarser than that, the element fails instead.
+STALLED_CDF_TOL = 1e-8
 MAX_ROOT_ITER = 200
 MAX_EXPAND = 300
 
@@ -257,8 +261,14 @@ def _solve(target: np.ndarray, x: np.ndarray, lam: np.ndarray,
         # a bracket narrower than rounding cannot shrink further; where the
         # CDF's own rounding exceeds CDF_TOL it still brackets the root, and
         # its end with the smaller residual is the root to working precision
+        # if that end's CDF is within STALLED_CDF_TOL of the target
         stalled = ~bad & ~hit & ~(tlim <= 0.5)
         ends = stalled & (np.sign(fa) * np.sign(fb) < 0.0)
+        if ends.any():
+            rows, ga, gb = live[ends], fa[ends], fb[ends]
+            g = np.where(np.abs(ga) < np.abs(gb), ga, gb)
+            ends[ends] = (np.abs(ndtr(z[rows] + g) - target[rows])
+                          <= STALLED_CDF_TOL)
         done = bad | hit | stalled
         if done.any():
             mu[live[hit]] = xt[hit]
@@ -285,7 +295,8 @@ def invert_mean(target, x_obs, lam, region):
     Chandrupatla's safeguarded inverse-quadratic/bisection iteration on
     ``g``, narrow the bracket until the CDF residual is at most ``CDF_TOL``,
     or until the bracket is as narrow as rounding allows; its end with the
-    smaller residual is then the root.
+    smaller residual is then the root if its CDF is within
+    ``STALLED_CDF_TOL`` of the target, and the element fails otherwise.
 
     With one ``IntervalUnion`` as ``region`` the arguments are scalars, the
     result is a float, and a root that cannot be bracketed or whose region
@@ -333,6 +344,6 @@ def invert_mean(target, x_obs, lam, region):
             "region carries no representable mass while inverting the mean")
     if code == _STALLED:
         raise errors.BracketFailure(
-            "the root-finder failed to reach the CDF tolerance; "
-            "the region may be corrupted")
+            "the root-finder stalled outside the CDF tolerance; the region "
+            "may be corrupted or the root too far in a tail")
     return float(mu[0])

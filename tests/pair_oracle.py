@@ -1,8 +1,9 @@
 """Per-pair n-space comparison sets: an independent oracle for the geometry.
 
 Each comparison "S_hat beats S" is formed from explicit length-n residual
-projections (``linmodel.residual_project``) and solved one pair at a time with
-scalar root-finding; the region is the sequential intersection of those sets.
+projections (:func:`residual_project`) and solved one pair at a time with
+scalar root-finding; the region is the sequential intersection of those sets
+(:func:`intersect`).
 The library builds the same region from p-dimensional Gram coefficients and a
 single vectorized sweep, so agreement checks both the coefficient algebra and
 the sweep.
@@ -24,13 +25,44 @@ from subsetci.criteria import (
     CandidatePolicy,
     CriterionSpec,
     DEFAULT_POLICY,
-    enumerate_candidates,
+    candidate_set,
     penalty_ratio_sizes,
 )
 from subsetci.geometry import ETA_SPAN_TOL, LEAD_TOL, EtaDecomposition
 from subsetci.intervals import EMPTY, FULL_LINE, IntervalUnion, interval_union
-from subsetci.linmodel import Dataset, IndexSet, residual_project
+from subsetci.linmodel import Dataset, IndexSet
 from subsetci.truncnorm import _log_measure_std
+
+
+def residual_project(data: Dataset, S: IndexSet, v: np.ndarray) -> np.ndarray:
+    """Apply the residual-maker of ``S`` to ``v`` (no n-by-n matrix formed)."""
+    data.validate_model(S)
+    v = np.asarray(v, dtype=float).reshape(-1)
+    if v.shape[0] != data.n:
+        raise errors.DimensionMismatch(
+            f"vector has length {v.shape[0]}, expected {data.n}")
+    q, _ = data._qr_of(S.indices)
+    return v - q @ (q.T @ v)
+
+
+def is_superset(S: IndexSet, S_hat: IndexSet) -> bool:
+    return set(S.indices) >= set(S_hat.indices)
+
+
+def intersect(a: IntervalUnion, b: IntervalUnion) -> IntervalUnion:
+    """Intersection of two unions by a merge walk over their pieces."""
+    out = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        lo = max(a.intervals[i][0], b.intervals[j][0])
+        hi = min(a.intervals[i][1], b.intervals[j][1])
+        if lo < hi:
+            out.append((lo, hi))
+        if a.intervals[i][1] < b.intervals[j][1]:
+            i += 1
+        else:
+            j += 1
+    return interval_union(out)
 
 
 @dataclass(frozen=True)
@@ -144,7 +176,7 @@ def simplified_comparison(
     omega = penalty_ratio_sizes(data.free_size(S_hat), data.free_size(S), spec)
     p_z_s = residual_project(data, S, decomp.z)
     p_z_hat = residual_project(data, S_hat, decomp.z)
-    if S.issuperset(S_hat):
+    if is_superset(S, S_hat):
         a0 = float(p_z_s @ p_z_s) - omega * float(p_z_hat @ p_z_hat)
         return FULL_LINE if a0 > 0.0 else EMPTY
     p_eta_s = residual_project(data, S, decomp.eta_tilde)
@@ -177,16 +209,16 @@ def sequential_region(
             raise
         in_span = False
     region = FULL_LINE
-    for S in enumerate_candidates(data, policy):
+    for S in candidate_set(data, policy).models:
         if S == S_hat:
             continue
-        if S.issuperset(S_hat) and skip_supersets:
+        if is_superset(S, S_hat) and skip_supersets:
             continue
-        if S.issuperset(S_hat) and in_span:
+        if is_superset(S, S_hat) and in_span:
             piece = simplified_comparison(decomp, data, S_hat, S, spec)
         else:
             piece = comparison_feasible_set(decomp, data, S_hat, S, spec)
-        region = region.intersect(piece)
+        region = intersect(region, piece)
     return region
 
 
@@ -206,7 +238,7 @@ def superset_lower_bound(
     allowed = set(S_hat.indices) - {coefficient_index}
     best = 0.0
     found = False
-    for model in enumerate_candidates(data, policy):
+    for model in candidate_set(data, policy).models:
         if model == S_hat or not set(model.indices) <= allowed:
             continue
         omega = penalty_ratio_sizes(k_hat, data.free_size(model), spec)
@@ -214,6 +246,13 @@ def superset_lower_bound(
         best = max(best, omega * h0 - float(p_z_s @ p_z_s))
         found = True
     return decomp.eta_norm2 * best if found else 0.0
+
+
+def outside_bound(region: IntervalUnion, bound: float, eta_norm2: float) -> bool:
+    """Whether no point of ``region`` has ``t^2`` below ``bound``, up to
+    rounding relative to ``bound`` and to ``|eta|^2``."""
+    r = math.sqrt(max(0.0, bound * (1.0 - 1e-9) - 1e-12 * eta_norm2))
+    return intersect(region, interval_union([(-r, r)])).is_empty
 
 
 def log_normal_measure(interval: Tuple[float, float], mu: float, lam: float) -> float:

@@ -108,6 +108,30 @@ def test_bad_target_is_input_error(data_csv):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, config_line", [
+    (["analyze", "{csv}", "--sigma", "known:abc"], None),
+    (["analyze", "{csv}", "--sigma", "known:inf"], None),
+    (["ci", "{csv}", "--target", "prediction:1,inf"], None),
+    (["ci", "{csv}", "--target", "prediction:1,abc"], None),
+    (["simulate", "{cfg}"], "n_new_points = -1"),
+    (["simulate", "{cfg}"], "master_seed = -5"),
+    (["simulate", "{cfg}"], "sigma = inf"),
+    (["simulate", "{cfg}", "--seed", "-5"], None),
+], ids=["sigma-text", "sigma-inf", "target-inf", "target-text",
+        "new-points", "config-seed", "config-sigma", "seed-flag"])
+def test_bad_number_is_input_error(data_csv, config_file, capsys, argv,
+                                   config_line):
+    if config_line is not None:
+        with open(config_file, "a") as fh:
+            fh.write(config_line + "\n")
+    argv = [a.format(csv=data_csv, cfg=config_file) for a in argv]
+    if argv[0] != "simulate":
+        argv[2:2] = ["--response", "y"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_bad_response_is_input_error(data_csv):
     code = main(["select", data_csv, "--response", "nope"])
     assert code == 2

@@ -11,13 +11,11 @@ from subsetci.criteria import (
     CriterionSpec,
     best_subset,
     candidate_set,
-    criterion_score,
-    enumerate_candidates,
-    penalty_ratio,
     penalty_ratio_sizes,
 )
 
 from conftest import random_dataset
+from pair_oracle import residual_project
 
 # working precision of the mpmath oracles, scoped to each use so that no
 # module changes the process-wide setting for another
@@ -28,45 +26,56 @@ def hp_exp(x) -> float:
     return float(mpmath.exp(mpmath.mpf(x)))
 
 
+def score_all(kind, n, rss, p=5):
+    """(candidate set, criterion scores) of a random n-by-p design at the
+    candidate RSS values ``rss`` (a scalar is shared by every candidate)."""
+    d = random_dataset(np.random.default_rng(n), n=n, p=p)
+    cs = candidate_set(d)
+    spec = CriterionSpec(kind, n)
+    return cs, cs.score_rss(np.broadcast_to(np.asarray(rss, float), len(cs)), spec)
+
+
 class TestCriterionScore:
     def test_direct_formula(self):
-        spec = CriterionSpec(Criterion.AIC, 50)
-        S = IndexSet((1, 2, 3))
-        assert criterion_score(S, 47.0, spec) == pytest.approx(
+        cs, scores = score_all(Criterion.AIC, 50, 47.0)
+        assert scores[cs.index_of(IndexSet((1, 2, 3)))] == pytest.approx(
             2 * 3 + 50 * math.log(47.0), rel=1e-14)
 
     def test_equal_rss_difference_is_twice_size_gap(self):
-        spec = CriterionSpec(Criterion.AIC, 40)
-        s1 = criterion_score(IndexSet((1, 2, 3, 4)), 5.0, spec)
-        s2 = criterion_score(IndexSet((1,)), 5.0, spec)
+        cs, scores = score_all(Criterion.AIC, 40, 5.0)
+        s1 = scores[cs.index_of(IndexSet((1, 2, 3, 4)))]
+        s2 = scores[cs.index_of(IndexSet((1,)))]
         assert s1 - s2 == pytest.approx(2 * (4 - 1), rel=1e-12)
 
     def test_nonpositive_rss_rejected(self):
-        spec = CriterionSpec(Criterion.AIC, 10)
-        with pytest.raises(errors.NonPositiveRSS):
-            criterion_score(IndexSet((1,)), 0.0, spec)
+        rss = np.ones(31)
+        rss[3] = 0.0
+        with pytest.raises(errors.NonPositiveRSS) as exc:
+            score_all(Criterion.AIC, 10, rss)
+        assert exc.value.model == IndexSet((4,))
 
     def test_bic_uses_log_n(self):
-        spec = CriterionSpec(Criterion.BIC, 100)
-        val = criterion_score(IndexSet((1, 2)), 3.0, spec)
-        assert val == pytest.approx(math.log(100) * 2 + 100 * math.log(3.0),
-                                    rel=1e-14)
+        cs, scores = score_all(Criterion.BIC, 100, 3.0)
+        assert scores[cs.index_of(IndexSet((1, 2)))] == pytest.approx(
+            math.log(100) * 2 + 100 * math.log(3.0), rel=1e-14)
 
     def test_aicc_degenerate(self):
         spec = CriterionSpec(Criterion.AICC, 6)
         with pytest.raises(errors.AICcDegenerate):
-            criterion_score(IndexSet((1, 2, 3, 4, 5)), 1.0, spec)
+            spec.penalty(5)
+        with pytest.raises(errors.AICcDegenerate):
+            score_all(Criterion.AICC, 6, 1.0)
 
 
 class TestPenaltyRatio:
     def test_equal_sizes_give_one(self):
         for kind in Criterion:
             spec = CriterionSpec(kind, 30)
-            assert penalty_ratio(IndexSet((1, 2)), IndexSet((3, 4)), spec) == 1.0
+            assert penalty_ratio_sizes(2, 2, spec) == 1.0
 
     def test_aic_against_high_precision(self):
         spec = CriterionSpec(Criterion.AIC, 50)
-        got = penalty_ratio(IndexSet((1, 2, 3)), IndexSet((1, 2, 3, 4)), spec)
+        got = penalty_ratio_sizes(3, 4, spec)
         with mpmath.workdps(DPS):
             expect = hp_exp(mpmath.mpf(-2) / 50)
         assert got == pytest.approx(expect, rel=1e-14)
@@ -107,17 +116,17 @@ class TestPenaltyRatio:
 
 class TestEnumeration:
     def test_all_nonempty_subsets(self, small_data):
-        cands = enumerate_candidates(small_data, CandidatePolicy())
+        cands = candidate_set(small_data, CandidatePolicy()).models
         assert len(cands) == 2 ** small_data.p - 1
         assert cands[0] == IndexSet((1,))
         assert cands[-1] == small_data.full_model()
 
     def test_max_size_cap(self, small_data):
-        cands = enumerate_candidates(small_data, CandidatePolicy(max_size=1))
+        cands = candidate_set(small_data, CandidatePolicy(max_size=1)).models
         assert len(cands) == small_data.p
 
     def test_include_empty(self, small_data):
-        cands = enumerate_candidates(small_data, CandidatePolicy(include_empty=True))
+        cands = candidate_set(small_data, CandidatePolicy(include_empty=True)).models
         assert cands[0] == IndexSet(())
         assert len(cands) == 2 ** small_data.p
 
@@ -125,7 +134,7 @@ class TestEnumeration:
         X = np.column_stack([np.ones(12), rng.standard_normal((12, 3))])
         d = Dataset(X, rng.standard_normal(12), ("Intercept", "a", "b", "c"),
                     intercept_policy="forced_first_column")
-        cands = enumerate_candidates(d, CandidatePolicy())
+        cands = candidate_set(d, CandidatePolicy()).models
         assert len(cands) == 2 ** 3 - 1
         assert all(1 in S for S in cands)
 
@@ -203,9 +212,9 @@ class TestBestSubset:
         d = random_dataset(rng, n=18, p=4)
         spec = CriterionSpec(Criterion.BIC, 18)
         _, scored = best_subset(d, spec)
-        from subsetci.linmodel import rss as rss_op
         for sm in scored:
-            assert sm.rss == pytest.approx(rss_op(d, sm.model), rel=1e-10)
+            resid = residual_project(d, sm.model, d.y)
+            assert sm.rss == pytest.approx(float(resid @ resid), rel=1e-10)
 
     def test_duplicate_information_column_penalized(self, rng):
         # a nearly redundant extra column never increases rss, but always

@@ -11,12 +11,7 @@ from subsetci.criteria import (
     best_subset,
     penalty_ratio_sizes,
 )
-from subsetci.geometry import (
-    decompose,
-    feasible_from_quadratic,
-    selection_event,
-    superset_lower_bound,
-)
+from subsetci.geometry import _allowed, _forbidden, decompose, selection_event
 from subsetci.inference import InferenceTarget, eta_for_target
 from subsetci.intervals import EMPTY, FULL_LINE
 
@@ -24,10 +19,22 @@ from conftest import random_dataset
 from pair_oracle import (
     comparison_feasible_set,
     comparison_quadratic,
+    intersect,
+    outside_bound,
     simplified_comparison,
+    superset_lower_bound,
 )
 
 INF = math.inf
+
+
+def feasible_from_quadratic(a2, a1, a0, scale2, scale1):
+    """Solution set of ``a2 t^2 + a1 t + a0 > 0``, from the library's batched
+    failure-set kernel and sweep applied to one comparison."""
+    lo, hi = _forbidden(*(np.array([v], dtype=float)
+                          for v in (a2, a1, a0, scale2, scale1)),
+                        flat=np.zeros(1, dtype=bool), shift=np.zeros(1))
+    return _allowed(lo.ravel(), hi.ravel())
 
 
 def fresh_score(X, y, indices, spec):
@@ -78,7 +85,7 @@ class TestQuadraticCaseAnalysis:
 
     def test_negative_discriminant_positive_lead(self):
         u = feasible_from_quadratic(1.0, 0.0, 4.0, 1.0, 1.0)
-        assert u.is_full_line
+        assert u == FULL_LINE
 
     def test_downward_parabola(self):
         u = feasible_from_quadratic(-1.0, 0.0, 4.0, 1.0, 1.0)
@@ -93,7 +100,7 @@ class TestQuadraticCaseAnalysis:
         assert u.intervals == ((-INF, -2.0),)
 
     def test_constant_branch(self):
-        assert feasible_from_quadratic(0.0, 0.0, 1.0, 1.0, 1.0).is_full_line
+        assert feasible_from_quadratic(0.0, 0.0, 1.0, 1.0, 1.0) == FULL_LINE
         assert feasible_from_quadratic(0.0, 0.0, -1.0, 1.0, 1.0).is_empty
 
     def test_root_stability_under_cancellation(self):
@@ -211,9 +218,9 @@ class TestSimplifiedComparison:
             if S_hat == full:
                 continue
             u = simplified_comparison(dec, d, S_hat, full, spec)
-            assert u.is_full_line or u.is_empty
+            assert u == FULL_LINE or u.is_empty
             # the observed response beat the superset, so it must be full
-            assert u.is_full_line
+            assert u == FULL_LINE
 
     def test_requires_eta_in_span(self, rng):
         d = random_dataset(rng, n=12, p=3)
@@ -318,7 +325,7 @@ class TestSelectionEvent:
         ev = selection_event(d, dec, S_hat, spec, skip_supersets=False)
         acc = FULL_LINE
         for c in ev.comparisons:
-            acc = acc.intersect(c.region)
+            acc = intersect(acc, c.region)
         assert acc == ev.region
 
     def test_skip_toggle_leaves_region_unchanged_for_span_eta(self, rng):
@@ -388,6 +395,9 @@ class TestSelectionEvent:
 
 
 class TestSupersetLowerBound:
+    """The pair oracle's lower bound on ``(eta'y)^2`` for a coefficient,
+    from the sub-models of the selected model that drop it."""
+
     def test_singleton_model_has_vacuous_bound(self, rng):
         d = random_dataset(rng, n=12, p=2, signal=np.array([8.0, 0.0]))
         spec = CriterionSpec(Criterion.AIC, 12)
@@ -399,6 +409,8 @@ class TestSupersetLowerBound:
         assert superset_lower_bound(dec, d, S_hat, 1, spec) == 0.0
 
     def test_observed_statistic_exceeds_bound(self, rng):
+        # the bound comes from comparisons the event includes, so neither the
+        # observed statistic nor any point of the event lies inside it
         for _ in range(20):
             d = random_dataset(rng, n=15, p=4,
                                signal=np.array([2.0, 1.0, 0.0, 0.0]))
@@ -409,6 +421,8 @@ class TestSupersetLowerBound:
                 dec = decompose(d.y, eta)
                 bound = superset_lower_bound(dec, d, S_hat, i, spec)
                 assert dec.eta_dot_y ** 2 > bound - 1e-12
+                region = selection_event(d, dec, S_hat, spec).region
+                assert outside_bound(region, bound, dec.eta_norm2)
 
     def test_monotone_in_penalty_strength(self, rng):
         # BIC at large n has a stronger penalty than AIC, so larger omega
@@ -425,14 +439,3 @@ class TestSupersetLowerBound:
         b_bic = superset_lower_bound(dec, d, S_hat, i, bic)
         assert penalty_ratio_sizes(2, 1, bic) > penalty_ratio_sizes(2, 1, aic)
         assert b_bic >= b_aic - 1e-12
-
-    def test_index_must_be_in_model(self, rng):
-        d = random_dataset(rng, n=12, p=3, signal=np.array([5.0, 0, 0]))
-        spec = CriterionSpec(Criterion.AIC, 12)
-        S_hat, _ = best_subset(d, spec)
-        outside = next(i for i in range(1, 4) if i not in S_hat)
-        eta = eta_for_target(d, S_hat,
-                             InferenceTarget.coefficient(S_hat.indices[0]))
-        dec = decompose(d.y, eta)
-        with pytest.raises(errors.IndexNotInModel):
-            superset_lower_bound(dec, d, S_hat, outside, spec)

@@ -1,15 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
 from subsetci import Dataset, IndexSet, errors
-from subsetci.linmodel import (
-    adjusted_coefficients,
-    fit_submodel,
-    residual_project,
-    rss,
-)
+from subsetci.criteria import candidate_set
+from subsetci.inference import SigmaSpec, estimate_sigma
+from subsetci.linmodel import adjusted_coefficients
 
 from conftest import random_dataset
+from pair_oracle import residual_project
 
 
 def dense_projector(X_S):
@@ -22,6 +22,12 @@ def normal_equations(X_S, v):
     return np.linalg.inv(X_S.T @ X_S) @ (X_S.T @ v)
 
 
+def rss(d, S):
+    """RSS of ``S`` from the batched candidate kernel."""
+    cs = candidate_set(d)
+    return float(cs.rss_all(d.y)[cs.index_of(S)])
+
+
 class TestIndexSet:
     def test_sorted_unique_required(self):
         with pytest.raises(errors.IndexOutOfRange):
@@ -31,13 +37,9 @@ class TestIndexSet:
         with pytest.raises(errors.IndexOutOfRange):
             IndexSet((0, 1))
 
-    def test_of_constructor_sorts(self):
-        assert IndexSet.of(3, 1, 2) == IndexSet((1, 2, 3))
-
     def test_membership_helpers(self):
         s = IndexSet((1, 3))
         assert 3 in s and 2 not in s
-        assert s.issubset(IndexSet((1, 2, 3)))
         assert s.position_of(3) == 1
         with pytest.raises(errors.IndexNotInModel):
             s.position_of(2)
@@ -64,49 +66,59 @@ class TestDatasetValidation:
 
 
 class TestFitSubmodel:
+    """The least-squares fit of a submodel: its coefficients come from
+    ``adjusted_coefficients`` of the response, its RSS from the candidate
+    kernel and from ``estimate_sigma``."""
+
     def test_identity_design_interpolates(self):
         X = np.vstack([np.eye(2), np.zeros((1, 2))])
         d = Dataset(X, np.array([1.0, 2.0, 0.0]), ("a", "b"))
-        fit = fit_submodel(d, IndexSet((1, 2)))
-        np.testing.assert_allclose(fit.coefficients, [1.0, 2.0], atol=1e-12)
-        assert fit.rss == pytest.approx(0.0, abs=1e-20)
+        S = IndexSet((1, 2))
+        np.testing.assert_allclose(adjusted_coefficients(d, S, d.y), [1.0, 2.0],
+                                   atol=1e-12)
+        assert rss(d, S) == pytest.approx(0.0, abs=1e-20)
 
     def test_ones_column_fits_sample_mean(self):
         X = np.column_stack([np.ones(3), np.array([1.0, 2.0, 4.0])])
         d = Dataset(X, np.array([1.0, 2.0, 3.0]), ("ones", "b"))
-        fit = fit_submodel(d, IndexSet((1,)))
-        assert fit.coefficients[0] == pytest.approx(2.0, abs=1e-12)
-        assert fit.rss == pytest.approx(2.0, abs=1e-12)
+        S = IndexSet((1,))
+        assert adjusted_coefficients(d, S, d.y)[0] == pytest.approx(2.0, abs=1e-12)
+        assert rss(d, S) == pytest.approx(2.0, abs=1e-12)
 
     def test_against_normal_equations_oracle(self, rng):
         d = random_dataset(rng, n=10, p=3)
         S = IndexSet((1, 2, 3))
-        fit = fit_submodel(d, S)
         oracle = normal_equations(d.X, d.y)
-        np.testing.assert_allclose(fit.coefficients, oracle, atol=1e-8)
+        np.testing.assert_allclose(adjusted_coefficients(d, S, d.y), oracle,
+                                   atol=1e-8)
 
     def test_rss_field_matches_residual_norm(self, rng):
         d = random_dataset(rng, n=12, p=4)
-        fit = fit_submodel(d, IndexSet((1, 3)))
-        assert fit.rss == pytest.approx(float(fit.residuals @ fit.residuals),
-                                        rel=1e-12)
+        S = IndexSet((1, 3))
+        resid = d.y - d.X[:, [0, 2]] @ adjusted_coefficients(d, S, d.y)
+        assert rss(d, S) == pytest.approx(float(resid @ resid), rel=1e-12)
 
     def test_residuals_orthogonal_to_columns(self, rng):
         d = random_dataset(rng, n=12, p=4)
         S = IndexSet((2, 4))
-        fit = fit_submodel(d, S)
+        resid = d.y - d.X[:, [1, 3]] @ adjusted_coefficients(d, S, d.y)
         for i in S:
             col = d.X[:, i - 1]
-            assert abs(col @ fit.residuals) <= 1e-9 * np.linalg.norm(col) * \
-                max(1.0, np.linalg.norm(fit.residuals))
+            assert abs(col @ resid) <= 1e-9 * np.linalg.norm(col) * \
+                max(1.0, np.linalg.norm(resid))
 
     def test_df_residual(self, rng):
         d = random_dataset(rng, n=12, p=4)
-        assert fit_submodel(d, IndexSet((1, 2))).df_residual == 12 - 2 - 1
+        S = IndexSet((1, 2))
+        assert d.df_residual(S) == 12 - 2 - 1
+        assert estimate_sigma(d, S, SigmaSpec.mse_aic()) == pytest.approx(
+            math.sqrt(rss(d, S) / (12 - 2 - 1)), rel=1e-12)
 
     def test_index_out_of_range(self, small_data):
         with pytest.raises(errors.IndexOutOfRange):
-            fit_submodel(small_data, IndexSet((1, 9)))
+            adjusted_coefficients(small_data, IndexSet((1, 9)), small_data.y)
+        with pytest.raises(errors.IndexOutOfRange):
+            estimate_sigma(small_data, IndexSet((1, 9)), SigmaSpec.mse_aic())
 
     def test_rank_deficient_design_raises(self, rng):
         X = rng.standard_normal((10, 3))
@@ -116,10 +128,11 @@ class TestFitSubmodel:
 
     def test_reproducible_bit_identical(self, rng):
         d = random_dataset(rng, n=10, p=3)
-        f1 = fit_submodel(d, IndexSet((1, 2)))
-        f2 = fit_submodel(d, IndexSet((1, 2)))
-        assert np.array_equal(f1.coefficients, f2.coefficients)
-        assert f1.rss == f2.rss
+        S = IndexSet((1, 2))
+        assert np.array_equal(adjusted_coefficients(d, S, d.y),
+                              adjusted_coefficients(d, S, d.y))
+        assert (estimate_sigma(d, S, SigmaSpec.mse_aic())
+                == estimate_sigma(d, S, SigmaSpec.mse_aic()))
 
 
 class TestRss:
@@ -141,17 +154,22 @@ class TestRss:
     def test_against_projector_oracle(self, rng):
         d = random_dataset(rng, n=14, p=5)
         S = IndexSet((1, 3, 5))
-        P = dense_projector(d.submatrix(S))
+        P = dense_projector(d.X[:, [0, 2, 4]])
         oracle = float(d.y @ P @ d.y)
         assert rss(d, S) == pytest.approx(oracle, rel=1e-9)
 
     def test_matches_fit(self, rng):
+        # the candidate kernel and estimate_sigma's thin QR agree
         d = random_dataset(rng, n=14, p=5)
         S = IndexSet((2, 4))
-        assert rss(d, S) == pytest.approx(fit_submodel(d, S).rss, rel=1e-12)
+        sigma = estimate_sigma(d, S, SigmaSpec.mse_aic())
+        assert rss(d, S) == pytest.approx(sigma ** 2 * d.df_residual(S),
+                                          rel=1e-12)
 
 
 class TestResidualProject:
+    """The test oracle's residual maker, against dense algebra."""
+
     def test_annihilates_own_columns(self, rng):
         d = random_dataset(rng, n=12, p=4)
         S = IndexSet((1, 4))
@@ -172,7 +190,7 @@ class TestResidualProject:
         d = random_dataset(rng, n=12, p=4)
         S = IndexSet((2, 3))
         v = rng.standard_normal(12)
-        oracle = dense_projector(d.submatrix(S)) @ v
+        oracle = dense_projector(d.X[:, [1, 2]]) @ v
         np.testing.assert_allclose(residual_project(d, S, v), oracle, atol=1e-10)
 
     def test_idempotent(self, rng):
@@ -207,7 +225,7 @@ class TestAdjustedCoefficients:
         d = random_dataset(rng, n=12, p=4)
         S = IndexSet((1, 2, 4))
         b = np.array([0.5, -1.0, 2.0])
-        mean = d.submatrix(S) @ b
+        mean = d.X[:, [0, 1, 3]] @ b
         np.testing.assert_allclose(adjusted_coefficients(d, S, mean), b,
                                    atol=1e-10)
 
@@ -225,14 +243,14 @@ class TestAdjustedCoefficients:
         d = random_dataset(rng, n=12, p=4)
         S = IndexSet((1, 3))
         mean = rng.standard_normal(12)
-        oracle = normal_equations(d.submatrix(S), mean)
+        oracle = normal_equations(d.X[:, [0, 2]], mean)
         np.testing.assert_allclose(adjusted_coefficients(d, S, mean), oracle,
                                    atol=1e-9)
 
 
 def test_replace_y_shares_design_cache(rng):
     d = random_dataset(rng, n=10, p=3)
-    d.thin_q(IndexSet((1, 2)))
+    d._qr_of((1, 2))
     d2 = d.replace_y(np.zeros(10))
     assert d2._cache is d._cache
     assert d2.y is not d.y

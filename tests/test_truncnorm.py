@@ -12,7 +12,7 @@ from subsetci import errors, truncnorm
 from subsetci.criteria import Criterion
 from subsetci.harness import SimulationConfig, simulate_coverage
 from subsetci.inference import SigmaSpec
-from subsetci.intervals import FULL_LINE, interval_union, single
+from subsetci.intervals import FULL_LINE, interval_union
 from subsetci.truncnorm import CDF_TOL, TruncatedNormalSpec, invert_mean, truncated_cdf
 from pair_oracle import log_normal_measure, normal_measure
 
@@ -95,7 +95,8 @@ class TestTruncatedCdf:
                                         abs=1e-300)
 
     def test_symmetric_truncation_midpoint(self):
-        spec = TruncatedNormalSpec(mu=0.0, lam=1.0, region=single(-1.0, 1.0))
+        spec = TruncatedNormalSpec(mu=0.0, lam=1.0,
+                                   region=interval_union([(-1.0, 1.0)]))
         assert truncated_cdf(0.0, spec) == pytest.approx(0.5, rel=1e-13)
 
     def test_two_sided_region_against_oracle(self):
@@ -106,7 +107,7 @@ class TestTruncatedCdf:
             hp_truncated_cdf(2.0, 0.0, 1.0, region.intervals), rel=1e-10)
 
     def test_pinned_outside_region(self):
-        region = single(0.0, 1.0)
+        region = interval_union([(0.0, 1.0)])
         spec = TruncatedNormalSpec(mu=0.0, lam=1.0, region=region)
         assert truncated_cdf(-5.0, spec) == 0.0
         assert truncated_cdf(5.0, spec) == 1.0
@@ -147,8 +148,8 @@ class TestTruncatedCdf:
     def test_normalization_at_region_edges(self):
         region = interval_union([(-2.0, -1.0), (1.0, 2.0)])
         spec = TruncatedNormalSpec(mu=0.3, lam=0.7, region=region)
-        assert truncated_cdf(region.infimum, spec) == 0.0
-        assert truncated_cdf(region.supremum, spec) == 1.0
+        assert truncated_cdf(region.intervals[0][0], spec) == 0.0
+        assert truncated_cdf(region.intervals[-1][1], spec) == 1.0
 
     def test_monte_carlo_agreement(self):
         rng = np.random.default_rng(12345)
@@ -175,7 +176,7 @@ class TestInvertMean:
         assert hi == pytest.approx(x + z * lam, abs=1e-7 * lam)
 
     def test_symmetric_region_median(self):
-        region = single(-2.0, 2.0)
+        region = interval_union([(-2.0, 2.0)])
         mu = invert_mean(0.5, 0.0, 1.0, region)
         assert mu == pytest.approx(0.0, abs=1e-7)
 
@@ -204,7 +205,7 @@ class TestInvertMean:
 
     def test_observation_must_be_interior(self):
         with pytest.raises(errors.ObservationOutsideRegion):
-            invert_mean(0.5, 5.0, 1.0, single(-1.0, 1.0))
+            invert_mean(0.5, 5.0, 1.0, interval_union([(-1.0, 1.0)]))
 
     def test_target_domain(self):
         with pytest.raises(errors.InputError):
@@ -296,7 +297,7 @@ def test_cdf_increases_in_x_and_decreases_in_mu(problem, mu1, mu2, x1, x2):
 class TestBatchFailureIsolation:
     # a standard deviation far below the resolution of the mean pins the
     # CDF at 1/2: no finite bracket reaches a target away from the median
-    PINNED = (1.5, 1e-300, single(1.0, 2.0))
+    PINNED = (1.5, 1e-300, interval_union([(1.0, 2.0)]))
 
     def test_pinned_element_gives_infinite_endpoint_only(self):
         region = interval_union([(-1.0, 0.5), (1.0, 4.0)])
@@ -322,15 +323,17 @@ class TestBatchFailureIsolation:
                         [FULL_LINE])
         with pytest.raises(errors.ObservationOutsideRegion):
             invert_mean(np.array([0.5, 0.5]), np.array([0.0, 5.0]),
-                        np.array([1.0, 1.0]), [FULL_LINE, single(-1.0, 1.0)])
+                        np.array([1.0, 1.0]),
+                        [FULL_LINE, interval_union([(-1.0, 1.0)])])
 
 
 class TestRegionMassUnderflow:
     # 1e155 standard deviations from the mean the log mass overflows
-    FAR = TruncatedNormalSpec(mu=0.0, lam=1.0, region=single(1e155, 1e156))
+    FAR = TruncatedNormalSpec(mu=0.0, lam=1.0,
+                              region=interval_union([(1e155, 1e156)]))
     # one scale away from x, the ends of a region far narrower than the
     # scale standardize to the same number, so the region has no mass
-    NARROW = (2.0, 1e300, single(1.0, 3.0))
+    NARROW = (2.0, 1e300, interval_union([(1.0, 3.0)]))
 
     def test_truncated_cdf_raises(self):
         with pytest.raises(errors.RegionMassUnderflow):
@@ -372,10 +375,11 @@ def hp_upper_tail_cdf(x, mu, lam, lo, hi):
 class TestRootAtCdfRounding:
     """Roots where one ulp of the mean, or the rounding of huge log masses,
     moves the CDF by more than ``CDF_TOL``: the bracket shrinks to rounding
-    while still straddling the root, and its better end is returned."""
+    while still straddling the root, and its better end is returned if its
+    CDF is within ``STALLED_CDF_TOL`` of the target."""
 
     def test_one_ulp_of_the_mean_exceeds_the_tolerance(self):
-        args = (0.975, 1e6 + 0.5, 0.05, single(1e6, 1e6 + 1))
+        args = (0.975, 1e6 + 0.5, 0.05, interval_union([(1e6, 1e6 + 1)]))
         mu = invert_mean(*args)
         with mpmath.workdps(DPS):
             root = mpmath.findroot(
@@ -389,9 +393,23 @@ class TestRootAtCdfRounding:
         # the root lies near mu = -5000, where log masses are about -8e5
         target, x, lam = 0.8638524125458623, -2.3319759408218856, 3.8310297261403004
         lo, hi = -2.3377685884745807, -2.052799590599084
-        mu = invert_mean(target, x, lam, single(lo, hi))
+        mu = invert_mean(target, x, lam, interval_union([(lo, hi)]))
         assert -6000.0 < mu < -4000.0
         assert abs(float(hp_upper_tail_cdf(x, mu, lam, lo, hi)) - target) <= 1e-9
+
+    def test_stall_outside_the_contract_gives_no_root(self):
+        # both roots lie 1e5 to 1e7 scales away, where the rounding of the
+        # log masses moves the CDF by up to 6e-3; no end of the stalled
+        # bracket is within 1e-8 of its target, so neither is a root
+        x = -1.38381703386
+        region = interval_union([(-1.38381796450, -0.45317277506),
+                                 (85.846, 88.155), (93.230, math.inf)])
+        mu = invert_mean(np.array([0.975, 0.025]), np.array([x, x]),
+                         np.array([3.672, 3.672]), [region, region])
+        assert mu.tolist() == [-math.inf, math.inf]
+        for target in (0.975, 0.025):
+            with pytest.raises(errors.BracketFailure):
+                invert_mean(target, x, 3.672, region)
 
 
 def count_solver_work(monkeypatch):
