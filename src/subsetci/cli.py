@@ -11,6 +11,7 @@ invariant violation.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
@@ -37,7 +38,6 @@ def _add_common(p: argparse.ArgumentParser, with_sigma: bool = True):
                  "repeatable")
     p.add_argument("--intercept", action="store_true",
                    help="prepend a forced intercept column")
-    p.add_argument("--skip-supersets", choices=["on", "off"], default="on")
     p.add_argument("--format", choices=["json", "csv", "plotdata"],
                    default="json")
     p.add_argument("--out", default=None, metavar="DIR",
@@ -73,17 +73,30 @@ def _sigma_specs(args) -> List[SigmaSpec]:
     return [SigmaSpec.parse(s) for s in raw]
 
 
+def _print(text: str) -> None:
+    """Print to stdout; a stdout that cannot be written is an I/O error."""
+    try:
+        print(text, flush=True)
+    except OSError as exc:
+        if sys.stdout is sys.__stdout__:
+            # the interpreter flushes stdout again at exit: send what is
+            # left to the null device so that flush cannot fail too
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        raise errors.IoError(f"cannot write to standard output: {exc}") from None
+
+
 def _deliver(report, args):
     if args.out is not None:
-        paths = emit_report(report, format=args.format, out_dir=args.out)
-        for p in paths:
-            print(p)
+        for p in emit_report(report, format=args.format, out_dir=args.out):
+            _print(p)
     else:
         import json
 
         from .harness import report_to_dict
 
-        print(json.dumps(report_to_dict(report), indent=2, sort_keys=True))
+        _print(json.dumps(report_to_dict(report), indent=2, sort_keys=True))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -125,14 +138,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    skip = getattr(args, "skip_supersets", "on") == "on"
+    if args.out is None and args.format != "json":
+        raise errors.InputError(
+            f"--format {args.format} writes files; give --out DIR")
 
     if args.command == "select":
         data = load_csv_dataset(args.csv, args.response, intercept=args.intercept)
         report = dataset_report(
             data, Criterion.parse(args.criterion), args.alpha,
-            sigma_strategies=[], skip_supersets=skip,
-            source=args.csv, response=args.response)
+            sigma_strategies=[], source=args.csv, response=args.response)
         _deliver(report, args)
         names = ", ".join(report.selected_names)
         print(f"# selected model: {report.selected} ({names})", file=sys.stderr)
@@ -144,7 +158,7 @@ def run(argv: Optional[List[str]] = None) -> int:
             data, Criterion.parse(args.criterion), args.alpha,
             sigma_strategies=_sigma_specs(args),
             targets=[_parse_target(args.target)],
-            skip_supersets=skip, source=args.csv, response=args.response)
+            source=args.csv, response=args.response)
         _deliver(report, args)
         return 0
 
@@ -168,8 +182,7 @@ def run(argv: Optional[List[str]] = None) -> int:
         report = analyze(
             args.csv, args.response,
             criterion=Criterion.parse(args.criterion), alpha=args.alpha,
-            sigma_strategies=_sigma_specs(args), intercept=args.intercept,
-            skip_supersets=skip)
+            sigma_strategies=_sigma_specs(args), intercept=args.intercept)
         _deliver(report, args)
         return 0
 

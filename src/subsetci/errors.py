@@ -85,10 +85,6 @@ class NonPositiveDF(NumericalError):
     pass
 
 
-class EtaNotInSpan(NumericalError):
-    pass
-
-
 class NotSelectedModel(NumericalError):
     pass
 

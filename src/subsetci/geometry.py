@@ -89,22 +89,21 @@ def decompose(y: np.ndarray, eta: np.ndarray) -> EtaDecomposition:
                             eta_dot_y=eta_dot_y, z=z)
 
 
-def _forbidden(a2, a1, a0, scale2, scale1, flat, shift):
+def _forbidden(a2, a1, a0, scale2, scale1, shift):
     """Closed sets of ``s = shift + u`` where ``a2 u^2 + a1 u + a0 > 0`` fails.
 
     Each comparison yields at most two closed intervals, returned as (K, 2)
     arrays ``lo`` and ``hi`` in ``s``; unused slots hold ``lo = inf > hi = -inf``.
     ``scale2`` and ``scale1`` are the natural magnitudes of the leading and
     linear coefficients; values within ``LEAD_TOL`` of zero relative to them
-    are treated as exact zeros.  Where ``flat`` is set the comparison is
-    constant in ``u`` and only the sign of ``a0`` counts.  ``shift`` holds
-    each comparison's origin, so roots found in ``u`` come back in ``s``.
+    are treated as exact zeros.  ``shift`` holds each comparison's origin, so
+    roots found in ``u`` come back in ``s``.
     """
     k = a2.shape[0]
     lo = np.full((k, 2), math.inf)
     hi = np.full((k, 2), -math.inf)
-    quad = ~flat & (np.abs(a2) > LEAD_TOL * scale2)
-    lin = ~flat & ~quad & (np.abs(a1) > LEAD_TOL * scale1)
+    quad = np.abs(a2) > LEAD_TOL * scale2
+    lin = ~quad & (np.abs(a1) > LEAD_TOL * scale1)
     disc = a1 * a1 - 4.0 * a2 * a0
     two = np.flatnonzero(quad & (disc > 0.0))
     # both roots, cancellation-free: q = -(a1 + sign(a1) sqrt(disc)) / 2
@@ -160,17 +159,16 @@ def selection_event(
     decomp: EtaDecomposition,
     S_hat: IndexSet,
     spec: CriterionSpec,
-    skip_supersets: bool = True,
     policy: CandidatePolicy = DEFAULT_POLICY,
     keep_comparisons: bool = True,
 ) -> SelectionEvent:
     """Intersect all pairwise comparisons into the event region for ``S_hat``.
 
     Requires that ``S_hat`` actually is the criterion argmin for the response
-    encoded in ``decomp``.  With ``skip_supersets``, comparisons against
-    strict supersets of the selected model are recorded but left out of the
-    intersection: they are constant in ``t`` whenever ``eta`` lies in the
-    selected span, so they cannot move the conditional distribution.
+    encoded in ``decomp``.  When ``eta`` lies in the selected model's column
+    span, comparisons against strict supersets of that model are constant in
+    ``t``, so they are recorded as skipped and left out of the intersection;
+    outside the span they are ordinary comparisons.
 
     This is the one-direction case of :func:`selection_events`, which
     describes the construction.  ``keep_comparisons=False`` drops the
@@ -178,8 +176,7 @@ def selection_event(
     it to avoid building thousands of record objects.
     """
     return selection_events(data, decomp.reconstruct(), decomp.eta[None, :],
-                            S_hat, spec, skip_supersets, policy,
-                            keep_comparisons)[0]
+                            S_hat, spec, policy, keep_comparisons)[0]
 
 
 def selection_events(
@@ -188,7 +185,6 @@ def selection_events(
     etas: np.ndarray,
     S_hat: IndexSet,
     spec: CriterionSpec,
-    skip_supersets: bool = True,
     policy: CandidatePolicy = DEFAULT_POLICY,
     keep_comparisons: bool = True,
 ) -> List[SelectionEvent]:
@@ -204,7 +200,8 @@ def selection_events(
     score gap.  The roots of all T x (M - 1) comparisons are solved at once
     and shifted back by ``eta_i'y``, and each region is the complement of
     the union of its comparisons' closed failure sets, found in one sorted
-    sweep over the sets that are not empty.
+    sweep over the sets that are not empty.  A direction in the selected
+    span skips its strict-superset comparisons, which forbid nothing there.
 
     A failure raises what the first failing direction's own call would
     raise; no event is returned for the others.
@@ -220,8 +217,8 @@ def selection_events(
         # the directions before the first zero one still fail as their own
         # calls would
         if zero[0]:
-            selection_events(data, y, etas[:zero[0]], S_hat, spec,
-                             skip_supersets, policy, keep_comparisons=False)
+            selection_events(data, y, etas[:zero[0]], S_hat, spec, policy,
+                             keep_comparisons=False)
         raise errors.ZeroEta("eta must be nonzero")
     t = etas @ y
     cs = candidate_set(data, policy)
@@ -239,38 +236,36 @@ def selection_events(
 
     # |R_hat eta| = sqrt(c2[hat]) * |eta|^2 since eta_tilde = eta / |eta|^2
     in_span = np.sqrt(c2[:, hat]) * norm2 <= ETA_SPAN_TOL * np.sqrt(norm2)
-    # the directions before the first one outside the selected span are
-    # still checked, so the first failing direction decides the error
-    n_ok = len(t)
-    if skip_supersets and not in_span.all():
-        n_ok = int(np.argmin(in_span))
-
     hat_mask = cs.masks[hat]
     superset = ((cs.masks & hat_mask) == hat_mask) & (cs.masks != hat_mask)
     active = np.ones(len(cs), dtype=bool)
     active[hat] = False
-    if skip_supersets:
+    all_in_span = bool(in_span.all())
+    if all_in_span:
         active &= ~superset
     idx = np.flatnonzero(active)
     penalties = cs.penalties(spec)
     omegas = np.exp((penalties[hat] - penalties[idx]) / spec.n)
     big = np.maximum(1.0, omegas)
-    b, c2, t = b[:n_ok], c2[:n_ok], t[:n_ok]
     # S_hat beats S along the line where rss_S > omega_S * rss_hat, with
     # rss_S(y + u eta_tilde) = rss_S(y) + 2 u b_S + u^2 c2_S: the constant
     # term is the observed score gap, which selecting S_hat made positive
     a2 = c2[:, idx] - np.outer(c2[:, hat], omegas)
     a1 = 2.0 * (b[:, idx] - np.outer(b[:, hat], omegas))
-    a0 = np.tile(rss[idx] - omegas * rss[hat], n_ok)
-    et2 = np.einsum("tn,tn->t", eta_tilde[:n_ok], eta_tilde[:n_ok])
+    a0 = np.tile(rss[idx] - omegas * rss[hat], len(t))
+    et2 = np.einsum("tn,tn->t", eta_tilde, eta_tilde)
     scale2 = np.outer(et2, big)
     scale1 = np.outer(2.0 * np.sqrt(et2 * float(y @ y)), big)
-    # with eta in the selected span a superset comparison does not involve t
-    flat = np.logical_and.outer(in_span[:n_ok], superset[idx])
     lo, hi = _forbidden(a2.ravel(), a1.ravel(), a0, scale2.ravel(),
-                        scale1.ravel(), flat.ravel(), np.repeat(t, idx.size))
+                        scale1.ravel(), np.repeat(t, idx.size))
+    lo, hi = lo.reshape(len(t), idx.size, 2), hi.reshape(len(t), idx.size, 2)
+    if not all_in_span:
+        # along a direction in the selected span a superset comparison is
+        # constant in t: it is skipped and forbids nothing
+        skip = np.logical_and.outer(in_span, superset[idx])
+        lo[skip], hi[skip] = math.inf, -math.inf
     # each direction's sweep sees its nonempty failure sets only
-    lo, hi = lo.reshape(n_ok, 2 * idx.size), hi.reshape(n_ok, 2 * idx.size)
+    lo, hi = lo.reshape(len(t), 2 * idx.size), hi.reshape(len(t), 2 * idx.size)
     kept = lo <= hi
     cuts = np.cumsum(kept.sum(axis=1))[:-1]
     regions = [_allowed(l, h) for l, h in
@@ -280,21 +275,17 @@ def selection_events(
             raise errors.InvariantViolation(
                 "observed eta'y fell outside its own selection event; "
                 "endpoints may be numerically degenerate")
-    if n_ok < len(in_span):
-        raise errors.EtaNotInSpan(
-            "skipping superset comparisons is only valid when eta lies in "
-            "the selected model's column span")
 
-    records: List[Tuple[ComparisonRecord, ...]] = [()] * n_ok
+    records: List[Tuple[ComparisonRecord, ...]] = [()] * len(t)
     if keep_comparisons:
         row = np.full(len(cs), -1)
         row[idx] = 2 * np.arange(idx.size)
-        for i in range(n_ok):
+        for i, span in enumerate(in_span.tolist()):
             out = []
             for m, model in enumerate(cs.models):
                 if m == hat:
                     continue
-                if row[m] < 0:
+                if span and superset[m]:
                     out.append(ComparisonRecord(
                         competitor=model, region=None, skipped=True,
                         reason="superset of the selected model; constant in t"))

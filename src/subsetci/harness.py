@@ -84,7 +84,6 @@ class SimulationConfig:
     n_new_points: int = 10
     master_seed: int = 20250401
     fixed_design: bool = True
-    skip_supersets: bool = True
     intercept: bool = False
 
     def __post_init__(self):
@@ -154,7 +153,7 @@ def parse_config_text(text: str) -> SimulationConfig:
         if v is not None:
             kwargs["sigma_strategies"] = tuple(
                 SigmaSpec.parse(s) for s in v.split(",") if s.strip())
-        for key in ("fixed_design", "skip_supersets", "intercept"):
+        for key in ("fixed_design", "intercept"):
             v = want(key)
             if v is not None:
                 if v.lower() not in _CONFIG_BOOL:
@@ -351,7 +350,6 @@ def _run_rep_chunk(
             etas = target_directions(data, S_hat, [targets[i] for i in rows_t])
             events = selection_events(
                 data, data.y, etas, S_hat, spec,
-                skip_supersets=config.skip_supersets,
                 keep_comparisons=False) if rows_t.size else []
             table = interval_table(data, S_hat, etas, [e.region for e in events],
                                    strategies, config.alpha)
@@ -576,7 +574,6 @@ def dataset_report(
     alpha: float,
     sigma_strategies: Sequence[SigmaSpec],
     targets: Optional[Sequence[InferenceTarget]] = None,
-    skip_supersets: bool = True,
     policy: CandidatePolicy = DEFAULT_POLICY,
     source: str = "<memory>",
     response: str = "y",
@@ -585,6 +582,8 @@ def dataset_report(
 
     ``targets`` defaults to one coefficient target per selected column.
     """
+    if not 0.0 < alpha < 1.0:
+        raise errors.InputError(f"alpha must be in (0,1), got {alpha}")
     spec = CriterionSpec(criterion, data.n)
     selected, scored = best_subset(data, spec, policy)
     if targets is None:
@@ -596,7 +595,7 @@ def dataset_report(
     if sigma_strategies and targets:
         etas = target_directions(data, selected, targets)
         events = selection_events(data, data.y, etas, selected, spec,
-                                  skip_supersets=skip_supersets, policy=policy)
+                                  policy=policy)
         table = interval_table(data, selected, etas, [e.region for e in events],
                                sigma_strategies, alpha)
         # a classical then a corrected row per (target, strategy)
@@ -638,14 +637,12 @@ def analyze(
     alpha: float = 0.05,
     sigma_strategies: Sequence[SigmaSpec] = (),
     intercept: bool = True,
-    skip_supersets: bool = True,
 ) -> AnalysisReport:
     """Full workflow on a CSV dataset: subset search, then per-coefficient
     classical and corrected intervals under each noise strategy."""
     data = load_csv_dataset(csv_path, response_column, intercept=intercept)
     return dataset_report(
         data, criterion, alpha, sigma_strategies,
-        targets=None, skip_supersets=skip_supersets,
         source=os.fspath(csv_path), response=response_column)
 
 

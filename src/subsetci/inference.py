@@ -329,7 +329,7 @@ def interval_table(
 
 def _single_target(
     data: Dataset, y: Optional[np.ndarray], S_hat: IndexSet,
-    target: InferenceTarget, criterion_spec: CriterionSpec, skip_supersets: bool,
+    target: InferenceTarget, criterion_spec: CriterionSpec,
     policy: CandidatePolicy, event: Optional[SelectionEvent],
 ) -> Tuple[Dataset, np.ndarray, SelectionEvent]:
     """(data with response ``y``, the target's direction, its selection event)."""
@@ -338,7 +338,7 @@ def _single_target(
     eta = eta_for_target(data, S_hat, target)
     if event is None:
         event = selection_events(data, data.y, eta[None, :], S_hat,
-                                 criterion_spec, skip_supersets, policy)[0]
+                                 criterion_spec, policy)[0]
     return data, eta, event
 
 
@@ -350,7 +350,6 @@ def corrected_ci(
     alpha: float,
     sigma_spec: SigmaSpec,
     criterion_spec: CriterionSpec,
-    skip_supersets: bool = True,
     policy: CandidatePolicy = DEFAULT_POLICY,
     event: Optional[SelectionEvent] = None,
 ) -> CIResult:
@@ -365,7 +364,7 @@ def corrected_ci(
     if not 0.0 < alpha < 1.0:
         raise errors.InputError(f"alpha must be in (0,1), got {alpha}")
     data, eta, event = _single_target(data, y, S_hat, target, criterion_spec,
-                                      skip_supersets, policy, event)
+                                      policy, event)
     table = interval_table(data, S_hat, eta[None, :], [event.region],
                            [sigma_spec], alpha)
     return CIResult(
@@ -388,7 +387,6 @@ def pivot_value(
     hypothesized_value: float,
     sigma_spec: SigmaSpec,
     criterion_spec: CriterionSpec,
-    skip_supersets: bool = True,
     policy: CandidatePolicy = DEFAULT_POLICY,
     event: Optional[SelectionEvent] = None,
 ) -> float:
@@ -398,7 +396,7 @@ def pivot_value(
     on (0,1); it is the quantity the corrected interval inverts.
     """
     data, eta, event = _single_target(data, y, S_hat, target, criterion_spec,
-                                      skip_supersets, policy, event)
+                                      policy, event)
     lam = estimate_sigma(data, S_hat, sigma_spec) * float(np.linalg.norm(eta))
     return truncated_cdf(
         float(eta @ data.y),

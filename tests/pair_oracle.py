@@ -149,11 +149,19 @@ def comparison_feasible_set(
     return scalar_feasible_set(quad.a2, quad.a1, quad.a0, scale2, scale1)
 
 
-def require_eta_in_span(decomp: EtaDecomposition, data: Dataset, S_hat: IndexSet):
+class EtaNotInSpan(errors.NumericalError):
+    """A closed form that needs ``eta`` in the selected span was asked for a
+    direction outside it."""
+
+
+def eta_in_span(decomp: EtaDecomposition, data: Dataset, S_hat: IndexSet) -> bool:
     resid = residual_project(data, S_hat, decomp.eta)
-    if float(np.linalg.norm(resid)) > ETA_SPAN_TOL * math.sqrt(decomp.eta_norm2):
-        raise errors.EtaNotInSpan(
-            "eta must lie in the column span of the selected model")
+    return float(np.linalg.norm(resid)) <= ETA_SPAN_TOL * math.sqrt(decomp.eta_norm2)
+
+
+def require_eta_in_span(decomp: EtaDecomposition, data: Dataset, S_hat: IndexSet):
+    if not eta_in_span(decomp, data, S_hat):
+        raise EtaNotInSpan("eta must lie in the column span of the selected model")
 
 
 def simplified_comparison(
@@ -201,13 +209,10 @@ def sequential_region(
     (which needs ``eta`` in the selected span); otherwise they give constant
     comparisons when ``eta`` lies in that span.
     """
-    try:
-        require_eta_in_span(decomp, data, S_hat)
-        in_span = True
-    except errors.EtaNotInSpan:
-        if skip_supersets:
-            raise
-        in_span = False
+    in_span = eta_in_span(decomp, data, S_hat)
+    if skip_supersets and not in_span:
+        raise EtaNotInSpan("skipping superset comparisons needs eta in the "
+                           "column span of the selected model")
     region = FULL_LINE
     for S in candidate_set(data, policy).models:
         if S == S_hat:

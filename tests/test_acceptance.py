@@ -20,7 +20,7 @@ from subsetci.criteria import (
     best_subset,
     penalty_ratio_sizes,
 )
-from subsetci.geometry import decompose, selection_event
+from subsetci.geometry import SelectionEvent, decompose, selection_event
 from subsetci.harness import (
     SimulationConfig,
     analyze,
@@ -37,6 +37,8 @@ from subsetci.inference import (
 )
 from subsetci.intervals import FULL_LINE, interval_union
 from subsetci.truncnorm import TruncatedNormalSpec, invert_mean, truncated_cdf
+
+from pair_oracle import sequential_region
 
 # The quadrature oracle needs working precision far beyond the smallest
 # tail masses it integrates (~1e-46 for pieces near 14 sigma), otherwise the
@@ -122,6 +124,8 @@ def test_criterion_1_geometry_oracle_equivalence():
 
 
 def test_criterion_2_superset_skip_invariance():
+    # the library skips the superset comparisons of a direction in the
+    # selected span; the pair oracle's reference region includes them
     worst_end = 0.0
     worst_piv = 0.0
     checked = 0
@@ -131,17 +135,18 @@ def test_criterion_2_superset_skip_invariance():
         S_hat, _ = best_subset(data, spec)
         target = InferenceTarget.coefficient(int(rng.choice(S_hat.indices)))
         sig = SigmaSpec.known(1.0)
-        on = corrected_ci(data, None, S_hat, target, 0.05, sig, spec,
-                          skip_supersets=True)
+        dec = decompose(data.y, eta_for_target(data, S_hat, target))
+        reference = SelectionEvent(S_hat, sequential_region(
+            dec, data, S_hat, spec, skip_supersets=False), ())
+        on = corrected_ci(data, None, S_hat, target, 0.05, sig, spec)
         off = corrected_ci(data, None, S_hat, target, 0.05, sig, spec,
-                           skip_supersets=False)
+                           event=reference)
         worst_end = max(worst_end,
                         abs(on.lower - off.lower) / max(1.0, abs(off.lower)),
                         abs(on.upper - off.upper) / max(1.0, abs(off.upper)))
-        p_on = pivot_value(data, None, S_hat, target, 0.0, sig, spec,
-                           skip_supersets=True)
+        p_on = pivot_value(data, None, S_hat, target, 0.0, sig, spec)
         p_off = pivot_value(data, None, S_hat, target, 0.0, sig, spec,
-                            skip_supersets=False)
+                            event=reference)
         worst_piv = max(worst_piv, abs(p_on - p_off))
         checked += 1
     assert worst_end <= 1e-8, f"endpoint drift {worst_end}"

@@ -22,6 +22,7 @@ from subsetci.criteria import (
 )
 from subsetci.geometry import decompose, selection_event, selection_events
 from subsetci.inference import InferenceTarget, eta_for_target
+from subsetci.intervals import FULL_LINE
 from subsetci.linmodel import INTERCEPT_FORCED, INTERCEPT_NONE
 
 import pair_oracle
@@ -102,10 +103,11 @@ def test_rss_and_gram_match_lstsq_residuals(case):
 @KERNEL_SETTINGS
 @given(designs(), st.sampled_from(list(Criterion)), st.booleans())
 def test_swept_region_equals_sequential_pair_intersection(case, criterion, skip):
+    # along a direction in the selected span the event skips superset
+    # comparisons; the oracle's region is the same with or without them
     data, policy, rng = case
     spec, S_hat, dec = _selected_direction(data, policy, rng, criterion)
-    event = selection_event(data, dec, S_hat, spec, skip_supersets=skip,
-                            policy=policy)
+    event = selection_event(data, dec, S_hat, spec, policy=policy)
     want = pair_oracle.sequential_region(dec, data, S_hat, spec, skip, policy)
     _assert_same_region(event.region, want)
 
@@ -113,14 +115,17 @@ def test_swept_region_equals_sequential_pair_intersection(case, criterion, skip)
 @KERNEL_SETTINGS
 @given(designs(), st.sampled_from(list(Criterion)), st.booleans())
 def test_skipping_supersets_leaves_region_unchanged(case, criterion, prediction):
+    # every superset comparison the event skips holds on the whole line
     data, policy, rng = case
     spec, S_hat, dec = _selected_direction(data, policy, rng, criterion,
                                            prediction)
-    on = selection_event(data, dec, S_hat, spec, skip_supersets=True,
-                         policy=policy, keep_comparisons=False)
-    off = selection_event(data, dec, S_hat, spec, skip_supersets=False,
-                          policy=policy, keep_comparisons=False)
-    assert on.region == off.region
+    event = selection_event(data, dec, S_hat, spec, policy=policy)
+    for c in event.comparisons:
+        if c.skipped:
+            assert pair_oracle.simplified_comparison(
+                dec, data, S_hat, c.competitor, spec) == FULL_LINE
+    _assert_same_region(event.region, pair_oracle.sequential_region(
+        dec, data, S_hat, spec, False, policy))
 
 
 @KERNEL_SETTINGS
@@ -130,24 +135,22 @@ def test_swept_region_equals_pair_intersection_off_span(case, criterion):
     data, policy, rng = case
     spec, S_hat, _ = _selected_direction(data, policy, rng, criterion)
     dec = decompose(data.y, rng.standard_normal(data.n))
-    event = selection_event(data, dec, S_hat, spec, skip_supersets=False,
-                            policy=policy)
+    event = selection_event(data, dec, S_hat, spec, policy=policy)
     want = pair_oracle.sequential_region(dec, data, S_hat, spec, False, policy)
     _assert_same_region(event.region, want)
 
 
 @KERNEL_SETTINGS
-@given(designs(), st.sampled_from(list(Criterion)), st.booleans(),
+@given(designs(), st.sampled_from(list(Criterion)),
        st.sampled_from(["coefficient", "prediction", "off-span"]))
-def test_observed_statistic_lies_in_its_event(case, criterion, skip, direction):
+def test_observed_statistic_lies_in_its_event(case, criterion, direction):
     data, policy, rng = case
     spec, S_hat, dec = _selected_direction(data, policy, rng, criterion,
                                            direction == "prediction")
     if direction == "off-span":
         dec = decompose(data.y, rng.standard_normal(data.n))
-        skip = False
-    event = selection_event(data, dec, S_hat, spec, skip_supersets=skip,
-                            policy=policy, keep_comparisons=False)
+    event = selection_event(data, dec, S_hat, spec, policy=policy,
+                            keep_comparisons=False)
     assert event.region.contains(dec.eta_dot_y)
 
 
@@ -186,66 +189,37 @@ def cs_models(data, policy):
     return candidate_set(data, policy).models
 
 
-def _oracle_records(dec, data, S_hat, spec, skip, policy):
-    """(competitor, per-pair set or None if skipped) in canonical order."""
-    try:
-        pair_oracle.require_eta_in_span(dec, data, S_hat)
-        in_span = True
-    except errors.EtaNotInSpan:
-        in_span = False
+def _oracle_records(dec, data, S_hat, spec, policy):
+    """(competitor, per-pair set or None if skipped) in canonical order: a
+    direction in the selected span skips the strict supersets of ``S_hat``."""
+    in_span = pair_oracle.eta_in_span(dec, data, S_hat)
     out = []
     for S in cs_models(data, policy):
         if S == S_hat:
             continue
-        superset = pair_oracle.is_superset(S, S_hat)
-        if superset and skip:
+        if in_span and pair_oracle.is_superset(S, S_hat):
             out.append((S, None))
-        elif superset and in_span:
-            out.append((S, pair_oracle.simplified_comparison(
-                dec, data, S_hat, S, spec)))
         else:
             out.append((S, pair_oracle.comparison_feasible_set(
                 dec, data, S_hat, S, spec)))
     return out
 
 
-@KERNEL_SETTINGS
-@given(designs(), st.sampled_from(list(Criterion)), st.booleans(),
-       st.integers(1, 4))
-def test_batched_events_match_single_calls_and_pair_oracle(case, criterion,
-                                                           skip, count):
-    data, policy, rng = case
-    spec, S_hat, _ = _selected_direction(data, policy, rng, criterion)
-    etas = _directions(data, S_hat, rng, count, off_span=not skip)
-    events = selection_events(data, data.y, etas, S_hat, spec,
-                              skip_supersets=skip, policy=policy,
-                              keep_comparisons=False)
-    assert len(events) == count
+def _check_events_against_single_calls_and_oracle(data, etas, events, S_hat,
+                                                  spec, policy):
+    """Each batched event (with its comparison records) is its own
+    one-direction call's and the pair oracle's: skipping supersets for a
+    direction in the selected span, including them for any other."""
+    assert len(events) == len(etas)
     for eta, event in zip(etas, events):
         dec = decompose(data.y, eta)
-        assert event.selected == S_hat and event.comparisons == ()
-        one = selection_event(data, dec, S_hat, spec, skip_supersets=skip,
-                              policy=policy, keep_comparisons=False)
+        one = selection_event(data, dec, S_hat, spec, policy=policy)
+        in_span = pair_oracle.eta_in_span(dec, data, S_hat)
+        assert event.selected == S_hat
         _assert_same_region(event.region, one.region)
         _assert_same_region(event.region, pair_oracle.sequential_region(
-            dec, data, S_hat, spec, skip, policy))
-
-
-@KERNEL_SETTINGS
-@given(designs(), st.sampled_from(list(Criterion)), st.booleans(),
-       st.integers(1, 3))
-def test_batched_comparison_records_match_single_calls_and_pair_oracle(
-        case, criterion, skip, count):
-    data, policy, rng = case
-    spec, S_hat, _ = _selected_direction(data, policy, rng, criterion)
-    etas = _directions(data, S_hat, rng, count, off_span=not skip)
-    events = selection_events(data, data.y, etas, S_hat, spec,
-                              skip_supersets=skip, policy=policy)
-    for eta, event in zip(etas, events):
-        dec = decompose(data.y, eta)
-        one = selection_event(data, dec, S_hat, spec, skip_supersets=skip,
-                              policy=policy)
-        want = _oracle_records(dec, data, S_hat, spec, skip, policy)
+            dec, data, S_hat, spec, in_span, policy))
+        want = _oracle_records(dec, data, S_hat, spec, policy)
         assert len(event.comparisons) == len(one.comparisons) == len(want)
         for got, single, (competitor, oracle) in zip(event.comparisons,
                                                      one.comparisons, want):
@@ -257,22 +231,89 @@ def test_batched_comparison_records_match_single_calls_and_pair_oracle(
                 _assert_same_region(got.region, oracle)
 
 
-def _single_call_error(data, y, eta, S_hat, spec, skip, policy):
+@KERNEL_SETTINGS
+@given(designs(), st.sampled_from(list(Criterion)), st.booleans(),
+       st.integers(1, 4))
+def test_batched_events_match_single_calls_and_pair_oracle(case, criterion,
+                                                           off_span, count):
+    data, policy, rng = case
+    spec, S_hat, _ = _selected_direction(data, policy, rng, criterion)
+    etas = _directions(data, S_hat, rng, count, off_span)
+    events = selection_events(data, data.y, etas, S_hat, spec, policy=policy,
+                              keep_comparisons=False)
+    assert len(events) == count
+    for eta, event in zip(etas, events):
+        dec = decompose(data.y, eta)
+        assert event.selected == S_hat and event.comparisons == ()
+        one = selection_event(data, dec, S_hat, spec, policy=policy,
+                              keep_comparisons=False)
+        _assert_same_region(event.region, one.region)
+        _assert_same_region(event.region, pair_oracle.sequential_region(
+            dec, data, S_hat, spec, False, policy))
+
+
+@KERNEL_SETTINGS
+@given(designs(), st.sampled_from(list(Criterion)), st.booleans(),
+       st.integers(1, 3))
+def test_batched_comparison_records_match_single_calls_and_pair_oracle(
+        case, criterion, off_span, count):
+    data, policy, rng = case
+    spec, S_hat, _ = _selected_direction(data, policy, rng, criterion)
+    etas = _directions(data, S_hat, rng, count, off_span)
+    events = selection_events(data, data.y, etas, S_hat, spec, policy=policy)
+    _check_events_against_single_calls_and_oracle(data, etas, events, S_hat,
+                                                  spec, policy)
+
+
+@KERNEL_SETTINGS
+@given(designs(), st.sampled_from(list(Criterion)),
+       st.lists(st.sampled_from(["in-span", "nudged", "off-span"]),
+                max_size=3))
+def test_mixed_span_batches_skip_supersets_only_in_span(case, criterion,
+                                                        kinds):
+    # a batch mixing directions inside and outside the selected span: each
+    # direction follows its own rule, as in its one-direction call.  A nudged
+    # direction leaves the span by 5e-9 relative, inside ETA_SPAN_TOL: its
+    # superset comparisons keep a small linear term that would cut a spurious
+    # far-tail root if they were not skipped
+    data, policy, rng = case
+    spec, S_hat, _ = _selected_direction(data, policy, rng, criterion)
+    assume(len(S_hat) < data.p)  # the full model has every eta in span
+    kinds = kinds + ["nudged", "off-span"]
+    etas = []
+    for kind in kinds:
+        if kind == "off-span":
+            etas.append(rng.standard_normal(data.n))
+            continue
+        eta = eta_for_target(data, S_hat, InferenceTarget.prediction_mean(
+            rng.standard_normal(data.p)))
+        if kind == "nudged":
+            off = _lstsq_residual(data.X, S_hat, rng.standard_normal(data.n))
+            eta = eta + 5e-9 * np.linalg.norm(eta) / np.linalg.norm(off) * off
+        etas.append(eta)
+    etas = np.array(etas)
+    events = selection_events(data, data.y, etas, S_hat, spec, policy=policy)
+    assert [pair_oracle.eta_in_span(decompose(data.y, eta), data, S_hat)
+            for eta in etas] == [kind != "off-span" for kind in kinds]
+    _check_events_against_single_calls_and_oracle(data, etas, events, S_hat,
+                                                  spec, policy)
+
+
+def _single_call_error(data, y, eta, S_hat, spec, policy):
     try:
-        selection_event(data, decompose(y, eta), S_hat, spec,
-                        skip_supersets=skip, policy=policy)
+        selection_event(data, decompose(y, eta), S_hat, spec, policy=policy)
     except errors.SubsetCIError as exc:
         return type(exc)
     return None
 
 
 @KERNEL_SETTINGS
-@given(designs(), st.sampled_from(list(Criterion)), st.booleans(),
+@given(designs(), st.sampled_from(list(Criterion)),
        st.lists(st.sampled_from(["in-span", "off-span", "zero"]),
                 min_size=1, max_size=4),
        st.booleans())
-def test_first_failing_direction_decides_the_error(case, criterion, skip,
-                                                   kinds, wrong_model):
+def test_first_failing_direction_decides_the_error(case, criterion, kinds,
+                                                   wrong_model):
     data, policy, rng = case
     spec, S_hat, _ = _selected_direction(data, policy, rng, criterion)
     if wrong_model:
@@ -290,17 +331,17 @@ def test_first_failing_direction_decides_the_error(case, criterion, skip,
                 int(rng.choice(S_hat.indices)))))
         else:
             etas.append(data.X[:, 0].copy())
-    errs = [_single_call_error(data, data.y, eta, S_hat, spec, skip, policy)
+    errs = [_single_call_error(data, data.y, eta, S_hat, spec, policy)
             for eta in etas]
     first = next((e for e in errs if e is not None), None)
     if first is None:
         events = selection_events(data, data.y, np.array(etas), S_hat, spec,
-                                  skip_supersets=skip, policy=policy)
+                                  policy=policy)
         assert len(events) == len(etas)
     else:
         with pytest.raises(errors.SubsetCIError) as exc:
             selection_events(data, data.y, np.array(etas), S_hat, spec,
-                             skip_supersets=skip, policy=policy)
+                             policy=policy)
         assert type(exc.value) is first
 
 

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -193,3 +194,74 @@ def test_empty_strategy_list_is_input_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert "sigma_strategies" in err
+
+
+@pytest.mark.parametrize("alpha", ["7", "0", "1", "-0.5"])
+def test_alpha_outside_unit_interval_is_input_error(data_csv, capsys, alpha):
+    # refused before the search, even by select, which builds no interval
+    code = main(["select", data_csv, "--response", "y", "--alpha", alpha])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: alpha must be in (0,1)")
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "{csv}", "--response", "y", "--format", "csv"],
+    ["select", "{csv}", "--response", "y", "--format", "plotdata"],
+    ["simulate", "{cfg}", "--format", "csv"],
+])
+def test_file_format_without_out_is_input_error(data_csv, config_file, capsys,
+                                                argv):
+    argv = [a.format(csv=data_csv, cfg=config_file) for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "--out" in captured.err
+
+
+def test_retired_skip_supersets_flag_is_refused(data_csv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", data_csv, "--response", "y", "--skip-supersets", "off"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--skip-supersets" in err and "Traceback" not in err
+
+
+class _ClosedPipe:
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_broken_stdout_is_input_error(data_csv, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    code = main(["analyze", data_csv, "--response", "y"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write to standard output")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("out", [False, True], ids=["report", "paths"])
+def test_closed_stdout_pipe_exits_without_traceback(data_csv, tmp_path, out):
+    # as in `subsetci select ... | head -1`: the reader is gone before the
+    # report (or the short list of written paths) goes out, and buffered
+    # output does not fail again when the interpreter flushes it at exit
+    argv = ["select", data_csv, "--response", "y"]
+    if out:
+        argv += ["--out", str(tmp_path / "out")]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "subsetci.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              text=True, env=env)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot write to standard output")
+    assert proc.stderr.count("\n") == 1

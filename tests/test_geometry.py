@@ -17,10 +17,12 @@ from subsetci.intervals import EMPTY, FULL_LINE
 
 from conftest import random_dataset
 from pair_oracle import (
+    EtaNotInSpan,
     comparison_feasible_set,
     comparison_quadratic,
     intersect,
     outside_bound,
+    sequential_region,
     simplified_comparison,
     superset_lower_bound,
 )
@@ -33,8 +35,24 @@ def feasible_from_quadratic(a2, a1, a0, scale2, scale1):
     failure-set kernel and sweep applied to one comparison."""
     lo, hi = _forbidden(*(np.array([v], dtype=float)
                           for v in (a2, a1, a0, scale2, scale1)),
-                        flat=np.zeros(1, dtype=bool), shift=np.zeros(1))
+                        shift=np.zeros(1))
     return _allowed(lo.ravel(), hi.ravel())
+
+
+def grid_mismatches(d, dec, S_hat, spec, region):
+    """Grid points of +-8 scales around ``eta'y`` where membership in
+    ``region`` disagrees with rerunning the subset search."""
+    from subsetci import SigmaSpec, estimate_sigma
+
+    lam = estimate_sigma(d, S_hat, SigmaSpec.mse_aic()) * math.sqrt(dec.eta_norm2)
+    ends = region.endpoints()
+    mism = 0
+    for t in np.linspace(dec.eta_dot_y - 8 * lam, dec.eta_dot_y + 8 * lam, 201):
+        if any(abs(t - e) < 1e-7 for e in ends):
+            continue
+        sel, _ = best_subset(d.replace_y(t * dec.eta_tilde + dec.z), spec)
+        mism += region.contains(t) != (sel == S_hat)
+    return mism
 
 
 def fresh_score(X, y, indices, spec):
@@ -228,7 +246,7 @@ class TestSimplifiedComparison:
         S_hat, _ = best_subset(d, spec)
         dec = decompose(d.y, rng.standard_normal(12))
         competitor = IndexSet((1,)) if S_hat != IndexSet((1,)) else IndexSet((2,))
-        with pytest.raises(errors.EtaNotInSpan):
+        with pytest.raises(EtaNotInSpan):
             simplified_comparison(dec, d, S_hat, competitor, spec)
 
     def test_centered_parabola_endpoints(self):
@@ -261,7 +279,7 @@ class TestSelectionEvent:
                 continue
             eta = eta_for_target(d, S_hat, InferenceTarget.coefficient(1))
             dec = decompose(d.y, eta)
-            ev = selection_event(d, dec, S_hat, spec, skip_supersets=True)
+            ev = selection_event(d, dec, S_hat, spec)
             assert not any(c.skipped for c in ev.comparisons)
             return
         pytest.fail("full model never selected in 40 tries")
@@ -273,7 +291,7 @@ class TestSelectionEvent:
         eta = eta_for_target(d, S_hat,
                              InferenceTarget.coefficient(S_hat.indices[0]))
         dec = decompose(d.y, eta)
-        ev = selection_event(d, dec, S_hat, spec, skip_supersets=True)
+        ev = selection_event(d, dec, S_hat, spec)
         skipped = [c for c in ev.comparisons if c.skipped]
         assert len(skipped) == 2 ** (4 - len(S_hat)) - 1
         assert all("superset" in c.reason for c in skipped)
@@ -291,7 +309,6 @@ class TestSelectionEvent:
 
     def test_grid_oracle_small_instance(self, rng):
         # master property: region membership == "rerun selection and compare"
-        from subsetci import estimate_sigma, SigmaSpec
         mism = 0
         for seed in range(8):
             r = np.random.default_rng(seed + 100)
@@ -302,18 +319,8 @@ class TestSelectionEvent:
             eta = eta_for_target(d, S_hat,
                                  InferenceTarget.coefficient(S_hat.indices[-1]))
             dec = decompose(d.y, eta)
-            ev = selection_event(d, dec, S_hat, spec)
-            lam = (estimate_sigma(d, S_hat, SigmaSpec.mse_aic())
-                   * math.sqrt(dec.eta_norm2))
-            ends = ev.region.endpoints()
-            for t in np.linspace(dec.eta_dot_y - 8 * lam,
-                                 dec.eta_dot_y + 8 * lam, 201):
-                if any(abs(t - e) < 1e-7 for e in ends):
-                    continue
-                yt = t * dec.eta_tilde + dec.z
-                sel, _ = best_subset(d.replace_y(yt), spec)
-                if ev.region.contains(t) != (sel == S_hat):
-                    mism += 1
+            mism += grid_mismatches(d, dec, S_hat, spec,
+                                    selection_event(d, dec, S_hat, spec).region)
         assert mism == 0
 
     def test_region_is_intersection_of_active_comparisons(self, rng):
@@ -322,35 +329,42 @@ class TestSelectionEvent:
         S_hat, _ = best_subset(d, spec)
         eta = eta_for_target(d, S_hat, InferenceTarget.coefficient(S_hat.indices[0]))
         dec = decompose(d.y, eta)
-        ev = selection_event(d, dec, S_hat, spec, skip_supersets=False)
+        ev = selection_event(d, dec, S_hat, spec)
         acc = FULL_LINE
         for c in ev.comparisons:
-            acc = intersect(acc, c.region)
+            if not c.skipped:
+                acc = intersect(acc, c.region)
         assert acc == ev.region
 
     def test_skip_toggle_leaves_region_unchanged_for_span_eta(self, rng):
         # superset comparisons are constant in t for span directions, so the
-        # intersected region coincides
+        # event that skips them is the oracle's region with or without them
         d = random_dataset(rng, n=15, p=4, signal=np.array([2.0, 0, 0, 0]))
         spec = CriterionSpec(Criterion.AIC, 15)
         S_hat, _ = best_subset(d, spec)
         eta = eta_for_target(d, S_hat, InferenceTarget.coefficient(S_hat.indices[0]))
         dec = decompose(d.y, eta)
-        on = selection_event(d, dec, S_hat, spec, skip_supersets=True)
-        off = selection_event(d, dec, S_hat, spec, skip_supersets=False)
-        assert on.region == off.region
+        ev = selection_event(d, dec, S_hat, spec)
+        assert any(c.skipped for c in ev.comparisons)
+        for skip in (True, False):
+            want = sequential_region(dec, d, S_hat, spec, skip)
+            assert len(ev.region) == len(want)
+            np.testing.assert_allclose(ev.region.endpoints(), want.endpoints(),
+                                       rtol=1e-9, atol=1e-12)
 
     def test_skip_requires_span_eta(self, rng):
+        # outside the selected span no comparison is skipped, and the event
+        # is exact
         d = random_dataset(rng, n=15, p=4)
         spec = CriterionSpec(Criterion.AIC, 15)
         S_hat, _ = best_subset(d, spec)
         if len(S_hat) == 4:
             pytest.skip("full model selected; any eta is in span")
         dec = decompose(d.y, rng.standard_normal(15))
-        with pytest.raises(errors.EtaNotInSpan):
-            selection_event(d, dec, S_hat, spec, skip_supersets=True)
-        ev = selection_event(d, dec, S_hat, spec, skip_supersets=False)
+        ev = selection_event(d, dec, S_hat, spec)
         assert ev.region.contains(dec.eta_dot_y)
+        assert not any(c.skipped for c in ev.comparisons)
+        assert grid_mismatches(d, dec, S_hat, spec, ev.region) == 0
 
     def test_empty_model_policy_grid_oracle(self, rng):
         # admitting the no-regressor model adds one more comparison; the

@@ -102,15 +102,15 @@ class TestParseConfig:
         sigma_strategies = known:1.0, mse-full
         n_new_points = 3
         master_seed = 42
-        fixed_design = true
-        skip_supersets = off
+        fixed_design = false
+        intercept = on
         """
         cfg = parse_config_text(text)
         assert cfg.n == 20 and cfg.p == 4
         assert cfg.beta == (1.0, 2.0, 0.0, 0.0)
         assert cfg.criterion is Criterion.BIC
         assert cfg.sigma_strategies == (SigmaSpec.known(1.0), SigmaSpec.mse_full())
-        assert cfg.skip_supersets is False
+        assert cfg.fixed_design is False and cfg.intercept is True
 
     def test_missing_required_key(self):
         with pytest.raises(errors.ParseError):
@@ -120,6 +120,10 @@ class TestParseConfig:
         with pytest.raises(errors.ParseError):
             parse_config_text(
                 "n=10\np=2\nbeta=1,0\nrho=0\nsigma=1\nreps=5\nwat=1")
+        # superset skipping follows each direction; it is no longer a setting
+        with pytest.raises(errors.ParseError, match="unknown config keys"):
+            parse_config_text("n=10\np=2\nbeta=1,0\nrho=0\nsigma=1\nreps=5\n"
+                              "skip_supersets = off")
 
 
 class TestSimulateCoverage:

@@ -6,6 +6,7 @@ from scipy.stats import norm, t as t_dist
 
 from subsetci import Dataset, IndexSet, errors
 from subsetci.criteria import Criterion, CriterionSpec, best_subset
+from subsetci.geometry import SelectionEvent, decompose
 from subsetci.inference import (
     InferenceTarget,
     METHOD_CLASSICAL_KNOWN,
@@ -22,7 +23,7 @@ from subsetci.intervals import FULL_LINE, interval_union
 from subsetci.truncnorm import TruncatedNormalSpec, invert_mean, truncated_cdf
 
 from conftest import random_dataset
-from pair_oracle import residual_project
+from pair_oracle import residual_project, sequential_region
 
 
 def lstsq_fit(d, S):
@@ -210,16 +211,19 @@ class TestCorrectedCI:
             S_hat, _ = best_subset(d, spec)
             target = InferenceTarget.coefficient(S_hat.indices[0])
             sig = SigmaSpec.known(1.0)
-            on = corrected_ci(d, None, S_hat, target, 0.05, sig, spec,
-                              skip_supersets=True)
+            # the oracle's region keeps the superset comparisons the
+            # library skips
+            dec = decompose(d.y, eta_for_target(d, S_hat, target))
+            reference = SelectionEvent(S_hat, sequential_region(
+                dec, d, S_hat, spec, skip_supersets=False), ())
+            on = corrected_ci(d, None, S_hat, target, 0.05, sig, spec)
             off = corrected_ci(d, None, S_hat, target, 0.05, sig, spec,
-                               skip_supersets=False)
+                               event=reference)
             assert on.lower == pytest.approx(off.lower, abs=1e-8)
             assert on.upper == pytest.approx(off.upper, abs=1e-8)
-            p_on = pivot_value(d, None, S_hat, target, 0.0, sig, spec,
-                               skip_supersets=True)
+            p_on = pivot_value(d, None, S_hat, target, 0.0, sig, spec)
             p_off = pivot_value(d, None, S_hat, target, 0.0, sig, spec,
-                                skip_supersets=False)
+                                event=reference)
             assert p_on == pytest.approx(p_off, abs=1e-10)
 
     def test_monotone_width_under_nested_regions(self):
