@@ -14,7 +14,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -89,9 +89,12 @@ def penalty_ratio_sizes(size_tilde: int, size: int, spec: CriterionSpec) -> floa
     return math.exp((spec.penalty(size_tilde) - spec.penalty(size)) / spec.n)
 
 
-# Refuse candidate sets whose stacked per-model bases would exceed this many
-# bytes; exhaustive enumeration at that scale also takes minutes.
+# Refuse candidate sets whose basis build would exceed this many bytes at
+# its peak; exhaustive enumeration at that scale also takes minutes.
 MAX_CANDIDATE_BYTES = 256 * 2 ** 20
+
+# Room for the iteration buffers of NumPy's ufuncs.
+_BUFFER_BYTES = 2 ** 18
 
 # Column-membership bitmasks are int64 with the sign bit kept clear.
 MAX_MASK_COLUMNS = 62
@@ -103,43 +106,83 @@ def _free_sizes(n_free: int, policy: CandidatePolicy) -> range:
     return range(0 if policy.include_empty else 1, cap + 1)
 
 
-def _check_budget(data: Dataset, policy: CandidatePolicy) -> None:
-    """Raise ``InputError`` before enumerating a candidate set too large to hold.
+def _build_bytes(data: Dataset, policy: CandidatePolicy) -> Tuple[int, int, int]:
+    """``(models, stack bytes, peak bytes)`` of building the candidate set.
 
-    The estimate counts the models and the bytes of their stacked complement
-    bases (see :class:`CandidateSet`), ``sum_k C(p_free, k) * p * (p - width_k)
-    * 8`` over the admitted free sizes ``k``.
+    The stack holds ``C(p_free, k) * (p - width_k)`` rows of ``p`` floats for
+    each admitted free size ``k`` (see :class:`CandidateSet`).  The peak adds
+    the working arrays of the largest level of the build, its gathered
+    parents (one row more than the level's own bases) and four ``p``-long
+    rows per model that bound its per-model vectors, and NumPy's iteration
+    buffers.
     """
+    n_free = len(data.free_indices)
+    n_forced = len(data.forced_indices)
+    p = data.p
+    count = stack = work = 0
+    for k in _free_sizes(n_free, policy):
+        m = math.comb(n_free, k)
+        count += m
+        stack += m * (p - n_forced - k) * p
+        if k:
+            work = max(work, m * (p - n_forced - k + 5) * p)
+    return count, stack * 8, (stack + work) * 8 + _BUFFER_BYTES
+
+
+def _check_budget(data: Dataset, policy: CandidatePolicy) -> None:
+    """Raise ``InputError`` before enumerating a candidate set too large to
+    build; the estimate is the build's peak (see :func:`_build_bytes`)."""
     if data.p > MAX_MASK_COLUMNS:
         raise errors.InputError(
             f"p={data.p} exceeds {MAX_MASK_COLUMNS}, the most columns a "
             "candidate bitmask can hold")
-    n_free = len(data.free_indices)
-    n_forced = len(data.forced_indices)
-    count = 0
-    stack_bytes = 0
-    for k in _free_sizes(n_free, policy):
-        m = math.comb(n_free, k)
-        count += m
-        stack_bytes += m * data.p * (data.p - k - n_forced) * 8
-    if stack_bytes > MAX_CANDIDATE_BYTES:
+    count, _, peak = _build_bytes(data, policy)
+    if peak > MAX_CANDIDATE_BYTES:
         raise errors.InputError(
-            f"candidate policy admits {count} models whose stacked bases "
-            f"need about {stack_bytes / 2 ** 20:.0f} MiB, above the "
+            f"candidate policy admits {count} models whose basis build "
+            f"needs about {peak / 2 ** 20:.0f} MiB, above the "
             f"{MAX_CANDIDATE_BYTES / 2 ** 20:.0f} MiB limit; cap the model "
             "size with CandidatePolicy(max_size=...)")
+
+
+class _Level(NamedTuple):
+    """The candidates of one free size ``k``.
+
+    They hold positions ``models`` in canonical order and rows ``rows`` of
+    the basis stack, ``dim = p - |S|`` consecutive rows each.  For ``k > 0``,
+    ``parents`` gives each model's prefix parent (the model without its
+    largest free column) as a position among the models of size ``k - 1``,
+    or the forced columns alone at ``k = 1``, and ``new_columns`` the
+    0-based column it adds.
+    """
+
+    models: slice
+    rows: slice
+    dim: int
+    parents: Optional[np.ndarray]
+    new_columns: Optional[np.ndarray]
+
+    @property
+    def count(self) -> int:
+        return self.models.stop - self.models.start
 
 
 @dataclass(frozen=True, eq=False)
 class _CandidateList:
     """Candidate models of a column layout, with their positions, free
-    sizes and column-membership bitmasks; shared (read-only) by every
-    design with that layout."""
+    sizes, column-membership bitmasks and levels; shared (read-only) by
+    every design with that layout."""
 
     models: Tuple[IndexSet, ...]
     position: Dict[IndexSet, int]
     free_sizes: np.ndarray
     masks: np.ndarray
+    levels: Tuple[_Level, ...]
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @functools.lru_cache(maxsize=16)
@@ -147,19 +190,82 @@ def _candidate_list(forced: Tuple[int, ...], free: Tuple[int, ...],
                     policy: CandidatePolicy) -> _CandidateList:
     """Canonical order: free size, then lexicographic.  The list depends on
     the forced and free columns and the policy only, never on the design."""
+    sizes = _free_sizes(len(free), policy)
     models = tuple(
         IndexSet(tuple(sorted(forced + combo)))
-        for k in _free_sizes(len(free), policy)
+        for k in sizes
         for combo in itertools.combinations(free, k))
     if not models:
         raise errors.InputError("candidate policy admits no models")
-    free_sizes = np.array([len(m) - len(forced) for m in models], dtype=int)
     masks = np.array([sum(1 << (i - 1) for i in m.indices) for m in models],
                      dtype=np.int64)
-    free_sizes.flags.writeable = False
-    masks.flags.writeable = False
+    # Walk the prefix tree in canonical order: a parent's children add, in
+    # turn, each free column after its last one.
+    columns = np.array(free) - 1
+    last = np.array([-1])  # position in ``free`` of each model's last column
+    levels = []
+    first = row = 0
+    for k in sizes:
+        count, dim = math.comb(len(free), k), len(free) - k
+        parent = new = None
+        if k:
+            children = len(free) - 1 - last
+            parent = np.repeat(np.arange(last.size), children)
+            first_child = np.cumsum(children) - children
+            last = last[parent] + 1 + np.arange(count) - first_child[parent]
+            parent, new = _frozen(parent), _frozen(columns[last])
+        levels.append(_Level(slice(first, first + count),
+                             slice(row, row + count * dim), dim, parent, new))
+        first, row = first + count, row + count * dim
+    free_sizes = np.repeat(np.array(sizes), [lv.count for lv in levels])
     return _CandidateList(models, {m: pos for pos, m in enumerate(models)},
-                          free_sizes, masks)
+                          _frozen(free_sizes), _frozen(masks), tuple(levels))
+
+
+def _complement_bases(r: np.ndarray, n_forced: int,
+                      listed: _CandidateList) -> np.ndarray:
+    """Stacked complement bases (as rows) of every candidate, built one free
+    size at a time from each model's prefix parent.
+
+    If the rows of ``N_P`` span the complement of ``span R[:, P]``, a
+    Householder reflection that maps ``v = N_P R[:, j]`` onto a multiple of
+    ``e_1`` leaves rows 2.. orthogonal to ``R[:, j]`` as well: they are the
+    basis of ``P + {j}``.  ``|v|`` is the distance of column ``j`` from the
+    span of the parent's columns, the |diag| entry that the QR of the model's
+    sorted columns ends with, so a running min and max per model give the
+    rank check.  The forced columns lead and ``R`` is upper triangular, so
+    the root's basis is the last ``p - n_forced`` unit vectors and its
+    |diag| entries are those of ``R``.
+    """
+    p = r.shape[0]
+    stack = np.empty((listed.levels[-1].rows.stop, p))
+    level = np.eye(p)[None, n_forced:]
+    diag = np.abs(np.diag(r)[:n_forced])
+    lo = np.array([diag.min(initial=np.inf)])
+    hi = np.array([diag.max(initial=0.0)])
+    for lv in listed.levels:
+        if lv.parents is None:  # the empty free set is the root itself
+            stack[lv.rows] = level[0]
+            continue
+        gathered = level[lv.parents]
+        v = np.einsum("mdp,pm->md", gathered, r[:, lv.new_columns])
+        norm = np.sqrt(np.einsum("md,md->m", v, v))
+        lo = np.minimum(lo[lv.parents], norm)
+        hi = np.maximum(hi[lv.parents], norm)
+        bad = np.flatnonzero(lo < RANK_TOL * np.maximum(hi, np.finfo(float).tiny))
+        if bad.size:
+            raise errors.RankDeficient(
+                "submodel columns are collinear beyond tolerance",
+                model=listed.models[lv.models.start + bad[0]])
+        # w = v + sign(v_1)|v| e_1 and H = I - 2 w w'/|w|^2, |w|^2 = 2|v||w_1|
+        v[:, 0] += np.copysign(norm, v[:, 0])
+        s = np.einsum("md,mdp->mp", v, gathered)
+        s /= (norm * np.abs(v[:, 0]))[:, None]
+        level = stack[lv.rows].reshape(lv.count, lv.dim, p)
+        np.einsum("md,mp->mdp", v[:, 1:], s, out=level)
+        np.subtract(gathered[:, 1:], level, out=level)
+        del gathered  # before the next level gathers its own parents
+    return stack
 
 
 class CandidateSet:
@@ -187,33 +293,8 @@ class CandidateSet:
         self.masks = listed.masks
         self._penalties: dict = {}
         self._q, r = data._qr_of(data.full_model().indices)
-        p = data.p
-        widths = listed.free_sizes + len(data.forced_indices)
-        blocks = []
-        # canonical order sorts by free size, so each width is one run
-        for width in np.unique(widths):
-            start, stop = np.searchsorted(widths, [width, width + 1])
-            if width == 0:
-                basis = np.broadcast_to(np.eye(p), (stop - start, p, p))
-            else:
-                cols = np.array([m.indices for m in self.models[start:stop]]) - 1
-                q_s, r_s = np.linalg.qr(r[:, cols].transpose(1, 0, 2),
-                                        mode="complete")
-                # |diag| of the QR of R[:, S] equals that of X[:, S]
-                d = np.abs(np.diagonal(r_s, axis1=1, axis2=2))
-                floor = RANK_TOL * np.maximum(d.max(axis=1), np.finfo(float).tiny)
-                bad = np.flatnonzero(d.min(axis=1) < floor)
-                if bad.size:
-                    raise errors.RankDeficient(
-                        "submodel columns are collinear beyond tolerance",
-                        model=self.models[start + bad[0]])
-                basis = q_s[:, :, width:]
-            blocks.append(basis.transpose(0, 2, 1).reshape(-1, p))
-        # model i owns rows row_start[i] : row_start[i] + p - |S_i|
-        self._basis = np.concatenate(blocks)
-        rows = p - widths
-        self._has_rows = rows > 0
-        self._row_starts = (np.cumsum(rows) - rows)[self._has_rows]
+        self._levels = listed.levels
+        self._basis = _complement_bases(r, len(data.forced_indices), listed)
 
     def __len__(self) -> int:
         return len(self.models)
@@ -241,16 +322,17 @@ class CandidateSet:
         perp = vs - u @ self._q.T
         coords = u @ self._basis.T  # (T+1, rows)
         t = len(vs) - 1
-        prod = np.empty((2 * t + 1, coords.shape[1]))
-        np.multiply(coords[0], coords, out=prod[:t + 1])
-        np.multiply(coords[1:], coords[1:], out=prod[t + 1:])
-        out = np.zeros((2 * t + 1, len(self.models)))
-        if self._row_starts.size:
-            out[:, self._has_rows] = np.add.reduceat(prod, self._row_starts, axis=1)
+        out = np.empty((2 * t + 1, len(self.models)))
+        for lv in self._levels:
+            c = coords[:, lv.rows].reshape(t + 1, lv.count, lv.dim)
+            np.einsum("md,tmd->tm", c[0], c, out=out[:t + 1, lv.models])
+            if t:
+                np.einsum("tmd,tmd->tm", c[1:], c[1:], out=out[t + 1:, lv.models])
         shared = np.concatenate([
             np.einsum("tn,tn->t", np.broadcast_to(perp[0], perp.shape), perp),
             np.einsum("tn,tn->t", perp[1:], perp[1:])])
-        return out + shared[:, None]
+        out += shared[:, None]
+        return out
 
     def rss_all(self, y: np.ndarray) -> np.ndarray:
         """Residual sum of squares of every candidate, canonical order."""

@@ -312,10 +312,12 @@ def _run_rep_chunk(
     n_t, n_s = len(targets), len(strategies)
     n_reps = rep_hi - rep_lo
 
-    base = _design_dataset(config, X, np.zeros(config.n))
-    base_mean = X @ beta  # noiseless response under the true coefficients
-    cov_chol = _ar1_cholesky(config)
-    cs = candidate_set(base, DEFAULT_POLICY)
+    if config.fixed_design:
+        base = _design_dataset(config, X, np.zeros(config.n))
+        base_mean = X @ beta  # noiseless response under the true coefficients
+        cs = candidate_set(base, DEFAULT_POLICY)
+    else:
+        cov_chol = _ar1_cholesky(config)
 
     hits_unc = np.zeros((n_reps, n_t, n_s), dtype=np.int8)
     hits_cor = np.zeros((n_reps, n_t, n_s), dtype=np.int8)

@@ -10,13 +10,16 @@ the sweep.
 
 The scalar normal interval masses at the end (``normal_measure``) are the
 one-interval view of the library's log-measure kernel, used by tests only.
+:func:`complement_bases` is the candidate engine's basis build done the
+direct way, with one complete QR per model.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -30,7 +33,7 @@ from subsetci.criteria import (
 )
 from subsetci.geometry import ETA_SPAN_TOL, LEAD_TOL, EtaDecomposition
 from subsetci.intervals import EMPTY, FULL_LINE, IntervalUnion, interval_union
-from subsetci.linmodel import Dataset, IndexSet
+from subsetci.linmodel import RANK_TOL, Dataset, IndexSet
 from subsetci.truncnorm import _log_measure_std
 
 
@@ -43,6 +46,41 @@ def residual_project(data: Dataset, S: IndexSet, v: np.ndarray) -> np.ndarray:
             f"vector has length {v.shape[0]}, expected {data.n}")
     q, _ = data._qr_of(S.indices)
     return v - q @ (q.T @ v)
+
+
+def complement_bases(data: Dataset, policy: CandidatePolicy
+                     ) -> Tuple[List[IndexSet], List[np.ndarray]]:
+    """Candidate models in canonical order and each one's complement basis,
+    as the rows of a (p - |S|, p) block, from one complete-mode QR of
+    ``R[:, S]`` per model, batched by width.
+
+    Raises ``RankDeficient`` for the first model in canonical order whose
+    |diag| of that QR falls below ``RANK_TOL`` times its largest.
+    """
+    forced, free = data.forced_indices, data.free_indices
+    cap = len(free) if policy.max_size is None else min(policy.max_size, len(free))
+    models = [IndexSet(tuple(sorted(forced + combo)))
+              for k in range(0 if policy.include_empty else 1, cap + 1)
+              for combo in itertools.combinations(free, k)]
+    _, r = data._qr_of(data.full_model().indices)
+    p = data.p
+    blocks: List[np.ndarray] = []
+    for width in sorted({len(m) for m in models}):
+        group = [m for m in models if len(m) == width]
+        if width == 0:
+            blocks.extend(np.eye(p) for _ in group)
+            continue
+        cols = np.array([m.indices for m in group]) - 1
+        q_s, r_s = np.linalg.qr(r[:, cols].transpose(1, 0, 2), mode="complete")
+        d = np.abs(np.diagonal(r_s, axis1=1, axis2=2))
+        floor = RANK_TOL * np.maximum(d.max(axis=1), np.finfo(float).tiny)
+        bad = np.flatnonzero(d.min(axis=1) < floor)
+        if bad.size:
+            raise errors.RankDeficient(
+                "submodel columns are collinear beyond tolerance",
+                model=group[bad[0]])
+        blocks.extend(q_s[:, :, width:].transpose(0, 2, 1))
+    return models, blocks
 
 
 def is_superset(S: IndexSet, S_hat: IndexSet) -> bool:

@@ -12,9 +12,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from subsetci import Dataset, IndexSet, errors
+from subsetci import Dataset, IndexSet, criteria, errors
 from subsetci.criteria import (
+    DEFAULT_POLICY,
     CandidatePolicy,
+    CandidateSet,
     Criterion,
     CriterionSpec,
     best_subset,
@@ -387,6 +389,81 @@ def test_candidate_list_is_shared_but_rank_check_runs_per_design(rng):
     assert all(a is b for a, b in zip(first.models, second.models))
 
 
+@st.composite
+def basis_designs(draw):
+    """(dataset, policy) over random, ill-scaled and planted-collinear designs.
+
+    A planted design replaces its last 2 or 3 columns with copies of
+    ``b = 1e6 a + z``, each plus its own 1e-6 times noise, where ``a`` is
+    the column before them and ``z`` the first of them.  The full design
+    passes the rank check, since ``a`` absorbs the large part, but every
+    model holding two copies without ``a`` is deficient at about 1e-12.
+    """
+    kind = draw(st.sampled_from(["random", "ill-scaled", "collinear"]))
+    intercept = draw(st.booleans())
+    copies = draw(st.integers(2, 3))
+    p = draw(st.integers(copies + 1 + intercept if kind == "collinear" else 2, 6))
+    n = draw(st.integers(p + 4, 20))
+    n_free = p - 1 if intercept else p
+    policy = CandidatePolicy(
+        max_size=draw(st.one_of(st.none(), st.integers(1, n_free))),
+        include_empty=draw(st.booleans()))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    X = rng.standard_normal((n, p))
+    if kind == "ill-scaled":
+        X *= 10.0 ** rng.uniform(-4.0, 4.0, p)
+    elif kind == "collinear":
+        b = 1e6 * X[:, -copies - 1] + X[:, -copies]
+        X[:, -copies:] = b[:, None] + 1e-6 * rng.standard_normal((n, copies))
+    if intercept:
+        X[:, 0] = 1.0
+    data = Dataset(X, rng.standard_normal(n),
+                   tuple(f"x{j}" for j in range(1, p + 1)),
+                   intercept_policy=INTERCEPT_FORCED if intercept
+                   else INTERCEPT_NONE)
+    return data, policy
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(basis_designs())
+def test_prefix_tree_bases_match_per_model_qr_oracle(case):
+    data, policy = case
+    try:
+        models, blocks = pair_oracle.complement_bases(data, policy)
+    except errors.RankDeficient as exc:
+        with pytest.raises(errors.RankDeficient) as got:
+            CandidateSet(data, policy)
+        assert got.value.model == exc.model
+        return
+    cs = CandidateSet(data, policy)
+    assert cs.models == models
+    _, r = data._qr_of(data.full_model().indices)
+    scale = np.linalg.norm(r)
+    row = 0
+    for S, want in zip(models, blocks):
+        got = cs._basis[row:row + len(want)]
+        row += len(want)
+        cols = [i - 1 for i in S.indices]
+        assert np.abs(got @ got.T - np.eye(len(got))).max(initial=0.0) <= 1e-13
+        assert np.abs(got @ r[:, cols]).max(initial=0.0) <= 1e-13 * scale
+        assert np.abs(got.T @ got - want.T @ want).max() <= 1e-12
+    assert row == len(cs._basis)
+
+
+@pytest.mark.parametrize("intercept", [INTERCEPT_NONE, INTERCEPT_FORCED])
+def test_candidate_build_makes_at_most_one_qr_call(rng, monkeypatch, intercept):
+    X = rng.standard_normal((20, 6))
+    X[:, 0] = 1.0
+    data = Dataset(X, rng.standard_normal(20),
+                   tuple(f"x{j}" for j in range(1, 7)), intercept_policy=intercept)
+    calls = []
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr",
+                        lambda *args, **kw: calls.append(1) or qr(*args, **kw))
+    CandidateSet(data, CandidatePolicy(include_empty=True))
+    assert len(calls) <= 1
+
+
 def test_candidate_build_caches_no_per_model_factors(small_data):
     candidate_set(small_data)
     n_space = [k for k in small_data._cache if isinstance(k[0], int)]
@@ -443,6 +520,31 @@ class TestCandidateBudget:
         assert "MiB" in str(exc.value)
         assert elapsed < 1.0
         assert peak < 2 ** 20
+
+    def test_build_peak_is_within_the_estimate(self, rng):
+        data = self._wide(rng, 14, n=100)
+        # the candidate list is shared by every design of a layout
+        criteria._candidate_list(data.forced_indices, data.free_indices,
+                                 DEFAULT_POLICY)
+        _, stack, estimate = criteria._build_bytes(data, DEFAULT_POLICY)
+        tracemalloc.start()
+        try:
+            cs = CandidateSet(data, DEFAULT_POLICY)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cs._basis.nbytes == stack
+        assert peak <= estimate <= 2 * stack
+
+    @pytest.mark.parametrize("n_free, refused", [(17, False), (18, True)])
+    def test_uncapped_search_refused_from_18_free_columns(self, rng, n_free,
+                                                           refused):
+        data = self._wide(rng, n_free)
+        if refused:
+            with pytest.raises(errors.InputError, match="MiB"):
+                criteria._check_budget(data, DEFAULT_POLICY)
+        else:
+            criteria._check_budget(data, DEFAULT_POLICY)
 
     def test_capped_policy_on_the_same_design_is_built(self, rng):
         data = self._wide(rng, 24)

@@ -174,6 +174,17 @@ class TestSimulateCoverage:
         assert pools == ([] if started is None else [started])
         assert rep.reps_completed == reps
 
+    @pytest.mark.parametrize("fixed, built", [(True, 1), (False, 12)])
+    def test_one_candidate_set_per_design(self, monkeypatch, fixed, built):
+        from subsetci import criteria
+
+        inits = []
+        init = criteria.CandidateSet.__init__
+        monkeypatch.setattr(criteria.CandidateSet, "__init__",
+                            lambda self, *args: inits.append(1) or init(self, *args))
+        simulate_coverage(tiny_config(reps=12, fixed_design=fixed))
+        assert len(inits) == built
+
     def test_histogram_conserves_replications(self):
         cfg = tiny_config(reps=35)
         rep = simulate_coverage(cfg)
