@@ -104,10 +104,18 @@ class SimulationConfig:
             raise errors.InputError("alpha must be in (0,1)")
         if self.sigma_strategies is not None and not self.sigma_strategies:
             raise errors.InputError("sigma_strategies must name at least one strategy")
-        if any(t.kind == LINEAR_COMBO for t in self.targets or ()):
-            raise errors.InputError(
-                "a linear-combination target has no study truth yet; "
-                "use prediction or coefficient targets")
+        width = self.p + int(self.intercept)  # design columns
+        for t in self.targets or ():
+            if t.kind == LINEAR_COMBO:
+                raise errors.InputError(
+                    "a linear-combination target has no study truth yet; "
+                    "use prediction or coefficient targets")
+            if t.kind == PREDICTION_MEAN and len(t.x) != width:
+                raise errors.DimensionMismatch(
+                    f"prediction point has length {len(t.x)}, expected {width}")
+            if t.index is not None and not 1 <= t.index <= width:
+                raise errors.IndexOutOfRange(
+                    f"coefficient index {t.index} is outside 1..{width}")
 
     def resolved_strategies(self) -> Tuple[SigmaSpec, ...]:
         if self.sigma_strategies is not None:

@@ -20,7 +20,7 @@ from .criteria import CandidatePolicy, CriterionSpec, DEFAULT_POLICY
 from .geometry import SelectionEvent, selection_events
 from .intervals import IntervalUnion
 from .linmodel import Dataset, IndexSet
-from .truncnorm import TruncatedNormalSpec, invert_mean, truncated_cdf
+from .truncnorm import PieceTable, TruncatedNormalSpec, truncated_cdf
 
 PREDICTION_MEAN = "prediction_mean"
 COEFFICIENT = "coefficient"
@@ -278,14 +278,11 @@ class IntervalTable:
     upper: np.ndarray  # (T, S)
     sigmas: np.ndarray  # (S,)
     methods: Tuple[str, ...]  # classical method of each strategy
-    grid: Tuple[IntervalUnion, ...]  # region of each (i, j), j fastest
+    table: PieceTable  # one row per cell (i, j), j fastest
 
     def pivots(self, mu: Sequence[float]) -> np.ndarray:
         """(T, S) truncated CDFs of ``points`` at the mean ``mu[i]`` of row ``i``."""
-        n_s = self.lam.shape[1]
-        specs = [TruncatedNormalSpec(mu=m, lam=s, region=r) for m, s, r
-                 in zip(np.repeat(mu, n_s), self.lam.ravel(), self.grid)]
-        return truncated_cdf(np.repeat(self.points, n_s), specs).reshape(self.lam.shape)
+        return self.table.cdf(np.repeat(mu, self.lam.shape[1])).reshape(self.lam.shape)
 
 
 def interval_table(
@@ -300,8 +297,9 @@ def interval_table(
 
     ``etas`` is the (T, n) stack of target directions and ``regions`` their
     selection events' regions for the response ``data.y``.  Estimated noise
-    levels are plugged into the known-sigma machinery; every corrected limit
-    comes from one batched :func:`invert_mean` call.
+    levels are plugged into the known-sigma machinery; one
+    :class:`PieceTable` holds every cell, and one inversion over it gives
+    both corrected limits of every cell.
     """
     if not 0.0 < alpha < 1.0:
         raise errors.InputError(f"alpha must be in (0,1), got {alpha}")
@@ -314,17 +312,21 @@ def interval_table(
     crit = [critical_value(data, S_hat, s, alpha) for s in strategies]
     quants = np.array([q for q, _ in crit], dtype=float)
     points = etas @ data.y
+    for x, region in zip(points.tolist(), regions):
+        if not region.contains(x):
+            raise errors.ObservationOutsideRegion(
+                f"x={x} is not interior to the region {region}")
     scales = np.linalg.norm(etas, axis=1)
     lam = np.outer(scales, sigmas)
-    grid = tuple(r for r in regions for _ in strategies)
     k = lam.size
-    mu = invert_mean(np.repeat([1.0 - alpha / 2.0, alpha / 2.0], k),
-                     np.tile(np.repeat(points, len(sigmas)), 2),
-                     np.tile(lam.ravel(), 2), grid * 2)
+    table = PieceTable(np.repeat(points, len(sigmas)), lam.ravel(),
+                       [r for r in regions for _ in strategies])
+    mu, _ = table.invert(np.repeat([1.0 - alpha / 2.0, alpha / 2.0], k),
+                         np.tile(np.arange(k), 2))
     return IntervalTable(
         points=points, lam=lam, half=np.outer(scales, sigmas * quants),
         lower=mu[:k].reshape(lam.shape), upper=mu[k:].reshape(lam.shape),
-        sigmas=sigmas, methods=tuple(m for _, m in crit), grid=grid)
+        sigmas=sigmas, methods=tuple(m for _, m in crit), table=table)
 
 
 def _single_target(

@@ -7,13 +7,14 @@ same-side intervals use complementary-function differences via
 ``log(1 - exp(d))``, intervals straddling the mean use a pair of
 half-``erf`` terms that cannot cancel.
 
-Every evaluation is batched: a batch of problems, one region each, is padded
-into a table of pieces, and the CDF, its inversion in the mean, and the
-log-measure kernel under both work on whole arrays.  The table returns the
-log CDF; ``truncated_cdf`` exponentiates it, and the inversion maps it to the
-probit scale, where a region without truncation gives a residual exactly
-linear in the mean.  Each element's result depends on that element alone, so
-a batch gives bit-for-bit the values of one-element calls.
+Every evaluation is batched: a ``PieceTable`` pads a batch of problems, one
+region each, into a table of pieces, and its CDF, its inversion in the mean,
+and the log-measure kernel under both work on whole arrays.  The table's
+kernel is the log CDF; ``cdf`` exponentiates it, and ``invert`` maps it to
+the probit scale, where a region without truncation gives a residual exactly
+linear in the mean.  Each row's result depends on that row alone, so a table
+gives bit-for-bit the values of a one-row table; ``truncated_cdf`` and
+``invert_mean`` are the one-problem forms.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ _SQRT2 = math.sqrt(2.0)
 _LOG_HALF = -math.log(2.0)
 _EPS = np.finfo(float).eps
 
-# The batched root-finder of ``invert_mean`` stops an element as soon as its
-# CDF residual is at most this, or once its bracket has shrunk to
+# The batched root-finder of ``PieceTable.invert`` stops a problem as soon as
+# its CDF residual is at most this, or once its bracket has shrunk to
 # the rounding of the mean while still straddling the root (where the CDF's
 # own rounding exceeds this tolerance); tolerances live in CDF space
 # because the CDF is flat in x across gaps of the region.  The stopping rule
@@ -42,12 +43,12 @@ _EPS = np.finfo(float).eps
 CDF_TOL = 1e-11
 # A bracket stalled at the rounding of the mean gives a root only if its
 # better end meets the 1e-8 contract; far in a tail, where the CDF's own
-# rounding is coarser than that, the element fails instead.
+# rounding is coarser than that, the problem fails instead.
 STALLED_CDF_TOL = 1e-8
 MAX_ROOT_ITER = 200
 MAX_EXPAND = 300
 
-# per-element outcome of the batched root-finder
+# per-problem outcome of ``PieceTable.invert``
 _SOLVED, _BELOW, _ABOVE, _UNDERFLOW, _STALLED = range(5)
 
 
@@ -113,21 +114,23 @@ class TruncatedNormalSpec:
             raise errors.InputError("truncation region must be nonempty")
 
 
-class _PieceTable:
+class PieceTable:
     """The CDF at fixed points, one problem per row, as a function of the mean.
 
-    Row ``i`` holds the pieces of region ``i`` padded to the widest region
-    with empty ``(0, 0)`` pieces, then the same pieces clipped at the
-    evaluation point ``x[i]``; one standardized-measure evaluation over the
-    whole table gives every row's denominator and numerator, and one
-    row-wise log-sum-exp over both halves (as rows of width ``width``)
-    reduces them.
+    Row ``i`` is the normal with scale ``lam[i]`` truncated to ``regions[i]``,
+    its CDF taken at ``x[i]``.  The row holds the region's pieces padded to
+    the widest region with empty ``(0, 0)`` pieces, then the same pieces
+    clipped at ``x[i]``; one standardized-measure evaluation gives every
+    row's denominator and numerator, and one row-wise log-sum-exp over both
+    halves (as rows of width ``width``) reduces them.
     """
 
     def __init__(self, x: np.ndarray, lam: np.ndarray, regions: Sequence[IntervalUnion]):
-        if not np.all(lam > 0.0):
+        self.x = np.asarray(x, dtype=float)
+        self.lam = np.asarray(lam, dtype=float)
+        if not np.all(self.lam > 0.0):
             raise errors.InputError("lambda must be positive")
-        width = max(len(r) for r in regions)
+        width = max((len(r) for r in regions), default=1)
         lo = np.zeros((len(regions), width))
         hi = np.zeros((len(regions), width))
         for i, region in enumerate(regions):
@@ -135,9 +138,8 @@ class _PieceTable:
                 raise errors.InputError("truncation region must be nonempty")
             lo[i, :len(region)], hi[i, :len(region)] = zip(*region.intervals)
         self.width = width
-        self.lam = lam
         self.lo = np.hstack([lo, lo])
-        self.hi = np.hstack([hi, np.minimum(hi, x[:, None])])
+        self.hi = np.hstack([hi, np.minimum(hi, self.x[:, None])])
 
     def log_cdf(self, mu: np.ndarray, rows=slice(None)) -> Tuple[np.ndarray, np.ndarray]:
         """(log CDF at the mean ``mu``, region-mass underflow flag) for ``rows``."""
@@ -151,194 +153,161 @@ class _PieceTable:
             underflow = ~(logden > -np.inf)  # -inf or nan
             return np.minimum(lognum - logden, 0.0), underflow
 
+    def cdf(self, mu: np.ndarray) -> np.ndarray:
+        """Every row's CDF at its mean ``mu[i]``.
 
-def truncated_cdf(x, spec):
-    """CDF of the truncated normal at ``x``: mass of ``(-inf, x] ∩ R`` over mass of R.
+        Raises ``RegionMassUnderflow`` when a row's region carries no
+        representable mass at its mean.
+        """
+        logf, underflow = self.log_cdf(mu)
+        if underflow.any():
+            i = int(np.flatnonzero(underflow)[0])
+            raise errors.RegionMassUnderflow(
+                f"region carries no representable mass at mu={mu[i]}")
+        return np.exp(logf)
 
-    ``x`` may be a sequence and ``spec`` an equally long sequence of specs;
-    the CDFs are then evaluated in one batch and returned as an array.
-    Raises ``RegionMassUnderflow`` when a region carries no representable
-    mass at its mean.
-    """
-    single = isinstance(spec, TruncatedNormalSpec)
-    specs = [spec] if single else list(spec)
-    xs = np.asarray(x, dtype=float).reshape(-1)
-    if xs.shape[0] != len(specs):
-        raise errors.DimensionMismatch(
-            f"{xs.shape[0]} evaluation points for {len(specs)} specs")
-    if not specs:
-        return np.zeros(0)
-    mu = np.array([s.mu for s in specs], dtype=float)
-    lam = np.array([s.lam for s in specs], dtype=float)
-    logf, underflow = _PieceTable(xs, lam, [s.region for s in specs]).log_cdf(mu)
-    if underflow.any():
-        i = int(np.flatnonzero(underflow)[0])
-        raise errors.RegionMassUnderflow(
-            f"region carries no representable mass at mu={mu[i]}")
-    vals = np.exp(logf)
-    return float(vals[0]) if single else vals
+    def invert(self, target: np.ndarray, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Means at which the CDF of table row ``rows[i]`` equals ``target[i]``.
 
+        The CDF decreases in the mean.  The root of the probit residual
+        ``g(mu) = Phi^-1(F(mu)) - Phi^-1(target)``, exactly linear in the
+        mean without truncation, is bracketed from the classical endpoint
+        ``x - lam * Phi^-1(target)`` and narrowed until the CDF residual is
+        at most ``CDF_TOL``, or until the bracket is as narrow as rounding
+        allows and its better end is within ``STALLED_CDF_TOL`` of the target.
+        Returns ``(mu, status)``; where the status is not ``_SOLVED``, ``mu``
+        is ``-inf`` for a target above 1/2 (a lower confidence limit) and
+        ``+inf`` otherwise.  All problems run in lockstep, but each one's
+        iterates depend on that problem alone.  The caller checks that each
+        target lies in (0, 1) and each observation inside its region.
+        """
+        k = target.shape[0]
+        x, lam = self.x[rows], self.lam[rows]
+        z = ndtri(target)
+        status = np.full(k, _SOLVED)
+        mu = np.full(k, np.nan)
 
-def _solve(target: np.ndarray, x: np.ndarray, lam: np.ndarray,
-           regions: Sequence[IntervalUnion]) -> Tuple[np.ndarray, np.ndarray]:
-    """Means at which each row's truncated CDF of ``x`` equals its target.
+        def probe(m, idx):
+            """(probit residual g, CDF within CDF_TOL, underflow) of problems
+            ``idx`` at means ``m``."""
+            logf, bad = self.log_cdf(m, rows[idx])
+            hit = ~bad & (np.abs(np.exp(logf) - target[idx]) <= CDF_TOL)
+            return ndtri_exp(logf) - z[idx], hit, bad
 
-    Returns ``(mu, status)``; ``mu`` is NaN where ``status`` is not
-    ``_SOLVED``.  All rows run in lockstep, but each row's iterates depend
-    on that row alone.
-    """
-    k = target.shape[0]
-    table = _PieceTable(x, lam, regions)
-    z = ndtri(target)
-    status = np.full(k, _SOLVED)
-    mu = np.full(k, np.nan)
+        # start at the classical endpoint, the root for an untruncated region
+        a = x - lam * z
+        fa, hit, bad = probe(a, np.arange(k))
+        mu[hit] = a[hit]
+        status[bad] = _UNDERFLOW
+        # step towards the root, first by 1.5 |g| scales (g falls by one per
+        # scale without truncation), then doubling the step until g changes
+        # sign; a is the last point with the start's sign, b the newest
+        step = np.copysign(lam * np.clip(1.5 * np.abs(fa), 1e-3, 64.0), fa)
+        b, fb = a.copy(), fa.copy()
+        grow = np.flatnonzero(~hit & ~bad)
+        for expansions in range(MAX_EXPAND + 1):
+            grow = grow[np.sign(fb[grow]) == np.sign(fa[grow])]
+            if not grow.size:
+                break
+            if expansions == MAX_EXPAND:
+                status[grow] = np.where(fa[grow] < 0.0, _BELOW, _ABOVE)
+                break
+            a[grow], fa[grow] = b[grow], fb[grow]
+            b[grow] += step[grow]
+            step[grow] *= 2.0
+            fb[grow], hit, bad = probe(b[grow], grow)
+            mu[grow[hit]] = b[grow[hit]]
+            status[grow[bad]] = _UNDERFLOW
+            grow = grow[~hit & ~bad]
 
-    def probe(m, rows):
-        """(probit residual g, CDF within CDF_TOL, underflow) at means ``m``.
-
-        ``g = Phi^-1(F) - Phi^-1(target)`` decreases in the mean like F, and
-        is exactly linear in it for an untruncated region."""
-        logf, bad = table.log_cdf(m, rows)
-        hit = ~bad & (np.abs(np.exp(logf) - target[rows]) <= CDF_TOL)
-        return ndtri_exp(logf) - z[rows], hit, bad
-
-    # start at the classical endpoint, the root for an untruncated region
-    a = x - lam * z
-    fa, hit, bad = probe(a, np.arange(k))
-    mu[hit] = a[hit]
-    status[bad] = _UNDERFLOW
-    # step towards the root, first by 1.5 |g| scales (g falls by one per
-    # scale without truncation), then doubling the step until g changes
-    # sign; a is the last point with the start's sign, b the newest
-    step = np.copysign(lam * np.clip(1.5 * np.abs(fa), 1e-3, 64.0), fa)
-    b, fb = a.copy(), fa.copy()
-    grow = np.flatnonzero(~hit & ~bad)
-    for expansions in range(MAX_EXPAND + 1):
-        grow = grow[np.sign(fb[grow]) == np.sign(fa[grow])]
-        if not grow.size:
-            break
-        if expansions == MAX_EXPAND:
-            status[grow] = np.where(fa[grow] < 0.0, _BELOW, _ABOVE)
-            break
-        a[grow], fa[grow] = b[grow], fb[grow]
-        b[grow] += step[grow]
-        step[grow] *= 2.0
-        fb[grow], hit, bad = probe(b[grow], grow)
-        mu[grow[hit]] = b[grow[hit]]
-        status[grow[bad]] = _UNDERFLOW
-        grow = grow[~hit & ~bad]
-
-    # Chandrupatla's method on g (Chandrupatla 1997, "A new hybrid
-    # quadratic/bisection algorithm for finding the zero of a nonlinear
-    # function without using derivatives"), from a regula falsi point: a is
-    # the newest iterate, b the bracket end with the opposite sign, c the
-    # iterate dropped from the bracket; inverse quadratic interpolation
-    # through the three when it is safe, bisection otherwise.
-    live = np.flatnonzero((status == _SOLVED) & np.isnan(mu))
-    scale = lam[live]
-    a, fa, b, fb = a[live], fa[live], b[live], fb[live]
-    with np.errstate(all="ignore"):
-        t = fa / (fa - fb)
-    t = np.where((t > 0.0) & (t < 1.0), t, 0.5)  # no secant past an infinite g
-    for _ in range(MAX_ROOT_ITER):
-        if not live.size:
-            break
-        xt = a + t * (b - a)
-        ft, hit, bad = probe(xt, live)
-        same = np.sign(ft) == np.sign(fa)
-        c, fc = np.where(same, a, b), np.where(same, fa, fb)
-        b, fb = np.where(same, b, a), np.where(same, fb, fa)
-        a, fa = xt, ft
-        xm = np.where(np.abs(fa) < np.abs(fb), a, b)
+        # Chandrupatla's method on g (Chandrupatla 1997, "A new hybrid
+        # quadratic/bisection algorithm for finding the zero of a nonlinear
+        # function without using derivatives"), from a regula falsi point: a
+        # is the newest iterate, b the bracket end with the opposite sign, c
+        # the iterate dropped from the bracket; inverse quadratic
+        # interpolation through the three when it is safe, bisection
+        # otherwise.
+        live = np.flatnonzero((status == _SOLVED) & np.isnan(mu))
+        scale = lam[live]
+        a, fa, b, fb = a[live], fa[live], b[live], fb[live]
         with np.errstate(all="ignore"):
-            tlim = 2.0 * _EPS * (np.abs(xm) + scale) / np.abs(b - a)
-            xi = (a - b) / (c - b)
-            phi = (fa - fb) / (fc - fb)
-            iqi = (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi)
-            t_iqi = (fa / (fb - fa) * fc / (fb - fc)
-                     + (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb))
-        t = np.clip(np.where(iqi, t_iqi, 0.5), tlim, 1.0 - tlim)
-        # a bracket narrower than rounding cannot shrink further; where the
-        # CDF's own rounding exceeds CDF_TOL it still brackets the root, and
-        # its end with the smaller residual is the root to working precision
-        # if that end's CDF is within STALLED_CDF_TOL of the target
-        stalled = ~bad & ~hit & ~(tlim <= 0.5)
-        ends = stalled & (np.sign(fa) * np.sign(fb) < 0.0)
-        if ends.any():
-            rows, ga, gb = live[ends], fa[ends], fb[ends]
-            g = np.where(np.abs(ga) < np.abs(gb), ga, gb)
-            ends[ends] = (np.abs(ndtr(z[rows] + g) - target[rows])
-                          <= STALLED_CDF_TOL)
-        done = bad | hit | stalled
-        if done.any():
-            mu[live[hit]] = xt[hit]
-            mu[live[ends]] = xm[ends]
-            status[live[stalled & ~ends]] = _STALLED
-            status[live[bad]] = _UNDERFLOW
-            keep = ~done
-            live, scale, a, fa, b, fb, t = (
-                v[keep] for v in (live, scale, a, fa, b, fb, t))
-    status[live] = _STALLED
-    return mu, status
-
-
-def invert_mean(target, x_obs, lam, region):
-    """Mean ``mu`` at which the truncated CDF of ``x_obs`` equals ``target``.
-
-    The CDF is strictly decreasing in the mean.  The root is sought on the
-    probit scale, ``g(mu) = Phi^-1(F(mu)) - Phi^-1(target)``, which is
-    exactly linear in the mean when nothing is truncated.  Each element
-    starts at its classical endpoint ``x_obs - lam * Phi^-1(target)``, the
-    root in that case; otherwise it steps towards the root, first by
-    ``1.5 * |g| * lam`` (clipped to between 1e-3 and 64 scales), doubling
-    the step until ``g`` changes sign.  A regula falsi point, then
-    Chandrupatla's safeguarded inverse-quadratic/bisection iteration on
-    ``g``, narrow the bracket until the CDF residual is at most ``CDF_TOL``,
-    or until the bracket is as narrow as rounding allows; its end with the
-    smaller residual is then the root if its CDF is within
-    ``STALLED_CDF_TOL`` of the target, and the element fails otherwise.
-
-    With one ``IntervalUnion`` as ``region`` the arguments are scalars, the
-    result is a float, and a root that cannot be bracketed or whose region
-    carries no representable mass raises ``BracketFailure`` or
-    ``RegionMassUnderflow``.  With a sequence of regions, ``target``,
-    ``x_obs`` and ``lam`` are equally long arrays and every element is solved
-    in one lockstep batch; an element that fails gives an infinite endpoint
-    instead of raising, ``-inf`` for a target above 1/2 (a lower confidence
-    limit) and ``+inf`` otherwise, while the other elements are unaffected.
-    Each element's result is bit-for-bit that of a one-element call.
-    """
-    single = isinstance(region, IntervalUnion)
-    regions = [region] if single else list(region)
-    target = np.asarray(target, dtype=float).reshape(-1)
-    x_obs = np.asarray(x_obs, dtype=float).reshape(-1)
-    lam = np.asarray(lam, dtype=float).reshape(-1)
-    if not target.shape[0] == x_obs.shape[0] == lam.shape[0] == len(regions):
-        raise errors.DimensionMismatch(
-            f"{target.shape[0]} targets, {x_obs.shape[0]} observations, "
-            f"{lam.shape[0]} scales and {len(regions)} regions")
-    if not len(regions):
-        return np.zeros(0)
-    out_of_range = np.flatnonzero(~((target > 0.0) & (target < 1.0)))
-    if out_of_range.size:
-        raise errors.InputError(
-            f"target must be in (0,1), got {target[out_of_range[0]]}")
-    for x, reg in zip(x_obs, regions):
-        if not reg.contains(float(x)):
-            raise errors.ObservationOutsideRegion(
-                f"x={x} is not interior to the region {reg}")
-    mu, status = _solve(target, x_obs, lam, regions)
-    if not single:
+            t = fa / (fa - fb)
+        t = np.where((t > 0.0) & (t < 1.0), t, 0.5)  # no secant past an infinite g
+        for _ in range(MAX_ROOT_ITER):
+            if not live.size:
+                break
+            xt = a + t * (b - a)
+            ft, hit, bad = probe(xt, live)
+            same = np.sign(ft) == np.sign(fa)
+            c, fc = np.where(same, a, b), np.where(same, fa, fb)
+            b, fb = np.where(same, b, a), np.where(same, fb, fa)
+            a, fa = xt, ft
+            xm = np.where(np.abs(fa) < np.abs(fb), a, b)
+            with np.errstate(all="ignore"):
+                tlim = 2.0 * _EPS * (np.abs(xm) + scale) / np.abs(b - a)
+                xi = (a - b) / (c - b)
+                phi = (fa - fb) / (fc - fb)
+                iqi = (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi)
+                t_iqi = (fa / (fb - fa) * fc / (fb - fc)
+                         + (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb))
+            t = np.clip(np.where(iqi, t_iqi, 0.5), tlim, 1.0 - tlim)
+            # a bracket narrower than rounding cannot shrink further; where
+            # the CDF's own rounding exceeds CDF_TOL it still brackets the
+            # root, and its end with the smaller residual is the root to
+            # working precision if that end's CDF is within STALLED_CDF_TOL
+            # of the target
+            stalled = ~bad & ~hit & ~(tlim <= 0.5)
+            ends = stalled & (np.sign(fa) * np.sign(fb) < 0.0)
+            if ends.any():
+                idx, ga, gb = live[ends], fa[ends], fb[ends]
+                g = np.where(np.abs(ga) < np.abs(gb), ga, gb)
+                ends[ends] = (np.abs(ndtr(z[idx] + g) - target[idx])
+                              <= STALLED_CDF_TOL)
+            done = bad | hit | stalled
+            if done.any():
+                mu[live[hit]] = xt[hit]
+                mu[live[ends]] = xm[ends]
+                status[live[stalled & ~ends]] = _STALLED
+                status[live[bad]] = _UNDERFLOW
+                keep = ~done
+                live, scale, a, fa, b, fb, t = (
+                    v[keep] for v in (live, scale, a, fa, b, fb, t))
+        status[live] = _STALLED
         failed = status != _SOLVED
         mu[failed] = np.where(target[failed] > 0.5, -np.inf, np.inf)
-        return mu
+        return mu, status
+
+
+def truncated_cdf(x: float, spec: TruncatedNormalSpec) -> float:
+    """CDF of the truncated normal at ``x``: mass of ``(-inf, x] ∩ R`` over mass of R.
+
+    Raises ``RegionMassUnderflow`` when the region carries no representable
+    mass at its mean.
+    """
+    table = PieceTable(np.array([x], dtype=float), np.array([spec.lam]), [spec.region])
+    return float(table.cdf(np.array([spec.mu], dtype=float))[0])
+
+
+def invert_mean(target: float, x_obs: float, lam: float, region: IntervalUnion) -> float:
+    """Mean ``mu`` at which the truncated CDF of ``x_obs`` equals ``target``.
+
+    The one-problem form of :meth:`PieceTable.invert`; a root it cannot find
+    raises ``BracketFailure``, or ``RegionMassUnderflow`` for a region that
+    carries no representable mass.
+    """
+    if not 0.0 < target < 1.0:
+        raise errors.InputError(f"target must be in (0,1), got {target}")
+    if not region.contains(float(x_obs)):
+        raise errors.ObservationOutsideRegion(
+            f"x={x_obs} is not interior to the region {region}")
+    table = PieceTable(np.array([x_obs], dtype=float), np.array([lam], dtype=float),
+                       [region])
+    mu, status = table.invert(np.array([target], dtype=float), np.zeros(1, dtype=int))
     code = int(status[0])
-    if code == _BELOW:
+    if code in (_BELOW, _ABOVE):
+        side = "below" if code == _BELOW else "above"
         raise errors.BracketFailure(
-            f"could not bracket target {target[0]} from below (CDF pinned)")
-    if code == _ABOVE:
-        raise errors.BracketFailure(
-            f"could not bracket target {target[0]} from above (CDF pinned)")
+            f"could not bracket target {target} from {side} (CDF pinned)")
     if code == _UNDERFLOW:
         raise errors.RegionMassUnderflow(
             "region carries no representable mass while inverting the mean")

@@ -38,7 +38,7 @@ def test_select_writes_json(data_csv, tmp_path, capsys):
     code = main(["select", data_csv, "--response", "y",
                  "--out", str(out), "--format", "json"])
     assert code == 0
-    doc = json.load(open(out / "report.json"))
+    doc = json.loads((out / "report.json").read_text())
     # the true support is always kept; noise columns may tag along
     assert "x1" in doc["selected_model"]["names"]
     assert len(doc["scores"]) == 3
@@ -95,7 +95,7 @@ def test_analyze_csv_format(data_csv, tmp_path):
     code = main(["analyze", data_csv, "--response", "y",
                  "--sigma", "mse-full", "--format", "csv", "--out", str(out)])
     assert code == 0
-    lines = open(out / "report.csv").read().splitlines()
+    lines = (out / "report.csv").read_text().splitlines()
     assert lines[0].startswith("target,strategy,method")
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 from concurrent.futures import Future
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -85,6 +86,25 @@ class TestGenerateDesign:
         with pytest.raises(errors.InputError, match="no study truth"):
             tiny_config(targets=(InferenceTarget.coefficient(1),
                                  InferenceTarget.linear_combo([1.0])))
+
+    def test_prediction_point_must_match_the_design(self):
+        # p=3 columns, one more with an intercept
+        with pytest.raises(errors.DimensionMismatch, match="length 2, expected 3"):
+            tiny_config(targets=(InferenceTarget.prediction_mean([1.0, 0.5]),))
+        with pytest.raises(errors.DimensionMismatch, match="length 3, expected 4"):
+            tiny_config(intercept=True,
+                        targets=(InferenceTarget.prediction_mean([1.0, 0.5, 0.0]),))
+        tiny_config(intercept=True,
+                    targets=(InferenceTarget.prediction_mean([1.0, 1.0, 0.5, 0.0]),))
+
+    def test_coefficient_index_must_name_a_design_column(self):
+        for index in (0, 4, 7):
+            with pytest.raises(errors.IndexOutOfRange, match=f"index {index} "):
+                tiny_config(targets=(InferenceTarget.coefficient(index),))
+        with pytest.raises(errors.IndexOutOfRange):
+            tiny_config(intercept=True, targets=(InferenceTarget.coefficient(5),))
+        tiny_config(intercept=True, targets=(InferenceTarget.coefficient(1),
+                                             InferenceTarget.coefficient(4)))
 
 
 class TestParseConfig:
@@ -488,13 +508,13 @@ class TestEmitReport:
         assert doc["excluded_regions"] == []
         assert doc["selected_model"] is not None
         paths = emit_report(rep, format="json", out_dir=str(tmp_path))
-        json.load(open(paths[0]))
+        json.loads(Path(paths[0]).read_text())
 
     def test_csv_output(self, tmp_path):
         cfg = tiny_config(reps=8)
         rep = simulate_coverage(cfg)
         paths = emit_report(rep, format="csv", out_dir=str(tmp_path))
-        lines = open(paths[0]).read().splitlines()
+        lines = Path(paths[0]).read_text().splitlines()
         assert lines[0] == "target,strategy,method,coverage,stderr,relative_loss"
         assert len(lines) == 1 + len(rep.cells)
 
@@ -504,10 +524,10 @@ class TestEmitReport:
         rep = simulate_coverage(cfg)
         paths = emit_report(rep, format="plotdata", out_dir=str(tmp_path))
         cov_path = [p for p in paths if "coverage_vs_point" in p][0]
-        header = open(cov_path).readline().strip().split(",")
+        header = Path(cov_path).read_text().splitlines()[0].split(",")
         assert len(header) == 2 + 3
         hist_path = [p for p in paths if "histogram" in p][0]
-        rows = open(hist_path).read().splitlines()
+        rows = Path(hist_path).read_text().splitlines()
         total = sum(int(r.split(",")[1]) for r in rows[1:])
         assert total == rep.reps_completed
 

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import norm, t as t_dist
 
 from subsetci import Dataset, IndexSet, errors
 from subsetci.criteria import Criterion, CriterionSpec, best_subset
-from subsetci.geometry import SelectionEvent, decompose
+from subsetci.geometry import SelectionEvent, decompose, selection_events
 from subsetci.inference import (
     InferenceTarget,
     METHOD_CLASSICAL_KNOWN,
@@ -17,10 +18,12 @@ from subsetci.inference import (
     corrected_ci,
     estimate_sigma,
     eta_for_target,
+    interval_table,
     pivot_value,
+    target_directions,
 )
 from subsetci.intervals import FULL_LINE, interval_union
-from subsetci.truncnorm import TruncatedNormalSpec, invert_mean, truncated_cdf
+from subsetci.truncnorm import PieceTable, TruncatedNormalSpec, invert_mean, truncated_cdf
 
 from conftest import random_dataset
 from pair_oracle import residual_project, sequential_region
@@ -301,3 +304,102 @@ class TestPivotValue:
         grid = np.arange(1, len(u) + 1) / len(u)
         ks = max(np.max(np.abs(u - grid)), np.max(np.abs(u - grid + 1 / len(u))))
         assert ks < 0.1
+
+
+@st.composite
+def table_problems(draw):
+    """(data, S, etas, regions, strategies, alpha, mu) for ``interval_table``:
+    1-4 random directions of a random response, each with a region of 1-4
+    pieces around its observation, some of them up to 30 noise scales apart,
+    and means a few scales from each observation.  A strategy with sigma
+    1e-300 pins the CDF, so that some limits fail."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    data = random_dataset(rng, n=12, p=3)
+    etas = rng.standard_normal((int(rng.integers(1, 5)), 12))
+    etas *= rng.uniform(0.05, 1.0, (etas.shape[0], 1))
+    regions = []
+    for x, scale in zip(etas @ data.y, np.linalg.norm(etas, axis=1)):
+        lo, hi = x - scale * rng.uniform(0.02, 3), x + scale * rng.uniform(0.02, 3)
+        pieces = [(lo, hi)]
+        for _ in range(int(rng.integers(0, 4))):
+            gap = scale * (rng.uniform(0.05, 3) if rng.random() < 0.5
+                           else rng.uniform(8, 30))
+            width = scale * rng.uniform(0.05, 3)
+            if rng.random() < 0.5:
+                pieces.append((hi + gap, hi + gap + width))
+                hi += gap + width
+            else:
+                pieces.append((lo - gap - width, lo - gap))
+                lo -= gap + width
+        regions.append(interval_union(pieces))
+    pool = [SigmaSpec.known(1.0), SigmaSpec.external(1.3), SigmaSpec.mse_aic(),
+            SigmaSpec.mse_full()]
+    strategies = [pool[i] for i in rng.permutation(4)[:int(rng.integers(1, 5))]]
+    if rng.random() < 0.3:
+        strategies.append(SigmaSpec.external(1e-300))
+    mu = etas @ data.y + np.linalg.norm(etas, axis=1) * rng.uniform(-3, 3, etas.shape[0])
+    alpha = float(rng.choice([0.05, 0.2]))
+    return data, IndexSet((1, 2, 3)), etas, regions, strategies, alpha, mu
+
+
+class TestIntervalTable:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(table_problems())
+    def test_cells_equal_scalar_calls(self, problem):
+        """Every limit is bit-for-bit the scalar ``invert_mean``, or infinite
+        exactly where that call raises; every pivot is bit-for-bit the scalar
+        ``truncated_cdf``, and ``pivots`` raises where a scalar call does."""
+        data, S, etas, regions, strategies, alpha, mu = problem
+        table = interval_table(data, S, etas, regions, strategies, alpha)
+        scalar_pivots = np.empty(table.lam.shape)
+        underflow = False
+        for i, region in enumerate(regions):
+            x = float(table.points[i])
+            for j in range(len(strategies)):
+                lam = float(table.lam[i, j])
+                for limit, target in ((table.lower[i, j], 1 - alpha / 2),
+                                      (table.upper[i, j], alpha / 2)):
+                    if np.isfinite(limit):
+                        assert limit == invert_mean(target, x, lam, region)
+                        continue
+                    assert limit == (-math.inf if target > 0.5 else math.inf)
+                    with pytest.raises((errors.BracketFailure,
+                                        errors.RegionMassUnderflow)):
+                        invert_mean(target, x, lam, region)
+                try:
+                    scalar_pivots[i, j] = truncated_cdf(
+                        x, TruncatedNormalSpec(float(mu[i]), lam, region))
+                except errors.RegionMassUnderflow:
+                    underflow = True
+        if underflow:
+            with pytest.raises(errors.RegionMassUnderflow):
+                table.pivots(mu)
+        else:
+            # both forms give NaN where a numerator piece lies ~1e300 scales out
+            assert np.array_equal(table.pivots(mu), scalar_pivots, equal_nan=True)
+
+    def test_one_piece_table_per_call(self, monkeypatch, rng):
+        built = []
+        init = PieceTable.__init__
+
+        def counted_init(self, *args):
+            built.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(PieceTable, "__init__", counted_init)
+        d = random_dataset(rng, n=16, p=4)
+        spec = CriterionSpec(Criterion.AIC, 16)
+        S_hat, _ = best_subset(d, spec)
+        targets = [InferenceTarget.coefficient(i) for i in S_hat.indices]
+        targets.append(InferenceTarget.prediction_mean(rng.standard_normal(4)))
+        etas = target_directions(d, S_hat, targets)
+        events = selection_events(d, d.y, etas, S_hat, spec)
+        strategies = [SigmaSpec.known(1.0), SigmaSpec.mse_aic(), SigmaSpec.mse_full()]
+        table = interval_table(d, S_hat, etas, [e.region for e in events],
+                               strategies, 0.05)
+        assert table.pivots(np.zeros(len(targets))).shape == (len(targets), 3)
+        assert built == [table.table]
+        # a response with no applicable target still builds one, empty, table
+        empty = interval_table(d, S_hat, etas[:0], [], strategies, 0.05)
+        assert empty.lower.shape == empty.pivots(np.zeros(0)).shape == (0, 3)
+        assert built == [table.table, empty.table]

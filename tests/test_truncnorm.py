@@ -8,12 +8,13 @@ from scipy.optimize import brentq
 from scipy.special import ndtri
 from scipy.stats import norm
 
-from subsetci import errors, truncnorm
+from subsetci import Dataset, IndexSet, errors, truncnorm
 from subsetci.criteria import Criterion
 from subsetci.harness import SimulationConfig, simulate_coverage
-from subsetci.inference import SigmaSpec
+from subsetci.inference import SigmaSpec, interval_table
 from subsetci.intervals import FULL_LINE, interval_union
-from subsetci.truncnorm import CDF_TOL, TruncatedNormalSpec, invert_mean, truncated_cdf
+from subsetci.truncnorm import (
+    CDF_TOL, PieceTable, TruncatedNormalSpec, invert_mean, truncated_cdf)
 from pair_oracle import log_normal_measure, normal_measure
 
 # working precision of the mpmath oracles, scoped to each oracle call so that
@@ -255,17 +256,23 @@ def problems(draw):
 @BATCH_SETTINGS
 @given(st.lists(problems(), min_size=1, max_size=12), st.randoms(use_true_random=False))
 def test_batch_elements_equal_single_calls(batch, shuffle):
-    """Each element of a batched call is bit-for-bit a one-element call,
-    whatever the batch order and the padding other elements force; an
-    element the batch reports as infinite is one the scalar call refuses."""
+    """Each problem of a table inversion is bit-for-bit a one-problem call,
+    whatever order the table's rows are asked in and the padding other rows
+    force; a problem the table reports as infinite is one the scalar call
+    refuses."""
     order = list(range(len(batch)))
     shuffle.shuffle(order)
+    table = PieceTable(np.array([b[1] for b in batch]), np.array([b[2] for b in batch]),
+                       [b[3] for b in batch])
     targets, xs, lams, regions = zip(*[batch[i] for i in order])
-    mus = invert_mean(np.array(targets), np.array(xs), np.array(lams), regions)
+    mus, status = table.invert(np.array(targets), np.array(order))
+    assert np.array_equal(np.isfinite(mus), status == truncnorm._SOLVED)
     solved = [j for j in range(len(order)) if np.isfinite(mus[j])]
     specs = [TruncatedNormalSpec(mu=float(mus[j]), lam=lams[j], region=regions[j])
              for j in solved]
-    cdfs = truncated_cdf(np.array([xs[j] for j in solved]), specs)
+    cdfs = PieceTable(np.array([xs[j] for j in solved]),
+                      np.array([lams[j] for j in solved]),
+                      [regions[j] for j in solved]).cdf(mus[solved])
     for j in range(len(order)):
         if j not in solved:
             with pytest.raises((errors.BracketFailure, errors.RegionMassUnderflow)):
@@ -284,9 +291,8 @@ def test_cdf_increases_in_x_and_decreases_in_mu(problem, mu1, mu2, x1, x2):
     _, _, lam, region = problem
     mu1, mu2 = sorted((mu1, mu2))
     x1, x2 = sorted((x1, x2))
-    lo_spec = TruncatedNormalSpec(mu=mu1, lam=lam, region=region)
-    hi_spec = TruncatedNormalSpec(mu=mu2, lam=lam, region=region)
-    f = truncated_cdf([x1, x2, x1, x2], [lo_spec, lo_spec, hi_spec, hi_spec])
+    table = PieceTable(np.array([x1, x2, x1, x2]), np.full(4, lam), [region] * 4)
+    f = table.cdf(np.array([mu1, mu1, mu2, mu2]))
     assert np.all((0.0 <= f) & (f <= 1.0))
     # rounding in log space allows ulp-sized reversals only
     slack = 1e-12
@@ -300,14 +306,16 @@ class TestBatchFailureIsolation:
     PINNED = (1.5, 1e-300, interval_union([(1.0, 2.0)]))
 
     def test_pinned_element_gives_infinite_endpoint_only(self):
+        # both limits of two rows, as ``interval_table`` asks for them
         region = interval_union([(-1.0, 0.5), (1.0, 4.0)])
         x, lam = 2.0, 0.8
-        targets = np.array([0.975, 0.975, 0.025, 0.025])
-        xs = np.array([x, self.PINNED[0], x, self.PINNED[0]])
-        lams = np.array([lam, self.PINNED[1], lam, self.PINNED[1]])
-        regions = [region, self.PINNED[2], region, self.PINNED[2]]
-        mus = invert_mean(targets, xs, lams, regions)
+        table = PieceTable(np.array([x, self.PINNED[0]]),
+                           np.array([lam, self.PINNED[1]]), [region, self.PINNED[2]])
+        mus, status = table.invert(np.array([0.975, 0.975, 0.025, 0.025]),
+                                   np.array([0, 1, 0, 1]))
         assert mus[1] == -INF and mus[3] == INF
+        assert status.tolist() == [truncnorm._SOLVED, truncnorm._BELOW,
+                                   truncnorm._SOLVED, truncnorm._ABOVE]
         assert mus[0] == invert_mean(0.975, x, lam, region)
         assert mus[2] == invert_mean(0.025, x, lam, region)
 
@@ -318,13 +326,17 @@ class TestBatchFailureIsolation:
             invert_mean(0.025, *self.PINNED)
 
     def test_batch_input_validation(self):
-        with pytest.raises(errors.DimensionMismatch):
-            invert_mean(np.array([0.5, 0.5]), np.array([0.0]), np.array([1.0]),
-                        [FULL_LINE])
+        # interval_table refuses an observation outside its target's region
+        rng = np.random.default_rng(5)
+        X = rng.standard_normal((12, 2))
+        data = Dataset(X, X @ np.array([1.0, 2.0]) + rng.standard_normal(12),
+                       ("a", "b"))
+        etas = X.T / np.sum(X * X, axis=0)[:, None]
+        x = float(etas[1] @ data.y)
         with pytest.raises(errors.ObservationOutsideRegion):
-            invert_mean(np.array([0.5, 0.5]), np.array([0.0, 5.0]),
-                        np.array([1.0, 1.0]),
-                        [FULL_LINE, interval_union([(-1.0, 1.0)])])
+            interval_table(data, IndexSet((1, 2)), etas,
+                           [FULL_LINE, interval_union([(x + 1.0, x + 2.0)])],
+                           [SigmaSpec.known(1.0)], 0.05)
 
 
 class TestRegionMassUnderflow:
@@ -340,9 +352,10 @@ class TestRegionMassUnderflow:
             truncated_cdf(1.5e155, self.FAR)
 
     def test_batched_truncated_cdf_raises_for_any_element(self):
-        fine = TruncatedNormalSpec(mu=0.0, lam=1.0, region=FULL_LINE)
+        table = PieceTable(np.array([0.0, 1.5e155]), np.array([1.0, self.FAR.lam]),
+                           [FULL_LINE, self.FAR.region])
         with pytest.raises(errors.RegionMassUnderflow):
-            truncated_cdf([0.0, 1.5e155], [fine, self.FAR])
+            table.cdf(np.array([0.0, self.FAR.mu]))
 
     def test_scalar_invert_mean_raises(self):
         with pytest.raises(errors.RegionMassUnderflow):
@@ -354,11 +367,12 @@ class TestRegionMassUnderflow:
         region = interval_union([(-1.0, 0.5), (1.0, 4.0)])
         x, lam = 2.0, 0.8
         x_bad, lam_bad, region_bad = self.NARROW
-        targets = np.array([0.975, 0.975, 0.025, 0.025])
-        mus = invert_mean(targets, np.array([x, x_bad, x, x_bad]),
-                          np.array([lam, lam_bad, lam, lam_bad]),
-                          [region, region_bad, region, region_bad])
+        table = PieceTable(np.array([x, x_bad]), np.array([lam, lam_bad]),
+                           [region, region_bad])
+        mus, status = table.invert(np.array([0.975, 0.975, 0.025, 0.025]),
+                                   np.array([0, 1, 0, 1]))
         assert mus[1] == -INF and mus[3] == INF
+        assert status[1] == status[3] == truncnorm._UNDERFLOW
         assert mus[0] == invert_mean(0.975, x, lam, region)
         assert mus[2] == invert_mean(0.025, x, lam, region)
 
@@ -386,8 +400,9 @@ class TestRootAtCdfRounding:
                 lambda m: hp_upper_tail_cdf(1e6 + 0.5, m, 0.05, 1e6, 1e6 + 1)
                 - mpmath.mpf(0.975), mu)
         assert abs(mu - float(root)) <= math.ulp(mu)
-        assert invert_mean(np.array([args[0]]), np.array([args[1]]),
-                           np.array([args[2]]), [args[3]])[0] == mu
+        mus, _ = PieceTable(np.array([args[1]]), np.array([args[2]]),
+                            [args[3]]).invert(np.array([args[0]]), np.array([0]))
+        assert mus[0] == mu
 
     def test_root_thousands_of_scales_away(self):
         # the root lies near mu = -5000, where log masses are about -8e5
@@ -404,9 +419,10 @@ class TestRootAtCdfRounding:
         x = -1.38381703386
         region = interval_union([(-1.38381796450, -0.45317277506),
                                  (85.846, 88.155), (93.230, math.inf)])
-        mu = invert_mean(np.array([0.975, 0.025]), np.array([x, x]),
-                         np.array([3.672, 3.672]), [region, region])
+        mu, status = PieceTable(np.array([x]), np.array([3.672]), [region]).invert(
+            np.array([0.975, 0.025]), np.array([0, 0]))
         assert mu.tolist() == [-math.inf, math.inf]
+        assert status.tolist() == [truncnorm._STALLED] * 2
         for target in (0.975, 0.025):
             with pytest.raises(errors.BracketFailure):
                 invert_mean(target, x, 3.672, region)
@@ -417,22 +433,22 @@ def count_solver_work(monkeypatch):
     and the CDF evaluations it spends on them (truncated-CDF calls from
     elsewhere are not counted)."""
     tally = {"endpoints": 0, "evals": 0, "rounds": 0}
-    solve, log_cdf = truncnorm._solve, truncnorm._PieceTable.log_cdf
+    invert, log_cdf = PieceTable.invert, PieceTable.log_cdf
 
     def counted_log_cdf(self, mu, rows=slice(None)):
         tally["evals"] += mu.shape[0]
         tally["rounds"] += 1
         return log_cdf(self, mu, rows)
 
-    def counted_solve(target, x, lam, regions):
-        monkeypatch.setattr(truncnorm._PieceTable, "log_cdf", counted_log_cdf)
+    def counted_invert(self, target, rows):
+        monkeypatch.setattr(PieceTable, "log_cdf", counted_log_cdf)
         try:
-            return solve(target, x, lam, regions)
+            return invert(self, target, rows)
         finally:
             tally["endpoints"] += target.shape[0]
-            monkeypatch.setattr(truncnorm._PieceTable, "log_cdf", log_cdf)
+            monkeypatch.setattr(PieceTable, "log_cdf", log_cdf)
 
-    monkeypatch.setattr(truncnorm, "_solve", counted_solve)
+    monkeypatch.setattr(PieceTable, "invert", counted_invert)
     return tally
 
 
@@ -444,7 +460,7 @@ class TestSolverWork:
         targets = np.array([0.975, 0.025, 1e-6, 1 - 1e-6, 0.5])
         xs = np.array([2.3, 2.3, -1.0, 40.0, 0.0])
         lams = np.array([1.7, 1.7, 0.2, 3.0, 1e-3])
-        mus = invert_mean(targets, xs, lams, [FULL_LINE] * 5)
+        mus, _ = PieceTable(xs, lams, [FULL_LINE] * 5).invert(targets, np.arange(5))
         assert tally == {"endpoints": 5, "evals": 5, "rounds": 1}
         assert np.array_equal(mus, xs - lams * ndtri(targets))
         assert invert_mean(0.975, 2.3, 1.7, FULL_LINE) == mus[0]
