@@ -36,7 +36,10 @@ from .inference import (
     METHOD_CORRECTED,
     PREDICTION_MEAN,
     SigmaSpec,
+    block_pivots,
+    interval_cells,
     interval_table,
+    solve_intervals,
     target_directions,
 )
 from .linmodel import (
@@ -49,6 +52,10 @@ from .linmodel import (
 
 UNCORRECTED = "uncorrected"
 CORRECTED = "corrected"
+
+# Replications per block of the coverage loop: each block's corrected
+# intervals come from one truncated-normal solve.
+BLOCK = 16
 
 
 # --------------------------------------------------------------------------
@@ -313,7 +320,16 @@ def _run_rep_chunk(
     rep_lo: int,
     rep_hi: int,
 ) -> Dict:
-    """All replications in ``[rep_lo, rep_hi)``; pure in (config, X, range)."""
+    """All replications in ``[rep_lo, rep_hi)``; pure in (config, X, range).
+
+    Replications run in blocks of ``BLOCK``.  Each replication of a block
+    draws its noise, selects a model and prepares its interval cells
+    (:func:`interval_cells`); then one :func:`solve_intervals` call gives the
+    corrected limits of every cell of the block, and one
+    :func:`block_pivots` call their pivots at the truths.  Every cell's
+    numbers depend on that cell alone, so they do not depend on ``BLOCK``.
+    A replication that fails in either phase fails alone.
+    """
     strategies = config.resolved_strategies()
     spec = CriterionSpec(config.criterion, config.n)
     beta = np.asarray(config.beta, dtype=float)
@@ -336,43 +352,63 @@ def _run_rep_chunk(
     ok = np.zeros(n_reps, dtype=bool)
     failures: List[Tuple[int, str]] = []
 
-    for row, rep in enumerate(range(rep_lo, rep_hi)):
-        noise = rep_stream(config.master_seed, rep).standard_normal(config.n)
-        if config.fixed_design:
-            mean_r = base_mean
-            data = base.replace_y(base_mean + config.sigma * noise)
-            local_cs = cs
-        else:
-            Z = _stream(config.master_seed, 3, rep).standard_normal(
-                (config.n, config.p))
-            Xr = Z @ cov_chol.T
-            mean_r = Xr @ beta
-            data = _design_dataset(config, Xr, mean_r + config.sigma * noise)
-            local_cs = candidate_set(data, DEFAULT_POLICY)
-        try:
-            scores, _ = local_cs.scores(data.y, spec)
-            S_hat = local_cs.models[int(np.argmin(scores))]
-            sizes[row] = data.free_size(S_hat)
-            truth = _truths(data, S_hat, targets, beta, mean_r, config.intercept)
-            rows_t = np.flatnonzero(~np.isnan(truth))
-            # every applicable target's direction, selection event and
-            # intervals for the whole replication, each in one call
-            etas = target_directions(data, S_hat, [targets[i] for i in rows_t])
-            events = selection_events(
-                data, data.y, etas, S_hat, spec,
-                keep_comparisons=False) if rows_t.size else []
-            table = interval_table(data, S_hat, etas, [e.region for e in events],
-                                   strategies, config.alpha)
-            sigmas[row] = table.sigmas
+    def fail(rep: int, exc: errors.NumericalError) -> None:
+        failures.append((rep, f"{type(exc).__name__}: {exc}"))
+
+    for block_lo in range(rep_lo, rep_hi, BLOCK):
+        # phase 1: each replication's selection and interval cells
+        pending = []  # (row, rep, applicable targets, their truths, cells)
+        for rep in range(block_lo, min(block_lo + BLOCK, rep_hi)):
+            row = rep - rep_lo
+            noise = rep_stream(config.master_seed, rep).standard_normal(config.n)
+            if config.fixed_design:
+                mean_r = base_mean
+                data = base.replace_y(base_mean + config.sigma * noise)
+                local_cs = cs
+            else:
+                Z = _stream(config.master_seed, 3, rep).standard_normal(
+                    (config.n, config.p))
+                Xr = Z @ cov_chol.T
+                mean_r = Xr @ beta
+                data = _design_dataset(config, Xr, mean_r + config.sigma * noise)
+                local_cs = candidate_set(data, DEFAULT_POLICY)
+            try:
+                scores, _ = local_cs.scores(data.y, spec)
+                S_hat = local_cs.models[int(np.argmin(scores))]
+                sizes[row] = data.free_size(S_hat)
+                truth = _truths(data, S_hat, targets, beta, mean_r, config.intercept)
+                rows_t = np.flatnonzero(~np.isnan(truth))
+                # every applicable target's direction, selection event and
+                # interval cells for the whole replication, each in one call
+                etas = target_directions(data, S_hat, [targets[i] for i in rows_t])
+                events = selection_events(
+                    data, data.y, etas, S_hat, spec,
+                    keep_comparisons=False) if rows_t.size else []
+                cells = interval_cells(data, S_hat, etas,
+                                       [e.region for e in events], strategies,
+                                       config.alpha)
+            except errors.NumericalError as exc:
+                fail(rep, exc)
+                continue
+            sigmas[row] = cells.sigmas
             applicable[row, rows_t] = 1
             t = truth[rows_t, None]
-            x = table.points[:, None]
-            hits_unc[row, rows_t] = (x - table.half < t) & (t < x + table.half)
+            x = cells.points[:, None]
+            hits_unc[row, rows_t] = (x - cells.half < t) & (t < x + cells.half)
+            pending.append((row, rep, rows_t, truth[rows_t], cells))
+
+        # phase 2: one inversion and one pivot evaluation for the block
+        tables = solve_intervals([p[4] for p in pending])
+        block = block_pivots(tables, [p[3] for p in pending])
+        for (row, rep, rows_t, truth, _), table, piv in zip(pending, tables, block):
+            t = truth[:, None]
             hits_cor[row, rows_t] = (table.lower < t) & (t < table.upper)
-            pivots[row, rows_t] = table.pivots(truth[rows_t])
+            if isinstance(piv, errors.RegionMassUnderflow):
+                fail(rep, piv)
+                continue
+            pivots[row, rows_t] = piv
             ok[row] = True
-        except errors.NumericalError as exc:
-            failures.append((rep, f"{type(exc).__name__}: {exc}"))
+    failures.sort(key=lambda f: f[0])
 
     return {
         "rep_lo": rep_lo,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.stats import norm as norm_dist, t as t_dist
@@ -20,7 +20,7 @@ from .criteria import CandidatePolicy, CriterionSpec, DEFAULT_POLICY
 from .geometry import SelectionEvent, selection_events
 from .intervals import IntervalUnion
 from .linmodel import Dataset, IndexSet
-from .truncnorm import PieceTable, TruncatedNormalSpec, truncated_cdf
+from .truncnorm import PieceTable, TruncatedNormalSpec, mass_underflow, truncated_cdf
 
 PREDICTION_MEAN = "prediction_mean"
 COEFFICIENT = "coefficient"
@@ -260,46 +260,64 @@ def classical_ci(
 
 
 @dataclass(frozen=True)
-class IntervalTable:
-    """Every classical and corrected interval of one response.
+class IntervalCells:
+    """Every classical interval of one response, and its corrected ones' inputs.
 
     Row ``i`` is the target with direction ``etas[i]``; column ``j`` is
     noise strategy ``j``.  The classical interval is ``points[i] ± half[i, j]``;
-    the corrected one is ``(lower[i, j], upper[i, j])``, the equal-tail
-    inversion of the normal with scale ``lam[i, j] = sigmas[j] |eta_i|``
-    truncated to the target's region.  A corrected limit that cannot be
-    bracketed (the CDF is pinned) is infinite rather than fabricated.
+    the corrected one inverts the normal with scale
+    ``lam[i, j] = sigmas[j] |eta_i|`` truncated to ``regions[i]``, taken at
+    ``points[i]``, at the equal tails of ``alpha``.
     """
 
     points: np.ndarray  # (T,) eta'y
     lam: np.ndarray  # (T, S)
     half: np.ndarray  # (T, S)
-    lower: np.ndarray  # (T, S)
-    upper: np.ndarray  # (T, S)
     sigmas: np.ndarray  # (S,)
     methods: Tuple[str, ...]  # classical method of each strategy
-    table: PieceTable  # one row per cell (i, j), j fastest
+    regions: Tuple[IntervalUnion, ...]  # (T,)
+    alpha: float
+
+
+@dataclass(frozen=True)
+class IntervalTable(IntervalCells):
+    """One response's cells with their corrected intervals
+    ``(lower[i, j], upper[i, j])``.  A corrected limit that cannot be
+    bracketed (the CDF is pinned) is infinite rather than fabricated.
+    """
+
+    lower: np.ndarray  # (T, S)
+    upper: np.ndarray  # (T, S)
+    table: PieceTable  # shared by one solve; one row per cell (i, j), j fastest
+    rows: slice  # this response's rows of ``table``
 
     def pivots(self, mu: Sequence[float]) -> np.ndarray:
-        """(T, S) truncated CDFs of ``points`` at the mean ``mu[i]`` of row ``i``."""
-        return self.table.cdf(np.repeat(mu, self.lam.shape[1])).reshape(self.lam.shape)
+        """(T, S) truncated CDFs of ``points`` at the mean ``mu[i]`` of row ``i``.
+
+        Raises ``RegionMassUnderflow`` when a cell's region carries no
+        representable mass at its mean.
+        """
+        (out,) = block_pivots([self], [mu])
+        if isinstance(out, errors.RegionMassUnderflow):
+            raise out
+        return out
 
 
-def interval_table(
+def interval_cells(
     data: Dataset,
     S_hat: IndexSet,
     etas: np.ndarray,
     regions: Sequence[IntervalUnion],
     strategies: Sequence[SigmaSpec],
     alpha: float,
-) -> IntervalTable:
-    """Classical and corrected intervals of every (target, strategy) pair.
+) -> IntervalCells:
+    """Classical intervals and corrected-interval inputs of every (target,
+    strategy) pair.
 
     ``etas`` is the (T, n) stack of target directions and ``regions`` their
     selection events' regions for the response ``data.y``.  Estimated noise
-    levels are plugged into the known-sigma machinery; one
-    :class:`PieceTable` holds every cell, and one inversion over it gives
-    both corrected limits of every cell.
+    levels are plugged into the known-sigma machinery.  Each target's
+    observation is checked against its region once.
     """
     if not 0.0 < alpha < 1.0:
         raise errors.InputError(f"alpha must be in (0,1), got {alpha}")
@@ -317,16 +335,76 @@ def interval_table(
             raise errors.ObservationOutsideRegion(
                 f"x={x} is not interior to the region {region}")
     scales = np.linalg.norm(etas, axis=1)
-    lam = np.outer(scales, sigmas)
+    return IntervalCells(
+        points=points, lam=np.outer(scales, sigmas),
+        half=np.outer(scales, sigmas * quants), sigmas=sigmas,
+        methods=tuple(m for _, m in crit), regions=tuple(regions), alpha=alpha)
+
+
+def solve_intervals(cells: Sequence[IntervalCells]) -> List[IntervalTable]:
+    """The corrected intervals of many responses' cells.
+
+    One :class:`PieceTable` holds every cell of every response, in order,
+    and one inversion over it gives both corrected limits of every cell.
+    Each row of the table depends on that row alone, so each response's
+    table holds bit for bit the numbers it would hold solved alone.
+    """
+    if not cells:
+        return []
+    x = np.concatenate([np.repeat(c.points, c.lam.shape[1]) for c in cells])
+    lam = np.concatenate([c.lam.ravel() for c in cells])
+    table = PieceTable(x, lam, [r for c in cells for r in c.regions
+                                for _ in range(c.lam.shape[1])])
     k = lam.size
-    table = PieceTable(np.repeat(points, len(sigmas)), lam.ravel(),
-                       [r for r in regions for _ in strategies])
-    mu, _ = table.invert(np.repeat([1.0 - alpha / 2.0, alpha / 2.0], k),
-                         np.tile(np.arange(k), 2))
-    return IntervalTable(
-        points=points, lam=lam, half=np.outer(scales, sigmas * quants),
-        lower=mu[:k].reshape(lam.shape), upper=mu[k:].reshape(lam.shape),
-        sigmas=sigmas, methods=tuple(m for _, m in crit), table=table)
+    target = np.concatenate([np.full(c.lam.size, 1.0 - c.alpha / 2.0) for c in cells]
+                            + [np.full(c.lam.size, c.alpha / 2.0) for c in cells])
+    mu, _ = table.invert(target, np.tile(np.arange(k), 2))
+    bounds = np.cumsum([0] + [c.lam.size for c in cells]).tolist()
+    return [IntervalTable(
+        **vars(c), table=table, rows=slice(lo, hi),
+        lower=mu[lo:hi].reshape(c.lam.shape),
+        upper=mu[k + lo:k + hi].reshape(c.lam.shape))
+        for c, lo, hi in zip(cells, bounds, bounds[1:])]
+
+
+def block_pivots(
+    tables: Sequence[IntervalTable], mus: Sequence[Sequence[float]],
+) -> List[Union[np.ndarray, errors.RegionMassUnderflow]]:
+    """``tables[r].pivots(mus[r])`` for tables of one :func:`solve_intervals`
+    call, from one CDF evaluation over their shared piece table.
+
+    A table with a cell whose region carries no representable mass at its
+    mean gets the error its ``pivots`` raises instead of values.
+    """
+    if not tables:
+        return []
+    table = tables[0].table
+    if any(t.table is not table for t in tables):
+        raise errors.InputError("tables come from different solves")
+    mu = np.concatenate([np.repeat(np.asarray(m, dtype=float), t.lam.shape[1])
+                         for t, m in zip(tables, mus)])
+    logf, underflow = table.log_cdf(mu, np.concatenate(
+        [np.arange(t.rows.start, t.rows.stop) for t in tables]))
+    bounds = np.cumsum([0] + [t.lam.size for t in tables]).tolist()
+    return [mass_underflow(mu[lo:hi], underflow[lo:hi]) if underflow[lo:hi].any()
+            else np.exp(logf[lo:hi]).reshape(t.lam.shape)
+            for t, lo, hi in zip(tables, bounds, bounds[1:])]
+
+
+def interval_table(
+    data: Dataset,
+    S_hat: IndexSet,
+    etas: np.ndarray,
+    regions: Sequence[IntervalUnion],
+    strategies: Sequence[SigmaSpec],
+    alpha: float,
+) -> IntervalTable:
+    """Classical and corrected intervals of every (target, strategy) pair of
+    one response: :func:`interval_cells`, solved alone by
+    :func:`solve_intervals`."""
+    (table,) = solve_intervals(
+        [interval_cells(data, S_hat, etas, regions, strategies, alpha)])
+    return table
 
 
 def _single_target(

@@ -76,7 +76,9 @@ def _log_measure_std(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         neg_lo = -lo
         la = log_ndtr(neg_lo)
         lb = log_ndtr(-hi)
-        tail = la + _log1mexp(lb - la)
+        # both ends beyond log_ndtr's range (about 1e154 scales out) leave
+        # lb - la undefined; such a piece carries no mass
+        tail = np.where(la == -np.inf, -np.inf, la + _log1mexp(lb - la))
         # P = Phi(b) - Phi(a) = erf(b/sqrt2)/2 + erf(-a/sqrt2)/2; both terms
         # are nonnegative, so no cancellation near zero-width intervals.
         straddle = np.log(0.5 * (erf(hi / _SQRT2) + erf(neg_lo / _SQRT2)))
@@ -161,9 +163,7 @@ class PieceTable:
         """
         logf, underflow = self.log_cdf(mu)
         if underflow.any():
-            i = int(np.flatnonzero(underflow)[0])
-            raise errors.RegionMassUnderflow(
-                f"region carries no representable mass at mu={mu[i]}")
+            raise mass_underflow(mu, underflow)
         return np.exp(logf)
 
     def invert(self, target: np.ndarray, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -276,6 +276,14 @@ class PieceTable:
         failed = status != _SOLVED
         mu[failed] = np.where(target[failed] > 0.5, -np.inf, np.inf)
         return mu, status
+
+
+def mass_underflow(mu: np.ndarray, underflow: np.ndarray) -> errors.RegionMassUnderflow:
+    """The error of a CDF evaluation at the means ``mu`` whose rows flagged
+    in ``underflow`` carry no representable mass; it names the first one."""
+    i = int(np.flatnonzero(underflow)[0])
+    return errors.RegionMassUnderflow(
+        f"region carries no representable mass at mu={mu[i]}")
 
 
 def truncated_cdf(x: float, spec: TruncatedNormalSpec) -> float:

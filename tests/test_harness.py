@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from concurrent.futures import Future
@@ -31,6 +32,7 @@ from subsetci.inference import (
     estimate_sigma,
     pivot_value,
 )
+from subsetci.intervals import interval_union
 from subsetci.linmodel import adjusted_coefficients
 
 
@@ -332,6 +334,123 @@ class TestCoefficientTargets:
         seq.pop("generated_at")
         par.pop("generated_at")
         assert seq == par
+
+
+def _chunks_by_block(monkeypatch, cfg, targets, lo, hi, stand_ins=None):
+    """``_run_rep_chunk`` over ``[lo, hi)`` at blocks of 1, 3, 16 and more
+    than the chunk; ``stand_ins()`` gives fresh harness attributes per run."""
+    from subsetci import harness
+
+    X, _ = generate_design(cfg)
+    chunks = []
+    for block in (1, 3, 16, hi - lo + 1):
+        monkeypatch.setattr(harness, "BLOCK", block)
+        for name, fn in (stand_ins() if stand_ins else {}).items():
+            monkeypatch.setattr(harness, name, fn)
+        chunks.append(_run_rep_chunk(cfg, X, targets, lo, hi))
+    return chunks
+
+
+def _assert_same_chunks(chunks):
+    first = chunks[0]
+    for chunk in chunks[1:]:
+        assert chunk.keys() == first.keys()
+        assert chunk["failures"] == first["failures"]
+        for key, value in first.items():
+            if isinstance(value, np.ndarray):
+                assert value.dtype == chunk[key].dtype
+                assert np.array_equal(value, chunk[key], equal_nan=True), key
+
+
+class TestBlocks:
+    """A chunk's numbers do not depend on how many replications share one
+    truncated-normal solve."""
+
+    @pytest.mark.parametrize("fixed", [True, False])
+    @pytest.mark.parametrize("targets", ["mixed", "coefficient"])
+    def test_block_size_does_not_change_chunk(self, monkeypatch, fixed, targets):
+        cfg = tiny_config(reps=40, beta=(3.0, 1.0, 0.0), fixed_design=fixed,
+                          sigma_strategies=ALL_STRATEGIES)
+        X, points = generate_design(cfg)
+        if targets == "mixed":
+            chosen = tuple(InferenceTarget.prediction_mean(x) for x in points)
+            chosen += COEF_TARGETS
+        else:
+            # x3 is selected in some replications only: the others have no cell
+            chosen = (InferenceTarget.coefficient("x3"),)
+        chunks = _chunks_by_block(monkeypatch, cfg, chosen, 5, 40)
+        _assert_same_chunks(chunks)
+        assert chunks[0]["ok"].all()
+        if targets == "coefficient":
+            assert 0 < chunks[0]["applicable"].sum() < 35
+
+    @pytest.mark.parametrize("fixed", [True, False])
+    def test_failures_stay_with_their_replication(self, monkeypatch, fixed):
+        """Replication 5 fails in its selection phase, and replication 2 in
+        its block's pivot evaluation: its first region is cut to within one
+        unit of the observation and its truth moved to 1e300, where that
+        region carries no representable mass.  Each fails alone, with the
+        message a solve of its own gives, and in replication order."""
+        from subsetci import harness
+
+        real_truths, real_events = harness._truths, harness.selection_events
+
+        def stand_ins():
+            calls = []
+
+            def truths(*args):
+                calls.append(1)
+                if len(calls) == 6:
+                    raise errors.NonPositiveRSS("injected")
+                out = real_truths(*args)
+                if len(calls) == 3:
+                    out[0] = 1e300
+                return out
+
+            def events(data, y, etas, *args, **kwargs):
+                out = real_events(data, y, etas, *args, **kwargs)
+                if len(calls) == 3:
+                    x = float(etas[0] @ y)
+                    out[0] = dataclasses.replace(
+                        out[0], region=interval_union([(x - 1.0, x + 1.0)]))
+                return out
+
+            return {"_truths": truths, "selection_events": events}
+
+        cfg = tiny_config(reps=20, fixed_design=fixed)
+        _, points = generate_design(cfg)
+        targets = tuple(InferenceTarget.prediction_mean(x) for x in points)
+        chunks = _chunks_by_block(monkeypatch, cfg, targets, 0, 20, stand_ins)
+        _assert_same_chunks(chunks)
+        assert chunks[0]["failures"] == [
+            (2, "RegionMassUnderflow: region carries no representable mass "
+                "at mu=1e+300"),
+            (5, "NonPositiveRSS: injected")]
+        assert np.flatnonzero(~chunks[0]["ok"]).tolist() == [2, 5]
+
+    def test_replication_clock(self, monkeypatch):
+        """``rep_stream`` runs once per replication, in order, as that
+        replication starts (before its selection): the benchmark's
+        per-replication timings rely on it."""
+        from subsetci import harness
+
+        events = []
+        stream, truths = harness.rep_stream, harness._truths
+
+        def recorded_stream(seed, rep):
+            events.append(("rep_stream", rep))
+            return stream(seed, rep)
+
+        def recorded_truths(*args):
+            events.append(("truths",))
+            return truths(*args)
+
+        monkeypatch.setattr(harness, "rep_stream", recorded_stream)
+        monkeypatch.setattr(harness, "_truths", recorded_truths)
+        simulate_coverage(tiny_config(reps=30), workers=1)
+        assert [e[1] for e in events if e[0] == "rep_stream"] == list(range(30))
+        assert events == [e for rep in range(30)
+                          for e in (("rep_stream", rep), ("truths",))]
 
 
 ALL_STRATEGIES = (SigmaSpec.known(0.5), SigmaSpec.external(0.6),

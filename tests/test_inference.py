@@ -375,8 +375,10 @@ class TestIntervalTable:
             with pytest.raises(errors.RegionMassUnderflow):
                 table.pivots(mu)
         else:
-            # both forms give NaN where a numerator piece lies ~1e300 scales out
-            assert np.array_equal(table.pivots(mu), scalar_pivots, equal_nan=True)
+            # a numerator piece ~1e300 scales out has no mass, not NaN mass
+            pivots = table.pivots(mu)
+            assert not np.isnan(pivots).any()
+            assert np.array_equal(pivots, scalar_pivots)
 
     def test_one_piece_table_per_call(self, monkeypatch, rng):
         built = []

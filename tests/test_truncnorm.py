@@ -377,6 +377,37 @@ class TestRegionMassUnderflow:
         assert mus[2] == invert_mean(0.025, x, lam, region)
 
 
+
+class TestMasslessPiece:
+    # the numerator piece (-3.49, X) lies about 1e300 scales below the mean,
+    # past log_ndtr's range at both ends: it has no mass, where the
+    # same-side formula alone gives NaN
+    X = -1.3384634095190355
+    SPEC = TruncatedNormalSpec(0.21588902, 1.1826252361716263e-300,
+                               interval_union([(-3.4859702215064394,
+                                                1.4362109650801878)]))
+
+    def test_truncated_cdf_is_zero(self):
+        assert truncated_cdf(self.X, self.SPEC) == 0.0
+
+    def test_table_row_is_zero_and_its_limits_fail_alone(self):
+        region = interval_union([(-1.0, 0.5), (1.0, 4.0)])
+        x, lam = 2.0, 0.8
+        table = PieceTable(np.array([x, self.X]), np.array([lam, self.SPEC.lam]),
+                           [region, self.SPEC.region])
+        f = table.cdf(np.array([1.0, self.SPEC.mu]))
+        assert f[1] == 0.0
+        assert f[0] == truncated_cdf(x, TruncatedNormalSpec(1.0, lam, region))
+        logf, underflow = table.log_cdf(np.array([1.0, self.SPEC.mu]))
+        assert logf[1] == -INF and not underflow.any()
+        mus, status = table.invert(np.array([0.975, 0.975, 0.025, 0.025]),
+                                   np.array([0, 1, 0, 1]))
+        assert mus[1] == -INF and mus[3] == INF
+        assert status.tolist() == [truncnorm._SOLVED, truncnorm._BELOW,
+                                   truncnorm._SOLVED, truncnorm._ABOVE]
+        assert mus[0] == invert_mean(0.975, x, lam, region)
+        assert mus[2] == invert_mean(0.025, x, lam, region)
+
 @mpmath.workdps(DPS)
 def hp_upper_tail_cdf(x, mu, lam, lo, hi):
     """Truncated CDF over one interval from upper-tail masses, exact far
