@@ -6,14 +6,15 @@ spherical normal noise.  Each pairwise criterion comparison
 "selected model beats competitor S" is then a quadratic inequality in the
 scalar ``t = eta'y``, so the event "the criterion picks this model" is a
 finite union of open intervals in ``t``.  This module builds those unions,
-for every direction of a response in one pass, with each comparison written
-around the observation (``u = t - eta'y``), where its constant term is the
-observed score gap.
+for every direction of a response in one pass and as padded rows of pieces,
+with each comparison written around the observation (``u = t - eta'y``),
+where its constant term is the observed score gap.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -26,7 +27,7 @@ from .criteria import (
     DEFAULT_POLICY,
     candidate_set,
 )
-from .intervals import MERGE_REL, IntervalUnion, interval_union
+from .intervals import MERGE_REL, IntervalUnion
 from .linmodel import Dataset, IndexSet
 
 # |leading coefficient| below LEAD_TOL times its natural scale is treated as
@@ -70,6 +71,27 @@ class SelectionEvent:
     selected: IndexSet
     region: IntervalUnion
     comparisons: Tuple[ComparisonRecord, ...]
+
+
+@dataclass(frozen=True, eq=False)
+class SelectionEvents(Sequence):
+    """The events of ``selected`` along stacked directions: row ``i`` of the
+    padded ``lo``/``hi`` is direction ``i``'s region, and item ``i`` its
+    :class:`SelectionEvent`."""
+
+    selected: IndexSet
+    lo: np.ndarray  # (T, W)
+    hi: np.ndarray
+    comparisons: Tuple[Tuple[ComparisonRecord, ...], ...]
+
+    def __len__(self) -> int:
+        return len(self.lo)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return SelectionEvents(self.selected, self.lo[i], self.hi[i], self.comparisons[i])
+        region = IntervalUnion.from_row(self.lo[i], self.hi[i])
+        return SelectionEvent(self.selected, region, self.comparisons[i])
 
 
 def decompose(y: np.ndarray, eta: np.ndarray) -> EtaDecomposition:
@@ -139,19 +161,37 @@ def _forbidden(a2, a1, a0, scale2, scale1, shift):
     return lo, hi
 
 
-def _allowed(lo: np.ndarray, hi: np.ndarray) -> IntervalUnion:
-    """Open complement of the union of the closed intervals ``[lo, hi]``.
+def _front(mask: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+           fill: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Each row's entries where ``mask`` holds, moved to its front and
+    padded with ``fill`` to the longest such row (at least 1)."""
+    count = mask.sum(axis=1)
+    r, k = np.nonzero(mask)
+    col = np.arange(r.size) - np.repeat(np.cumsum(count) - count, count)
+    shape = (mask.shape[0], count.max(initial=1))
+    out_lo, out_hi = np.full(shape, fill), np.full(shape, fill)
+    out_lo[r, col], out_hi[r, col] = lo[r, k], hi[r, k]
+    return out_lo, out_hi
 
-    One sort by left end and a running maximum of right ends: every left end
-    beyond the reach of all intervals before it opens a gap.
+
+def _allowed(lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Open complement of each row's union of closed sets ``[lo, hi]``
+    (empty where ``lo > hi``), as padded rows of its gaps.
+
+    Each row's nonempty sets move to the front, padded with ``(-inf, -inf)``
+    sets that change nothing; after one sort by left end, every left end
+    beyond the running maximum of the right ends before it opens a gap.
+    The gaps need no merge: ``_forbidden`` keeps a bounded set only if it is
+    wider than the merge tolerance at its ends, so the sets between two gaps
+    span more than that tolerance at their outer ends.
     """
-    keep = lo <= hi
-    lo, hi = lo[keep], hi[keep]
-    order = np.argsort(lo, kind="stable")
-    starts = np.concatenate(([-math.inf], np.maximum.accumulate(hi[order])))
-    ends = np.concatenate((lo[order], [math.inf]))
-    gap = starts < ends
-    return interval_union(zip(starts[gap].tolist(), ends[gap].tolist()))
+    lo, hi = _front(lo <= hi, lo, hi, -math.inf)
+    order = np.argsort(lo, axis=1, kind="stable")
+    reach = np.maximum.accumulate(np.take_along_axis(hi, order, axis=1), axis=1)
+    edge = np.ones((lo.shape[0], 1))
+    starts = np.hstack([-math.inf * edge, reach])
+    ends = np.hstack([np.take_along_axis(lo, order, axis=1), math.inf * edge])
+    return _front(starts < ends, starts, ends, 0.0)
 
 
 def selection_event(
@@ -187,7 +227,7 @@ def selection_events(
     spec: CriterionSpec,
     policy: CandidatePolicy = DEFAULT_POLICY,
     keep_comparisons: bool = True,
-) -> List[SelectionEvent]:
+) -> SelectionEvents:
     """The selection event of ``S_hat`` along each row of the (T, n) ``etas``.
 
     Event ``i`` is that of ``selection_event(data, decompose(y, etas[i]),
@@ -199,9 +239,10 @@ def selection_events(
     every coefficient; the constant term of each comparison is its observed
     score gap.  The roots of all T x (M - 1) comparisons are solved at once
     and shifted back by ``eta_i'y``, and each region is the complement of
-    the union of its comparisons' closed failure sets, found in one sorted
-    sweep over the sets that are not empty.  A direction in the selected
-    span skips its strict-superset comparisons, which forbid nothing there.
+    the union of its comparisons' closed failure sets, found by one
+    row-wise sweep over every direction (one more gives each comparison's
+    own region).  A direction in the selected span skips its strict-superset
+    comparisons, which forbid nothing there.
 
     A failure raises what the first failing direction's own call would
     raise; no event is returned for the others.
@@ -258,28 +299,26 @@ def selection_events(
     scale1 = np.outer(2.0 * np.sqrt(et2 * float(y @ y)), big)
     lo, hi = _forbidden(a2.ravel(), a1.ravel(), a0, scale2.ravel(),
                         scale1.ravel(), np.repeat(t, idx.size))
-    lo, hi = lo.reshape(len(t), idx.size, 2), hi.reshape(len(t), idx.size, 2)
+    # row i: direction i's failure sets, two slots per comparison
+    lo, hi = lo.reshape(len(t), 2 * idx.size), hi.reshape(len(t), 2 * idx.size)
     if not all_in_span:
         # along a direction in the selected span a superset comparison is
         # constant in t: it is skipped and forbids nothing
-        skip = np.logical_and.outer(in_span, superset[idx])
+        skip = np.logical_and.outer(in_span, np.repeat(superset[idx], 2))
         lo[skip], hi[skip] = math.inf, -math.inf
-    # each direction's sweep sees its nonempty failure sets only
-    lo, hi = lo.reshape(len(t), 2 * idx.size), hi.reshape(len(t), 2 * idx.size)
-    kept = lo <= hi
-    cuts = np.cumsum(kept.sum(axis=1))[:-1]
-    regions = [_allowed(l, h) for l, h in
-               zip(np.split(lo[kept], cuts), np.split(hi[kept], cuts))]
-    for region, ti in zip(regions, t.tolist()):
-        if not region.contains(ti):
-            raise errors.InvariantViolation(
-                "observed eta'y fell outside its own selection event; "
-                "endpoints may be numerically degenerate")
+    region_lo, region_hi = _allowed(lo, hi)
+    inside = (region_lo < t[:, None]) & (t[:, None] < region_hi)
+    if not inside.any(axis=1).all():
+        raise errors.InvariantViolation(
+            "observed eta'y fell outside its own selection event; "
+            "endpoints may be numerically degenerate")
 
     records: List[Tuple[ComparisonRecord, ...]] = [()] * len(t)
     if keep_comparisons:
+        # one row per (direction, comparison): its two failure sets
+        each_lo, each_hi = _allowed(lo.reshape(-1, 2), hi.reshape(-1, 2))
         row = np.full(len(cs), -1)
-        row[idx] = 2 * np.arange(idx.size)
+        row[idx] = np.arange(idx.size)
         for i, span in enumerate(in_span.tolist()):
             out = []
             for m, model in enumerate(cs.models):
@@ -290,10 +329,9 @@ def selection_events(
                         competitor=model, region=None, skipped=True,
                         reason="superset of the selected model; constant in t"))
                 else:
-                    r = row[m]
+                    r = i * idx.size + row[m]
                     out.append(ComparisonRecord(
                         competitor=model,
-                        region=_allowed(lo[i, r:r + 2], hi[i, r:r + 2])))
+                        region=IntervalUnion.from_row(each_lo[r], each_hi[r])))
             records[i] = tuple(out)
-    return [SelectionEvent(selected=S_hat, region=region, comparisons=rec)
-            for region, rec in zip(regions, records)]
+    return SelectionEvents(S_hat, region_lo, region_hi, tuple(records))

@@ -111,7 +111,9 @@ class SimulationConfig:
             raise errors.InputError("alpha must be in (0,1)")
         if self.sigma_strategies is not None and not self.sigma_strategies:
             raise errors.InputError("sigma_strategies must name at least one strategy")
-        width = self.p + int(self.intercept)  # design columns
+        names = (("Intercept",) if self.intercept else ()) + tuple(
+            f"x{j}" for j in range(1, self.p + 1))  # design columns
+        width = len(names)
         for t in self.targets or ():
             if t.kind == LINEAR_COMBO:
                 raise errors.InputError(
@@ -123,6 +125,9 @@ class SimulationConfig:
             if t.index is not None and not 1 <= t.index <= width:
                 raise errors.IndexOutOfRange(
                     f"coefficient index {t.index} is outside 1..{width}")
+            if t.name is not None and t.name not in names:
+                raise errors.IndexOutOfRange(
+                    f"no design column named {t.name!r}; expected one of {names}")
 
     def resolved_strategies(self) -> Tuple[SigmaSpec, ...]:
         if self.sigma_strategies is not None:
@@ -381,12 +386,10 @@ def _run_rep_chunk(
                 # every applicable target's direction, selection event and
                 # interval cells for the whole replication, each in one call
                 etas = target_directions(data, S_hat, [targets[i] for i in rows_t])
-                events = selection_events(
-                    data, data.y, etas, S_hat, spec,
-                    keep_comparisons=False) if rows_t.size else []
-                cells = interval_cells(data, S_hat, etas,
-                                       [e.region for e in events], strategies,
-                                       config.alpha)
+                events = selection_events(data, data.y, etas, S_hat, spec,
+                                          keep_comparisons=False)
+                cells = interval_cells(data, S_hat, etas, (events.lo, events.hi),
+                                       strategies, config.alpha)
             except errors.NumericalError as exc:
                 fail(rep, exc)
                 continue
@@ -642,7 +645,7 @@ def dataset_report(
         etas = target_directions(data, selected, targets)
         events = selection_events(data, data.y, etas, selected, spec,
                                   policy=policy)
-        table = interval_table(data, selected, etas, [e.region for e in events],
+        table = interval_table(data, selected, etas, (events.lo, events.hi),
                                sigma_strategies, alpha)
         # a classical then a corrected row per (target, strategy)
         cols = zip(table.points.tolist(), table.half.tolist(), table.lower.tolist(),

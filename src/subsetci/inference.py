@@ -266,8 +266,9 @@ class IntervalCells:
     Row ``i`` is the target with direction ``etas[i]``; column ``j`` is
     noise strategy ``j``.  The classical interval is ``points[i] ± half[i, j]``;
     the corrected one inverts the normal with scale
-    ``lam[i, j] = sigmas[j] |eta_i|`` truncated to ``regions[i]``, taken at
-    ``points[i]``, at the equal tails of ``alpha``.
+    ``lam[i, j] = sigmas[j] |eta_i|`` truncated to the padded region row
+    ``lo[i]``/``hi[i]``, taken at ``points[i]``, at the equal tails of
+    ``alpha``.
     """
 
     points: np.ndarray  # (T,) eta'y
@@ -275,7 +276,8 @@ class IntervalCells:
     half: np.ndarray  # (T, S)
     sigmas: np.ndarray  # (S,)
     methods: Tuple[str, ...]  # classical method of each strategy
-    regions: Tuple[IntervalUnion, ...]  # (T,)
+    lo: np.ndarray  # (T, W)
+    hi: np.ndarray  # (T, W)
     alpha: float
 
 
@@ -307,38 +309,43 @@ def interval_cells(
     data: Dataset,
     S_hat: IndexSet,
     etas: np.ndarray,
-    regions: Sequence[IntervalUnion],
+    regions: Tuple[np.ndarray, np.ndarray],
     strategies: Sequence[SigmaSpec],
     alpha: float,
 ) -> IntervalCells:
     """Classical intervals and corrected-interval inputs of every (target,
     strategy) pair.
 
-    ``etas`` is the (T, n) stack of target directions and ``regions`` their
-    selection events' regions for the response ``data.y``.  Estimated noise
-    levels are plugged into the known-sigma machinery.  Each target's
-    observation is checked against its region once.
+    ``etas`` is the (T, n) stack of target directions and ``regions`` the
+    padded rows ``(lo, hi)`` of their selection events' regions for the
+    response ``data.y``.  Estimated noise levels are plugged into the
+    known-sigma machinery.  Each target's observation is checked against
+    its region once.
     """
     if not 0.0 < alpha < 1.0:
         raise errors.InputError(f"alpha must be in (0,1), got {alpha}")
     etas = np.asarray(etas, dtype=float)
-    if etas.shape[0] != len(regions):
+    lo, hi = regions
+    if etas.shape[0] != lo.shape[0]:
         raise errors.DimensionMismatch(
-            f"{etas.shape[0]} directions for {len(regions)} regions")
+            f"{etas.shape[0]} directions for {lo.shape[0]} regions")
     sigmas = np.array([estimate_sigma(data, S_hat, s) for s in strategies],
                       dtype=float)
     crit = [critical_value(data, S_hat, s, alpha) for s in strategies]
     quants = np.array([q for q, _ in crit], dtype=float)
     points = etas @ data.y
-    for x, region in zip(points.tolist(), regions):
-        if not region.contains(x):
-            raise errors.ObservationOutsideRegion(
-                f"x={x} is not interior to the region {region}")
+    x = points[:, None]
+    outside = np.flatnonzero(~((lo < x) & (x < hi)).any(axis=1))
+    if outside.size:
+        i = outside[0]
+        raise errors.ObservationOutsideRegion(
+            f"x={points[i]} is not interior to the region "
+            f"{IntervalUnion.from_row(lo[i], hi[i])}")
     scales = np.linalg.norm(etas, axis=1)
     return IntervalCells(
         points=points, lam=np.outer(scales, sigmas),
         half=np.outer(scales, sigmas * quants), sigmas=sigmas,
-        methods=tuple(m for _, m in crit), regions=tuple(regions), alpha=alpha)
+        methods=tuple(m for _, m in crit), lo=lo, hi=hi, alpha=alpha)
 
 
 def solve_intervals(cells: Sequence[IntervalCells]) -> List[IntervalTable]:
@@ -353,13 +360,17 @@ def solve_intervals(cells: Sequence[IntervalCells]) -> List[IntervalTable]:
         return []
     x = np.concatenate([np.repeat(c.points, c.lam.shape[1]) for c in cells])
     lam = np.concatenate([c.lam.ravel() for c in cells])
-    table = PieceTable(x, lam, [r for c in cells for r in c.regions
-                                for _ in range(c.lam.shape[1])])
+    bounds = np.cumsum([0] + [c.lam.size for c in cells]).tolist()
     k = lam.size
+    lo = np.zeros((k, max(c.lo.shape[1] for c in cells)))
+    hi = np.zeros_like(lo)
+    for c, a, b in zip(cells, bounds, bounds[1:]):
+        lo[a:b, :c.lo.shape[1]] = np.repeat(c.lo, c.lam.shape[1], axis=0)
+        hi[a:b, :c.hi.shape[1]] = np.repeat(c.hi, c.lam.shape[1], axis=0)
+    table = PieceTable(x, lam, lo, hi)
     target = np.concatenate([np.full(c.lam.size, 1.0 - c.alpha / 2.0) for c in cells]
                             + [np.full(c.lam.size, c.alpha / 2.0) for c in cells])
     mu, _ = table.invert(target, np.tile(np.arange(k), 2))
-    bounds = np.cumsum([0] + [c.lam.size for c in cells]).tolist()
     return [IntervalTable(
         **vars(c), table=table, rows=slice(lo, hi),
         lower=mu[lo:hi].reshape(c.lam.shape),
@@ -395,7 +406,7 @@ def interval_table(
     data: Dataset,
     S_hat: IndexSet,
     etas: np.ndarray,
-    regions: Sequence[IntervalUnion],
+    regions: Tuple[np.ndarray, np.ndarray],
     strategies: Sequence[SigmaSpec],
     alpha: float,
 ) -> IntervalTable:
@@ -445,7 +456,7 @@ def corrected_ci(
         raise errors.InputError(f"alpha must be in (0,1), got {alpha}")
     data, eta, event = _single_target(data, y, S_hat, target, criterion_spec,
                                       policy, event)
-    table = interval_table(data, S_hat, eta[None, :], [event.region],
+    table = interval_table(data, S_hat, eta[None, :], event.region.as_row(),
                            [sigma_spec], alpha)
     return CIResult(
         lower=float(table.lower[0, 0]),

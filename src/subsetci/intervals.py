@@ -3,6 +3,9 @@
 All intervals are open; endpoint membership resolves to "outside".  Unions
 are kept in a canonical form (sorted, disjoint, tiny gaps merged) so that
 equal point sets compare equal.
+
+Inside the pipeline, regions are rows of padded (rows, W) arrays ``lo``/``hi``:
+each row's pieces in increasing order, then empty ``(0, 0)`` pieces.
 """
 
 from __future__ import annotations
@@ -10,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Tuple
+
+import numpy as np
 
 INF = math.inf
 
@@ -37,6 +42,16 @@ class IntervalUnion:
 
     def __len__(self) -> int:
         return len(self.intervals)
+
+    @classmethod
+    def from_row(cls, lo: np.ndarray, hi: np.ndarray) -> "IntervalUnion":
+        """The union held by one (canonical) padded row."""
+        return cls(tuple((a, b) for a, b in zip(lo.tolist(), hi.tolist()) if a < b))
+
+    def as_row(self) -> Tuple[np.ndarray, np.ndarray]:
+        """This union as (1, len) padded rows ``(lo, hi)``."""
+        lo, hi = np.array(self.intervals, dtype=float).reshape(-1, 2).T
+        return lo[None, :], hi[None, :]
 
     @property
     def is_empty(self) -> bool:

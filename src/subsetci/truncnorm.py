@@ -7,9 +7,9 @@ same-side intervals use complementary-function differences via
 ``log(1 - exp(d))``, intervals straddling the mean use a pair of
 half-``erf`` terms that cannot cancel.
 
-Every evaluation is batched: a ``PieceTable`` pads a batch of problems, one
-region each, into a table of pieces, and its CDF, its inversion in the mean,
-and the log-measure kernel under both work on whole arrays.  The table's
+Every evaluation is batched: a ``PieceTable`` takes a batch of problems, one
+region each as a padded row, and its CDF, its inversion in the mean, and
+the log-measure kernel under both work on whole arrays.  The table's
 kernel is the log CDF; ``cdf`` exponentiates it, and ``invert`` maps it to
 the probit scale, where a region without truncation gives a residual exactly
 linear in the mean.  Each row's result depends on that row alone, so a table
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 from scipy.special import erf, log_ndtr, ndtr, ndtri, ndtri_exp
@@ -119,37 +119,33 @@ class TruncatedNormalSpec:
 class PieceTable:
     """The CDF at fixed points, one problem per row, as a function of the mean.
 
-    Row ``i`` is the normal with scale ``lam[i]`` truncated to ``regions[i]``,
-    its CDF taken at ``x[i]``.  The row holds the region's pieces padded to
-    the widest region with empty ``(0, 0)`` pieces, then the same pieces
-    clipped at ``x[i]``; one standardized-measure evaluation gives every
-    row's denominator and numerator, and one row-wise log-sum-exp over both
-    halves (as rows of width ``width``) reduces them.
+    Row ``i`` is the normal with scale ``lam[i]`` truncated to the padded
+    region row ``lo[i]``/``hi[i]``, its CDF taken at ``x[i]``.  The table
+    holds the region's pieces, then the same pieces clipped at ``x[i]``;
+    one standardized-measure evaluation gives every row's denominator and
+    numerator, and one row-wise log-sum-exp over both halves (as rows of
+    width ``width``) reduces them.
     """
 
-    def __init__(self, x: np.ndarray, lam: np.ndarray, regions: Sequence[IntervalUnion]):
+    def __init__(self, x: np.ndarray, lam: np.ndarray, lo: np.ndarray, hi: np.ndarray):
         self.x = np.asarray(x, dtype=float)
         self.lam = np.asarray(lam, dtype=float)
         if not np.all(self.lam > 0.0):
             raise errors.InputError("lambda must be positive")
-        width = max((len(r) for r in regions), default=1)
-        lo = np.zeros((len(regions), width))
-        hi = np.zeros((len(regions), width))
-        for i, region in enumerate(regions):
-            if region.is_empty:
-                raise errors.InputError("truncation region must be nonempty")
-            lo[i, :len(region)], hi[i, :len(region)] = zip(*region.intervals)
-        self.width = width
+        if not np.all((lo < hi).any(axis=1)):
+            raise errors.InputError("truncation region must be nonempty")
+        self.width = lo.shape[1]
         self.lo = np.hstack([lo, lo])
         self.hi = np.hstack([hi, np.minimum(hi, self.x[:, None])])
 
     def log_cdf(self, mu: np.ndarray, rows=slice(None)) -> Tuple[np.ndarray, np.ndarray]:
-        """(log CDF at the mean ``mu``, region-mass underflow flag) for ``rows``."""
+        """(log CDF at the mean ``mu``, region-mass underflow flag) for
+        ``rows``; an infinite mean leaves no mass (NaN ends) and underflows."""
         lam = self.lam[rows][:, None]
         shift = mu[:, None]
-        logs = _log_measure_std((self.lo[rows] - shift) / lam,
-                                (self.hi[rows] - shift) / lam)
         with np.errstate(all="ignore"):
+            logs = _log_measure_std((self.lo[rows] - shift) / lam,
+                                    (self.hi[rows] - shift) / lam)
             sums = _logsumexp_rows(logs.reshape(-1, self.width))
             logden, lognum = sums[0::2], sums[1::2]
             underflow = ~(logden > -np.inf)  # -inf or nan
@@ -292,7 +288,8 @@ def truncated_cdf(x: float, spec: TruncatedNormalSpec) -> float:
     Raises ``RegionMassUnderflow`` when the region carries no representable
     mass at its mean.
     """
-    table = PieceTable(np.array([x], dtype=float), np.array([spec.lam]), [spec.region])
+    table = PieceTable(np.array([x], dtype=float), np.array([spec.lam]),
+                       *spec.region.as_row())
     return float(table.cdf(np.array([spec.mu], dtype=float))[0])
 
 
@@ -309,7 +306,7 @@ def invert_mean(target: float, x_obs: float, lam: float, region: IntervalUnion) 
         raise errors.ObservationOutsideRegion(
             f"x={x_obs} is not interior to the region {region}")
     table = PieceTable(np.array([x_obs], dtype=float), np.array([lam], dtype=float),
-                       [region])
+                       *region.as_row())
     mu, status = table.invert(np.array([target], dtype=float), np.zeros(1, dtype=int))
     code = int(status[0])
     if code in (_BELOW, _ABOVE):

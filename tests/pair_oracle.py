@@ -8,6 +8,8 @@ The library builds the same region from p-dimensional Gram coefficients and a
 single vectorized sweep, so agreement checks both the coefficient algebra and
 the sweep.
 
+:func:`allowed_row` is the sweep done one region at a time, with the
+merge of ``interval_union``.
 The scalar normal interval masses at the end (``normal_measure``) are the
 one-interval view of the library's log-measure kernel, used by tests only.
 :func:`complement_bases` is the candidate engine's basis build done the
@@ -296,6 +298,20 @@ def outside_bound(region: IntervalUnion, bound: float, eta_norm2: float) -> bool
     rounding relative to ``bound`` and to ``|eta|^2``."""
     r = math.sqrt(max(0.0, bound * (1.0 - 1e-9) - 1e-12 * eta_norm2))
     return intersect(region, interval_union([(-r, r)])).is_empty
+
+
+def allowed_row(lo: np.ndarray, hi: np.ndarray) -> IntervalUnion:
+    """Open complement of the union of the closed intervals ``[lo, hi]``
+    (empty where ``lo > hi``), one row at a time and canonicalized by
+    ``interval_union``'s merge: the reference for the library's row-wise
+    sweep, which never merges."""
+    keep = lo <= hi
+    lo, hi = lo[keep], hi[keep]
+    order = np.argsort(lo, kind="stable")
+    starts = np.concatenate(([-math.inf], np.maximum.accumulate(hi[order])))
+    ends = np.concatenate((lo[order], [math.inf]))
+    gap = starts < ends
+    return interval_union(zip(starts[gap].tolist(), ends[gap].tolist()))
 
 
 def log_normal_measure(interval: Tuple[float, float], mu: float, lam: float) -> float:

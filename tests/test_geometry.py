@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from subsetci import IndexSet, errors
 from subsetci.criteria import (
@@ -11,13 +12,14 @@ from subsetci.criteria import (
     best_subset,
     penalty_ratio_sizes,
 )
-from subsetci.geometry import _allowed, _forbidden, decompose, selection_event
-from subsetci.inference import InferenceTarget, eta_for_target
-from subsetci.intervals import EMPTY, FULL_LINE
+from subsetci.geometry import _allowed, _forbidden, decompose, selection_event, selection_events
+from subsetci.inference import InferenceTarget, eta_for_target, target_directions
+from subsetci.intervals import EMPTY, FULL_LINE, MERGE_REL, IntervalUnion, interval_union
 
 from conftest import random_dataset
 from pair_oracle import (
     EtaNotInSpan,
+    allowed_row,
     comparison_feasible_set,
     comparison_quadratic,
     intersect,
@@ -36,7 +38,8 @@ def feasible_from_quadratic(a2, a1, a0, scale2, scale1):
     lo, hi = _forbidden(*(np.array([v], dtype=float)
                           for v in (a2, a1, a0, scale2, scale1)),
                         shift=np.zeros(1))
-    return _allowed(lo.ravel(), hi.ravel())
+    lo, hi = _allowed(lo.reshape(1, -1), hi.reshape(1, -1))
+    return IntervalUnion.from_row(lo[0], hi[0])
 
 
 def grid_mismatches(d, dec, S_hat, spec, region):
@@ -129,6 +132,62 @@ class TestQuadraticCaseAnalysis:
         # roots are ~ -1e8 and ~ -1e-8; the tiny one must keep precision
         assert hi1 == pytest.approx(-1e8, rel=1e-6)
         assert lo2 == pytest.approx(-1e-8, rel=1e-6)
+
+
+@st.composite
+def failure_sets(draw):
+    """``(coefficients, shift, rows)`` for ``_forbidden``: 1-4 rows of 1-8
+    comparisons each.  Parabolas are built from their roots, which come
+    from three shared anchors, each moved by up to 4 merge tolerances, so
+    that roots coincide or nearly coincide within and across comparisons
+    (an upward parabola may also reach a fresh root up to 10 units on);
+    the rest are half-lines, whole-line sets and empty sets."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rows, k = int(rng.integers(1, 5)), int(rng.integers(1, 9))
+    anchors = rng.normal(size=3) * 10.0 ** rng.uniform(-2, 6, 3)
+
+    def root():
+        base = anchors[rng.integers(3)]
+        return base + int(rng.integers(-4, 5)) * MERGE_REL * max(1.0, abs(base))
+
+    coeffs = []
+    for kind in rng.choice(6, size=rows * k, p=[0.3, 0.3, 0.1, 0.1, 0.05, 0.15]):
+        lead = float(rng.uniform(0.1, 10.0))
+        if kind < 3:  # upward (two kinds) or downward parabola
+            r1 = root()
+            r2 = r1 + float(rng.uniform(0.0, 10.0)) if kind == 1 else root()
+            a2 = -lead if kind == 2 else lead
+            coeffs.append((a2, -a2 * (r1 + r2), a2 * r1 * r2))
+        elif kind == 3:  # half-line, either way
+            a1 = lead * float(rng.choice([-1.0, 1.0]))
+            coeffs.append((0.0, a1, -a1 * root()))
+        elif kind == 4:  # fails everywhere
+            coeffs.append(((-1.0, 0.0, -1.0), (0.0, 0.0, -1.0))[int(rng.integers(2))])
+        else:  # fails nowhere
+            coeffs.append(((1.0, 0.0, 1.0), (0.0, 0.0, 1.0))[int(rng.integers(2))])
+    a2, a1, a0 = np.array(coeffs).T
+    ones = np.ones(rows * k)
+    shift = np.repeat(rng.choice([0.0, 1.0, -1e3]) * rng.normal(size=rows), k)
+    return (a2, a1, a0, ones, ones), shift, rows
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(failure_sets())
+def test_row_sweep_equals_the_one_row_reference(case):
+    """Every row of the sweep is, float for float, the one-row sweep with
+    ``interval_union``'s merge, which therefore never fires; the row's
+    pieces come first, then empty (0, 0) padding."""
+    coefficients, shift, rows = case
+    lo, hi = _forbidden(*coefficients, shift=shift)
+    lo, hi = lo.reshape(rows, -1), hi.reshape(rows, -1)
+    got_lo, got_hi = _allowed(lo, hi)
+    for i in range(rows):
+        want = allowed_row(lo[i], hi[i])
+        n = len(want)
+        assert list(zip(got_lo[i, :n].tolist(), got_hi[i, :n].tolist())) == list(want)
+        assert not got_lo[i, n:].any() and not got_hi[i, n:].any()
+        row = IntervalUnion.from_row(got_lo[i], got_hi[i])
+        assert row == want and interval_union(row) == row
 
 
 class TestComparisonFeasibleSet:
@@ -296,6 +355,24 @@ class TestSelectionEvent:
         assert len(skipped) == 2 ** (4 - len(S_hat)) - 1
         assert all("superset" in c.reason for c in skipped)
         assert all(c.region is None for c in skipped)
+
+    def test_batch_indexes_like_a_sequence(self, rng):
+        # item i is direction i's event; a slice is the batch of its rows
+        d = random_dataset(rng, n=18, p=4, signal=np.array([3.0, 2.0, 0, 0]))
+        spec = CriterionSpec(Criterion.AIC, 18)
+        S_hat, _ = best_subset(d, spec)
+        etas = target_directions(d, S_hat, [InferenceTarget.coefficient(i)
+                                            for i in S_hat.indices])
+        events = selection_events(d, d.y, etas, S_hat, spec)
+        assert len(events) == len(S_hat) >= 2
+        for i, event in enumerate(events):
+            assert event == events[i] == events[i - len(events)]
+            assert event.region.contains(float(etas[i] @ d.y))
+        tail = events[1:]
+        assert len(tail) == len(events) - 1
+        assert list(tail) == list(events)[1:]
+        empty = selection_events(d, d.y, etas[:0], S_hat, spec)
+        assert len(empty) == 0 and list(empty) == []
 
     def test_wrong_model_rejected(self, rng):
         d = random_dataset(rng, n=15, p=4)

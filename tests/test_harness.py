@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 from concurrent.futures import Future
@@ -32,7 +31,6 @@ from subsetci.inference import (
     estimate_sigma,
     pivot_value,
 )
-from subsetci.intervals import interval_union
 from subsetci.linmodel import adjusted_coefficients
 
 
@@ -107,6 +105,20 @@ class TestGenerateDesign:
             tiny_config(intercept=True, targets=(InferenceTarget.coefficient(5),))
         tiny_config(intercept=True, targets=(InferenceTarget.coefficient(1),
                                              InferenceTarget.coefficient(4)))
+
+    def test_coefficient_name_beyond_the_design_refused_at_config_time(self):
+        # the design's columns are x1..xp
+        with pytest.raises(errors.IndexOutOfRange, match="'x9'"):
+            tiny_config(p=4, beta=(1.0, 0.0, 0.0, 0.0),
+                        targets=(InferenceTarget.coefficient("x9"),))
+        tiny_config(p=4, beta=(1.0, 0.0, 0.0, 0.0),
+                    targets=(InferenceTarget.coefficient("x4"),))
+
+    def test_intercept_name_needs_an_intercept(self):
+        with pytest.raises(errors.IndexOutOfRange, match="'Intercept'"):
+            tiny_config(targets=(InferenceTarget.coefficient("Intercept"),))
+        tiny_config(intercept=True,
+                    targets=(InferenceTarget.coefficient("Intercept"),))
 
 
 class TestParseConfig:
@@ -411,8 +423,8 @@ class TestBlocks:
                 out = real_events(data, y, etas, *args, **kwargs)
                 if len(calls) == 3:
                     x = float(etas[0] @ y)
-                    out[0] = dataclasses.replace(
-                        out[0], region=interval_union([(x - 1.0, x + 1.0)]))
+                    out.lo[0], out.hi[0] = 0.0, 0.0
+                    out.lo[0, 0], out.hi[0, 0] = x - 1.0, x + 1.0
                 return out
 
             return {"_truths": truths, "selection_events": events}

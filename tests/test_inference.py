@@ -18,14 +18,16 @@ from subsetci.inference import (
     corrected_ci,
     estimate_sigma,
     eta_for_target,
+    interval_cells,
     interval_table,
     pivot_value,
+    solve_intervals,
     target_directions,
 )
 from subsetci.intervals import FULL_LINE, interval_union
 from subsetci.truncnorm import PieceTable, TruncatedNormalSpec, invert_mean, truncated_cdf
 
-from conftest import random_dataset
+from conftest import piece_rows, random_dataset
 from pair_oracle import residual_project, sequential_region
 
 
@@ -350,7 +352,7 @@ class TestIntervalTable:
         exactly where that call raises; every pivot is bit-for-bit the scalar
         ``truncated_cdf``, and ``pivots`` raises where a scalar call does."""
         data, S, etas, regions, strategies, alpha, mu = problem
-        table = interval_table(data, S, etas, regions, strategies, alpha)
+        table = interval_table(data, S, etas, piece_rows(regions), strategies, alpha)
         scalar_pivots = np.empty(table.lam.shape)
         underflow = False
         for i, region in enumerate(regions):
@@ -397,11 +399,65 @@ class TestIntervalTable:
         etas = target_directions(d, S_hat, targets)
         events = selection_events(d, d.y, etas, S_hat, spec)
         strategies = [SigmaSpec.known(1.0), SigmaSpec.mse_aic(), SigmaSpec.mse_full()]
-        table = interval_table(d, S_hat, etas, [e.region for e in events],
+        table = interval_table(d, S_hat, etas, (events.lo, events.hi),
                                strategies, 0.05)
         assert table.pivots(np.zeros(len(targets))).shape == (len(targets), 3)
         assert built == [table.table]
         # a response with no applicable target still builds one, empty, table
-        empty = interval_table(d, S_hat, etas[:0], [], strategies, 0.05)
+        empty = interval_table(d, S_hat, etas[:0], piece_rows([]), strategies, 0.05)
         assert empty.lower.shape == empty.pivots(np.zeros(0)).shape == (0, 3)
         assert built == [table.table, empty.table]
+
+
+class TestObservationCheck:
+    """``interval_cells`` checks every observation against its region's
+    padded row in one comparison."""
+
+    STRATEGIES = [SigmaSpec.known(1.0), SigmaSpec.mse_aic()]
+
+    def _cells(self, data, etas, regions):
+        return interval_cells(data, IndexSet((1, 2, 3)), etas, piece_rows(regions),
+                              self.STRATEGIES, 0.05)
+
+    def test_observation_outside_every_piece_is_refused(self, rng):
+        data = random_dataset(rng, n=12, p=3)
+        etas = rng.standard_normal((2, 12))
+        x = etas @ data.y
+        inside = interval_union([(x[0] - 1.0, x[0] + 1.0)])
+        for outside in (interval_union([(x[1], x[1] + 1.0)]),  # on an end
+                        interval_union([(x[1] - 1.0, x[1])]),
+                        interval_union([(x[1] - 3.0, x[1] - 1.0),  # in a gap
+                                        (x[1] + 1.0, x[1] + 3.0)])):
+            with pytest.raises(errors.ObservationOutsideRegion, match=f"x={x[1]}"):
+                self._cells(data, etas, [inside, outside])
+        nan_eta = etas.copy()
+        nan_eta[1, 0] = math.nan
+        with pytest.raises(errors.ObservationOutsideRegion, match="x=nan"):
+            self._cells(data, nan_eta, [inside, FULL_LINE])
+        # inside the later piece of a two-piece region, beside a one-piece one
+        later = interval_union([(x[1] - 5.0, x[1] - 3.0), (x[1] - 1.0, x[1] + 1.0)])
+        cells = self._cells(data, etas, [inside, later])
+        assert cells.lo.shape == (2, 2)
+
+    def test_mixed_widths_in_one_block_solve_as_alone(self, rng):
+        # responses whose regions have 1 to 4 pieces share one table, padded
+        # to the widest; every limit and pivot is bit for bit its own solve's
+        cells, mus = [], []
+        for pieces in (1, 4, 2):
+            data = random_dataset(rng, n=12, p=3)
+            etas = rng.standard_normal((2, 12))
+            regions = []
+            for x in etas @ data.y:
+                ends = x + np.cumsum(rng.uniform(0.3, 2.0, 2 * pieces))
+                ends -= ends[2 * int(rng.integers(pieces)):][:2].mean() - x
+                regions.append(interval_union(zip(ends[0::2], ends[1::2])))
+            assert [len(r) for r in regions] == [pieces] * 2
+            cells.append(self._cells(data, etas, regions))
+            mus.append(etas @ data.y + rng.uniform(-2.0, 2.0, 2))
+        together = solve_intervals(cells)
+        assert together[0].table.width == 4
+        for c, mu, table in zip(cells, mus, together):
+            (alone,) = solve_intervals([c])
+            assert np.array_equal(table.lower, alone.lower)
+            assert np.array_equal(table.upper, alone.upper)
+            assert np.array_equal(table.pivots(mu), alone.pivots(mu))
