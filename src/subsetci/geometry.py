@@ -87,9 +87,7 @@ class SelectionEvents(Sequence):
     def __len__(self) -> int:
         return len(self.lo)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return SelectionEvents(self.selected, self.lo[i], self.hi[i], self.comparisons[i])
+    def __getitem__(self, i: int) -> SelectionEvent:
         region = IntervalUnion.from_row(self.lo[i], self.hi[i])
         return SelectionEvent(self.selected, region, self.comparisons[i])
 

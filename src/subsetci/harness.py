@@ -36,7 +36,6 @@ from .inference import (
     METHOD_CORRECTED,
     PREDICTION_MEAN,
     SigmaSpec,
-    block_pivots,
     interval_cells,
     interval_table,
     solve_intervals,
@@ -150,7 +149,10 @@ def parse_config_text(text: str) -> SimulationConfig:
             raise errors.ParseError(
                 f"expected 'key = value', got {stripped!r}", row=lineno)
         key, value = stripped.split("=", 1)
-        raw[key.strip().lower()] = value.strip()
+        key = key.strip().lower()
+        if key in raw:
+            raise errors.ParseError(f"duplicate config key {key!r}", row=lineno)
+        raw[key] = value.strip()
 
     def want(key, default=None):
         return raw.pop(key, default)
@@ -330,10 +332,10 @@ def _run_rep_chunk(
     Replications run in blocks of ``BLOCK``.  Each replication of a block
     draws its noise, selects a model and prepares its interval cells
     (:func:`interval_cells`); then one :func:`solve_intervals` call gives the
-    corrected limits of every cell of the block, and one
-    :func:`block_pivots` call their pivots at the truths.  Every cell's
-    numbers depend on that cell alone, so they do not depend on ``BLOCK``.
-    A replication that fails in either phase fails alone.
+    corrected limits of every cell of the block and their pivots at the
+    truths.  Every cell's numbers depend on that cell alone, so they do not
+    depend on ``BLOCK``.  A replication that fails in either phase fails
+    alone.
     """
     strategies = config.resolved_strategies()
     spec = CriterionSpec(config.criterion, config.n)
@@ -400,21 +402,19 @@ def _run_rep_chunk(
             hits_unc[row, rows_t] = (x - cells.half < t) & (t < x + cells.half)
             pending.append((row, rep, rows_t, truth[rows_t], cells))
 
-        # phase 2: one inversion and one pivot evaluation for the block
-        tables = solve_intervals([p[4] for p in pending])
-        block = block_pivots(tables, [p[3] for p in pending])
-        for (row, rep, rows_t, truth, _), table, piv in zip(pending, tables, block):
+        # phase 2: one solve for the block's limits and pivots
+        tables = solve_intervals([p[4] for p in pending], [p[3] for p in pending])
+        for (row, rep, rows_t, truth, _), table in zip(pending, tables):
+            if isinstance(table, errors.RegionMassUnderflow):
+                fail(rep, table)
+                continue
             t = truth[:, None]
             hits_cor[row, rows_t] = (table.lower < t) & (t < table.upper)
-            if isinstance(piv, errors.RegionMassUnderflow):
-                fail(rep, piv)
-                continue
-            pivots[row, rows_t] = piv
+            pivots[row, rows_t] = table.pivots
             ok[row] = True
     failures.sort(key=lambda f: f[0])
 
     return {
-        "rep_lo": rep_lo,
         "hits_unc": hits_unc,
         "hits_cor": hits_cor,
         "applicable": applicable,
@@ -455,7 +455,6 @@ def simulate_coverage(config: SimulationConfig, workers: int = 1) -> CoverageRep
             futures = [pool.submit(_run_rep_chunk, config, X, targets, lo, hi)
                        for lo, hi in chunks]
             results = [f.result() for f in futures]
-    results.sort(key=lambda r: r["rep_lo"])
 
     hits_unc = np.concatenate([r["hits_unc"] for r in results])
     hits_cor = np.concatenate([r["hits_cor"] for r in results])
@@ -646,10 +645,10 @@ def dataset_report(
         events = selection_events(data, data.y, etas, selected, spec,
                                   policy=policy)
         table = interval_table(data, selected, etas, (events.lo, events.hi),
-                               sigma_strategies, alpha)
+                               sigma_strategies, alpha, np.zeros(len(targets)))
         # a classical then a corrected row per (target, strategy)
         cols = zip(table.points.tolist(), table.half.tolist(), table.lower.tolist(),
-                   table.upper.tolist(), table.pivots(np.zeros(len(targets))).tolist())
+                   table.upper.tolist(), table.pivots.tolist())
         for target, event, (point, half, lower, upper, pivot) in zip(targets, events, cols):
             tlabel = target.label(data)
             excluded.append((tlabel, event.region.complement().intervals))

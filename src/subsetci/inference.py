@@ -18,7 +18,7 @@ from scipy.stats import norm as norm_dist, t as t_dist
 from . import errors
 from .criteria import CandidatePolicy, CriterionSpec, DEFAULT_POLICY
 from .geometry import SelectionEvent, selection_events
-from .intervals import IntervalUnion
+from .intervals import FULL_LINE, IntervalUnion
 from .linmodel import Dataset, IndexSet
 from .truncnorm import PieceTable, TruncatedNormalSpec, mass_underflow, truncated_cdf
 
@@ -239,23 +239,20 @@ def classical_ci(
     alpha: float,
     sigma_spec: SigmaSpec,
 ) -> CIResult:
-    """Textbook interval on the selected model, with no selection correction."""
-    if not 0.0 < alpha < 1.0:
-        raise errors.InputError(f"alpha must be in (0,1), got {alpha}")
+    """Textbook interval on the selected model, with no selection correction:
+    the one cell of :func:`interval_cells` over the whole line."""
     eta = eta_for_target(data, S_hat, target)
-    point = float(eta @ data.y)
-    scale = float(np.linalg.norm(eta))
-    sigma = estimate_sigma(data, S_hat, sigma_spec)
-    quant, method = critical_value(data, S_hat, sigma_spec, alpha)
-    half = quant * sigma * scale
+    cells = interval_cells(data, S_hat, eta[None, :], FULL_LINE.as_row(),
+                           [sigma_spec], alpha)
+    point, half = float(cells.points[0]), float(cells.half[0, 0])
     return CIResult(
         lower=point - half,
         upper=point + half,
         point_estimate=point,
         pivot=None,
         alpha=alpha,
-        method=method,
-        sigma_used=sigma,
+        method=cells.methods[0],
+        sigma_used=float(cells.sigmas[0]),
     )
 
 
@@ -284,25 +281,15 @@ class IntervalCells:
 @dataclass(frozen=True)
 class IntervalTable(IntervalCells):
     """One response's cells with their corrected intervals
-    ``(lower[i, j], upper[i, j])``.  A corrected limit that cannot be
-    bracketed (the CDF is pinned) is infinite rather than fabricated.
+    ``(lower[i, j], upper[i, j])`` and their pivots: the truncated CDF of
+    ``points[i]`` at the mean of row ``i`` the solve was given.  A corrected
+    limit that cannot be bracketed (the CDF is pinned) is infinite rather
+    than fabricated.
     """
 
     lower: np.ndarray  # (T, S)
     upper: np.ndarray  # (T, S)
-    table: PieceTable  # shared by one solve; one row per cell (i, j), j fastest
-    rows: slice  # this response's rows of ``table``
-
-    def pivots(self, mu: Sequence[float]) -> np.ndarray:
-        """(T, S) truncated CDFs of ``points`` at the mean ``mu[i]`` of row ``i``.
-
-        Raises ``RegionMassUnderflow`` when a cell's region carries no
-        representable mass at its mean.
-        """
-        (out,) = block_pivots([self], [mu])
-        if isinstance(out, errors.RegionMassUnderflow):
-            raise out
-        return out
+    pivots: np.ndarray  # (T, S)
 
 
 def interval_cells(
@@ -348,18 +335,26 @@ def interval_cells(
         methods=tuple(m for _, m in crit), lo=lo, hi=hi, alpha=alpha)
 
 
-def solve_intervals(cells: Sequence[IntervalCells]) -> List[IntervalTable]:
-    """The corrected intervals of many responses' cells.
+def solve_intervals(
+    cells: Sequence[IntervalCells], mus: Sequence[Sequence[float]],
+) -> List[Union[IntervalTable, errors.RegionMassUnderflow]]:
+    """The corrected intervals of many responses' cells, and their pivots at
+    the mean ``mus[r][i]`` of row ``i`` of response ``r``.
 
-    One :class:`PieceTable` holds every cell of every response, in order,
-    and one inversion over it gives both corrected limits of every cell.
-    Each row of the table depends on that row alone, so each response's
-    table holds bit for bit the numbers it would hold solved alone.
+    One :class:`PieceTable` holds every cell of every response, in order;
+    one inversion over it gives both corrected limits of every cell, and one
+    CDF evaluation every pivot.  A response with a cell whose region carries
+    no representable mass at its mean gets that ``RegionMassUnderflow``
+    instead of a table.  Each row of the table depends on that row alone, so
+    each response's table holds bit for bit the numbers it would hold solved
+    alone.
     """
     if not cells:
         return []
     x = np.concatenate([np.repeat(c.points, c.lam.shape[1]) for c in cells])
     lam = np.concatenate([c.lam.ravel() for c in cells])
+    mu = np.concatenate([np.repeat(np.asarray(m, dtype=float), c.lam.shape[1])
+                         for c, m in zip(cells, mus)])
     bounds = np.cumsum([0] + [c.lam.size for c in cells]).tolist()
     k = lam.size
     lo = np.zeros((k, max(c.lo.shape[1] for c in cells)))
@@ -370,36 +365,13 @@ def solve_intervals(cells: Sequence[IntervalCells]) -> List[IntervalTable]:
     table = PieceTable(x, lam, lo, hi)
     target = np.concatenate([np.full(c.lam.size, 1.0 - c.alpha / 2.0) for c in cells]
                             + [np.full(c.lam.size, c.alpha / 2.0) for c in cells])
-    mu, _ = table.invert(target, np.tile(np.arange(k), 2))
-    return [IntervalTable(
-        **vars(c), table=table, rows=slice(lo, hi),
-        lower=mu[lo:hi].reshape(c.lam.shape),
-        upper=mu[k + lo:k + hi].reshape(c.lam.shape))
-        for c, lo, hi in zip(cells, bounds, bounds[1:])]
-
-
-def block_pivots(
-    tables: Sequence[IntervalTable], mus: Sequence[Sequence[float]],
-) -> List[Union[np.ndarray, errors.RegionMassUnderflow]]:
-    """``tables[r].pivots(mus[r])`` for tables of one :func:`solve_intervals`
-    call, from one CDF evaluation over their shared piece table.
-
-    A table with a cell whose region carries no representable mass at its
-    mean gets the error its ``pivots`` raises instead of values.
-    """
-    if not tables:
-        return []
-    table = tables[0].table
-    if any(t.table is not table for t in tables):
-        raise errors.InputError("tables come from different solves")
-    mu = np.concatenate([np.repeat(np.asarray(m, dtype=float), t.lam.shape[1])
-                         for t, m in zip(tables, mus)])
-    logf, underflow = table.log_cdf(mu, np.concatenate(
-        [np.arange(t.rows.start, t.rows.stop) for t in tables]))
-    bounds = np.cumsum([0] + [t.lam.size for t in tables]).tolist()
-    return [mass_underflow(mu[lo:hi], underflow[lo:hi]) if underflow[lo:hi].any()
-            else np.exp(logf[lo:hi]).reshape(t.lam.shape)
-            for t, lo, hi in zip(tables, bounds, bounds[1:])]
+    limits, _ = table.invert(target, np.tile(np.arange(k), 2))
+    logf, underflow = table.log_cdf(mu)
+    return [mass_underflow(mu[a:b], underflow[a:b]) if underflow[a:b].any()
+            else IntervalTable(**vars(c), lower=limits[a:b].reshape(c.lam.shape),
+                               upper=limits[k + a:k + b].reshape(c.lam.shape),
+                               pivots=np.exp(logf[a:b]).reshape(c.lam.shape))
+            for c, a, b in zip(cells, bounds, bounds[1:])]
 
 
 def interval_table(
@@ -409,12 +381,19 @@ def interval_table(
     regions: Tuple[np.ndarray, np.ndarray],
     strategies: Sequence[SigmaSpec],
     alpha: float,
+    mu: Sequence[float],
 ) -> IntervalTable:
     """Classical and corrected intervals of every (target, strategy) pair of
-    one response: :func:`interval_cells`, solved alone by
-    :func:`solve_intervals`."""
+    one response, with their pivots at the mean ``mu[i]`` of target ``i``:
+    :func:`interval_cells`, solved alone by :func:`solve_intervals`.
+
+    Raises ``RegionMassUnderflow`` when a cell's region carries no
+    representable mass at its mean.
+    """
     (table,) = solve_intervals(
-        [interval_cells(data, S_hat, etas, regions, strategies, alpha)])
+        [interval_cells(data, S_hat, etas, regions, strategies, alpha)], [mu])
+    if isinstance(table, errors.RegionMassUnderflow):
+        raise table
     return table
 
 
@@ -423,13 +402,19 @@ def _single_target(
     target: InferenceTarget, criterion_spec: CriterionSpec,
     policy: CandidatePolicy, event: Optional[SelectionEvent],
 ) -> Tuple[Dataset, np.ndarray, SelectionEvent]:
-    """(data with response ``y``, the target's direction, its selection event)."""
+    """(data with response ``y``, the target's direction, its selection event).
+
+    A supplied event must be one of ``S_hat``.
+    """
     if y is not None and y is not data.y:
         data = data.replace_y(y)
     eta = eta_for_target(data, S_hat, target)
     if event is None:
         event = selection_events(data, data.y, eta[None, :], S_hat,
                                  criterion_spec, policy)[0]
+    elif event.selected != S_hat:
+        raise errors.NotSelectedModel(
+            f"the event is one of {event.selected}, not of {S_hat}")
     return data, eta, event
 
 
@@ -450,19 +435,20 @@ def corrected_ci(
     is the truncated CDF of ``eta'y`` at mean 0.
 
     ``event`` may carry a precomputed selection event for this exact target
-    and response, which skips rebuilding the region.
+    and response, which skips rebuilding the region; an event of another
+    model raises ``NotSelectedModel``.
     """
     if not 0.0 < alpha < 1.0:
         raise errors.InputError(f"alpha must be in (0,1), got {alpha}")
     data, eta, event = _single_target(data, y, S_hat, target, criterion_spec,
                                       policy, event)
     table = interval_table(data, S_hat, eta[None, :], event.region.as_row(),
-                           [sigma_spec], alpha)
+                           [sigma_spec], alpha, [0.0])
     return CIResult(
         lower=float(table.lower[0, 0]),
         upper=float(table.upper[0, 0]),
         point_estimate=float(table.points[0]),
-        pivot=float(table.pivots([0.0])[0, 0]),
+        pivot=float(table.pivots[0, 0]),
         alpha=alpha,
         method=METHOD_CORRECTED,
         sigma_used=float(table.sigmas[0]),
@@ -484,12 +470,15 @@ def pivot_value(
     """Truncated-normal CDF of ``eta'y`` at a hypothesized target value.
 
     Under the true value and conditional on the selection, this is uniform
-    on (0,1); it is the quantity the corrected interval inverts.
+    on (0,1); it is the quantity the corrected interval inverts.  A supplied
+    ``event`` is checked as :func:`corrected_ci` checks it.
     """
     data, eta, event = _single_target(data, y, S_hat, target, criterion_spec,
                                       policy, event)
+    x = float(eta @ data.y)
+    if not event.region.contains(x):
+        raise errors.ObservationOutsideRegion(
+            f"x={x} is not interior to the region {event.region}")
     lam = estimate_sigma(data, S_hat, sigma_spec) * float(np.linalg.norm(eta))
-    return truncated_cdf(
-        float(eta @ data.y),
-        TruncatedNormalSpec(mu=float(hypothesized_value), lam=lam,
-                            region=event.region))
+    return truncated_cdf(x, TruncatedNormalSpec(
+        mu=float(hypothesized_value), lam=lam, region=event.region))

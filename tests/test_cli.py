@@ -1,5 +1,6 @@
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -90,6 +91,13 @@ def test_simulate_rep_override(config_file, capsys):
     assert doc["reps_completed"] + len(doc["failures"]) == 6
 
 
+def test_duplicate_config_key_is_input_error(config_file, capsys):
+    with open(config_file, "a") as fh:
+        fh.write("reps = 7\n")
+    assert main(["simulate", config_file]) == 2
+    assert "duplicate config key 'reps' at row 12" in capsys.readouterr().err
+
+
 def test_analyze_csv_format(data_csv, tmp_path):
     out = tmp_path / "an"
     code = main(["analyze", data_csv, "--response", "y",
@@ -122,9 +130,12 @@ def test_bad_target_is_input_error(data_csv):
         "new-points", "config-seed", "config-sigma", "seed-flag"])
 def test_bad_number_is_input_error(data_csv, config_file, capsys, argv,
                                    config_line):
-    if config_line is not None:
-        with open(config_file, "a") as fh:
-            fh.write(config_line + "\n")
+    if config_line is not None:  # in place of the fixture's line for its key
+        key = config_line.split("=")[0]
+        path = pathlib.Path(config_file)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([ln for ln in lines if not ln.startswith(key)]
+                                  + [config_line]) + "\n")
     argv = [a.format(csv=data_csv, cfg=config_file) for a in argv]
     if argv[0] != "simulate":
         argv[2:2] = ["--response", "y"]

@@ -357,7 +357,7 @@ class TestSelectionEvent:
         assert all(c.region is None for c in skipped)
 
     def test_batch_indexes_like_a_sequence(self, rng):
-        # item i is direction i's event; a slice is the batch of its rows
+        # item i is direction i's event
         d = random_dataset(rng, n=18, p=4, signal=np.array([3.0, 2.0, 0, 0]))
         spec = CriterionSpec(Criterion.AIC, 18)
         S_hat, _ = best_subset(d, spec)
@@ -368,9 +368,6 @@ class TestSelectionEvent:
         for i, event in enumerate(events):
             assert event == events[i] == events[i - len(events)]
             assert event.region.contains(float(etas[i] @ d.y))
-        tail = events[1:]
-        assert len(tail) == len(events) - 1
-        assert list(tail) == list(events)[1:]
         empty = selection_events(d, d.y, etas[:0], S_hat, spec)
         assert len(empty) == 0 and list(empty) == []
 

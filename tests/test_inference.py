@@ -231,6 +231,36 @@ class TestCorrectedCI:
                                 event=reference)
             assert p_on == pytest.approx(p_off, abs=1e-10)
 
+    @staticmethod
+    def _supplied_event_problem(rng):
+        d = random_dataset(rng, n=16, p=3, signal=np.array([3.0, 2.0, 0.0]))
+        spec = CriterionSpec(Criterion.AIC, 16)
+        S_hat, scored = best_subset(d, spec)
+        target = InferenceTarget.coefficient(S_hat.indices[0])
+        x = float(eta_for_target(d, S_hat, target) @ d.y)
+        return d, spec, S_hat, scored, target, x, SigmaSpec.known(1.0)
+
+    def test_event_of_another_model_is_refused(self, rng):
+        # its region holds the observation, but it is not S_hat's event
+        d, spec, S_hat, scored, target, x, sig = self._supplied_event_problem(rng)
+        other = next(s.model for s in scored if s.model != S_hat)
+        foreign = SelectionEvent(other, FULL_LINE, ())
+        with pytest.raises(errors.NotSelectedModel, match=f"not of {S_hat}"):
+            corrected_ci(d, None, S_hat, target, 0.05, sig, spec, event=foreign)
+        with pytest.raises(errors.NotSelectedModel, match=f"not of {S_hat}"):
+            pivot_value(d, None, S_hat, target, 0.0, sig, spec, event=foreign)
+
+    def test_observation_outside_supplied_event_is_refused(self, rng):
+        # S_hat's event whose region has a gap at the observation
+        d, spec, S_hat, _, target, x, sig = self._supplied_event_problem(rng)
+        gap = SelectionEvent(S_hat, interval_union(
+            [(x - 3.0, x - 1.0), (x + 1.0, x + 3.0)]), ())
+        with pytest.raises(errors.ObservationOutsideRegion) as cor:
+            corrected_ci(d, None, S_hat, target, 0.05, sig, spec, event=gap)
+        with pytest.raises(errors.ObservationOutsideRegion) as piv:
+            pivot_value(d, None, S_hat, target, 0.0, sig, spec, event=gap)
+        assert str(piv.value) == str(cor.value)
+
     def test_monotone_width_under_nested_regions(self):
         # same observation and scale; smaller region never gives a shorter CI
         inner = interval_union([(-1.0, 1.0)])
@@ -344,15 +374,34 @@ def table_problems(draw):
     return data, IndexSet((1, 2, 3)), etas, regions, strategies, alpha, mu
 
 
+@pytest.fixture
+def built_tables(monkeypatch):
+    """Every ``PieceTable`` built while the test runs, in order."""
+    built = []
+    init = PieceTable.__init__
+
+    def counted_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(PieceTable, "__init__", counted_init)
+    return built
+
+
 class TestIntervalTable:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(table_problems())
     def test_cells_equal_scalar_calls(self, problem):
         """Every limit is bit-for-bit the scalar ``invert_mean``, or infinite
         exactly where that call raises; every pivot is bit-for-bit the scalar
-        ``truncated_cdf``, and ``pivots`` raises where a scalar call does."""
+        ``truncated_cdf``, and ``interval_table`` raises where a scalar call
+        does."""
         data, S, etas, regions, strategies, alpha, mu = problem
-        table = interval_table(data, S, etas, piece_rows(regions), strategies, alpha)
+        rows = piece_rows(regions)
+        cells = interval_cells(data, S, etas, rows, strategies, alpha)
+        # the limits do not depend on the pivot means, and every region has
+        # mass at its own observation: check every problem's limits there
+        (table,) = solve_intervals([cells], [cells.points])
         scalar_pivots = np.empty(table.lam.shape)
         underflow = False
         for i, region in enumerate(regions):
@@ -375,22 +424,16 @@ class TestIntervalTable:
                     underflow = True
         if underflow:
             with pytest.raises(errors.RegionMassUnderflow):
-                table.pivots(mu)
+                interval_table(data, S, etas, rows, strategies, alpha, mu)
         else:
+            at_mu = interval_table(data, S, etas, rows, strategies, alpha, mu)
+            assert np.array_equal(at_mu.lower, table.lower)
+            assert np.array_equal(at_mu.upper, table.upper)
             # a numerator piece ~1e300 scales out has no mass, not NaN mass
-            pivots = table.pivots(mu)
-            assert not np.isnan(pivots).any()
-            assert np.array_equal(pivots, scalar_pivots)
+            assert not np.isnan(at_mu.pivots).any()
+            assert np.array_equal(at_mu.pivots, scalar_pivots)
 
-    def test_one_piece_table_per_call(self, monkeypatch, rng):
-        built = []
-        init = PieceTable.__init__
-
-        def counted_init(self, *args):
-            built.append(self)
-            init(self, *args)
-
-        monkeypatch.setattr(PieceTable, "__init__", counted_init)
+    def test_one_piece_table_per_call(self, built_tables, rng):
         d = random_dataset(rng, n=16, p=4)
         spec = CriterionSpec(Criterion.AIC, 16)
         S_hat, _ = best_subset(d, spec)
@@ -400,13 +443,14 @@ class TestIntervalTable:
         events = selection_events(d, d.y, etas, S_hat, spec)
         strategies = [SigmaSpec.known(1.0), SigmaSpec.mse_aic(), SigmaSpec.mse_full()]
         table = interval_table(d, S_hat, etas, (events.lo, events.hi),
-                               strategies, 0.05)
-        assert table.pivots(np.zeros(len(targets))).shape == (len(targets), 3)
-        assert built == [table.table]
+                               strategies, 0.05, np.zeros(len(targets)))
+        assert table.pivots.shape == (len(targets), 3)
+        assert len(built_tables) == 1
         # a response with no applicable target still builds one, empty, table
-        empty = interval_table(d, S_hat, etas[:0], piece_rows([]), strategies, 0.05)
-        assert empty.lower.shape == empty.pivots(np.zeros(0)).shape == (0, 3)
-        assert built == [table.table, empty.table]
+        empty = interval_table(d, S_hat, etas[:0], piece_rows([]), strategies,
+                               0.05, np.zeros(0))
+        assert empty.lower.shape == empty.pivots.shape == (0, 3)
+        assert len(built_tables) == 2
 
 
 class TestObservationCheck:
@@ -439,11 +483,12 @@ class TestObservationCheck:
         cells = self._cells(data, etas, [inside, later])
         assert cells.lo.shape == (2, 2)
 
-    def test_mixed_widths_in_one_block_solve_as_alone(self, rng):
+    def test_mixed_widths_in_one_block_solve_as_alone(self, built_tables, rng):
         # responses whose regions have 1 to 4 pieces share one table, padded
-        # to the widest; every limit and pivot is bit for bit its own solve's
+        # to the widest; every limit and pivot is bit for bit its own solve's,
+        # and a response whose mean leaves its regions no mass fails alone
         cells, mus = [], []
-        for pieces in (1, 4, 2):
+        for pieces in (1, 4, 2, 2):
             data = random_dataset(rng, n=12, p=3)
             etas = rng.standard_normal((2, 12))
             regions = []
@@ -454,10 +499,13 @@ class TestObservationCheck:
             assert [len(r) for r in regions] == [pieces] * 2
             cells.append(self._cells(data, etas, regions))
             mus.append(etas @ data.y + rng.uniform(-2.0, 2.0, 2))
-        together = solve_intervals(cells)
-        assert together[0].table.width == 4
-        for c, mu, table in zip(cells, mus, together):
-            (alone,) = solve_intervals([c])
+        mus[3] = np.full(2, 1e300)
+        together = solve_intervals(cells, mus)
+        assert len(built_tables) == 1 and built_tables[0].width == 4
+        for c, mu, table in zip(cells[:3], mus, together):
+            (alone,) = solve_intervals([c], [mu])
             assert np.array_equal(table.lower, alone.lower)
             assert np.array_equal(table.upper, alone.upper)
-            assert np.array_equal(table.pivots(mu), alone.pivots(mu))
+            assert np.array_equal(table.pivots, alone.pivots)
+        assert isinstance(together[3], errors.RegionMassUnderflow)
+        assert "mu=1e+300" in str(together[3])

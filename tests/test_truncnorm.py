@@ -338,7 +338,7 @@ class TestBatchFailureIsolation:
         with pytest.raises(errors.ObservationOutsideRegion):
             interval_table(data, IndexSet((1, 2)), etas,
                            piece_rows([FULL_LINE, interval_union([(x + 1.0, x + 2.0)])]),
-                           [SigmaSpec.known(1.0)], 0.05)
+                           [SigmaSpec.known(1.0)], 0.05, np.zeros(2))
 
 
 class TestRegionMassUnderflow:
