@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -66,30 +66,34 @@ class ComparisonRecord:
 
 @dataclass(frozen=True)
 class SelectionEvent:
-    """The set of ``eta'y`` values under which ``selected`` wins."""
+    """The set of ``eta'y`` values under which ``selected`` wins, cut along
+    ``eta`` (``None`` when unknown; left out of ``==``)."""
 
     selected: IndexSet
     region: IntervalUnion
     comparisons: Tuple[ComparisonRecord, ...]
+    eta: Optional[np.ndarray] = field(default=None, compare=False)
 
 
 @dataclass(frozen=True, eq=False)
 class SelectionEvents(Sequence):
     """The events of ``selected`` along stacked directions: row ``i`` of the
     padded ``lo``/``hi`` is direction ``i``'s region, and item ``i`` its
-    :class:`SelectionEvent`."""
+    :class:`SelectionEvent`, whose comparison records ``_records(i)`` builds
+    when the item is read."""
 
     selected: IndexSet
     lo: np.ndarray  # (T, W)
     hi: np.ndarray
-    comparisons: Tuple[Tuple[ComparisonRecord, ...], ...]
+    _etas: np.ndarray  # (T, n)
+    _records: Callable[[int], Tuple[ComparisonRecord, ...]]
 
     def __len__(self) -> int:
         return len(self.lo)
 
     def __getitem__(self, i: int) -> SelectionEvent:
         region = IntervalUnion.from_row(self.lo[i], self.hi[i])
-        return SelectionEvent(self.selected, region, self.comparisons[i])
+        return SelectionEvent(self.selected, region, self._records(i), self._etas[i])
 
 
 def decompose(y: np.ndarray, eta: np.ndarray) -> EtaDecomposition:
@@ -198,7 +202,6 @@ def selection_event(
     S_hat: IndexSet,
     spec: CriterionSpec,
     policy: CandidatePolicy = DEFAULT_POLICY,
-    keep_comparisons: bool = True,
 ) -> SelectionEvent:
     """Intersect all pairwise comparisons into the event region for ``S_hat``.
 
@@ -209,12 +212,10 @@ def selection_event(
     outside the span they are ordinary comparisons.
 
     This is the one-direction case of :func:`selection_events`, which
-    describes the construction.  ``keep_comparisons=False`` drops the
-    per-comparison records (the region is unaffected); replication loops use
-    it to avoid building thousands of record objects.
+    describes the construction.
     """
     return selection_events(data, decomp.reconstruct(), decomp.eta[None, :],
-                            S_hat, spec, policy, keep_comparisons)[0]
+                            S_hat, spec, policy)[0]
 
 
 def selection_events(
@@ -224,7 +225,6 @@ def selection_events(
     S_hat: IndexSet,
     spec: CriterionSpec,
     policy: CandidatePolicy = DEFAULT_POLICY,
-    keep_comparisons: bool = True,
 ) -> SelectionEvents:
     """The selection event of ``S_hat`` along each row of the (T, n) ``etas``.
 
@@ -238,9 +238,10 @@ def selection_events(
     score gap.  The roots of all T x (M - 1) comparisons are solved at once
     and shifted back by ``eta_i'y``, and each region is the complement of
     the union of its comparisons' closed failure sets, found by one
-    row-wise sweep over every direction (one more gives each comparison's
-    own region).  A direction in the selected span skips its strict-superset
-    comparisons, which forbid nothing there.
+    row-wise sweep over every direction.  Reading an event sweeps once more,
+    over that direction's failure sets alone, for its comparison records.
+    A direction in the selected span skips its strict-superset comparisons,
+    which forbid nothing there.
 
     A failure raises what the first failing direction's own call would
     raise; no event is returned for the others.
@@ -256,8 +257,7 @@ def selection_events(
         # the directions before the first zero one still fail as their own
         # calls would
         if zero[0]:
-            selection_events(data, y, etas[:zero[0]], S_hat, spec, policy,
-                             keep_comparisons=False)
+            selection_events(data, y, etas[:zero[0]], S_hat, spec, policy)
         raise errors.ZeroEta("eta must be nonzero")
     t = etas @ y
     cs = candidate_set(data, policy)
@@ -311,25 +311,18 @@ def selection_events(
             "observed eta'y fell outside its own selection event; "
             "endpoints may be numerically degenerate")
 
-    records: List[Tuple[ComparisonRecord, ...]] = [()] * len(t)
-    if keep_comparisons:
-        # one row per (direction, comparison): its two failure sets
-        each_lo, each_hi = _allowed(lo.reshape(-1, 2), hi.reshape(-1, 2))
-        row = np.full(len(cs), -1)
-        row[idx] = np.arange(idx.size)
-        for i, span in enumerate(in_span.tolist()):
-            out = []
-            for m, model in enumerate(cs.models):
-                if m == hat:
-                    continue
-                if span and superset[m]:
-                    out.append(ComparisonRecord(
-                        competitor=model, region=None, skipped=True,
-                        reason="superset of the selected model; constant in t"))
-                else:
-                    r = i * idx.size + row[m]
-                    out.append(ComparisonRecord(
-                        competitor=model,
-                        region=IntervalUnion.from_row(each_lo[r], each_hi[r])))
-            records[i] = tuple(out)
-    return SelectionEvents(S_hat, region_lo, region_hi, tuple(records))
+    def records(i: int) -> Tuple[ComparisonRecord, ...]:
+        # each comparison's own region: one more sweep, over direction i's
+        # failure sets alone, a row per comparison
+        each_lo, each_hi = _allowed(lo[i].reshape(-1, 2), hi[i].reshape(-1, 2))
+        skipped = (superset & in_span[i]).tolist()
+        row = (np.cumsum(active) - 1).tolist()
+        return tuple(
+            ComparisonRecord(model, None, True,
+                             "superset of the selected model; constant in t")
+            if skipped[m] else
+            ComparisonRecord(model, IntervalUnion.from_row(each_lo[row[m]],
+                                                           each_hi[row[m]]))
+            for m, model in enumerate(cs.models) if m != hat)
+
+    return SelectionEvents(S_hat, region_lo, region_hi, etas, records)

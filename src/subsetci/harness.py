@@ -29,7 +29,7 @@ from .criteria import (
     best_subset,
     candidate_set,
 )
-from .geometry import selection_events
+from .geometry import SelectionEvent, selection_events
 from .inference import (
     InferenceTarget,
     LINEAR_COMBO,
@@ -386,12 +386,18 @@ def _run_rep_chunk(
                 truth = _truths(data, S_hat, targets, beta, mean_r, config.intercept)
                 rows_t = np.flatnonzero(~np.isnan(truth))
                 # every applicable target's direction, selection event and
-                # interval cells for the whole replication, each in one call
+                # interval cells for the whole replication, each in one call;
+                # a target with a zero direction (a point that is zero on
+                # every selected column) is not applicable either
                 etas = target_directions(data, S_hat, [targets[i] for i in rows_t])
-                events = selection_events(data, data.y, etas, S_hat, spec,
-                                          keep_comparisons=False)
-                cells = interval_cells(data, S_hat, etas, (events.lo, events.hi),
-                                       strategies, config.alpha)
+                live = np.einsum("tn,tn->t", etas, etas) > 0.0
+                if not live.all():
+                    rows_t, etas = rows_t[live], etas[live]
+                events = selection_events(data, data.y, etas, S_hat, spec)
+                regions = events.lo, events.hi
+                del events  # its failure sets are not needed in phase 2
+                cells = interval_cells(data, S_hat, etas, regions, strategies,
+                                       config.alpha)
             except errors.NumericalError as exc:
                 fail(rep, exc)
                 continue
@@ -612,8 +618,12 @@ class AnalysisReport:
     selected_names: Tuple[str, ...]
     scores: List[ScoredModel]
     rows: List[AnalysisRow]
-    excluded_regions: List[Tuple[str, Tuple[Tuple[float, float], ...]]]
-    events: List[Tuple[str, Dict]] = field(default_factory=list)
+    events: List[Tuple[str, SelectionEvent]] = field(default_factory=list)
+
+    @property
+    def excluded_regions(self) -> List[Tuple[str, Tuple[Tuple[float, float], ...]]]:
+        """Each target's excluded set: its event region's complement."""
+        return [(t, e.region.complement().intervals) for t, e in self.events]
 
 
 def dataset_report(
@@ -637,8 +647,7 @@ def dataset_report(
     if targets is None:
         targets = [InferenceTarget.coefficient(data.name_of(i))
                    for i in selected.indices]
-    excluded: List[Tuple[str, Tuple[Tuple[float, float], ...]]] = []
-    events_out: List[Tuple[str, Dict]] = []
+    events_out: List[Tuple[str, SelectionEvent]] = []
     rows: List[AnalysisRow] = []
     if sigma_strategies and targets:
         etas = target_directions(data, selected, targets)
@@ -651,8 +660,7 @@ def dataset_report(
                    table.upper.tolist(), table.pivots.tolist())
         for target, event, (point, half, lower, upper, pivot) in zip(targets, events, cols):
             tlabel = target.label(data)
-            excluded.append((tlabel, event.region.complement().intervals))
-            events_out.append((tlabel, selection_event_to_dict(event)))
+            events_out.append((tlabel, event))
             for j, strat in enumerate(sigma_strategies):
                 sigma = float(table.sigmas[j])
                 rows.append(AnalysisRow(tlabel, strat.label, table.methods[j],
@@ -673,7 +681,6 @@ def dataset_report(
         selected_names=tuple(data.name_of(i) for i in selected.indices),
         scores=scored,
         rows=rows,
-        excluded_regions=excluded,
         events=events_out,
     )
 
@@ -698,7 +705,7 @@ def analyze(
 # report emission
 
 
-def selection_event_to_dict(event) -> Dict:
+def selection_event_to_dict(event: SelectionEvent) -> Dict:
     """Structured form of a selection event: region plus every comparison's
     endpoints and skip reason."""
     return {
@@ -761,10 +768,13 @@ def report_to_dict(report) -> Dict:
     doc = _schema_skeleton()
     if isinstance(report, CoverageReport):
         doc["config"] = _config_dict(report.config)
+        # a statistic of no replication is null, as JSON has no NaN
         doc["coverage"] = [
             {"target": c.target, "strategy": c.strategy, "method": c.method,
-             "coverage": c.coverage, "stderr": c.stderr,
-             "relative_loss": c.relative_loss, "hits": c.hits, "count": c.count}
+             "coverage": c.coverage if c.count else None,
+             "stderr": c.stderr if c.count else None,
+             "relative_loss": c.relative_loss if c.count else None,
+             "hits": c.hits, "count": c.count}
             for c in report.cells]
         doc["histogram"] = [{"size": k, "count": v}
                             for k, v in sorted(report.histogram.items())]
@@ -772,10 +782,12 @@ def report_to_dict(report) -> Dict:
             {"size": size, "strategy": strategy, "method": method,
              "coverage": (h / c if c else None), "count": c}
             for (size, strategy, method), (h, c) in sorted(report.per_size.items())]
-        doc["sigma_means"] = report.sigma_means
+        doc["sigma_means"] = (report.sigma_means if report.reps_completed
+                              else dict.fromkeys(report.sigma_means))
         doc["sigma_contribution"] = report.sigma_contribution
         doc["pivot_ks"] = [
-            {"target": t, "strategy": s, "ks": ks_uniform(v), "count": int(v.size)}
+            {"target": t, "strategy": s, "ks": ks_uniform(v) if v.size else None,
+             "count": int(v.size)}
             for (t, s), v in sorted(report.pivots.items())]
         doc["reps_completed"] = report.reps_completed
         doc["failures"] = [{"rep": r, "reason": msg} for r, msg in report.failures]
@@ -804,7 +816,8 @@ def report_to_dict(report) -> Dict:
         doc["excluded_regions"] = [
             {"target": t, "intervals": [[lo, hi] for lo, hi in pieces]}
             for t, pieces in report.excluded_regions]
-        doc["events"] = [{"target": t, **ev} for t, ev in report.events]
+        doc["events"] = [{"target": t, **selection_event_to_dict(e)}
+                         for t, e in report.events]
         return doc
     raise errors.InputError(f"cannot serialize report of type {type(report)!r}")
 

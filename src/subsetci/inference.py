@@ -404,7 +404,8 @@ def _single_target(
 ) -> Tuple[Dataset, np.ndarray, SelectionEvent]:
     """(data with response ``y``, the target's direction, its selection event).
 
-    A supplied event must be one of ``S_hat``.
+    A supplied event must be one of ``S_hat`` and, when it records its
+    direction, cut along the target's (to rounding: 1e-12 of its norm).
     """
     if y is not None and y is not data.y:
         data = data.replace_y(y)
@@ -415,6 +416,11 @@ def _single_target(
     elif event.selected != S_hat:
         raise errors.NotSelectedModel(
             f"the event is one of {event.selected}, not of {S_hat}")
+    elif event.eta is not None and (
+            np.shape(event.eta) != eta.shape
+            or np.linalg.norm(event.eta - eta) > 1e-12 * np.linalg.norm(eta)):
+        raise errors.InputError(
+            "event was cut along another direction than the target's")
     return data, eta, event
 
 
@@ -436,7 +442,8 @@ def corrected_ci(
 
     ``event`` may carry a precomputed selection event for this exact target
     and response, which skips rebuilding the region; an event of another
-    model raises ``NotSelectedModel``.
+    model raises ``NotSelectedModel``, and one cut along another direction
+    ``InputError``.
     """
     if not 0.0 < alpha < 1.0:
         raise errors.InputError(f"alpha must be in (0,1), got {alpha}")

@@ -151,8 +151,7 @@ def test_observed_statistic_lies_in_its_event(case, criterion, direction):
                                            direction == "prediction")
     if direction == "off-span":
         dec = decompose(data.y, rng.standard_normal(data.n))
-    event = selection_event(data, dec, S_hat, spec, policy=policy,
-                            keep_comparisons=False)
+    event = selection_event(data, dec, S_hat, spec, policy=policy)
     assert event.region.contains(dec.eta_dot_y)
 
 
@@ -241,14 +240,12 @@ def test_batched_events_match_single_calls_and_pair_oracle(case, criterion,
     data, policy, rng = case
     spec, S_hat, _ = _selected_direction(data, policy, rng, criterion)
     etas = _directions(data, S_hat, rng, count, off_span)
-    events = selection_events(data, data.y, etas, S_hat, spec, policy=policy,
-                              keep_comparisons=False)
+    events = selection_events(data, data.y, etas, S_hat, spec, policy=policy)
     assert len(events) == count
     for eta, event in zip(etas, events):
         dec = decompose(data.y, eta)
-        assert event.selected == S_hat and event.comparisons == ()
-        one = selection_event(data, dec, S_hat, spec, policy=policy,
-                              keep_comparisons=False)
+        assert event.selected == S_hat
+        one = selection_event(data, dec, S_hat, spec, policy=policy)
         _assert_same_region(event.region, one.region)
         _assert_same_region(event.region, pair_oracle.sequential_region(
             dec, data, S_hat, spec, False, policy))

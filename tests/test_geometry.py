@@ -12,7 +12,14 @@ from subsetci.criteria import (
     best_subset,
     penalty_ratio_sizes,
 )
-from subsetci.geometry import _allowed, _forbidden, decompose, selection_event, selection_events
+from subsetci.geometry import (
+    SelectionEvent,
+    _allowed,
+    _forbidden,
+    decompose,
+    selection_event,
+    selection_events,
+)
 from subsetci.inference import InferenceTarget, eta_for_target, target_directions
 from subsetci.intervals import EMPTY, FULL_LINE, MERGE_REL, IntervalUnion, interval_union
 
@@ -370,6 +377,42 @@ class TestSelectionEvent:
             assert event.region.contains(float(etas[i] @ d.y))
         empty = selection_events(d, d.y, etas[:0], S_hat, spec)
         assert len(empty) == 0 and list(empty) == []
+
+    def test_records_are_built_when_an_event_is_read(self, rng, monkeypatch):
+        # the batch sweeps once, for its regions; reading an event sweeps
+        # once more, over that direction's failure sets, for its records
+        from subsetci import geometry
+
+        d = random_dataset(rng, n=18, p=4, signal=np.array([3.0, 2.0, 0, 0]))
+        spec = CriterionSpec(Criterion.AIC, 18)
+        S_hat, _ = best_subset(d, spec)
+        etas = target_directions(d, S_hat, [InferenceTarget.coefficient(i)
+                                            for i in S_hat.indices])
+        sweeps, records = [], []
+        allowed, record = geometry._allowed, geometry.ComparisonRecord
+        monkeypatch.setattr(geometry, "_allowed",
+                            lambda lo, hi: sweeps.append(1) or allowed(lo, hi))
+        monkeypatch.setattr(geometry, "ComparisonRecord",
+                            lambda *args: records.append(1) or record(*args))
+        events = selection_events(d, d.y, etas, S_hat, spec)
+        assert (len(sweeps), len(records)) == (1, 0)
+        event = events[1]
+        assert (len(sweeps), len(records)) == (2, 2 ** 4 - 2)
+        assert len(event.comparisons) == 2 ** 4 - 2
+
+    def test_event_records_its_direction(self, rng):
+        # eta is the row the event was cut along, and is left out of ==
+        d = random_dataset(rng, n=18, p=4, signal=np.array([3.0, 2.0, 0, 0]))
+        spec = CriterionSpec(Criterion.AIC, 18)
+        S_hat, _ = best_subset(d, spec)
+        etas = target_directions(d, S_hat, [InferenceTarget.coefficient(i)
+                                            for i in S_hat.indices])
+        for eta, event in zip(etas, selection_events(d, d.y, etas, S_hat, spec)):
+            assert np.array_equal(event.eta, eta)
+            assert event == SelectionEvent(event.selected, event.region,
+                                           event.comparisons)
+        dec = decompose(d.y, etas[0])
+        assert np.array_equal(selection_event(d, dec, S_hat, spec).eta, dec.eta)
 
     def test_wrong_model_rejected(self, rng):
         d = random_dataset(rng, n=15, p=4)

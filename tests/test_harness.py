@@ -219,6 +219,27 @@ class TestSimulateCoverage:
         simulate_coverage(tiny_config(reps=12, fixed_design=fixed))
         assert len(inits) == built
 
+    def test_study_sweeps_once_per_replication_and_builds_no_records(
+            self, monkeypatch):
+        # a table1-shaped study reads only its events' regions: one sweep
+        # per replication, and no comparison record
+        from subsetci import geometry
+
+        sweeps, records = [], []
+        allowed, record = geometry._allowed, geometry.ComparisonRecord
+        monkeypatch.setattr(geometry, "_allowed",
+                            lambda lo, hi: sweeps.append(1) or allowed(lo, hi))
+        monkeypatch.setattr(geometry, "ComparisonRecord",
+                            lambda *args: records.append(1) or record(*args))
+        cfg = SimulationConfig(
+            n=50, p=10, beta=(1.0, 2.0, 3.0) + (0.0,) * 7, rho=0.5, sigma=1.0,
+            reps=30, master_seed=0, sigma_strategies=(
+                SigmaSpec.known(1.0), SigmaSpec.mse_aic(), SigmaSpec.mse_full(),
+                SigmaSpec.external(1.1)))
+        rep = simulate_coverage(cfg)
+        assert rep.reps_completed == cfg.reps
+        assert (len(sweeps), len(records)) == (cfg.reps, 0)
+
     def test_histogram_conserves_replications(self):
         cfg = tiny_config(reps=35)
         rep = simulate_coverage(cfg)
@@ -336,6 +357,23 @@ class TestCoefficientTargets:
         assert rep.cell("x3", "mse_aic", "corrected").count == cfg.reps - dropped
         mse = [estimate_sigma(d, S_hat, SigmaSpec.mse_aic()) for d, _, S_hat in reps]
         assert rep.sigma_means["mse_aic"] == pytest.approx(np.mean(mse), rel=1e-12)
+
+    def test_zero_direction_target_is_not_applicable(self):
+        # the point (0, 0, 0, 1) has a zero direction in every model without
+        # x4: like an unselected coefficient, it is left out of that
+        # replication
+        cfg = SimulationConfig(
+            n=30, p=4, beta=(1.0, 0.0, 0.0, 0.0), rho=0.3, sigma=1.0, reps=20,
+            sigma_strategies=(SigmaSpec.known(1.0),),
+            targets=(InferenceTarget.prediction_mean((0, 0, 0, 1)),
+                     InferenceTarget.prediction_mean((1, 1, 1, 1))))
+        rep = simulate_coverage(cfg)
+        X, _ = generate_design(cfg)
+        with_x4 = sum(4 in S_hat for _, _, S_hat in _replications(cfg, X))
+        assert 0 < with_x4 < cfg.reps
+        assert rep.reps_completed == cfg.reps
+        assert rep.cell("x1", "known", "corrected").count == with_x4
+        assert rep.cell("x2", "known", "corrected").count == cfg.reps
 
     @pytest.mark.parametrize("fixed", [True, False])
     def test_worker_count_does_not_change_report(self, fixed):
@@ -661,6 +699,41 @@ class TestEmitReport:
         rows = Path(hist_path).read_text().splitlines()
         total = sum(int(r.split(",")[1]) for r in rows[1:])
         assert total == rep.reps_completed
+
+    @staticmethod
+    def _strict_json(doc):
+        """``doc`` through a JSON parser that refuses NaN and Infinity."""
+        def refuse(token):
+            raise ValueError(f"{token} is not JSON")
+        return json.loads(json.dumps(doc), parse_constant=refuse)
+
+    def test_statistics_of_no_replication_are_null(self):
+        # x1 (beta 0) is never selected here, so its cells count nothing
+        cfg = tiny_config(n=40, p=4, beta=(0.0, 0.0, 0.0, 3.0), reps=6,
+                          sigma_strategies=(SigmaSpec.known(1.0),),
+                          targets=(InferenceTarget.coefficient("x1"),
+                                   InferenceTarget.coefficient("x4")))
+        doc = self._strict_json(report_to_dict(simulate_coverage(cfg)))
+        for cell in doc["coverage"]:
+            empty = cell["target"] == "x1"
+            assert cell["count"] == (0 if empty else cfg.reps)
+            for key in ("coverage", "stderr", "relative_loss"):
+                assert (cell[key] is None) == empty
+        assert {k["target"]: k["ks"] is None for k in doc["pivot_ks"]} == \
+            {"x1": True, "x4": False}
+        assert doc["sigma_means"] == {"known": 1.0}
+
+    def test_report_of_no_completed_replication_is_json(self):
+        # every replication fails (see test_failures_recorded_not_dropped)
+        cfg = tiny_config(n=6, p=5, beta=(1.0, 0.0, 0.0, 0.0, 0.0),
+                          reps=3, criterion=Criterion.AICC,
+                          sigma_strategies=(SigmaSpec.known(1.0),),
+                          n_new_points=1)
+        doc = self._strict_json(report_to_dict(simulate_coverage(cfg)))
+        assert doc["reps_completed"] == 0
+        assert doc["sigma_means"] == {"known": None}
+        assert all(c["coverage"] is None for c in doc["coverage"])
+        assert all(k["ks"] is None for k in doc["pivot_ks"])
 
     def test_unknown_format_rejected(self):
         cfg = tiny_config(reps=5)

@@ -250,6 +250,31 @@ class TestCorrectedCI:
         with pytest.raises(errors.NotSelectedModel, match=f"not of {S_hat}"):
             pivot_value(d, None, S_hat, target, 0.0, sig, spec, event=foreign)
 
+    def test_event_of_another_direction_is_refused(self):
+        # coefficient 1's event of the same model holds coefficient 2's
+        # observation too, but its region was cut along another direction
+        d = random_dataset(np.random.default_rng(0), n=20, p=4,
+                           signal=np.array([1.0, 1.0, 0.0, 0.0]))
+        spec = CriterionSpec(Criterion.AIC, 20)
+        S_hat, _ = best_subset(d, spec)
+        assert S_hat == IndexSet((1, 2))
+        targets = [InferenceTarget.coefficient(1), InferenceTarget.coefficient(2)]
+        first, second = selection_events(
+            d, d.y, target_directions(d, S_hat, targets), S_hat, spec)
+        sig = SigmaSpec.known(1.0)
+        own = corrected_ci(d, None, S_hat, targets[1], 0.05, sig, spec,
+                           event=second)
+        fresh = corrected_ci(d, None, S_hat, targets[1], 0.05, sig, spec)
+        assert (own.lower, own.upper) == pytest.approx(
+            (fresh.lower, fresh.upper), rel=1e-12)
+        assert (own.lower, own.upper) == pytest.approx((0.43230, 1.43362),
+                                                       abs=1e-5)
+        assert first.region.contains(own.point_estimate)
+        with pytest.raises(errors.InputError, match="cut along another direction"):
+            corrected_ci(d, None, S_hat, targets[1], 0.05, sig, spec, event=first)
+        with pytest.raises(errors.InputError, match="cut along another direction"):
+            pivot_value(d, None, S_hat, targets[1], 0.0, sig, spec, event=first)
+
     def test_observation_outside_supplied_event_is_refused(self, rng):
         # S_hat's event whose region has a gap at the observation
         d, spec, S_hat, _, target, x, sig = self._supplied_event_problem(rng)
