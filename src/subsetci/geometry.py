@@ -27,7 +27,7 @@ from .criteria import (
     DEFAULT_POLICY,
     candidate_set,
 )
-from .intervals import MERGE_REL, IntervalUnion
+from .intervals import FULL_LINE, MERGE_REL, IntervalUnion
 from .linmodel import Dataset, IndexSet
 
 # |leading coefficient| below LEAD_TOL times its natural scale is treated as
@@ -92,6 +92,7 @@ class SelectionEvents(Sequence):
         return len(self.lo)
 
     def __getitem__(self, i: int) -> SelectionEvent:
+        i = range(len(self))[i]
         region = IntervalUnion.from_row(self.lo[i], self.hi[i])
         return SelectionEvent(self.selected, region, self._records(i), self._etas[i])
 
@@ -163,17 +164,18 @@ def _forbidden(a2, a1, a0, scale2, scale1, shift):
     return lo, hi
 
 
-def _front(mask: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-           fill: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Each row's entries where ``mask`` holds, moved to its front and
-    padded with ``fill`` to the longest such row (at least 1)."""
-    count = mask.sum(axis=1)
-    r, k = np.nonzero(mask)
+def _pack(r: np.ndarray, lo: np.ndarray, hi: np.ndarray, rows: int,
+          fill: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Entries ``lo``/``hi`` of rows ``r`` (nondecreasing), each row's at its
+    front in order, padded with ``fill`` to the longest row (at least 1);
+    an entry may itself be a row of values, laid out in turn."""
+    count = np.bincount(r, minlength=rows)
     col = np.arange(r.size) - np.repeat(np.cumsum(count) - count, count)
-    shape = (mask.shape[0], count.max(initial=1))
+    shape = (rows, count.max(initial=1), *lo.shape[1:])
     out_lo, out_hi = np.full(shape, fill), np.full(shape, fill)
-    out_lo[r, col], out_hi[r, col] = lo[r, k], hi[r, k]
-    return out_lo, out_hi
+    out_lo[r, col], out_hi[r, col] = lo, hi
+    flat = (rows, math.prod(shape[1:]))
+    return out_lo.reshape(flat), out_hi.reshape(flat)
 
 
 def _allowed(lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -187,13 +189,15 @@ def _allowed(lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     wider than the merge tolerance at its ends, so the sets between two gaps
     span more than that tolerance at their outer ends.
     """
-    lo, hi = _front(lo <= hi, lo, hi, -math.inf)
+    r, k = np.nonzero(lo <= hi)
+    lo, hi = _pack(r, lo[r, k], hi[r, k], len(lo), -math.inf)
     order = np.argsort(lo, axis=1, kind="stable")
     reach = np.maximum.accumulate(np.take_along_axis(hi, order, axis=1), axis=1)
     edge = np.ones((lo.shape[0], 1))
     starts = np.hstack([-math.inf * edge, reach])
     ends = np.hstack([np.take_along_axis(lo, order, axis=1), math.inf * edge])
-    return _front(starts < ends, starts, ends, 0.0)
+    r, k = np.nonzero(starts < ends)
+    return _pack(r, starts[r, k], ends[r, k], len(lo), 0.0)
 
 
 def selection_event(
@@ -235,13 +239,14 @@ def selection_events(
     ``b_Si = (R_S eta_tilde_i)'(R_S y)`` and ``c2_Si = |R_S eta_tilde_i|^2``.
     One Gram kernel call over ``[y, eta_tilde_1, ..., eta_tilde_T]`` yields
     every coefficient; the constant term of each comparison is its observed
-    score gap.  The roots of all T x (M - 1) comparisons are solved at once
-    and shifted back by ``eta_i'y``, and each region is the complement of
-    the union of its comparisons' closed failure sets, found by one
-    row-wise sweep over every direction.  Reading an event sweeps once more,
-    over that direction's failure sets alone, for its comparison records.
-    A direction in the selected span skips its strict-superset comparisons,
-    which forbid nothing there.
+    score gap.  Of the T x (M - 1) comparisons, only those that can fail are
+    solved, all at once, and their roots shifted back by ``eta_i'y``; an
+    upward parabola without a real root fails nowhere, and a direction in
+    the selected span skips its strict-superset comparisons, which forbid
+    nothing there.  Each region is the complement of the union of its
+    comparisons' closed failure sets, found by one row-wise sweep over every
+    direction.  The first read of an event sweeps once more, over every
+    solved comparison alone, for the comparison records of the whole batch.
 
     A failure raises what the first failing direction's own call would
     raise; no event is returned for the others.
@@ -291,38 +296,47 @@ def selection_events(
     # term is the observed score gap, which selecting S_hat made positive
     a2 = c2[:, idx] - np.outer(c2[:, hat], omegas)
     a1 = 2.0 * (b[:, idx] - np.outer(b[:, hat], omegas))
-    a0 = np.tile(rss[idx] - omegas * rss[hat], len(t))
+    a0 = rss[idx] - omegas * rss[hat]
     et2 = np.einsum("tn,tn->t", eta_tilde, eta_tilde)
     scale2 = np.outer(et2, big)
-    scale1 = np.outer(2.0 * np.sqrt(et2 * float(y @ y)), big)
-    lo, hi = _forbidden(a2.ravel(), a1.ravel(), a0, scale2.ravel(),
-                        scale1.ravel(), np.repeat(t, idx.size))
-    # row i: direction i's failure sets, two slots per comparison
-    lo, hi = lo.reshape(len(t), 2 * idx.size), hi.reshape(len(t), 2 * idx.size)
+    # only comparisons that can fail are solved: an upward parabola without
+    # a real root fails nowhere, and along a direction in the selected span
+    # a superset comparison is constant in t, so it is skipped
+    cut = ~(a2 > LEAD_TOL * scale2) | (a1 * a1 - 4.0 * a2 * a0 > 0.0)
     if not all_in_span:
-        # along a direction in the selected span a superset comparison is
-        # constant in t: it is skipped and forbids nothing
-        skip = np.logical_and.outer(in_span, np.repeat(superset[idx], 2))
-        lo[skip], hi[skip] = math.inf, -math.inf
-    region_lo, region_hi = _allowed(lo, hi)
+        cut &= ~np.logical_and.outer(in_span, superset[idx])
+    k = np.flatnonzero(cut)
+    r, c = np.divmod(k, idx.size)
+    scale1 = 2.0 * np.sqrt(et2 * float(y @ y))
+    lo, hi = _forbidden(a2.take(k), a1.take(k), a0[c], scale2.take(k),
+                        scale1[r] * big[c], t[r])
+    # row i of the sweep: direction i's solved comparisons, two slots each,
+    # padded with (-inf, -inf) sets that change nothing
+    region_lo, region_hi = _allowed(*_pack(r, lo, hi, len(t), -math.inf))
     inside = (region_lo < t[:, None]) & (t[:, None] < region_hi)
     if not inside.any(axis=1).all():
         raise errors.InvariantViolation(
             "observed eta'y fell outside its own selection event; "
             "endpoints may be numerically degenerate")
+    swept = []
 
     def records(i: int) -> Tuple[ComparisonRecord, ...]:
-        # each comparison's own region: one more sweep, over direction i's
-        # failure sets alone, a row per comparison
-        each_lo, each_hi = _allowed(lo[i].reshape(-1, 2), hi[i].reshape(-1, 2))
+        # each solved comparison's own region, from one sweep over every
+        # direction's solved comparisons on the first read; a comparison
+        # left unsolved fails nowhere
+        if not swept:
+            swept.extend(_allowed(lo, hi))
+        each_lo, each_hi = swept
+        mine = np.flatnonzero(r == i)
+        row = dict(zip(idx[c[mine]].tolist(), mine.tolist()))
         skipped = (superset & in_span[i]).tolist()
-        row = (np.cumsum(active) - 1).tolist()
         return tuple(
             ComparisonRecord(model, None, True,
                              "superset of the selected model; constant in t")
             if skipped[m] else
             ComparisonRecord(model, IntervalUnion.from_row(each_lo[row[m]],
-                                                           each_hi[row[m]]))
+                                                           each_hi[row[m]])
+                             if m in row else FULL_LINE)
             for m, model in enumerate(cs.models) if m != hat)
 
     return SelectionEvents(S_hat, region_lo, region_hi, etas, records)

@@ -822,6 +822,12 @@ def report_to_dict(report) -> Dict:
     raise errors.InputError(f"cannot serialize report of type {type(report)!r}")
 
 
+def _csv_number(value: float) -> str:
+    """A statistic as a CSV field; NaN, a statistic of no replication, is
+    an empty field, as JSON writes null."""
+    return "" if math.isnan(value) else repr(value)
+
+
 def emit_report(report, format: str = "json", out_dir: str = ".") -> List[str]:
     """Write the report in the requested format; returns the paths written."""
     if format not in ("json", "csv", "plotdata"):
@@ -844,8 +850,8 @@ def emit_report(report, format: str = "json", out_dir: str = ".") -> List[str]:
                                 "stderr", "relative_loss"])
                     for c in report.cells:
                         w.writerow([c.target, c.strategy, c.method,
-                                    repr(c.coverage), repr(c.stderr),
-                                    repr(c.relative_loss)])
+                                    _csv_number(c.coverage), _csv_number(c.stderr),
+                                    _csv_number(c.relative_loss)])
                 else:
                     w.writerow(["target", "strategy", "method", "lower",
                                 "upper", "point", "pivot", "sigma_used"])
@@ -877,8 +883,8 @@ def _emit_plotdata(report, out_dir: str) -> List[str]:
             w.writerow(["point", "uncorrected"]
                        + [f"corrected_{s}" for s in strategies])
             for t in t_names:
-                row = [t, repr(report.cell(t, baseline, UNCORRECTED).coverage)]
-                row += [repr(report.cell(t, s, CORRECTED).coverage)
+                row = [t, _csv_number(report.cell(t, baseline, UNCORRECTED).coverage)]
+                row += [_csv_number(report.cell(t, s, CORRECTED).coverage)
                         for s in strategies]
                 w.writerow(row)
         written.append(path)

@@ -121,10 +121,11 @@ class PieceTable:
 
     Row ``i`` is the normal with scale ``lam[i]`` truncated to the padded
     region row ``lo[i]``/``hi[i]``, its CDF taken at ``x[i]``.  The table
-    holds the region's pieces, then the same pieces clipped at ``x[i]``;
-    one standardized-measure evaluation gives every row's denominator and
-    numerator, and one row-wise log-sum-exp over both halves (as rows of
-    width ``width``) reduces them.
+    holds the region's ``width`` pieces and one more column, the piece
+    holding ``x[i]`` clipped at ``x[i]``.  One standardized-measure
+    evaluation of these columns gives, through a fixed mask, each row's
+    denominator and numerator, whose terms add up in the pieces' order,
+    and one row-wise log-sum-exp reduces both.
     """
 
     def __init__(self, x: np.ndarray, lam: np.ndarray, lo: np.ndarray, hi: np.ndarray):
@@ -135,8 +136,16 @@ class PieceTable:
         if not np.all((lo < hi).any(axis=1)):
             raise errors.InputError("truncation region must be nonempty")
         self.width = lo.shape[1]
-        self.lo = np.hstack([lo, lo])
-        self.hi = np.hstack([hi, np.minimum(hi, self.x[:, None])])
+        at = self.x[:, None]
+        held = (lo < at) & (at < hi)
+        clip = held.argmax(axis=1)[:, None]
+        self.lo = np.hstack([lo, np.take_along_axis(lo, clip, axis=1)])
+        self.hi = np.hstack([hi, at])
+        # denominator: the pieces; numerator: the pieces that end by x,
+        # then the clipped one where x lies inside a piece
+        den = np.broadcast_to(np.arange(self.width + 1) < self.width, self.lo.shape)
+        num = np.hstack([hi <= at, held.any(axis=1, keepdims=True)])
+        self._halves = np.stack([den, num], axis=1)
 
     def log_cdf(self, mu: np.ndarray, rows=slice(None)) -> Tuple[np.ndarray, np.ndarray]:
         """(log CDF at the mean ``mu``, region-mass underflow flag) for
@@ -146,7 +155,8 @@ class PieceTable:
         with np.errstate(all="ignore"):
             logs = _log_measure_std((self.lo[rows] - shift) / lam,
                                     (self.hi[rows] - shift) / lam)
-            sums = _logsumexp_rows(logs.reshape(-1, self.width))
+            halves = np.where(self._halves[rows], logs[:, None, :], -np.inf)
+            sums = _logsumexp_rows(halves.reshape(-1, self.width + 1))
             logden, lognum = sums[0::2], sums[1::2]
             underflow = ~(logden > -np.inf)  # -inf or nan
             return np.minimum(lognum - logden, 0.0), underflow

@@ -10,6 +10,10 @@ the sweep.
 
 :func:`allowed_row` is the sweep done one region at a time, with the
 merge of ``interval_union``.
+:func:`unscreened_event_rows` is the library's batched sweep without its
+screen: it solves every comparison, including those that cannot fail.
+:func:`two_half_log_cdf` is the piece table's log CDF with every piece
+evaluated twice, once whole and once clipped at the observation.
 The scalar normal interval masses at the end (``normal_measure``) are the
 one-interval view of the library's log-measure kernel, used by tests only.
 :func:`complement_bases` is the candidate engine's basis build done the
@@ -33,10 +37,16 @@ from subsetci.criteria import (
     candidate_set,
     penalty_ratio_sizes,
 )
-from subsetci.geometry import ETA_SPAN_TOL, LEAD_TOL, EtaDecomposition
+from subsetci.geometry import (
+    ETA_SPAN_TOL,
+    LEAD_TOL,
+    EtaDecomposition,
+    _allowed,
+    _forbidden,
+)
 from subsetci.intervals import EMPTY, FULL_LINE, IntervalUnion, interval_union
 from subsetci.linmodel import RANK_TOL, Dataset, IndexSet
-from subsetci.truncnorm import _log_measure_std
+from subsetci.truncnorm import _log_measure_std, _logsumexp_rows
 
 
 def residual_project(data: Dataset, S: IndexSet, v: np.ndarray) -> np.ndarray:
@@ -331,3 +341,64 @@ def normal_measure(interval: Tuple[float, float], mu: float, lam: float) -> floa
     """Normal(mu, lam^2) probability of the open interval ``(lo, hi)``."""
     lv = log_normal_measure(interval, mu, lam)
     return math.exp(lv) if lv > -math.inf else 0.0
+
+
+def unscreened_event_rows(
+    data: Dataset,
+    y: np.ndarray,
+    etas: np.ndarray,
+    S_hat: IndexSet,
+    spec: CriterionSpec,
+    policy: CandidatePolicy = DEFAULT_POLICY,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The padded region rows of ``selection_events(data, y, etas, ...)``
+    for valid input, with every comparison solved: each direction's row
+    holds two failure-set slots per comparison, and a skipped superset
+    comparison's slots are emptied before the one sweep."""
+    norm2 = np.einsum("tn,tn->t", etas, etas)
+    t = etas @ y
+    cs = candidate_set(data, policy)
+    hat = cs.index_of(S_hat)
+    eta_tilde = etas / norm2[:, None]
+    rss, b, c2 = cs.gram(y, eta_tilde)
+    in_span = np.sqrt(c2[:, hat]) * norm2 <= ETA_SPAN_TOL * np.sqrt(norm2)
+    hat_mask = cs.masks[hat]
+    superset = ((cs.masks & hat_mask) == hat_mask) & (cs.masks != hat_mask)
+    active = np.ones(len(cs), dtype=bool)
+    active[hat] = False
+    all_in_span = bool(in_span.all())
+    if all_in_span:
+        active &= ~superset
+    idx = np.flatnonzero(active)
+    penalties = cs.penalties(spec)
+    omegas = np.exp((penalties[hat] - penalties[idx]) / spec.n)
+    big = np.maximum(1.0, omegas)
+    a2 = c2[:, idx] - np.outer(c2[:, hat], omegas)
+    a1 = 2.0 * (b[:, idx] - np.outer(b[:, hat], omegas))
+    a0 = np.tile(rss[idx] - omegas * rss[hat], len(t))
+    et2 = np.einsum("tn,tn->t", eta_tilde, eta_tilde)
+    scale2 = np.outer(et2, big)
+    scale1 = np.outer(2.0 * np.sqrt(et2 * float(y @ y)), big)
+    lo, hi = _forbidden(a2.ravel(), a1.ravel(), a0, scale2.ravel(),
+                        scale1.ravel(), np.repeat(t, idx.size))
+    lo, hi = lo.reshape(len(t), 2 * idx.size), hi.reshape(len(t), 2 * idx.size)
+    if not all_in_span:
+        skip = np.logical_and.outer(in_span, np.repeat(superset[idx], 2))
+        lo[skip], hi[skip] = math.inf, -math.inf
+    return _allowed(lo, hi)
+
+
+def two_half_log_cdf(x: np.ndarray, lam: np.ndarray, lo: np.ndarray,
+                     hi: np.ndarray, mu: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``PieceTable(x, lam, lo, hi).log_cdf(mu)`` from a table of both
+    halves: the W pieces for the denominator, then the same pieces clipped
+    at ``x`` for the numerator, each half reduced as rows of width W."""
+    width = lo.shape[1]
+    lo2 = np.hstack([lo, lo])
+    hi2 = np.hstack([hi, np.minimum(hi, x[:, None])])
+    shift, scale = mu[:, None], lam[:, None]
+    with np.errstate(all="ignore"):
+        logs = _log_measure_std((lo2 - shift) / scale, (hi2 - shift) / scale)
+        sums = _logsumexp_rows(logs.reshape(-1, width))
+        logden, lognum = sums[0::2], sums[1::2]
+        return np.minimum(lognum - logden, 0.0), ~(logden > -np.inf)

@@ -22,7 +22,7 @@ from subsetci.criteria import (
     best_subset,
     candidate_set,
 )
-from subsetci.geometry import decompose, selection_event, selection_events
+from subsetci.geometry import LEAD_TOL, decompose, selection_event, selection_events
 from subsetci.inference import InferenceTarget, eta_for_target
 from subsetci.intervals import FULL_LINE
 from subsetci.linmodel import INTERCEPT_FORCED, INTERCEPT_NONE
@@ -296,6 +296,60 @@ def test_mixed_span_batches_skip_supersets_only_in_span(case, criterion,
             for eta in etas] == [kind != "off-span" for kind in kinds]
     _check_events_against_single_calls_and_oracle(data, etas, events, S_hat,
                                                   spec, policy)
+
+
+def _linear_direction(data, S_hat, spec, policy, rng):
+    """A direction along which the comparison of ``S_hat`` with a smaller
+    model ``S`` is linear in t, and that ``S``.  With g in the span of
+    ``S_hat`` and h orthogonal to every column, eta = g + a h gives
+    |R_S eta|^2 - omega |R_hat eta|^2 = |R_S g|^2 - (omega - 1) a^2 |h|^2,
+    which vanishes at the ``a`` below (omega > 1, as S has the smaller
+    penalty)."""
+    cs = candidate_set(data, policy)
+    smaller = [S for S in cs.models if len(S) < len(S_hat)]
+    assume(smaller)
+    S = smaller[int(rng.integers(len(smaller)))]
+    penalties = cs.penalties(spec)
+    omega = math.exp((penalties[cs.index_of(S_hat)]
+                      - penalties[cs.index_of(S)]) / spec.n)
+    g = data.X[:, [i - 1 for i in S_hat.indices]] @ rng.standard_normal(len(S_hat))
+    h = pair_oracle.residual_project(data, data.full_model(),
+                                     rng.standard_normal(data.n))
+    rg = pair_oracle.residual_project(data, S, g)
+    a = math.sqrt((rg @ rg) / ((omega - 1.0) * (h @ h)))
+    return g + a * h, S
+
+
+@KERNEL_SETTINGS
+@given(designs(), st.sampled_from(list(Criterion)),
+       st.lists(st.sampled_from(["in-span", "off-span", "linear"]),
+                min_size=1, max_size=4))
+def test_screened_sweep_equals_the_unscreened_one(case, criterion, kinds):
+    # the event solves only the comparisons that can fail; its region rows
+    # are, float for float, those of solving every comparison
+    data, policy, rng = case
+    spec, S_hat, _ = _selected_direction(data, policy, rng, criterion)
+    etas = []
+    for kind in kinds:
+        if kind == "in-span":
+            etas.extend(_directions(data, S_hat, rng, 1, off_span=False))
+        elif kind == "off-span":
+            etas.append(rng.standard_normal(data.n))
+        else:
+            eta, S = _linear_direction(data, S_hat, spec, policy, rng)
+            dec = decompose(data.y, eta)
+            quad = pair_oracle.comparison_quadratic(dec, data, S_hat, S, spec)
+            scale2, scale1 = pair_oracle._pair_scales(
+                dec, pair_oracle.penalty_ratio_sizes(
+                    data.free_size(S_hat), data.free_size(S), spec))
+            assert abs(quad.a2) <= LEAD_TOL * scale2
+            assert abs(quad.a1) > LEAD_TOL * scale1
+            etas.append(eta)
+    etas = np.array(etas)
+    events = selection_events(data, data.y, etas, S_hat, spec, policy=policy)
+    lo, hi = pair_oracle.unscreened_event_rows(data, data.y, etas, S_hat,
+                                               spec, policy)
+    assert np.array_equal(events.lo, lo) and np.array_equal(events.hi, hi)
 
 
 def _single_call_error(data, y, eta, S_hat, spec, policy):

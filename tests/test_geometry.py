@@ -379,8 +379,9 @@ class TestSelectionEvent:
         assert len(empty) == 0 and list(empty) == []
 
     def test_records_are_built_when_an_event_is_read(self, rng, monkeypatch):
-        # the batch sweeps once, for its regions; reading an event sweeps
-        # once more, over that direction's failure sets, for its records
+        # the batch sweeps once, for its regions; the first read sweeps
+        # once more, over every direction's failure sets, for the records
+        # of the whole batch, and a later read builds only its own records
         from subsetci import geometry
 
         d = random_dataset(rng, n=18, p=4, signal=np.array([3.0, 2.0, 0, 0]))
@@ -399,6 +400,8 @@ class TestSelectionEvent:
         event = events[1]
         assert (len(sweeps), len(records)) == (2, 2 ** 4 - 2)
         assert len(event.comparisons) == 2 ** 4 - 2
+        assert events[0].comparisons != event.comparisons
+        assert (len(sweeps), len(records)) == (2, 2 * (2 ** 4 - 2))
 
     def test_event_records_its_direction(self, rng):
         # eta is the row the event was cut along, and is left out of ==

@@ -1,5 +1,7 @@
+import csv
 import json
 import math
+import os
 from concurrent.futures import Future
 from pathlib import Path
 
@@ -239,6 +241,32 @@ class TestSimulateCoverage:
         rep = simulate_coverage(cfg)
         assert rep.reps_completed == cfg.reps
         assert (len(sweeps), len(records)) == (cfg.reps, 0)
+
+    def test_study_solves_no_comparison_that_cannot_fail(self, monkeypatch):
+        # an upward parabola without a real root fails nowhere, so a
+        # table1-shaped study never hands one to the root solver
+        from subsetci import geometry
+
+        solved, rootless = [], []
+        forbidden = geometry._forbidden
+
+        def counted(a2, a1, a0, scale2, scale1, shift):
+            quad = np.abs(a2) > geometry.LEAD_TOL * scale2
+            rootless.append(int((quad & (a2 > 0.0)
+                                 & ~(a1 * a1 - 4.0 * a2 * a0 > 0.0)).sum()))
+            solved.append(a2.size)
+            return forbidden(a2, a1, a0, scale2, scale1, shift)
+
+        monkeypatch.setattr(geometry, "_forbidden", counted)
+        cfg = SimulationConfig(
+            n=50, p=10, beta=(1.0, 2.0, 3.0) + (0.0,) * 7, rho=0.5, sigma=1.0,
+            reps=30, master_seed=0, sigma_strategies=(
+                SigmaSpec.known(1.0), SigmaSpec.mse_aic(), SigmaSpec.mse_full(),
+                SigmaSpec.external(1.1)))
+        rep = simulate_coverage(cfg)
+        assert rep.reps_completed == cfg.reps
+        assert len(solved) == cfg.reps and sum(solved) > 0
+        assert sum(rootless) == 0
 
     def test_histogram_conserves_replications(self):
         cfg = tiny_config(reps=35)
@@ -707,13 +735,16 @@ class TestEmitReport:
             raise ValueError(f"{token} is not JSON")
         return json.loads(json.dumps(doc), parse_constant=refuse)
 
-    def test_statistics_of_no_replication_are_null(self):
-        # x1 (beta 0) is never selected here, so its cells count nothing
+    def test_statistics_of_no_replication_are_null(self, tmp_path):
+        # x1 (beta 0) is never selected here, so its cells count nothing:
+        # their statistics are null in JSON and empty fields in the CSV
+        # report and the plot data
         cfg = tiny_config(n=40, p=4, beta=(0.0, 0.0, 0.0, 3.0), reps=6,
                           sigma_strategies=(SigmaSpec.known(1.0),),
                           targets=(InferenceTarget.coefficient("x1"),
                                    InferenceTarget.coefficient("x4")))
-        doc = self._strict_json(report_to_dict(simulate_coverage(cfg)))
+        rep = simulate_coverage(cfg)
+        doc = self._strict_json(report_to_dict(rep))
         for cell in doc["coverage"]:
             empty = cell["target"] == "x1"
             assert cell["count"] == (0 if empty else cfg.reps)
@@ -722,6 +753,19 @@ class TestEmitReport:
         assert {k["target"]: k["ks"] is None for k in doc["pivot_ks"]} == \
             {"x1": True, "x4": False}
         assert doc["sigma_means"] == {"known": 1.0}
+        rows = {}
+        for fmt in ("csv", "plotdata"):
+            for path in emit_report(rep, format=fmt, out_dir=str(tmp_path)):
+                with open(path, newline="") as fh:
+                    rows[os.path.basename(path)] = list(csv.reader(fh))[1:]
+        # report.csv: target, strategy, method, then the three statistics;
+        # coverage_vs_point.csv: point, then one coverage per column
+        stats = ([(row[0], row[3:]) for row in rows["report.csv"]]
+                 + [(row[0], row[1:]) for row in rows["coverage_vs_point.csv"]])
+        assert sorted(target for target, _ in stats) == ["x1"] * 3 + ["x4"] * 3
+        for target, values in stats:
+            assert [v == "" for v in values] == [target == "x1"] * len(values)
+            assert all(0.0 <= float(v) <= 1.0 for v in values if v)
 
     def test_report_of_no_completed_replication_is_json(self):
         # every replication fails (see test_failures_recorded_not_dropped)

@@ -16,6 +16,7 @@ from subsetci.intervals import FULL_LINE, interval_union
 from subsetci.truncnorm import (
     CDF_TOL, PieceTable, TruncatedNormalSpec, invert_mean, truncated_cdf)
 from conftest import piece_rows, random_dataset
+import pair_oracle
 from pair_oracle import log_normal_measure, normal_measure
 
 # working precision of the mpmath oracles, scoped to each oracle call so that
@@ -283,6 +284,66 @@ def test_batch_elements_equal_single_calls(batch, shuffle):
         cdf = cdfs[solved.index(j)]
         assert cdf == truncated_cdf(xs[j], specs[solved.index(j)])
         assert cdf == pytest.approx(targets[j], abs=1e-10)
+
+
+@st.composite
+def cdf_rows(draw):
+    """(x, lam, lo, hi, mu, rows) of a table of 1-6 rows: regions of 1-4
+    pieces, either end possibly unbounded, padded with (0, 0) pieces to the
+    widest; x at a piece end, inside a piece, in a gap, or left or right of
+    every piece; means near x, far from it, or infinite; and a subset of
+    the rows in random order."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    k = int(rng.integers(1, 7))
+    regions, xs = [], []
+    for _ in range(k):
+        ends = (np.cumsum(rng.uniform(0.05, 3.0, 2 * int(rng.integers(1, 5))))
+                + rng.normal(scale=3.0)).tolist()
+        if rng.random() < 0.3:
+            ends[0] = -INF
+        if rng.random() < 0.3:
+            ends[-1] = INF
+        pieces = list(zip(ends[0::2], ends[1::2]))
+        finite = [e for e in ends if math.isfinite(e)] or [0.0]
+        j = int(rng.integers(len(pieces)))
+        kind = rng.integers(5)
+        if kind == 0:  # a piece end
+            x = float(rng.choice(finite))
+        elif kind == 1:  # inside a piece, a finite stretch of it
+            lo, hi = pieces[j]
+            a = lo if lo > -INF else min(hi, 0.0) - 2.0
+            b = hi if hi < INF else max(a, 0.0) + 2.0
+            x = a + (b - a) * float(rng.uniform(0.1, 0.9))
+        elif kind == 2 and len(pieces) > 1:  # in a gap
+            x = (pieces[j - 1][1] + pieces[j][0]) / 2.0 if j else pieces[0][1] + 0.01
+        elif kind in (2, 3):  # left of every piece
+            x = min(finite) - float(rng.uniform(0.01, 5.0))
+        else:  # right of every piece
+            x = max(finite) + float(rng.uniform(0.01, 5.0))
+        regions.append(interval_union(pieces))
+        xs.append(x)
+    x, lam = np.array(xs), rng.uniform(0.05, 4.0, k)
+    mu = x + lam * rng.choice([1.0, 40.0, 1e4], k) * rng.standard_normal(k)
+    mu[rng.random(k) < 0.15] = INF
+    mu[rng.random(k) < 0.15] = -INF
+    rows = rng.permutation(k)[:int(rng.integers(1, k + 1))]
+    return (x, lam, *piece_rows(regions), mu, rows)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(cdf_rows())
+def test_log_cdf_equals_the_two_half_table(case):
+    """Each piece is evaluated once per probe, with one more column for the
+    piece holding x clipped at x; the log CDF and its underflow flags are,
+    bit for bit, those of evaluating every piece whole and clipped."""
+    x, lam, lo, hi, mu, rows = case
+    table = PieceTable(x, lam, lo, hi)
+    for got, want in ((table.log_cdf(mu), pair_oracle.two_half_log_cdf(
+                           x, lam, lo, hi, mu)),
+                      (table.log_cdf(mu[rows], rows), pair_oracle.two_half_log_cdf(
+                           x[rows], lam[rows], lo[rows], hi[rows], mu[rows]))):
+        assert got[0].tobytes() == want[0].tobytes()
+        assert np.array_equal(got[1], want[1])
 
 
 @BATCH_SETTINGS
