@@ -106,27 +106,39 @@ def _free_sizes(n_free: int, policy: CandidatePolicy) -> range:
     return range(0 if policy.include_empty else 1, cap + 1)
 
 
-def _build_bytes(data: Dataset, policy: CandidatePolicy) -> Tuple[int, int, int]:
-    """``(models, stack bytes, peak bytes)`` of building the candidate set.
+def _buffer_rows(n_free: int, policy: CandidatePolicy) -> Tuple[int, int]:
+    """Rows of ``p`` floats in each of the build's two level buffers, which
+    hold in turn one size's complement bases and every column's coordinates
+    in them, and in its buffer of the bases gathered for the next size.
+    The build allocates them once, as one block, and reuses them for every
+    size: fresh arrays per size would be paged in anew by every build."""
+    sizes = [k for k in _free_sizes(n_free, policy) if k]
+    level = [math.comb(n_free, j) * (n_free - j) for k in sizes for j in (k - 1, k)]
+    return (max(level, default=0),
+            max((math.comb(n_free, k) * (n_free - k + 1) for k in sizes), default=0))
 
-    The stack holds ``C(p_free, k) * (p - width_k)`` rows of ``p`` floats for
-    each admitted free size ``k`` (see :class:`CandidateSet`).  The peak adds
-    the working arrays of the largest level of the build, its gathered
-    parents (one row more than the level's own bases) and four ``p``-long
-    rows per model that bound its per-model vectors, and NumPy's iteration
-    buffers.
+
+def _build_bytes(data: Dataset, policy: CandidatePolicy) -> Tuple[int, int, int]:
+    """``(models, stored bytes, peak bytes)`` of building the candidate set.
+
+    The set stores one direction of ``p`` floats per model below the top
+    admitted free size ``K``, and ``p - width_K`` rows of ``p`` floats per
+    root, a model of size ``K`` (see :class:`CandidateSet`).  The peak adds
+    the build's buffers (see :func:`_buffer_rows`), four ``p``-long rows per
+    model of the largest size that bound the per-model vectors, and NumPy's
+    iteration buffers.
     """
     n_free = len(data.free_indices)
-    n_forced = len(data.forced_indices)
-    p = data.p
-    count = stack = work = 0
-    for k in _free_sizes(n_free, policy):
-        m = math.comb(n_free, k)
-        count += m
-        stack += m * (p - n_forced - k) * p
-        if k:
-            work = max(work, m * (p - n_forced - k + 5) * p)
-    return count, stack * 8, (stack + work) * 8 + _BUFFER_BYTES
+    sizes = _free_sizes(n_free, policy)
+    if not sizes:
+        return 0, 0, _BUFFER_BYTES
+    count = sum(math.comb(n_free, k) for k in sizes)
+    roots = math.comb(n_free, sizes[-1])
+    stored = count - roots + roots * (n_free - sizes[-1])
+    level, gathered = _buffer_rows(n_free, policy)
+    work = 2 * level + gathered + 4 * max(math.comb(n_free, k) for k in sizes)
+    return (count, stored * data.p * 8,
+            (stored + work) * data.p * 8 + _BUFFER_BYTES)
 
 
 def _check_budget(data: Dataset, policy: CandidatePolicy) -> None:
@@ -146,21 +158,25 @@ def _check_budget(data: Dataset, policy: CandidatePolicy) -> None:
 
 
 class _Level(NamedTuple):
-    """The candidates of one free size ``k``.
+    """The candidates of one free size ``k``, at positions ``models`` in
+    canonical order, each with a complement of ``dim = p - |S|`` dimensions.
 
-    They hold positions ``models`` in canonical order and rows ``rows`` of
-    the basis stack, ``dim = p - |S|`` consecutive rows each.  For ``k > 0``,
-    ``parents`` gives each model's prefix parent (the model without its
-    largest free column) as a position among the models of size ``k - 1``,
-    or the forced columns alone at ``k = 1``, and ``new_columns`` the
-    0-based column it adds.
+    For ``k > 0``, ``parents`` gives each model's prefix parent (the model
+    without its largest free column) as a position among the models of size
+    ``k - 1``, or the forced columns alone at ``k = 1``, and ``read`` the
+    (parents, 0-based columns) indices that read the coordinates of each
+    model's added column and then, when the parents are candidates, of each
+    parent's superset column.  Below the top level, ``supers`` gives each
+    model's superset parent, and ``super_columns`` the 0-based column that
+    parent adds.
     """
 
     models: slice
-    rows: slice
     dim: int
     parents: Optional[np.ndarray]
-    new_columns: Optional[np.ndarray]
+    read: Optional[Tuple[np.ndarray, np.ndarray]]
+    supers: Optional[np.ndarray]
+    super_columns: Optional[np.ndarray]
 
     @property
     def count(self) -> int:
@@ -189,7 +205,9 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 def _candidate_list(forced: Tuple[int, ...], free: Tuple[int, ...],
                     policy: CandidatePolicy) -> _CandidateList:
     """Canonical order: free size, then lexicographic.  The list depends on
-    the forced and free columns and the policy only, never on the design."""
+    the forced and free columns and the policy only, never on the design.
+    A model's superset parent adds the first free column it lacks.
+    """
     sizes = _free_sizes(len(free), policy)
     models = tuple(
         IndexSet(tuple(sorted(forced + combo)))
@@ -199,73 +217,120 @@ def _candidate_list(forced: Tuple[int, ...], free: Tuple[int, ...],
         raise errors.InputError("candidate policy admits no models")
     masks = np.array([sum(1 << (i - 1) for i in m.indices) for m in models],
                      dtype=np.int64)
+    by_mask = np.argsort(masks)
     # Walk the prefix tree in canonical order: a parent's children add, in
     # turn, each free column after its last one.
-    columns = np.array(free) - 1
+    columns = np.array(free, dtype=np.int64) - 1
     last = np.array([-1])  # position in ``free`` of each model's last column
     levels = []
-    first = row = 0
+    start = 0
     for k in sizes:
-        count, dim = math.comb(len(free), k), len(free) - k
-        parent = new = None
+        count = math.comb(len(free), k)
+        at = slice(start, start + count)
+        parent = read = supers = added = None
         if k:
             children = len(free) - 1 - last
             parent = np.repeat(np.arange(last.size), children)
             first_child = np.cumsum(children) - children
             last = last[parent] + 1 + np.arange(count) - first_child[parent]
-            parent, new = _frozen(parent), _frozen(columns[last])
-        levels.append(_Level(slice(first, first + count),
-                             slice(row, row + count * dim), dim, parent, new))
-        first, row = first + count, row + count * dim
+            read = (parent, columns[last])
+            if levels:
+                read = tuple(map(np.concatenate, zip(read, (
+                    np.arange(levels[-1].count), levels[-1].super_columns))))
+            parent, read = _frozen(parent), tuple(map(_frozen, read))
+        if k < sizes[-1]:
+            added = _frozen(columns[np.argmin((masks[at, None] >> columns) & 1,
+                                              axis=1)])
+            supers = _frozen(by_mask[np.searchsorted(
+                masks, masks[at] | (1 << added), sorter=by_mask)])
+        levels.append(_Level(at, len(free) - k, parent, read, supers, added))
+        start += count
     free_sizes = np.repeat(np.array(sizes), [lv.count for lv in levels])
     return _CandidateList(models, {m: pos for pos, m in enumerate(models)},
                           _frozen(free_sizes), _frozen(masks), tuple(levels))
 
 
-def _complement_bases(r: np.ndarray, n_forced: int,
-                      listed: _CandidateList) -> np.ndarray:
-    """Stacked complement bases (as rows) of every candidate, built one free
-    size at a time from each model's prefix parent.
+def _rank_check(dist: np.ndarray, root: np.ndarray,
+                listed: _CandidateList) -> None:
+    """Raise ``RankDeficient`` for the first candidate, in canonical order,
+    whose smallest distance ``dist`` of a column from the span of the
+    columns before it (for the forced columns, ``root``) falls below
+    ``RANK_TOL`` times its largest."""
+    lo = root.min(initial=np.inf, keepdims=True)
+    hi = root.max(initial=np.finfo(float).tiny, keepdims=True)
+    first = listed.levels[0]
+    built = dist[first.models.stop if first.parents is None else 0:]
+    if built.min(initial=lo[0]) >= RANK_TOL * built.max(initial=hi[0]):
+        return  # no model can fail
+    for lv in listed.levels:
+        if lv.parents is not None:
+            lo = np.minimum(lo[lv.parents], dist[lv.models])
+            hi = np.maximum(hi[lv.parents], dist[lv.models])
+            bad = np.flatnonzero(lo < RANK_TOL * hi)
+            if bad.size:
+                raise errors.RankDeficient(
+                    "submodel columns are collinear beyond tolerance",
+                    model=listed.models[lv.models.start + bad[0]])
 
-    If the rows of ``N_P`` span the complement of ``span R[:, P]``, a
-    Householder reflection that maps ``v = N_P R[:, j]`` onto a multiple of
-    ``e_1`` leaves rows 2.. orthogonal to ``R[:, j]`` as well: they are the
-    basis of ``P + {j}``.  ``|v|`` is the distance of column ``j`` from the
-    span of the parent's columns, the |diag| entry that the QR of the model's
-    sorted columns ends with, so a running min and max per model give the
-    rank check.  The forced columns lead and ``R`` is upper triangular, so
-    the root's basis is the last ``p - n_forced`` unit vectors and its
-    |diag| entries are those of ``R``.
+
+def _directions(r: np.ndarray, n_forced: int, listed: _CandidateList,
+                buffer_rows: Tuple[int, int]) -> Tuple[np.ndarray, np.ndarray]:
+    """Each candidate's direction below the top level (a (models, p) array
+    in canonical order) and the roots' complement bases stacked as rows,
+    built one free size at a time from prefix parents in buffers of
+    ``buffer_rows`` (see :func:`_buffer_rows`).
+
+    If the rows of ``N_P`` span the complement of ``span R[:, P]``, the
+    coordinates ``N_P R`` of every column give ``P``'s direction,
+    ``N_P' x / |x|`` for the coordinates ``x`` of its superset parent's
+    added column: the unit residual of that column against ``span R[:, P]``.
+    They also give each child ``P + {j}`` the coordinates ``v`` of its added
+    column.  A Householder reflection that maps ``v`` onto a multiple of
+    ``e_1`` leaves rows 2.. of ``N_P`` orthogonal to ``R[:, j]`` as well:
+    they are the basis of ``P + {j}``.  ``|v|`` is the distance of column
+    ``j`` from the span of the parent's columns, the |diag| entry that the
+    QR of the child's sorted columns ends with, which the rank check reads
+    once the build is done; a deficient design builds rubbish until then.
+    The forced columns lead and ``R`` is upper triangular, so the root's
+    basis is the last ``p - n_forced`` unit vectors and its |diag| entries
+    are those of ``R``.
     """
     p = r.shape[0]
-    stack = np.empty((listed.levels[-1].rows.stop, p))
+    dirs = np.empty((listed.levels[-1].models.start, p))
+    dist = np.empty(len(listed.models))
+    spare, other, parents = np.split(
+        np.empty((2 * buffer_rows[0] + buffer_rows[1]) * p),
+        [buffer_rows[0] * p, 2 * buffer_rows[0] * p])
     level = np.eye(p)[None, n_forced:]
-    diag = np.abs(np.diag(r)[:n_forced])
-    lo = np.array([diag.min(initial=np.inf)])
-    hi = np.array([diag.max(initial=0.0)])
-    for lv in listed.levels:
-        if lv.parents is None:  # the empty free set is the root itself
-            stack[lv.rows] = level[0]
-            continue
-        gathered = level[lv.parents]
-        v = np.einsum("mdp,pm->md", gathered, r[:, lv.new_columns])
-        norm = np.sqrt(np.einsum("md,md->m", v, v))
-        lo = np.minimum(lo[lv.parents], norm)
-        hi = np.maximum(hi[lv.parents], norm)
-        bad = np.flatnonzero(lo < RANK_TOL * np.maximum(hi, np.finfo(float).tiny))
-        if bad.size:
-            raise errors.RankDeficient(
-                "submodel columns are collinear beyond tolerance",
-                model=listed.models[lv.models.start + bad[0]])
-        # w = v + sign(v_1)|v| e_1 and H = I - 2 w w'/|w|^2, |w|^2 = 2|v||w_1|
-        v[:, 0] += np.copysign(norm, v[:, 0])
-        s = np.einsum("md,mdp->mp", v, gathered)
-        s /= (norm * np.abs(v[:, 0]))[:, None]
-        level = stack[lv.rows].reshape(lv.count, lv.dim, p)
-        np.einsum("md,mp->mdp", v[:, 1:], s, out=level)
-        np.subtract(gathered[:, 1:], level, out=level)
-        del gathered  # before the next level gathers its own parents
-    return stack
+    below = None
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for lv in listed.levels:
+            if lv.parents is not None:
+                # every column's coordinates, then the new bases, in the
+                # buffer that the level before last used
+                coords = np.matmul(level.reshape(-1, p), r,
+                                   out=spare[:level.size].reshape(-1, p))
+                rows, columns = lv.read
+                read = coords.reshape(level.shape)[rows, :, columns]
+                v = read[:lv.count]
+                if below is not None:  # the parents are candidates
+                    np.einsum("md,mdp->mp", read[lv.count:], level,
+                              out=dirs[below.models])
+                norm = np.sqrt(np.einsum("md,md->m", v, v), out=dist[lv.models])
+                gathered = np.take(level, lv.parents, axis=0, mode="clip", out=(
+                    parents[:lv.count * level[0].size].reshape(-1, *level.shape[1:])))
+                level = spare[:lv.count * lv.dim * p].reshape(lv.count, lv.dim, p)
+                # w = v + sign(v_1)|v| e_1, H = I - 2 w w'/|w|^2, |w|^2 = 2|v||w_1|
+                v[:, 0] += np.copysign(norm, v[:, 0])
+                s = np.einsum("md,mdp->mp", v, gathered)
+                s /= (norm * np.abs(v[:, 0]))[:, None]
+                np.einsum("md,mp->mdp", v[:, 1:], s, out=level)
+                np.subtract(gathered[:, 1:], level, out=level)
+                spare, other = other, spare
+            below = lv
+        dirs /= np.sqrt(np.einsum("mp,mp->m", dirs, dirs))[:, None]
+    _rank_check(dist, np.abs(np.diag(r)[:n_forced]), listed)
+    return dirs, level.reshape(-1, p).copy()  # out of the buffers
 
 
 class CandidateSet:
@@ -275,10 +340,15 @@ class CandidateSet:
     work in the coordinates of the full design's thin QR ``X = Q R``: with
     ``u = Q'v`` and ``v_perp = v - Q u``, the residual maker ``R_S`` of model
     ``S`` (not to be confused with the triangular factor ``R``) satisfies
-    ``|R_S v|^2 = |v_perp|^2 + |N_S'u|^2``, where the columns of
-    ``N_S`` (p by p - |S|) are an orthonormal basis of the complement of the
-    span of ``R[:, S]``.  Each model therefore stores p-dimensional vectors
-    only, and one matrix product over the stacked bases serves every model.
+    ``|R_S v|^2 = |v_perp|^2 + |N_S'u|^2``, where the columns of ``N_S``
+    (p by p - |S|) are an orthonormal basis of the complement of the span of
+    ``R[:, S]``.  A model ``S`` below the top admitted size has a superset
+    parent ``S + {j}`` among the candidates; the complement of ``S`` is that
+    parent's plus one unit vector ``q_S``, the residual of ``R[:, j]``
+    against ``span R[:, S]``, so ``|N_S'u|^2 = |N_{S+j}'u|^2 + (q_S'u)^2``.
+    Such a model stores ``q_S`` only, ``p`` floats instead of the
+    ``(p - |S|) * p`` of a basis; the roots, the models of the top size,
+    store their bases (none for the full model, whose complement is empty).
     """
 
     def __init__(self, data: Dataset, policy: CandidatePolicy):
@@ -294,7 +364,9 @@ class CandidateSet:
         self._penalties: dict = {}
         self._q, r = data._qr_of(data.full_model().indices)
         self._levels = listed.levels
-        self._basis = _complement_bases(r, len(data.forced_indices), listed)
+        self._dirs, self._roots = _directions(
+            r, len(data.forced_indices), listed,
+            _buffer_rows(len(data.free_indices), policy))
 
     def __len__(self) -> int:
         return len(self.models)
@@ -314,24 +386,30 @@ class CandidateSet:
         for ``t = 1..T``.
 
         The part of each vector outside the full design's span is shared by
-        all candidates; the rest is a sum over the vector's coordinates in
-        each model's complement basis.  The basis stack is read once per
-        call, whatever the number of vectors.
+        all candidates.  A root adds the sum over the vector's coordinates in
+        its basis; every other model adds the product of the vectors'
+        coordinates along its direction to its superset parent's value, one
+        size level at a time down from the top.  Every value is so a sum of
+        squares, and each cross term a sum of products bounded by
+        ``|R_S v_0| |R_S v_t|``.
         """
         u = vs @ self._q  # (T+1, p)
         perp = vs - u @ self._q.T
-        coords = u @ self._basis.T  # (T+1, rows)
         t = len(vs) - 1
         out = np.empty((2 * t + 1, len(self.models)))
-        for lv in self._levels:
-            c = coords[:, lv.rows].reshape(t + 1, lv.count, lv.dim)
-            np.einsum("md,tmd->tm", c[0], c, out=out[:t + 1, lv.models])
-            if t:
-                np.einsum("tmd,tmd->tm", c[1:], c[1:], out=out[t + 1:, lv.models])
+        top = self._levels[-1]
+        c = (u @ self._roots.T).reshape(t + 1, top.count, top.dim)
+        np.einsum("md,tmd->tm", c[0], c, out=out[:t + 1, top.models])
+        if t:
+            np.einsum("tmd,tmd->tm", c[1:], c[1:], out=out[t + 1:, top.models])
         shared = np.concatenate([
             np.einsum("tn,tn->t", np.broadcast_to(perp[0], perp.shape), perp),
             np.einsum("tn,tn->t", perp[1:], perp[1:])])
-        out += shared[:, None]
+        out[:, top.models] += shared[:, None]
+        g = u @ self._dirs.T  # (T+1, models below the top)
+        step = np.concatenate([g[0] * g, g[1:] * g[1:]])
+        for lv in reversed(self._levels[:-1]):
+            np.add(out[:, lv.supers], step[:, lv.models], out=out[:, lv.models])
         return out
 
     def rss_all(self, y: np.ndarray) -> np.ndarray:

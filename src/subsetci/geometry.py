@@ -67,24 +67,27 @@ class ComparisonRecord:
 @dataclass(frozen=True)
 class SelectionEvent:
     """The set of ``eta'y`` values under which ``selected`` wins, cut along
-    ``eta`` (``None`` when unknown; left out of ``==``)."""
+    ``eta`` through the response whose part orthogonal to ``eta`` is ``z``
+    (each ``None`` when unknown; both left out of ``==``)."""
 
     selected: IndexSet
     region: IntervalUnion
     comparisons: Tuple[ComparisonRecord, ...]
     eta: Optional[np.ndarray] = field(default=None, compare=False)
+    z: Optional[np.ndarray] = field(default=None, compare=False)
 
 
 @dataclass(frozen=True, eq=False)
 class SelectionEvents(Sequence):
-    """The events of ``selected`` along stacked directions: row ``i`` of the
-    padded ``lo``/``hi`` is direction ``i``'s region, and item ``i`` its
-    :class:`SelectionEvent`, whose comparison records ``_records(i)`` builds
-    when the item is read."""
+    """The events of ``selected`` along stacked directions through the
+    response ``_y``: row ``i`` of the padded ``lo``/``hi`` is direction
+    ``i``'s region, and item ``i`` its :class:`SelectionEvent`, whose
+    comparison records ``_records(i)`` builds when the item is read."""
 
     selected: IndexSet
     lo: np.ndarray  # (T, W)
     hi: np.ndarray
+    _y: np.ndarray  # (n,)
     _etas: np.ndarray  # (T, n)
     _records: Callable[[int], Tuple[ComparisonRecord, ...]]
 
@@ -94,7 +97,8 @@ class SelectionEvents(Sequence):
     def __getitem__(self, i: int) -> SelectionEvent:
         i = range(len(self))[i]
         region = IntervalUnion.from_row(self.lo[i], self.hi[i])
-        return SelectionEvent(self.selected, region, self._records(i), self._etas[i])
+        return SelectionEvent(self.selected, region, self._records(i),
+                              self._etas[i], decompose(self._y, self._etas[i]).z)
 
 
 def decompose(y: np.ndarray, eta: np.ndarray) -> EtaDecomposition:
@@ -339,4 +343,4 @@ def selection_events(
                              if m in row else FULL_LINE)
             for m, model in enumerate(cs.models) if m != hat)
 
-    return SelectionEvents(S_hat, region_lo, region_hi, etas, records)
+    return SelectionEvents(S_hat, region_lo, region_hi, y, etas, records)

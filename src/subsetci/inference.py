@@ -17,7 +17,7 @@ from scipy.stats import norm as norm_dist, t as t_dist
 
 from . import errors
 from .criteria import CandidatePolicy, CriterionSpec, DEFAULT_POLICY
-from .geometry import SelectionEvent, selection_events
+from .geometry import SelectionEvent, decompose, selection_events
 from .intervals import FULL_LINE, IntervalUnion
 from .linmodel import Dataset, IndexSet
 from .truncnorm import PieceTable, TruncatedNormalSpec, mass_underflow, truncated_cdf
@@ -404,23 +404,28 @@ def _single_target(
 ) -> Tuple[Dataset, np.ndarray, SelectionEvent]:
     """(data with response ``y``, the target's direction, its selection event).
 
-    A supplied event must be one of ``S_hat`` and, when it records its
-    direction, cut along the target's (to rounding: 1e-12 of its norm).
+    A supplied event must be one of ``S_hat`` and, for what it records, cut
+    along the target's direction through this response: its direction and
+    its response's part orthogonal to it must be the target's and this
+    response's (to rounding: 1e-12 of their norms).
     """
     if y is not None and y is not data.y:
         data = data.replace_y(y)
     eta = eta_for_target(data, S_hat, target)
     if event is None:
-        event = selection_events(data, data.y, eta[None, :], S_hat,
-                                 criterion_spec, policy)[0]
-    elif event.selected != S_hat:
+        return data, eta, selection_events(data, data.y, eta[None, :], S_hat,
+                                           criterion_spec, policy)[0]
+    if event.selected != S_hat:
         raise errors.NotSelectedModel(
             f"the event is one of {event.selected}, not of {S_hat}")
-    elif event.eta is not None and (
-            np.shape(event.eta) != eta.shape
-            or np.linalg.norm(event.eta - eta) > 1e-12 * np.linalg.norm(eta)):
-        raise errors.InputError(
-            "event was cut along another direction than the target's")
+    for recorded, want, what in (
+            (event.eta, eta, "along another direction than the target's"),
+            (event.z, decompose(data.y, eta).z,
+             "through another response than this one")):
+        if recorded is not None and (
+                np.shape(recorded) != want.shape
+                or np.linalg.norm(recorded - want) > 1e-12 * np.linalg.norm(want)):
+            raise errors.InputError(f"event was cut {what}")
     return data, eta, event
 
 

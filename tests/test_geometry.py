@@ -404,7 +404,8 @@ class TestSelectionEvent:
         assert (len(sweeps), len(records)) == (2, 2 * (2 ** 4 - 2))
 
     def test_event_records_its_direction(self, rng):
-        # eta is the row the event was cut along, and is left out of ==
+        # eta is the row the event was cut along and z the response's part
+        # orthogonal to it; both are left out of ==
         d = random_dataset(rng, n=18, p=4, signal=np.array([3.0, 2.0, 0, 0]))
         spec = CriterionSpec(Criterion.AIC, 18)
         S_hat, _ = best_subset(d, spec)
@@ -412,6 +413,7 @@ class TestSelectionEvent:
                                             for i in S_hat.indices])
         for eta, event in zip(etas, selection_events(d, d.y, etas, S_hat, spec)):
             assert np.array_equal(event.eta, eta)
+            assert np.array_equal(event.z, decompose(d.y, eta).z)
             assert event == SelectionEvent(event.selected, event.region,
                                            event.comparisons)
         dec = decompose(d.y, etas[0])

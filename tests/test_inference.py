@@ -275,6 +275,26 @@ class TestCorrectedCI:
         with pytest.raises(errors.InputError, match="cut along another direction"):
             pivot_value(d, None, S_hat, targets[1], 0.0, sig, spec, event=first)
 
+    def test_event_of_another_response_is_refused(self):
+        # coefficient 2's own event, but cut through the unperturbed
+        # response: with a perturbed one, its interval would be computed
+        # silently, (0.537060, 1.519273), from a region of another response
+        d = random_dataset(np.random.default_rng(0), n=20, p=4,
+                           signal=np.array([1.0, 1.0, 0.0, 0.0]))
+        spec = CriterionSpec(Criterion.AIC, 20)
+        S_hat, _ = best_subset(d, spec)
+        target = InferenceTarget.coefficient(2)
+        _, own = selection_events(
+            d, d.y, target_directions(d, S_hat, [InferenceTarget.coefficient(1),
+                                                 target]), S_hat, spec)
+        assert np.array_equal(own.z, decompose(d.y, own.eta).z)
+        y = d.y + 0.3 * np.random.default_rng(5).standard_normal(20)
+        sig = SigmaSpec.known(1.0)
+        with pytest.raises(errors.InputError, match="another response"):
+            corrected_ci(d, y, S_hat, target, 0.05, sig, spec, event=own)
+        with pytest.raises(errors.InputError, match="another response"):
+            pivot_value(d, y, S_hat, target, 0.0, sig, spec, event=own)
+
     def test_observation_outside_supplied_event_is_refused(self, rng):
         # S_hat's event whose region has a gap at the observation
         d, spec, S_hat, _, target, x, sig = self._supplied_event_problem(rng)
