@@ -5,30 +5,36 @@ Fixing a direction ``eta``, the response splits as
 spherical normal noise.  Each pairwise criterion comparison
 "selected model beats competitor S" is then a quadratic inequality in the
 scalar ``t = eta'y``, so the event "the criterion picks this model" is a
-finite union of open intervals in ``t``.  This module builds those unions,
-for every direction of a response in one pass and as padded rows of pieces,
-with each comparison written around the observation (``u = t - eta'y``),
-where its constant term is the observed score gap.
+finite union of open intervals in ``t``.  This module builds those unions
+as padded rows of pieces, with each comparison written around the
+observation (``u = t - eta'y``), where its constant term is the observed
+score gap.  It does so in two stages: :func:`cut_comparisons` keeps the
+comparisons of one response's directions that can fail, and
+:func:`event_regions` solves and sweeps those of a whole batch of responses
+at once.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple
+from dataclasses import dataclass, field, fields
+from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
 from . import errors
 from .criteria import (
     CandidatePolicy,
+    CandidateSet,
     CriterionSpec,
     DEFAULT_POLICY,
     candidate_set,
 )
 from .intervals import FULL_LINE, MERGE_REL, IntervalUnion
-from .linmodel import Dataset, IndexSet
+from .linmodel import Dataset, IndexSet, _require_finite_response
 
 # |leading coefficient| below LEAD_TOL times its natural scale is treated as
 # zero; the scale is the Cauchy-Schwarz bound of the coefficient.
@@ -101,24 +107,53 @@ class SelectionEvents(Sequence):
                               self._etas[i], decompose(self._y, self._etas[i]).z)
 
 
+# a direction whose largest entry is below 2**(MIN_ETA_EXP - 1) (a subnormal)
+# has an eta / |eta|^2 beyond the largest float
+MIN_ETA_EXP = -1021
+
+
+def _unit_scaled(etas: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Each direction (the last axis) times the power of two ``2**-exp``
+    that brings its largest entry into [1/2, 1), and ``exp``: its squared
+    norm can then neither overflow nor underflow, and the scaling is exact."""
+    _, exp = np.frexp(np.abs(etas).max(axis=-1, initial=0.0))
+    return np.ldexp(etas, -exp[..., None]), exp
+
+
+def _strict_supersets(cs: CandidateSet, hat: int) -> np.ndarray:
+    """Mask of the candidates that strictly contain candidate ``hat``."""
+    hat_mask = cs.masks[hat]
+    return ((cs.masks & hat_mask) == hat_mask) & (cs.masks != hat_mask)
+
+
 def decompose(y: np.ndarray, eta: np.ndarray) -> EtaDecomposition:
-    """Split ``y`` into ``(eta'y) * eta_tilde + z`` with ``eta'z = 0``."""
+    """Split ``y`` into ``(eta'y) * eta_tilde + z`` with ``eta'z = 0``.
+
+    ``eta`` is scaled by a power of two to form its squared norm (see
+    :func:`_unit_scaled`), which changes no bit of ``eta_tilde`` or
+    ``eta'y``.
+    """
     y = np.asarray(y, dtype=float).reshape(-1)
     eta = np.asarray(eta, dtype=float).reshape(-1)
     if y.shape != eta.shape:
         raise errors.DimensionMismatch(
             f"y has length {y.shape[0]}, eta has length {eta.shape[0]}")
-    nrm2 = float(eta @ eta)
+    _, exp = math.frexp(float(np.abs(eta).max(initial=0.0)))
+    if exp < MIN_ETA_EXP:
+        raise errors.InputError("eta is too small: eta / |eta|^2 overflows")
+    scale = math.ldexp(1.0, -exp)  # as _unit_scaled, for one direction
+    unit = eta * scale
+    nrm2 = float(unit @ unit)
     if nrm2 == 0.0:
         raise errors.ZeroEta("eta must be nonzero")
-    eta_tilde = eta / nrm2
-    eta_dot_y = float(eta @ y)
+    eta_tilde = unit / nrm2 * scale
+    eta_dot_y = float(unit @ y) / scale
     z = y - eta_dot_y * eta_tilde
     return EtaDecomposition(eta=eta, eta_tilde=eta_tilde,
                             eta_dot_y=eta_dot_y, z=z)
 
 
-def _forbidden(a2, a1, a0, scale2, scale1, shift):
+def _forbidden(a2, a1, a0, scale2, scale1, shift, unit):
     """Closed sets of ``s = shift + u`` where ``a2 u^2 + a1 u + a0 > 0`` fails.
 
     Each comparison yields at most two closed intervals, returned as (K, 2)
@@ -126,7 +161,9 @@ def _forbidden(a2, a1, a0, scale2, scale1, shift):
     ``scale2`` and ``scale1`` are the natural magnitudes of the leading and
     linear coefficients; values within ``LEAD_TOL`` of zero relative to them
     are treated as exact zeros.  ``shift`` holds each comparison's origin, so
-    roots found in ``u`` come back in ``s``.
+    roots found in ``u`` come back in ``s``, and ``unit`` each comparison's
+    length in ``s`` of one unit of the caller's coordinate, which the merge
+    tolerance is measured in.
     """
     k = a2.shape[0]
     lo = np.full((k, 2), math.inf)
@@ -144,7 +181,7 @@ def _forbidden(a2, a1, a0, scale2, scale1, shift):
     # upward parabola: fails between its roots.  A gap no wider than the
     # interval merge tolerance is a floating-point sliver; the canonical
     # feasible set closes it, so it forbids nothing.
-    wide = r2 - r1 > MERGE_REL * np.maximum(1.0, np.maximum(np.abs(r1), np.abs(r2)))
+    wide = r2 - r1 > MERGE_REL * np.maximum(unit[two], np.maximum(np.abs(r1), np.abs(r2)))
     between = up & wide
     lo[two[between], 0] = r1[between]
     hi[two[between], 0] = r2[between]
@@ -168,40 +205,75 @@ def _forbidden(a2, a1, a0, scale2, scale1, shift):
     return lo, hi
 
 
-def _pack(r: np.ndarray, lo: np.ndarray, hi: np.ndarray, rows: int,
-          fill: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Entries ``lo``/``hi`` of rows ``r`` (nondecreasing), each row's at its
-    front in order, padded with ``fill`` to the longest row (at least 1);
-    an entry may itself be a row of values, laid out in turn."""
+def _allowed(row: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+             rows: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Open complement of each row's union of closed sets ``[lo, hi]``
+    (empty where ``lo > hi``), given as flat entries of rows ``row``, as
+    ``rows`` padded rows of its gaps (at least one column).
+
+    Every row gains a set ``[inf, inf]`` that closes it; after one sort by
+    row and left end, every left end beyond the running maximum of the right
+    ends before it in its row opens a gap.  The running maximum restarts at
+    each row because it runs over ``row * N + rank(hi)`` among N sets.  The
+    gaps need no merge: ``_forbidden`` keeps a bounded set only if it is
+    wider than the merge tolerance at its ends, so the sets between two
+    gaps span more than that tolerance at their outer ends.
+    """
+    keep = lo <= hi
+    row = np.concatenate([row[keep], np.arange(rows)])
+    lo = np.concatenate([lo[keep], np.full(rows, math.inf)])
+    hi = np.concatenate([hi[keep], np.full(rows, math.inf)])
+    order = np.lexsort((lo, row))
+    row, lo, hi = row[order], lo[order], hi[order]
+    by_hi = np.argsort(hi)
+    rank = np.empty_like(by_hi)
+    rank[by_hi] = np.arange(row.size)
+    offset = row * row.size
+    reach = hi[by_hi[np.maximum.accumulate(offset + rank) - offset]]
+    starts = np.empty_like(reach)
+    starts[1:] = reach[:-1]
+    starts[:1] = -math.inf
+    starts[1:][row[1:] != row[:-1]] = -math.inf
+    gap = starts < lo
+    # each row's gaps at its front, in order, then (0, 0) padding
+    r = row[gap]
     count = np.bincount(r, minlength=rows)
     col = np.arange(r.size) - np.repeat(np.cumsum(count) - count, count)
-    shape = (rows, count.max(initial=1), *lo.shape[1:])
-    out_lo, out_hi = np.full(shape, fill), np.full(shape, fill)
-    out_lo[r, col], out_hi[r, col] = lo, hi
-    flat = (rows, math.prod(shape[1:]))
-    return out_lo.reshape(flat), out_hi.reshape(flat)
+    out_lo, out_hi = np.zeros((2, rows, count.max(initial=1)))
+    out_lo[r, col], out_hi[r, col] = starts[gap], lo[gap]
+    return out_lo, out_hi
 
 
-def _allowed(lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Open complement of each row's union of closed sets ``[lo, hi]``
-    (empty where ``lo > hi``), as padded rows of its gaps.
+@dataclass(frozen=True, eq=False)
+class Comparisons:
+    """One response's comparisons that can fail, cut along its T directions.
 
-    Each row's nonempty sets move to the front, padded with ``(-inf, -inf)``
-    sets that change nothing; after one sort by left end, every left end
-    beyond the running maximum of the right ends before it opens a gap.
-    The gaps need no merge: ``_forbidden`` keeps a bounded set only if it is
-    wider than the merge tolerance at its ends, so the sets between two gaps
-    span more than that tolerance at their outer ends.
+    Direction ``i`` is scaled by ``2**-exp[i]`` (see :func:`_unit_scaled`).
+    ``t`` holds each scaled direction's ``eta'y``;
+    solved comparison ``j`` belongs to direction ``row[j]``, is against
+    candidate ``model[j]``, and holds where ``a2 u^2 + a1 u + a0 > 0`` with
+    ``u = s - t[row[j]]``, in the scaled direction's coordinate ``s``.
+    ``in_span`` marks the directions in the selected model's column span.
     """
-    r, k = np.nonzero(lo <= hi)
-    lo, hi = _pack(r, lo[r, k], hi[r, k], len(lo), -math.inf)
-    order = np.argsort(lo, axis=1, kind="stable")
-    reach = np.maximum.accumulate(np.take_along_axis(hi, order, axis=1), axis=1)
-    edge = np.ones((lo.shape[0], 1))
-    starts = np.hstack([-math.inf * edge, reach])
-    ends = np.hstack([np.take_along_axis(lo, order, axis=1), math.inf * edge])
-    r, k = np.nonzero(starts < ends)
-    return _pack(r, starts[r, k], ends[r, k], len(lo), 0.0)
+
+    t: np.ndarray  # (T,)
+    exp: np.ndarray  # (T,)
+    in_span: np.ndarray  # (T,)
+    row: np.ndarray  # (k,)
+    model: np.ndarray  # (k,)
+    a2: np.ndarray  # (k,)
+    a1: np.ndarray
+    a0: np.ndarray
+    scale2: np.ndarray
+    scale1: np.ndarray
+
+    @functools.cached_property
+    def failure_sets(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Every solved comparison's closed failure sets, (k, 2) each, in
+        the scaled coordinates."""
+        unit = np.ldexp(1.0, -self.exp)
+        return _forbidden(self.a2, self.a1, self.a0, self.scale2, self.scale1,
+                          self.t[self.row], unit[self.row])
 
 
 def selection_event(
@@ -237,45 +309,107 @@ def selection_events(
     """The selection event of ``S_hat`` along each row of the (T, n) ``etas``.
 
     Event ``i`` is that of ``selection_event(data, decompose(y, etas[i]),
-    ...)``, and all of them come from one pass.  Along the line
-    ``y + u * eta_tilde_i`` through the observation, with ``u = s - eta_i'y``,
-    every candidate's RSS is ``rss_S(y) + 2 u b_Si + u^2 c2_Si``, where
-    ``b_Si = (R_S eta_tilde_i)'(R_S y)`` and ``c2_Si = |R_S eta_tilde_i|^2``.
-    One Gram kernel call over ``[y, eta_tilde_1, ..., eta_tilde_T]`` yields
-    every coefficient; the constant term of each comparison is its observed
-    score gap.  Of the T x (M - 1) comparisons, only those that can fail are
-    solved, all at once, and their roots shifted back by ``eta_i'y``; an
-    upward parabola without a real root fails nowhere, and a direction in
-    the selected span skips its strict-superset comparisons, which forbid
-    nothing there.  Each region is the complement of the union of its
-    comparisons' closed failure sets, found by one row-wise sweep over every
-    direction.  The first read of an event sweeps once more, over every
-    solved comparison alone, for the comparison records of the whole batch.
+    ...)``.  All of them come from the two stages a coverage study runs over
+    a block of responses, here for one response: :func:`cut_comparisons`
+    forms and screens the comparisons, and :func:`event_regions` solves them
+    and sweeps their failure sets into the regions.  The first read of an
+    event sweeps each comparison's failure sets alone, for the comparison
+    records of the whole batch.
 
     A failure raises what the first failing direction's own call would
     raise; no event is returned for the others.
     """
     y = np.asarray(y, dtype=float).reshape(-1)
     etas = np.asarray(etas, dtype=float)
+    cut = cut_comparisons(data, y, etas, S_hat, spec, policy)
+    region = event_regions([cut])[0]
+    if isinstance(region, errors.InvariantViolation):
+        raise region
+    cs = candidate_set(data, policy)
+    hat = cs.index_of(S_hat)
+    superset = _strict_supersets(cs, hat)
+    swept = []
+
+    def records(i: int) -> Tuple[ComparisonRecord, ...]:
+        # each solved comparison's own region, from one sweep over every
+        # direction's solved comparisons on the first read; a comparison
+        # left unsolved fails nowhere
+        if not swept:
+            lo, hi = cut.failure_sets
+            k = len(cut.row)
+            each = _allowed(np.repeat(np.arange(k), 2), lo.ravel(), hi.ravel(), k)
+            swept.extend(np.ldexp(side, cut.exp[cut.row, None]) for side in each)
+        each_lo, each_hi = swept
+        mine = np.flatnonzero(cut.row == i)
+        row = dict(zip(cut.model[mine].tolist(), mine.tolist()))
+        skipped = (superset & cut.in_span[i]).tolist()
+        return tuple(
+            ComparisonRecord(model, None, True,
+                             "superset of the selected model; constant in t")
+            if skipped[m] else
+            ComparisonRecord(model, IntervalUnion.from_row(each_lo[row[m]],
+                                                           each_hi[row[m]])
+                             if m in row else FULL_LINE)
+            for m, model in enumerate(cs.models) if m != hat)
+
+    return SelectionEvents(S_hat, *region, y, etas, records)
+
+
+def cut_comparisons(
+    data: Dataset,
+    y: np.ndarray,
+    etas: np.ndarray,
+    S_hat: IndexSet,
+    spec: CriterionSpec,
+    policy: CandidatePolicy = DEFAULT_POLICY,
+) -> Comparisons:
+    """The comparisons of ``S_hat`` that can fail along each row of the
+    (T, n) ``etas`` through ``y``: the per-response stage of
+    :func:`selection_events`.
+
+    Each direction is first scaled by a power of two (see
+    :class:`Comparisons`).  Along the line ``y + u * eta_tilde_i`` through
+    the observation, with ``u = s - eta_i'y``, every candidate's RSS is
+    ``rss_S(y) + 2 u b_Si + u^2 c2_Si``, where
+    ``b_Si = (R_S eta_tilde_i)'(R_S y)`` and ``c2_Si = |R_S eta_tilde_i|^2``.
+    One Gram kernel call over ``[y, eta_tilde_1, ..., eta_tilde_T]`` yields
+    every coefficient; the constant term of each comparison is its observed
+    score gap.  Of the T x (M - 1) comparisons, only those that can fail are
+    kept: an upward parabola without a real root fails nowhere, and a
+    direction in the selected span skips its strict-superset comparisons,
+    which forbid nothing there.
+
+    Raises for non-finite input, a zero direction, and a response for which
+    the criterion does not select ``S_hat``.
+    """
+    y = np.asarray(y, dtype=float).reshape(-1)
+    etas = np.asarray(etas, dtype=float)
     if etas.ndim != 2 or etas.shape[1] != y.shape[0]:
         raise errors.DimensionMismatch(
             f"y has length {y.shape[0]}, etas have shape {etas.shape}")
-    norm2 = np.einsum("tn,tn->t", etas, etas)
-    zero = np.flatnonzero(norm2 == 0.0)
-    if zero.size:
-        # the directions before the first zero one still fail as their own
+    _require_finite_response(y)
+    scaled, exp = _unit_scaled(etas)
+    norm2 = np.einsum("tn,tn->t", scaled, scaled)
+    ok = (norm2 > 0.0) & (norm2 < math.inf) & (exp >= MIN_ETA_EXP)
+    if not ok.all():
+        # the directions before the first bad one still fail as their own
         # calls would
-        if zero[0]:
-            selection_events(data, y, etas[:zero[0]], S_hat, spec, policy)
-        raise errors.ZeroEta("eta must be nonzero")
-    t = etas @ y
+        i = int(np.argmin(ok))
+        if i:
+            selection_events(data, y, etas[:i], S_hat, spec, policy)
+        if not np.isfinite(norm2[i]):
+            raise errors.InputError("eta holds a non-finite value")
+        if norm2[i] == 0.0:
+            raise errors.ZeroEta("eta must be nonzero")
+        raise errors.InputError("eta is too small: eta / |eta|^2 overflows")
+    t = scaled @ y
     cs = candidate_set(data, policy)
     try:
         hat = cs.index_of(S_hat)
     except errors.InputError:
         raise errors.NotSelectedModel(
             f"{S_hat} is not a candidate under the current policy") from None
-    eta_tilde = etas / norm2[:, None]
+    eta_tilde = scaled / norm2[:, None]
     rss, b, c2 = cs.gram(y, eta_tilde)
     best = int(np.argmin(cs.score_rss(rss, spec)))
     if best != hat:
@@ -284,8 +418,7 @@ def selection_events(
 
     # |R_hat eta| = sqrt(c2[hat]) * |eta|^2 since eta_tilde = eta / |eta|^2
     in_span = np.sqrt(c2[:, hat]) * norm2 <= ETA_SPAN_TOL * np.sqrt(norm2)
-    hat_mask = cs.masks[hat]
-    superset = ((cs.masks & hat_mask) == hat_mask) & (cs.masks != hat_mask)
+    superset = _strict_supersets(cs, hat)
     active = np.ones(len(cs), dtype=bool)
     active[hat] = False
     all_in_span = bool(in_span.all())
@@ -303,7 +436,7 @@ def selection_events(
     a0 = rss[idx] - omegas * rss[hat]
     et2 = np.einsum("tn,tn->t", eta_tilde, eta_tilde)
     scale2 = np.outer(et2, big)
-    # only comparisons that can fail are solved: an upward parabola without
+    # only comparisons that can fail are kept: an upward parabola without
     # a real root fails nowhere, and along a direction in the selected span
     # a superset comparison is constant in t, so it is skipped
     cut = ~(a2 > LEAD_TOL * scale2) | (a1 * a1 - 4.0 * a2 * a0 > 0.0)
@@ -312,35 +445,48 @@ def selection_events(
     k = np.flatnonzero(cut)
     r, c = np.divmod(k, idx.size)
     scale1 = 2.0 * np.sqrt(et2 * float(y @ y))
-    lo, hi = _forbidden(a2.take(k), a1.take(k), a0[c], scale2.take(k),
-                        scale1[r] * big[c], t[r])
-    # row i of the sweep: direction i's solved comparisons, two slots each,
-    # padded with (-inf, -inf) sets that change nothing
-    region_lo, region_hi = _allowed(*_pack(r, lo, hi, len(t), -math.inf))
-    inside = (region_lo < t[:, None]) & (t[:, None] < region_hi)
-    if not inside.any(axis=1).all():
-        raise errors.InvariantViolation(
-            "observed eta'y fell outside its own selection event; "
-            "endpoints may be numerically degenerate")
-    swept = []
+    return Comparisons(t, exp, in_span, r, idx[c], a2.take(k), a1.take(k),
+                       a0[c], scale2.take(k), scale1[r] * big[c])
 
-    def records(i: int) -> Tuple[ComparisonRecord, ...]:
-        # each solved comparison's own region, from one sweep over every
-        # direction's solved comparisons on the first read; a comparison
-        # left unsolved fails nowhere
-        if not swept:
-            swept.extend(_allowed(lo, hi))
-        each_lo, each_hi = swept
-        mine = np.flatnonzero(r == i)
-        row = dict(zip(idx[c[mine]].tolist(), mine.tolist()))
-        skipped = (superset & in_span[i]).tolist()
-        return tuple(
-            ComparisonRecord(model, None, True,
-                             "superset of the selected model; constant in t")
-            if skipped[m] else
-            ComparisonRecord(model, IntervalUnion.from_row(each_lo[row[m]],
-                                                           each_hi[row[m]])
-                             if m in row else FULL_LINE)
-            for m, model in enumerate(cs.models) if m != hat)
 
-    return SelectionEvents(S_hat, region_lo, region_hi, y, etas, records)
+def event_regions(
+    batch: Sequence[Comparisons],
+) -> List[Union[Tuple[np.ndarray, np.ndarray], errors.InvariantViolation]]:
+    """Each response's event regions from its :class:`Comparisons`: the
+    per-batch stage of :func:`selection_events`.
+
+    Every response's comparisons are solved in one :func:`_forbidden` call
+    and every direction's failure sets swept in one :func:`_allowed` call.
+    Item ``b`` is response ``b``'s padded ``(lo, hi)`` rows, scaled back to
+    its directions' own coordinates and as wide as its longest row needs;
+    or, when an observation falls outside its own region, the
+    ``InvariantViolation`` that response's own call raises.  Every
+    response's rows depend on that response alone.
+    """
+    if not batch:
+        return []
+    ends = list(itertools.accumulate(len(c.t) for c in batch))
+    first = [0] + ends[:-1]
+    if len(batch) == 1:
+        whole = batch[0]
+    else:
+        parts = {f.name: np.concatenate([getattr(c, f.name) for c in batch])
+                 for f in fields(Comparisons)}
+        parts["row"] += np.repeat(first, [len(c.row) for c in batch])
+        whole = Comparisons(**parts)
+    lo, hi = whole.failure_sets
+    lo, hi = _allowed(np.repeat(whole.row, 2), lo.ravel(), hi.ravel(), len(whole.t))
+    t = whole.t[:, None]
+    inside = ((lo < t) & (t < hi)).any(axis=1)
+    width = (lo < hi).sum(axis=1)
+    lo, hi = np.ldexp(lo, whole.exp[:, None]), np.ldexp(hi, whole.exp[:, None])
+    out = []
+    for a, b in zip(first, ends):
+        if not inside[a:b].all():
+            out.append(errors.InvariantViolation(
+                "observed eta'y fell outside its own selection event; "
+                "endpoints may be numerically degenerate"))
+            continue
+        w = width[a:b].max(initial=1)
+        out.append((lo[a:b, :w], hi[a:b, :w]))
+    return out

@@ -29,7 +29,12 @@ from .criteria import (
     best_subset,
     candidate_set,
 )
-from .geometry import SelectionEvent, selection_events
+from .geometry import (
+    SelectionEvent,
+    cut_comparisons,
+    event_regions,
+    selection_events,
+)
 from .inference import (
     InferenceTarget,
     LINEAR_COMBO,
@@ -330,12 +335,15 @@ def _run_rep_chunk(
     """All replications in ``[rep_lo, rep_hi)``; pure in (config, X, range).
 
     Replications run in blocks of ``BLOCK``.  Each replication of a block
-    draws its noise, selects a model and prepares its interval cells
-    (:func:`interval_cells`); then one :func:`solve_intervals` call gives the
+    draws its noise, selects a model and keeps the comparisons of its
+    selection events that can fail (:func:`cut_comparisons`); one
+    :func:`event_regions` call solves and sweeps them for the whole block;
+    each replication prepares its interval cells (:func:`interval_cells`)
+    from its own regions; then one :func:`solve_intervals` call gives the
     corrected limits of every cell of the block and their pivots at the
     truths.  Every cell's numbers depend on that cell alone, so they do not
-    depend on ``BLOCK``.  A replication that fails in either phase fails
-    alone.
+    depend on ``BLOCK``.  A replication that fails in any step fails alone,
+    with the message a call of its own gives.
     """
     strategies = config.resolved_strategies()
     spec = CriterionSpec(config.criterion, config.n)
@@ -359,12 +367,14 @@ def _run_rep_chunk(
     ok = np.zeros(n_reps, dtype=bool)
     failures: List[Tuple[int, str]] = []
 
-    def fail(rep: int, exc: errors.NumericalError) -> None:
+    def fail(rep: int, exc: errors.SubsetCIError) -> None:
         failures.append((rep, f"{type(exc).__name__}: {exc}"))
 
     for block_lo in range(rep_lo, rep_hi, BLOCK):
-        # phase 1: each replication's selection and interval cells
-        pending = []  # (row, rep, applicable targets, their truths, cells)
+        # step 1: each replication's selection and the comparisons of its
+        # selection events that can fail
+        staged = []  # (row, rep, data, S_hat, targets, their truths, directions)
+        batch = []
         for rep in range(block_lo, min(block_lo + BLOCK, rep_hi)):
             row = rep - rep_lo
             noise = rep_stream(config.master_seed, rep).standard_normal(config.n)
@@ -385,17 +395,29 @@ def _run_rep_chunk(
                 sizes[row] = data.free_size(S_hat)
                 truth = _truths(data, S_hat, targets, beta, mean_r, config.intercept)
                 rows_t = np.flatnonzero(~np.isnan(truth))
-                # every applicable target's direction, selection event and
-                # interval cells for the whole replication, each in one call;
-                # a target with a zero direction (a point that is zero on
-                # every selected column) is not applicable either
+                # every applicable target's direction and comparisons for the
+                # whole replication, each in one call; a target with a zero
+                # direction (a point that is zero on every selected column)
+                # is not applicable either
                 etas = target_directions(data, S_hat, [targets[i] for i in rows_t])
                 live = np.einsum("tn,tn->t", etas, etas) > 0.0
                 if not live.all():
                     rows_t, etas = rows_t[live], etas[live]
-                events = selection_events(data, data.y, etas, S_hat, spec)
-                regions = events.lo, events.hi
-                del events  # its failure sets are not needed in phase 2
+                batch.append(cut_comparisons(data, data.y, etas, S_hat, spec))
+            except errors.NumericalError as exc:
+                fail(rep, exc)
+                continue
+            staged.append((row, rep, data, S_hat, rows_t, truth[rows_t], etas))
+
+        # step 2: one solve and one sweep for the block's event regions;
+        # step 3: each replication's interval cells from its regions
+        pending = []  # (row, rep, applicable targets, their truths, cells)
+        for (row, rep, data, S_hat, rows_t, truth, etas), regions in zip(
+                staged, event_regions(batch)):
+            if isinstance(regions, errors.InvariantViolation):
+                fail(rep, regions)
+                continue
+            try:
                 cells = interval_cells(data, S_hat, etas, regions, strategies,
                                        config.alpha)
             except errors.NumericalError as exc:
@@ -403,12 +425,12 @@ def _run_rep_chunk(
                 continue
             sigmas[row] = cells.sigmas
             applicable[row, rows_t] = 1
-            t = truth[rows_t, None]
+            t = truth[:, None]
             x = cells.points[:, None]
             hits_unc[row, rows_t] = (x - cells.half < t) & (t < x + cells.half)
-            pending.append((row, rep, rows_t, truth[rows_t], cells))
+            pending.append((row, rep, rows_t, truth, cells))
 
-        # phase 2: one solve for the block's limits and pivots
+        # step 4: one solve for the block's limits and pivots
         tables = solve_intervals([p[4] for p in pending], [p[3] for p in pending])
         for (row, rep, rows_t, truth, _), table in zip(pending, tables):
             if isinstance(table, errors.RegionMassUnderflow):

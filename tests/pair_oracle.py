@@ -9,7 +9,9 @@ single vectorized sweep, so agreement checks both the coefficient algebra and
 the sweep.
 
 :func:`allowed_row` is the sweep done one region at a time, with the
-merge of ``interval_union``.
+merge of ``interval_union``, and :func:`padded_allowed` the sweep done on
+padded rows, one sort per row, as the library did before its sweep ran
+over flat entries segmented by row.
 :func:`unscreened_event_rows` is the library's batched sweep without its
 screen: it solves every comparison, including those that cannot fail.
 :func:`two_half_log_cdf` is the piece table's log CDF with every piece
@@ -41,7 +43,6 @@ from subsetci.geometry import (
     ETA_SPAN_TOL,
     LEAD_TOL,
     EtaDecomposition,
-    _allowed,
     _forbidden,
 )
 from subsetci.intervals import EMPTY, FULL_LINE, IntervalUnion, interval_union
@@ -380,12 +381,42 @@ def unscreened_event_rows(
     scale2 = np.outer(et2, big)
     scale1 = np.outer(2.0 * np.sqrt(et2 * float(y @ y)), big)
     lo, hi = _forbidden(a2.ravel(), a1.ravel(), a0, scale2.ravel(),
-                        scale1.ravel(), np.repeat(t, idx.size))
+                        scale1.ravel(), np.repeat(t, idx.size), np.ones(a0.size))
     lo, hi = lo.reshape(len(t), 2 * idx.size), hi.reshape(len(t), 2 * idx.size)
     if not all_in_span:
         skip = np.logical_and.outer(in_span, np.repeat(superset[idx], 2))
         lo[skip], hi[skip] = math.inf, -math.inf
-    return _allowed(lo, hi)
+    return padded_allowed(lo, hi)
+
+
+def _pack_rows(r: np.ndarray, lo: np.ndarray, hi: np.ndarray, rows: int,
+               fill: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Entries ``lo``/``hi`` of rows ``r`` (nondecreasing), each row's at its
+    front in order, padded with ``fill`` to the longest row (at least 1)."""
+    count = np.bincount(r, minlength=rows)
+    col = np.arange(r.size) - np.repeat(np.cumsum(count) - count, count)
+    shape = (rows, count.max(initial=1))
+    out_lo, out_hi = np.full(shape, fill), np.full(shape, fill)
+    out_lo[r, col], out_hi[r, col] = lo, hi
+    return out_lo, out_hi
+
+
+def padded_allowed(lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Open complement of each row's union of closed sets ``[lo, hi]``
+    (empty where ``lo > hi``) of the (rows, K) arrays, as padded rows of its
+    gaps, from padded rows: each row's nonempty sets move to the front,
+    padded with ``(-inf, -inf)`` sets that change nothing; after one sort
+    by left end, every left end beyond the running maximum of the right ends
+    before it opens a gap."""
+    r, k = np.nonzero(lo <= hi)
+    lo, hi = _pack_rows(r, lo[r, k], hi[r, k], len(lo), -math.inf)
+    order = np.argsort(lo, axis=1, kind="stable")
+    reach = np.maximum.accumulate(np.take_along_axis(hi, order, axis=1), axis=1)
+    edge = np.ones((lo.shape[0], 1))
+    starts = np.hstack([-math.inf * edge, reach])
+    ends = np.hstack([np.take_along_axis(lo, order, axis=1), math.inf * edge])
+    r, k = np.nonzero(starts < ends)
+    return _pack_rows(r, starts[r, k], ends[r, k], len(lo), 0.0)
 
 
 def two_half_log_cdf(x: np.ndarray, lam: np.ndarray, lo: np.ndarray,

@@ -16,7 +16,9 @@ from subsetci.geometry import (
     SelectionEvent,
     _allowed,
     _forbidden,
+    cut_comparisons,
     decompose,
+    event_regions,
     selection_event,
     selection_events,
 )
@@ -31,6 +33,7 @@ from pair_oracle import (
     comparison_quadratic,
     intersect,
     outside_bound,
+    padded_allowed,
     sequential_region,
     simplified_comparison,
     superset_lower_bound,
@@ -44,8 +47,8 @@ def feasible_from_quadratic(a2, a1, a0, scale2, scale1):
     failure-set kernel and sweep applied to one comparison."""
     lo, hi = _forbidden(*(np.array([v], dtype=float)
                           for v in (a2, a1, a0, scale2, scale1)),
-                        shift=np.zeros(1))
-    lo, hi = _allowed(lo.reshape(1, -1), hi.reshape(1, -1))
+                        shift=np.zeros(1), unit=np.ones(1))
+    lo, hi = _allowed(np.zeros(2, dtype=int), lo.ravel(), hi.ravel(), 1)
     return IntervalUnion.from_row(lo[0], hi[0])
 
 
@@ -100,6 +103,17 @@ class TestDecompose:
         with pytest.raises(errors.ZeroEta):
             decompose(np.ones(3), np.zeros(3))
 
+    @pytest.mark.parametrize("k", [-700, -530, 0, 530, 700])
+    def test_scale_by_a_power_of_two_is_exact(self, k):
+        # |eta|^2 would overflow or underflow at |k| >= 512; the split of a
+        # direction scaled by 2**k is still the unscaled split, scaled
+        y = np.array([3.0, 1.0, 4.0, -1.5])
+        eta = np.array([0.3, -1.7, 0.0, 2.2])
+        d, dk = decompose(y, eta), decompose(y, np.ldexp(eta, k))
+        assert dk.eta_dot_y == math.ldexp(d.eta_dot_y, k)
+        assert np.array_equal(dk.eta_tilde, np.ldexp(d.eta_tilde, -k))
+        assert np.array_equal(dk.z, d.z)
+
     def test_length_mismatch(self):
         with pytest.raises(errors.DimensionMismatch):
             decompose(np.ones(3), np.ones(4))
@@ -139,6 +153,22 @@ class TestQuadraticCaseAnalysis:
         # roots are ~ -1e8 and ~ -1e-8; the tiny one must keep precision
         assert hi1 == pytest.approx(-1e8, rel=1e-6)
         assert lo2 == pytest.approx(-1e-8, rel=1e-6)
+
+    @pytest.mark.parametrize("k", [0, 20, -20])
+    def test_merge_tolerance_is_measured_in_the_callers_unit(self, k):
+        # (t - 1e-13)(t - 6e-13) fails on a sliver narrower than MERGE_REL,
+        # so it forbids nothing; written in s = 2**k t, with unit 2**k, it
+        # forbids nothing either, though the sliver is 2**k times as wide
+        def failure(unit):
+            s = math.ldexp(1.0, k)
+            coefficients = [np.array([v]) for v in
+                            (1.0 / s ** 2, -7e-13 / s, 6e-26, 1.0 / s ** 2, 1.0 / s)]
+            lo, hi = _forbidden(*coefficients, shift=np.zeros(1),
+                                unit=np.array([unit]))
+            return (lo <= hi).any()
+
+        assert not failure(math.ldexp(1.0, k))
+        assert failure(1.0) == (k > 0)
 
 
 @st.composite
@@ -185,9 +215,10 @@ def test_row_sweep_equals_the_one_row_reference(case):
     ``interval_union``'s merge, which therefore never fires; the row's
     pieces come first, then empty (0, 0) padding."""
     coefficients, shift, rows = case
-    lo, hi = _forbidden(*coefficients, shift=shift)
+    lo, hi = _forbidden(*coefficients, shift=shift, unit=np.ones_like(shift))
+    got_lo, got_hi = _allowed(np.arange(rows).repeat(lo.size // rows),
+                              lo.ravel(), hi.ravel(), rows)
     lo, hi = lo.reshape(rows, -1), hi.reshape(rows, -1)
-    got_lo, got_hi = _allowed(lo, hi)
     for i in range(rows):
         want = allowed_row(lo[i], hi[i])
         n = len(want)
@@ -195,6 +226,43 @@ def test_row_sweep_equals_the_one_row_reference(case):
         assert not got_lo[i, n:].any() and not got_hi[i, n:].any()
         row = IntervalUnion.from_row(got_lo[i], got_hi[i])
         assert row == want and interval_union(row) == row
+
+
+# ends shared by many sets, so that sets nest, touch (a left end equal to an
+# earlier right end) and span the whole line
+SWEEP_ENDS = (-INF, -2.5, -1.0, 0.0, 0.0, 1.0, 1.0 + 1e-15, 3.0, INF)
+
+
+@st.composite
+def padded_sets(draw):
+    """``(lo, hi, order)``: (rows, K) closed sets ``[lo, hi]``, each empty
+    where ``lo > hi``, with 0-5 rows (none: a response without directions),
+    some rows holding no set at all, and an order to list the entries in."""
+    rows, k = draw(st.integers(0, 5)), draw(st.integers(0, 6))
+    # no -0.0: it equals 0.0, and the two sweeps may keep either zero
+    end = st.sampled_from(SWEEP_ENDS) | st.floats(-4.0, 4.0).map(lambda v: v + 0.0)
+    pairs = draw(st.lists(st.tuples(end, end), min_size=rows * k,
+                          max_size=rows * k))
+    lo, hi = np.array(pairs, dtype=float).reshape(rows, k, 2).transpose(2, 0, 1)
+    blank = draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
+    lo[blank], hi[blank] = INF, -INF
+    order = draw(st.permutations(range(rows * k)))
+    return lo.copy(), hi.copy(), np.array(order, dtype=int)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(padded_sets())
+def test_segmented_sweep_equals_the_padded_sweep(case):
+    """The sweep over flat (row, lo, hi) entries, in any order, gives bit for
+    bit the padded rows of the sweep over padded rows, shape included."""
+    lo, hi, order = case
+    rows, k = lo.shape
+    want = padded_allowed(lo, hi)
+    row = np.repeat(np.arange(rows), k)[order]
+    got = _allowed(row, lo.ravel()[order], hi.ravel()[order], rows)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.dtype == w.dtype
+        assert g.tobytes() == w.tobytes()
 
 
 class TestComparisonFeasibleSet:
@@ -392,7 +460,7 @@ class TestSelectionEvent:
         sweeps, records = [], []
         allowed, record = geometry._allowed, geometry.ComparisonRecord
         monkeypatch.setattr(geometry, "_allowed",
-                            lambda lo, hi: sweeps.append(1) or allowed(lo, hi))
+                            lambda *args: sweeps.append(1) or allowed(*args))
         monkeypatch.setattr(geometry, "ComparisonRecord",
                             lambda *args: records.append(1) or record(*args))
         events = selection_events(d, d.y, etas, S_hat, spec)
@@ -418,6 +486,80 @@ class TestSelectionEvent:
                                            event.comparisons)
         dec = decompose(d.y, etas[0])
         assert np.array_equal(selection_event(d, dec, S_hat, spec).eta, dec.eta)
+
+    @staticmethod
+    def _aic_problem():
+        d = random_dataset(np.random.default_rng(0), n=20, p=4,
+                           signal=np.array([1.0, 2.0, 0.0, 0.0]))
+        spec = CriterionSpec(Criterion.AIC, 20)
+        S_hat, _ = best_subset(d, spec)
+        assert S_hat == IndexSet((1, 2))
+        return d, spec, S_hat
+
+    @pytest.mark.parametrize("s", [1.0, 1e150, 1e-150, 1e160, 1e-160, 1e-200])
+    def test_direction_scale_does_not_change_the_event(self, s):
+        # |eta|^2 overflows beyond 1e154 and underflows below 1e-162: the
+        # event along s * e_1 is still s times the event along e_1
+        d, spec, S_hat = self._aic_problem()
+        eta = np.zeros(20)
+        eta[0] = s
+        event = selection_events(d, d.y, eta[None, :], S_hat, spec)[0]
+        ((lo, hi),) = event.region.intervals
+        assert (lo / s, hi / s) == pytest.approx((-11.57908, 13.95408), abs=1e-5)
+        assert event.region.contains(float(eta @ d.y))
+        np.testing.assert_allclose(event.z, decompose(d.y, np.eye(20)[0]).z,
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("k", [-20, 300, 600])
+    def test_direction_scaled_by_a_power_of_two_gives_the_scaled_event(self, k):
+        # exactly: the scaled direction's |eta|^2 overflows at k = 600.  The
+        # merge tolerance is MERGE_REL * max(1, |end|) in eta'y, so scaling
+        # down is exact only while the holes stay wider than 1e-12
+        d, spec, S_hat = self._aic_problem()
+        etas = target_directions(d, S_hat, [InferenceTarget.coefficient(i)
+                                            for i in S_hat.indices])
+        base = selection_events(d, d.y, etas, S_hat, spec)
+        scaled = selection_events(d, d.y, np.ldexp(etas, k), S_hat, spec)
+        assert np.array_equal(scaled.lo, np.ldexp(base.lo, k))
+        assert np.array_equal(scaled.hi, np.ldexp(base.hi, k))
+
+    @pytest.mark.parametrize("bad", [math.nan, INF, -INF])
+    def test_non_finite_direction_is_an_input_error(self, bad):
+        # once an InvariantViolation (exit 4) after RuntimeWarnings
+        d, spec, S_hat = self._aic_problem()
+        etas = target_directions(d, S_hat, [InferenceTarget.coefficient(1)])
+        etas[0, 3] = bad
+        with pytest.raises(errors.InputError, match="eta holds a non-finite"):
+            selection_events(d, d.y, etas, S_hat, spec)
+
+    @pytest.mark.parametrize("bad", [math.nan, INF])
+    def test_non_finite_response_is_an_input_error(self, bad):
+        # a NaN response once failed as NotSelectedModel (exit 3)
+        d, spec, S_hat = self._aic_problem()
+        etas = target_directions(d, S_hat, [InferenceTarget.coefficient(1)])
+        y = d.y.copy()
+        y[2] = bad
+        with pytest.raises(errors.InputError, match="response holds a non-finite"):
+            selection_events(d, y, etas, S_hat, spec)
+
+    def test_batch_regions_are_each_response_alone(self, rng):
+        # one solve and one sweep over several responses (one without
+        # directions) give each response its own call's rows, bit for bit
+        d = random_dataset(rng, n=18, p=4, signal=np.array([3.0, 2.0, 0, 0]))
+        spec = CriterionSpec(Criterion.AIC, 18)
+        batch = []
+        for trial in range(5):
+            data = d.replace_y(d.y + 0.5 * rng.standard_normal(18))
+            S_hat, _ = best_subset(data, spec)
+            chosen = S_hat.indices[:trial % 3]
+            etas = target_directions(data, S_hat, [InferenceTarget.coefficient(i)
+                                                   for i in chosen])
+            batch.append(cut_comparisons(data, data.y, etas, S_hat, spec))
+        assert min(len(c.t) for c in batch) == 0
+        for (lo, hi), cut in zip(event_regions(batch), batch):
+            own_lo, own_hi = event_regions([cut])[0]
+            assert lo.shape == own_lo.shape and lo.tobytes() == own_lo.tobytes()
+            assert hi.tobytes() == own_hi.tobytes()
 
     def test_wrong_model_rejected(self, rng):
         d = random_dataset(rng, n=15, p=4)

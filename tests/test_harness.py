@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -221,16 +222,16 @@ class TestSimulateCoverage:
         simulate_coverage(tiny_config(reps=12, fixed_design=fixed))
         assert len(inits) == built
 
-    def test_study_sweeps_once_per_replication_and_builds_no_records(
+    def test_study_sweeps_once_per_block_and_builds_no_records(
             self, monkeypatch):
         # a table1-shaped study reads only its events' regions: one sweep
-        # per replication, and no comparison record
-        from subsetci import geometry
+        # per block of replications, and no comparison record
+        from subsetci import geometry, harness
 
         sweeps, records = [], []
         allowed, record = geometry._allowed, geometry.ComparisonRecord
         monkeypatch.setattr(geometry, "_allowed",
-                            lambda lo, hi: sweeps.append(1) or allowed(lo, hi))
+                            lambda *args: sweeps.append(1) or allowed(*args))
         monkeypatch.setattr(geometry, "ComparisonRecord",
                             lambda *args: records.append(1) or record(*args))
         cfg = SimulationConfig(
@@ -240,22 +241,25 @@ class TestSimulateCoverage:
                 SigmaSpec.external(1.1)))
         rep = simulate_coverage(cfg)
         assert rep.reps_completed == cfg.reps
-        assert (len(sweeps), len(records)) == (cfg.reps, 0)
+        blocks = -(-cfg.reps // harness.BLOCK)
+        assert blocks == 2
+        assert (len(sweeps), len(records)) == (blocks, 0)
 
     def test_study_solves_no_comparison_that_cannot_fail(self, monkeypatch):
         # an upward parabola without a real root fails nowhere, so a
-        # table1-shaped study never hands one to the root solver
-        from subsetci import geometry
+        # table1-shaped study never hands one to the root solver, which it
+        # calls once per block of replications
+        from subsetci import geometry, harness
 
         solved, rootless = [], []
         forbidden = geometry._forbidden
 
-        def counted(a2, a1, a0, scale2, scale1, shift):
+        def counted(a2, a1, a0, scale2, scale1, shift, unit):
             quad = np.abs(a2) > geometry.LEAD_TOL * scale2
             rootless.append(int((quad & (a2 > 0.0)
                                  & ~(a1 * a1 - 4.0 * a2 * a0 > 0.0)).sum()))
             solved.append(a2.size)
-            return forbidden(a2, a1, a0, scale2, scale1, shift)
+            return forbidden(a2, a1, a0, scale2, scale1, shift, unit)
 
         monkeypatch.setattr(geometry, "_forbidden", counted)
         cfg = SimulationConfig(
@@ -265,7 +269,7 @@ class TestSimulateCoverage:
                 SigmaSpec.external(1.1)))
         rep = simulate_coverage(cfg)
         assert rep.reps_completed == cfg.reps
-        assert len(solved) == cfg.reps and sum(solved) > 0
+        assert len(solved) == -(-cfg.reps // harness.BLOCK) and sum(solved) > 0
         assert sum(rootless) == 0
 
     def test_histogram_conserves_replications(self):
@@ -471,10 +475,11 @@ class TestBlocks:
         message a solve of its own gives, and in replication order."""
         from subsetci import harness
 
-        real_truths, real_events = harness._truths, harness.selection_events
+        real_truths, real_cut = harness._truths, harness.cut_comparisons
+        real_regions = harness.event_regions
 
         def stand_ins():
-            calls = []
+            calls, cut = [], []
 
             def truths(*args):
                 calls.append(1)
@@ -485,15 +490,23 @@ class TestBlocks:
                     out[0] = 1e300
                 return out
 
-            def events(data, y, etas, *args, **kwargs):
-                out = real_events(data, y, etas, *args, **kwargs)
+            def comparisons(data, y, etas, *args, **kwargs):
+                out = real_cut(data, y, etas, *args, **kwargs)
                 if len(calls) == 3:
-                    x = float(etas[0] @ y)
-                    out.lo[0], out.hi[0] = 0.0, 0.0
-                    out.lo[0, 0], out.hi[0, 0] = x - 1.0, x + 1.0
+                    cut.append((out, float(etas[0] @ y)))
                 return out
 
-            return {"_truths": truths, "selection_events": events}
+            def regions(batch):
+                out = real_regions(batch)
+                for (lo, hi), item in zip(out, batch):
+                    if cut and item is cut[0][0]:
+                        x = cut[0][1]
+                        lo[0], hi[0] = 0.0, 0.0
+                        lo[0, 0], hi[0, 0] = x - 1.0, x + 1.0
+                return out
+
+            return {"_truths": truths, "cut_comparisons": comparisons,
+                    "event_regions": regions}
 
         cfg = tiny_config(reps=20, fixed_design=fixed)
         _, points = generate_design(cfg)
@@ -505,6 +518,60 @@ class TestBlocks:
                 "at mu=1e+300"),
             (5, "NonPositiveRSS: injected")]
         assert np.flatnonzero(~chunks[0]["ok"]).tolist() == [2, 5]
+
+    @pytest.mark.parametrize("fixed", [True, False])
+    def test_region_check_failure_stays_with_its_replication(
+            self, monkeypatch, fixed):
+        """Replication 7's comparisons gain one that fails on the whole
+        line, so its observation falls outside its region in the block's
+        one sweep.  It alone fails, with the message a call of its own
+        gives; every other replication's numbers are those of blocks of one."""
+        from subsetci import geometry, harness
+
+        real_cut = harness.cut_comparisons
+        own = []
+
+        def stand_ins():
+            calls = []
+
+            def comparisons(*args, **kwargs):
+                out = real_cut(*args, **kwargs)
+                calls.append(1)
+                if len(calls) == 8:
+                    # a non-positive constant: fails everywhere
+                    grown = {f.name: getattr(out, f.name)
+                             for f in dataclasses.fields(out)}
+                    for name, extra in (("row", 0), ("model", 0), ("a2", 0.0),
+                                        ("a1", 0.0), ("a0", -1.0),
+                                        ("scale2", 1.0), ("scale1", 1.0)):
+                        grown[name] = np.append(grown[name], extra)
+                    out = geometry.Comparisons(**grown)
+                    own.append(geometry.event_regions([out])[0])
+                return out
+
+            return {"cut_comparisons": comparisons}
+
+        cfg = tiny_config(reps=20, fixed_design=fixed)
+        _, points = generate_design(cfg)
+        targets = tuple(InferenceTarget.prediction_mean(x) for x in points)
+        chunks = _chunks_by_block(monkeypatch, cfg, targets, 0, 20, stand_ins)
+        _assert_same_chunks(chunks)
+        assert len(own) == 4
+        assert all(isinstance(e, errors.InvariantViolation) for e in own)
+        message = f"InvariantViolation: {own[0]}"
+        assert "outside its own selection event" in message
+        assert chunks[0]["failures"] == [(7, message)]
+        assert np.flatnonzero(~chunks[0]["ok"]).tolist() == [7]
+        assert np.isnan(chunks[0]["sigmas"][7]).all()
+        assert not chunks[0]["applicable"][7].any()
+        X, _ = generate_design(cfg)
+        clean = _run_rep_chunk(cfg, X, targets, 0, 20)
+        assert clean["failures"] == [] and clean["ok"].all()
+        others = np.arange(20) != 7
+        for key, value in clean.items():
+            if isinstance(value, np.ndarray):
+                assert np.array_equal(value[others], chunks[0][key][others],
+                                      equal_nan=True), key
 
     def test_replication_clock(self, monkeypatch):
         """``rep_stream`` runs once per replication, in order, as that
