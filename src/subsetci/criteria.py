@@ -83,12 +83,6 @@ class CandidatePolicy:
 DEFAULT_POLICY = CandidatePolicy()
 
 
-def penalty_ratio_sizes(size_tilde: int, size: int, spec: CriterionSpec) -> float:
-    """Threshold on ``rss(S)/rss(S_tilde)`` above which ``S_tilde`` wins,
-    for models with ``size_tilde`` and ``size`` free columns."""
-    return math.exp((spec.penalty(size_tilde) - spec.penalty(size)) / spec.n)
-
-
 # Refuse candidate sets whose basis build would exceed this many bytes at
 # its peak; exhaustive enumeration at that scale also takes minutes.
 MAX_CANDIDATE_BYTES = 256 * 2 ** 20
@@ -417,21 +411,15 @@ class CandidateSet:
         return self._gram(np.asarray(y, dtype=float).reshape(1, -1))[0]
 
     def gram(self, a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(|R_S a|^2, (R_S a)'(R_S b), |R_S b|^2)`` over all candidates.
-
-        ``b`` may be a (T, n) stack of vectors; the last two results are then
+        """``(|R_S a|^2, (R_S a)'(R_S b), |R_S b|^2)`` over all candidates,
+        for the rows of the (T, n) stack ``b``: the last two results are
         (T, M), one row per vector, all from one kernel call over
         ``[a, b_1, ..., b_T]`` (2T + 1 inner products per candidate).
         """
         a = np.asarray(a, dtype=float).reshape(1, -1)
-        b = np.asarray(b, dtype=float)
-        stack = b.reshape(-1, a.shape[1])
-        t = stack.shape[0]
-        out = self._gram(np.concatenate([a, stack]))
-        ab, bb = out[1:t + 1], out[t + 1:]
-        if b.ndim == 1:
-            ab, bb = ab[0], bb[0]
-        return out[0], ab, bb
+        b = np.asarray(b, dtype=float).reshape(-1, a.shape[1])
+        out = self._gram(np.concatenate([a, b]))
+        return out[0], out[1:len(b) + 1], out[len(b) + 1:]
 
     def penalties(self, spec: CriterionSpec) -> np.ndarray:
         """Size penalty of every candidate under ``spec``; computed once."""

@@ -17,11 +17,10 @@ at once.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
-from typing import Callable, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -83,30 +82,6 @@ class SelectionEvent:
     z: Optional[np.ndarray] = field(default=None, compare=False)
 
 
-@dataclass(frozen=True, eq=False)
-class SelectionEvents(Sequence):
-    """The events of ``selected`` along stacked directions through the
-    response ``_y``: row ``i`` of the padded ``lo``/``hi`` is direction
-    ``i``'s region, and item ``i`` its :class:`SelectionEvent`, whose
-    comparison records ``_records(i)`` builds when the item is read."""
-
-    selected: IndexSet
-    lo: np.ndarray  # (T, W)
-    hi: np.ndarray
-    _y: np.ndarray  # (n,)
-    _etas: np.ndarray  # (T, n)
-    _records: Callable[[int], Tuple[ComparisonRecord, ...]]
-
-    def __len__(self) -> int:
-        return len(self.lo)
-
-    def __getitem__(self, i: int) -> SelectionEvent:
-        i = range(len(self))[i]
-        region = IntervalUnion.from_row(self.lo[i], self.hi[i])
-        return SelectionEvent(self.selected, region, self._records(i),
-                              self._etas[i], decompose(self._y, self._etas[i]).z)
-
-
 # a direction whose largest entry is below 2**(MIN_ETA_EXP - 1) (a subnormal)
 # has an eta / |eta|^2 beyond the largest float
 MIN_ETA_EXP = -1021
@@ -131,23 +106,24 @@ def decompose(y: np.ndarray, eta: np.ndarray) -> EtaDecomposition:
 
     ``eta`` is scaled by a power of two to form its squared norm (see
     :func:`_unit_scaled`), which changes no bit of ``eta_tilde`` or
-    ``eta'y``.
+    ``eta'y``.  A non-finite ``y`` or ``eta`` raises ``InputError``.
     """
     y = np.asarray(y, dtype=float).reshape(-1)
     eta = np.asarray(eta, dtype=float).reshape(-1)
     if y.shape != eta.shape:
         raise errors.DimensionMismatch(
             f"y has length {y.shape[0]}, eta has length {eta.shape[0]}")
-    _, exp = math.frexp(float(np.abs(eta).max(initial=0.0)))
+    _require_finite_response(y)
+    if not np.isfinite(eta).all():
+        raise errors.InputError("eta holds a non-finite value")
+    unit, exp = _unit_scaled(eta)
     if exp < MIN_ETA_EXP:
         raise errors.InputError("eta is too small: eta / |eta|^2 overflows")
-    scale = math.ldexp(1.0, -exp)  # as _unit_scaled, for one direction
-    unit = eta * scale
     nrm2 = float(unit @ unit)
     if nrm2 == 0.0:
         raise errors.ZeroEta("eta must be nonzero")
-    eta_tilde = unit / nrm2 * scale
-    eta_dot_y = float(unit @ y) / scale
+    eta_tilde = np.ldexp(unit / nrm2, -exp)
+    eta_dot_y = float(np.ldexp(unit @ y, exp))
     z = y - eta_dot_y * eta_tilde
     return EtaDecomposition(eta=eta, eta_tilde=eta_tilde,
                             eta_dot_y=eta_dot_y, z=z)
@@ -156,8 +132,10 @@ def decompose(y: np.ndarray, eta: np.ndarray) -> EtaDecomposition:
 def _forbidden(a2, a1, a0, scale2, scale1, shift, unit):
     """Closed sets of ``s = shift + u`` where ``a2 u^2 + a1 u + a0 > 0`` fails.
 
-    Each comparison yields at most two closed intervals, returned as (K, 2)
-    arrays ``lo`` and ``hi`` in ``s``; unused slots hold ``lo = inf > hi = -inf``.
+    Each comparison yields at most two closed intervals.  They are returned
+    as flat entries ``(owner, lo, hi)`` in ``s``, in no particular order:
+    only the nonempty ones (``lo <= hi``), each with its comparison's
+    position ``owner``.
     ``scale2`` and ``scale1`` are the natural magnitudes of the leading and
     linear coefficients; values within ``LEAD_TOL`` of zero relative to them
     are treated as exact zeros.  ``shift`` holds each comparison's origin, so
@@ -165,9 +143,6 @@ def _forbidden(a2, a1, a0, scale2, scale1, shift, unit):
     length in ``s`` of one unit of the caller's coordinate, which the merge
     tolerance is measured in.
     """
-    k = a2.shape[0]
-    lo = np.full((k, 2), math.inf)
-    hi = np.full((k, 2), -math.inf)
     quad = np.abs(a2) > LEAD_TOL * scale2
     lin = ~quad & (np.abs(a1) > LEAD_TOL * scale1)
     disc = a1 * a1 - 4.0 * a2 * a0
@@ -183,33 +158,31 @@ def _forbidden(a2, a1, a0, scale2, scale1, shift, unit):
     # feasible set closes it, so it forbids nothing.
     wide = r2 - r1 > MERGE_REL * np.maximum(unit[two], np.maximum(np.abs(r1), np.abs(r2)))
     between = up & wide
-    lo[two[between], 0] = r1[between]
-    hi[two[between], 0] = r2[between]
     # downward parabola: fails outside its roots
     down = two[~up]
-    hi[down, 0] = r1[~up]
-    lo[down, 0] = -math.inf
-    lo[down, 1] = r2[~up]
-    hi[down, 1] = math.inf
+    far = np.full(down.size, math.inf)
     # linear: fails on the half-line where a1 u + a0 <= 0
     idx = np.flatnonzero(lin)
     t0 = shift[idx] - a0[idx] / a1[idx]
     rising = a1[idx] > 0.0
-    lo[idx, 0] = np.where(rising, -math.inf, t0)
-    hi[idx, 0] = np.where(rising, t0, math.inf)
     # everywhere: a downward parabola without real roots, or a
     # non-positive constant
-    never = (quad & (a2 < 0.0) & ~(disc > 0.0)) | (~quad & ~lin & ~(a0 > 0.0))
-    lo[never, 0] = -math.inf
-    hi[never, 0] = math.inf
-    return lo, hi
+    never = np.flatnonzero((quad & (a2 < 0.0) & ~(disc > 0.0))
+                           | (~quad & ~lin & ~(a0 > 0.0)))
+    line = np.full(never.size, math.inf)
+    owner = np.concatenate([two[between], down, down, idx, never])
+    lo = np.concatenate([r1[between], -far, r2[~up],
+                         np.where(rising, -math.inf, t0), -line])
+    hi = np.concatenate([r2[between], r1[~up], far,
+                         np.where(rising, t0, math.inf), line])
+    return owner, lo, hi
 
 
 def _allowed(row: np.ndarray, lo: np.ndarray, hi: np.ndarray,
              rows: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Open complement of each row's union of closed sets ``[lo, hi]``
-    (empty where ``lo > hi``), given as flat entries of rows ``row``, as
-    ``rows`` padded rows of its gaps (at least one column).
+    """Open complement of each row's union of closed sets ``[lo, hi]``,
+    given as flat entries of rows ``row``, each nonempty (``lo <= hi``) and
+    in any order, as ``rows`` padded rows of its gaps (at least one column).
 
     Every row gains a set ``[inf, inf]`` that closes it; after one sort by
     row and left end, every left end beyond the running maximum of the right
@@ -219,10 +192,9 @@ def _allowed(row: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     wider than the merge tolerance at its ends, so the sets between two
     gaps span more than that tolerance at their outer ends.
     """
-    keep = lo <= hi
-    row = np.concatenate([row[keep], np.arange(rows)])
-    lo = np.concatenate([lo[keep], np.full(rows, math.inf)])
-    hi = np.concatenate([hi[keep], np.full(rows, math.inf)])
+    row = np.concatenate([row, np.arange(rows)])
+    lo = np.concatenate([lo, np.full(rows, math.inf)])
+    hi = np.concatenate([hi, np.full(rows, math.inf)])
     order = np.lexsort((lo, row))
     row, lo, hi = row[order], lo[order], hi[order]
     by_hi = np.argsort(hi)
@@ -268,9 +240,9 @@ class Comparisons:
     scale1: np.ndarray
 
     @functools.cached_property
-    def failure_sets(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Every solved comparison's closed failure sets, (k, 2) each, in
-        the scaled coordinates."""
+    def failure_sets(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every solved comparison's nonempty closed failure sets, in the
+        scaled coordinates, as :func:`_forbidden`'s ``(owner, lo, hi)``."""
         unit = np.ldexp(1.0, -self.exp)
         return _forbidden(self.a2, self.a1, self.a0, self.scale2, self.scale1,
                           self.t[self.row], unit[self.row])
@@ -305,16 +277,16 @@ def selection_events(
     S_hat: IndexSet,
     spec: CriterionSpec,
     policy: CandidatePolicy = DEFAULT_POLICY,
-) -> SelectionEvents:
+) -> Tuple[SelectionEvent, ...]:
     """The selection event of ``S_hat`` along each row of the (T, n) ``etas``.
 
     Event ``i`` is that of ``selection_event(data, decompose(y, etas[i]),
     ...)``.  All of them come from the two stages a coverage study runs over
     a block of responses, here for one response: :func:`cut_comparisons`
-    forms and screens the comparisons, and :func:`event_regions` solves them
-    and sweeps their failure sets into the regions.  The first read of an
-    event sweeps each comparison's failure sets alone, for the comparison
-    records of the whole batch.
+    forms and screens the comparisons, and the sweep of
+    :func:`event_regions` turns their failure sets into the regions.  A
+    second sweep of the same failure sets, each comparison's alone, gives
+    the comparison records.
 
     A failure raises what the first failing direction's own call would
     raise; no event is returned for the others.
@@ -322,28 +294,23 @@ def selection_events(
     y = np.asarray(y, dtype=float).reshape(-1)
     etas = np.asarray(etas, dtype=float)
     cut = cut_comparisons(data, y, etas, S_hat, spec, policy)
-    region = event_regions([cut])[0]
+    (region,) = _regions(cut, [len(cut.t)])
     if isinstance(region, errors.InvariantViolation):
         raise region
+    lo, hi = region
     cs = candidate_set(data, policy)
     hat = cs.index_of(S_hat)
     superset = _strict_supersets(cs, hat)
-    swept = []
-
-    def records(i: int) -> Tuple[ComparisonRecord, ...]:
-        # each solved comparison's own region, from one sweep over every
-        # direction's solved comparisons on the first read; a comparison
-        # left unsolved fails nowhere
-        if not swept:
-            lo, hi = cut.failure_sets
-            k = len(cut.row)
-            each = _allowed(np.repeat(np.arange(k), 2), lo.ravel(), hi.ravel(), k)
-            swept.extend(np.ldexp(side, cut.exp[cut.row, None]) for side in each)
-        each_lo, each_hi = swept
+    # each solved comparison's own region; a comparison left unsolved fails
+    # nowhere
+    each_lo, each_hi = (np.ldexp(side, cut.exp[cut.row, None])
+                        for side in _allowed(*cut.failure_sets, len(cut.row)))
+    events = []
+    for i, eta in enumerate(etas):
         mine = np.flatnonzero(cut.row == i)
         row = dict(zip(cut.model[mine].tolist(), mine.tolist()))
         skipped = (superset & cut.in_span[i]).tolist()
-        return tuple(
+        records = tuple(
             ComparisonRecord(model, None, True,
                              "superset of the selected model; constant in t")
             if skipped[m] else
@@ -351,8 +318,9 @@ def selection_events(
                                                            each_hi[row[m]])
                              if m in row else FULL_LINE)
             for m, model in enumerate(cs.models) if m != hat)
-
-    return SelectionEvents(S_hat, *region, y, etas, records)
+        events.append(SelectionEvent(S_hat, IntervalUnion.from_row(lo[i], hi[i]),
+                                     records, eta, decompose(y, eta).z))
+    return tuple(events)
 
 
 def cut_comparisons(
@@ -455,33 +423,39 @@ def event_regions(
     """Each response's event regions from its :class:`Comparisons`: the
     per-batch stage of :func:`selection_events`.
 
-    Every response's comparisons are solved in one :func:`_forbidden` call
-    and every direction's failure sets swept in one :func:`_allowed` call.
-    Item ``b`` is response ``b``'s padded ``(lo, hi)`` rows, scaled back to
-    its directions' own coordinates and as wide as its longest row needs;
-    or, when an observation falls outside its own region, the
-    ``InvariantViolation`` that response's own call raises.  Every
-    response's rows depend on that response alone.
+    The batch is joined into one :class:`Comparisons` whose directions are
+    every response's in turn, so that every response's comparisons are
+    solved in one :func:`_forbidden` call and every direction's failure sets
+    swept in one :func:`_allowed` call.  Item ``b`` is response ``b``'s
+    padded ``(lo, hi)`` rows, scaled back to its directions' own coordinates
+    and as wide as its longest row needs; or, when an observation falls
+    outside its own region, the ``InvariantViolation`` that response's own
+    call raises.  Every response's rows depend on that response alone.
     """
     if not batch:
         return []
-    ends = list(itertools.accumulate(len(c.t) for c in batch))
-    first = [0] + ends[:-1]
-    if len(batch) == 1:
-        whole = batch[0]
-    else:
-        parts = {f.name: np.concatenate([getattr(c, f.name) for c in batch])
-                 for f in fields(Comparisons)}
-        parts["row"] += np.repeat(first, [len(c.row) for c in batch])
-        whole = Comparisons(**parts)
-    lo, hi = whole.failure_sets
-    lo, hi = _allowed(np.repeat(whole.row, 2), lo.ravel(), hi.ravel(), len(whole.t))
+    sizes = [len(c.t) for c in batch]
+    parts = {f.name: np.concatenate([getattr(c, f.name) for c in batch])
+             for f in fields(Comparisons)}
+    parts["row"] += np.repeat(np.cumsum(sizes) - sizes, [len(c.row) for c in batch])
+    return _regions(Comparisons(**parts), sizes)
+
+
+def _regions(
+    whole: Comparisons, sizes: Sequence[int],
+) -> List[Union[Tuple[np.ndarray, np.ndarray], errors.InvariantViolation]]:
+    """:func:`event_regions` of the batch joined into ``whole``, which
+    holds every response's directions in turn, ``sizes[b]`` of them
+    response ``b``'s."""
+    owner, lo, hi = whole.failure_sets
+    lo, hi = _allowed(whole.row[owner], lo, hi, len(whole.t))
     t = whole.t[:, None]
     inside = ((lo < t) & (t < hi)).any(axis=1)
     width = (lo < hi).sum(axis=1)
     lo, hi = np.ldexp(lo, whole.exp[:, None]), np.ldexp(hi, whole.exp[:, None])
     out = []
-    for a, b in zip(first, ends):
+    ends = np.cumsum(sizes)
+    for a, b in zip(ends - sizes, ends):
         if not inside[a:b].all():
             out.append(errors.InvariantViolation(
                 "observed eta'y fell outside its own selection event; "

@@ -46,6 +46,7 @@ from .inference import (
     solve_intervals,
     target_directions,
 )
+from .intervals import padded_rows
 from .linmodel import (
     Dataset,
     INTERCEPT_FORCED,
@@ -675,7 +676,8 @@ def dataset_report(
         etas = target_directions(data, selected, targets)
         events = selection_events(data, data.y, etas, selected, spec,
                                   policy=policy)
-        table = interval_table(data, selected, etas, (events.lo, events.hi),
+        table = interval_table(data, selected, etas,
+                               padded_rows([e.region for e in events]),
                                sigma_strategies, alpha, np.zeros(len(targets)))
         # a classical then a corrected row per (target, strategy)
         cols = zip(table.points.tolist(), table.half.tolist(), table.lower.tolist(),

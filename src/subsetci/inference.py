@@ -18,7 +18,7 @@ from scipy.stats import norm as norm_dist, t as t_dist
 from . import errors
 from .criteria import CandidatePolicy, CriterionSpec, DEFAULT_POLICY
 from .geometry import SelectionEvent, decompose, selection_events
-from .intervals import FULL_LINE, IntervalUnion
+from .intervals import FULL_LINE, IntervalUnion, padded_rows
 from .linmodel import Dataset, IndexSet
 from .truncnorm import PieceTable, TruncatedNormalSpec, mass_underflow, truncated_cdf
 
@@ -242,7 +242,7 @@ def classical_ci(
     """Textbook interval on the selected model, with no selection correction:
     the one cell of :func:`interval_cells` over the whole line."""
     eta = eta_for_target(data, S_hat, target)
-    cells = interval_cells(data, S_hat, eta[None, :], FULL_LINE.as_row(),
+    cells = interval_cells(data, S_hat, eta[None, :], padded_rows([FULL_LINE]),
                            [sigma_spec], alpha)
     point, half = float(cells.points[0]), float(cells.half[0, 0])
     return CIResult(
@@ -454,7 +454,7 @@ def corrected_ci(
         raise errors.InputError(f"alpha must be in (0,1), got {alpha}")
     data, eta, event = _single_target(data, y, S_hat, target, criterion_spec,
                                       policy, event)
-    table = interval_table(data, S_hat, eta[None, :], event.region.as_row(),
+    table = interval_table(data, S_hat, eta[None, :], padded_rows([event.region]),
                            [sigma_spec], alpha, [0.0])
     return CIResult(
         lower=float(table.lower[0, 0]),

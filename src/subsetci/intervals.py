@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Tuple
+from typing import Iterable, Iterator, Sequence, Tuple
 
 import numpy as np
 
@@ -47,11 +47,6 @@ class IntervalUnion:
     def from_row(cls, lo: np.ndarray, hi: np.ndarray) -> "IntervalUnion":
         """The union held by one (canonical) padded row."""
         return cls(tuple((a, b) for a, b in zip(lo.tolist(), hi.tolist()) if a < b))
-
-    def as_row(self) -> Tuple[np.ndarray, np.ndarray]:
-        """This union as (1, len) padded rows ``(lo, hi)``."""
-        lo, hi = np.array(self.intervals, dtype=float).reshape(-1, 2).T
-        return lo[None, :], hi[None, :]
 
     @property
     def is_empty(self) -> bool:
@@ -113,6 +108,17 @@ def interval_union(pairs: Iterable[Tuple[float, float]]) -> IntervalUnion:
         else:
             merged.append((lo, hi))
     return IntervalUnion(tuple(merged))
+
+
+def padded_rows(regions: Sequence[IntervalUnion]) -> Tuple[np.ndarray, np.ndarray]:
+    """The padded ``(lo, hi)`` rows of ``regions``, one row per union, as
+    wide as the longest union (at least one column)."""
+    width = max([1] + [len(r) for r in regions])
+    lo, hi = np.zeros((2, len(regions), width))
+    for i, region in enumerate(regions):
+        for j, (a, b) in enumerate(region):
+            lo[i, j], hi[i, j] = a, b
+    return lo, hi
 
 
 EMPTY = IntervalUnion(())

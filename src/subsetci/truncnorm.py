@@ -27,7 +27,7 @@ import numpy as np
 from scipy.special import erf, log_ndtr, ndtr, ndtri, ndtri_exp
 
 from . import errors
-from .intervals import IntervalUnion
+from .intervals import IntervalUnion, padded_rows
 
 _SQRT2 = math.sqrt(2.0)
 _LOG_HALF = -math.log(2.0)
@@ -299,7 +299,7 @@ def truncated_cdf(x: float, spec: TruncatedNormalSpec) -> float:
     mass at its mean.
     """
     table = PieceTable(np.array([x], dtype=float), np.array([spec.lam]),
-                       *spec.region.as_row())
+                       *padded_rows([spec.region]))
     return float(table.cdf(np.array([spec.mu], dtype=float))[0])
 
 
@@ -316,7 +316,7 @@ def invert_mean(target: float, x_obs: float, lam: float, region: IntervalUnion) 
         raise errors.ObservationOutsideRegion(
             f"x={x_obs} is not interior to the region {region}")
     table = PieceTable(np.array([x_obs], dtype=float), np.array([lam], dtype=float),
-                       *region.as_row())
+                       *padded_rows([region]))
     mu, status = table.invert(np.array([target], dtype=float), np.zeros(1, dtype=int))
     code = int(status[0])
     if code in (_BELOW, _ABOVE):

@@ -9,16 +9,6 @@ def rng():
     return np.random.default_rng(20250809)
 
 
-def piece_rows(regions):
-    """(lo, hi) padded piece arrays of ``regions``, one row per union."""
-    width = max([1] + [len(r) for r in regions])
-    lo, hi = np.zeros((len(regions), width)), np.zeros((len(regions), width))
-    for i, region in enumerate(regions):
-        for j, (a, b) in enumerate(region):
-            lo[i, j], hi[i, j] = a, b
-    return lo, hi
-
-
 def random_dataset(rng, n=15, p=4, signal=None, names=None):
     X = rng.standard_normal((n, p))
     if signal is None:

@@ -14,6 +14,8 @@ padded rows, one sort per row, as the library did before its sweep ran
 over flat entries segmented by row.
 :func:`unscreened_event_rows` is the library's batched sweep without its
 screen: it solves every comparison, including those that cannot fail.
+:func:`penalty_ratio_sizes` is one comparison's threshold on the ratio of
+residual sums of squares, from the two models' sizes.
 :func:`two_half_log_cdf` is the piece table's log CDF with every piece
 evaluated twice, once whole and once clipped at the observation.
 The scalar normal interval masses at the end (``normal_measure``) are the
@@ -37,7 +39,6 @@ from subsetci.criteria import (
     CriterionSpec,
     DEFAULT_POLICY,
     candidate_set,
-    penalty_ratio_sizes,
 )
 from subsetci.geometry import (
     ETA_SPAN_TOL,
@@ -48,6 +49,12 @@ from subsetci.geometry import (
 from subsetci.intervals import EMPTY, FULL_LINE, IntervalUnion, interval_union
 from subsetci.linmodel import RANK_TOL, Dataset, IndexSet
 from subsetci.truncnorm import _log_measure_std, _logsumexp_rows
+
+
+def penalty_ratio_sizes(size_tilde: int, size: int, spec: CriterionSpec) -> float:
+    """Threshold on ``rss(S)/rss(S_tilde)`` above which ``S_tilde`` wins,
+    for models with ``size_tilde`` and ``size`` free columns."""
+    return math.exp((spec.penalty(size_tilde) - spec.penalty(size)) / spec.n)
 
 
 def residual_project(data: Dataset, S: IndexSet, v: np.ndarray) -> np.ndarray:
@@ -354,8 +361,8 @@ def unscreened_event_rows(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """The padded region rows of ``selection_events(data, y, etas, ...)``
     for valid input, with every comparison solved: each direction's row
-    holds two failure-set slots per comparison, and a skipped superset
-    comparison's slots are emptied before the one sweep."""
+    holds its comparisons' failure sets, a skipped superset comparison's
+    left out, for the one padded sweep."""
     norm2 = np.einsum("tn,tn->t", etas, etas)
     t = etas @ y
     cs = candidate_set(data, policy)
@@ -380,12 +387,13 @@ def unscreened_event_rows(
     et2 = np.einsum("tn,tn->t", eta_tilde, eta_tilde)
     scale2 = np.outer(et2, big)
     scale1 = np.outer(2.0 * np.sqrt(et2 * float(y @ y)), big)
-    lo, hi = _forbidden(a2.ravel(), a1.ravel(), a0, scale2.ravel(),
-                        scale1.ravel(), np.repeat(t, idx.size), np.ones(a0.size))
-    lo, hi = lo.reshape(len(t), 2 * idx.size), hi.reshape(len(t), 2 * idx.size)
-    if not all_in_span:
-        skip = np.logical_and.outer(in_span, np.repeat(superset[idx], 2))
-        lo[skip], hi[skip] = math.inf, -math.inf
+    owner, lo, hi = _forbidden(a2.ravel(), a1.ravel(), a0, scale2.ravel(),
+                               scale1.ravel(), np.repeat(t, idx.size), np.ones(a0.size))
+    row, col = np.divmod(owner, idx.size)
+    keep = ~(in_span[row] & superset[idx[col]])
+    order = np.argsort(row[keep], kind="stable")
+    lo, hi = _pack_rows(row[keep][order], lo[keep][order], hi[keep][order],
+                        len(t), -math.inf)
     return padded_allowed(lo, hi)
 
 

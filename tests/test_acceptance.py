@@ -18,7 +18,6 @@ from subsetci.criteria import (
     Criterion,
     CriterionSpec,
     best_subset,
-    penalty_ratio_sizes,
 )
 from subsetci.geometry import SelectionEvent, decompose, selection_event
 from subsetci.harness import (
@@ -38,7 +37,7 @@ from subsetci.inference import (
 from subsetci.intervals import FULL_LINE, interval_union
 from subsetci.truncnorm import TruncatedNormalSpec, invert_mean, truncated_cdf
 
-from pair_oracle import sequential_region
+from pair_oracle import penalty_ratio_sizes, sequential_region
 
 # The quadrature oracle needs working precision far beyond the smallest
 # tail masses it integrates (~1e-46 for pieces near 14 sigma), otherwise the

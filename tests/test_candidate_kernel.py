@@ -30,7 +30,7 @@ from subsetci.geometry import (
     selection_events,
 )
 from subsetci.inference import InferenceTarget, eta_for_target
-from subsetci.intervals import FULL_LINE
+from subsetci.intervals import FULL_LINE, padded_rows
 from subsetci.linmodel import INTERCEPT_FORCED, INTERCEPT_NONE
 
 import pair_oracle
@@ -96,7 +96,7 @@ def test_rss_and_gram_match_lstsq_residuals(case):
     a = rng.standard_normal(data.n)
     b = rng.standard_normal(data.n)
     rss = cs.rss_all(data.y)
-    aa, ab, bb = cs.gram(a, b)
+    aa, (ab,), (bb,) = cs.gram(a, b[None])
     for pos, S in enumerate(cs.models):
         ry = _lstsq_residual(data.X, S, data.y)
         ra = _lstsq_residual(data.X, S, a)
@@ -142,7 +142,7 @@ def test_direction_in_a_models_span_leaves_it_no_negative_residual(case):
             continue
         eta = data.X[:, [i - 1 for i in S.indices]] @ rng.standard_normal(len(S))
         norm2 = float(eta @ eta)
-        _, _, c2 = cs.gram(data.y, eta / norm2)
+        _, _, (c2,) = cs.gram(data.y, (eta / norm2)[None])
         hat = cs.index_of(S)
         assert c2[hat] >= 0.0
         assert (math.sqrt(c2[hat]) * norm2 <= ETA_SPAN_TOL * math.sqrt(norm2)) \
@@ -393,10 +393,11 @@ def test_screened_sweep_equals_the_unscreened_one(case, criterion, kinds):
             assert abs(quad.a1) > LEAD_TOL * scale1
             etas.append(eta)
     etas = np.array(etas)
-    events = selection_events(data, data.y, etas, S_hat, spec, policy=policy)
+    got_lo, got_hi = padded_rows([e.region for e in selection_events(
+        data, data.y, etas, S_hat, spec, policy=policy)])
     lo, hi = pair_oracle.unscreened_event_rows(data, data.y, etas, S_hat,
                                                spec, policy)
-    assert np.array_equal(events.lo, lo) and np.array_equal(events.hi, hi)
+    assert np.array_equal(got_lo, lo) and np.array_equal(got_hi, hi)
 
 
 def _single_call_error(data, y, eta, S_hat, spec, policy):

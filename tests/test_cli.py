@@ -186,6 +186,21 @@ def test_rank_deficient_is_numerical_error(tmp_path):
     assert code == 3
 
 
+def test_no_residual_df_is_numerical_error(tmp_path, capsys):
+    # n = p + 1 without an intercept: the full model's sigma has df = 0
+    rng = np.random.default_rng(4)
+    rows = ["y,a,b,c,d"] + [",".join(repr(float(v)) for v in rng.standard_normal(5))
+                            for _ in range(5)]
+    path = tmp_path / "square.csv"
+    path.write_text("\n".join(rows) + "\n")
+    code = main(["analyze", str(path), "--response", "y", "--sigma", "mse-full"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: model {1,2,3,4} leaves no residual degrees of " \
+        "freedom (df=0)" in err
+    assert "Traceback" not in err
+
+
 def test_console_script_entry_point(data_csv):
     proc = subprocess.run(
         [sys.executable, "-m", "subsetci.cli", "select", data_csv,

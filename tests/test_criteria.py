@@ -11,11 +11,10 @@ from subsetci.criteria import (
     CriterionSpec,
     best_subset,
     candidate_set,
-    penalty_ratio_sizes,
 )
 
 from conftest import random_dataset
-from pair_oracle import residual_project
+from pair_oracle import penalty_ratio_sizes, residual_project
 
 # working precision of the mpmath oracles, scoped to each use so that no
 # module changes the process-wide setting for another

@@ -10,7 +10,6 @@ from subsetci.criteria import (
     Criterion,
     CriterionSpec,
     best_subset,
-    penalty_ratio_sizes,
 )
 from subsetci.geometry import (
     SelectionEvent,
@@ -23,7 +22,14 @@ from subsetci.geometry import (
     selection_events,
 )
 from subsetci.inference import InferenceTarget, eta_for_target, target_directions
-from subsetci.intervals import EMPTY, FULL_LINE, MERGE_REL, IntervalUnion, interval_union
+from subsetci.intervals import (
+    EMPTY,
+    FULL_LINE,
+    MERGE_REL,
+    IntervalUnion,
+    interval_union,
+    padded_rows,
+)
 
 from conftest import random_dataset
 from pair_oracle import (
@@ -34,6 +40,7 @@ from pair_oracle import (
     intersect,
     outside_bound,
     padded_allowed,
+    penalty_ratio_sizes,
     sequential_region,
     simplified_comparison,
     superset_lower_bound,
@@ -45,10 +52,10 @@ INF = math.inf
 def feasible_from_quadratic(a2, a1, a0, scale2, scale1):
     """Solution set of ``a2 t^2 + a1 t + a0 > 0``, from the library's batched
     failure-set kernel and sweep applied to one comparison."""
-    lo, hi = _forbidden(*(np.array([v], dtype=float)
-                          for v in (a2, a1, a0, scale2, scale1)),
-                        shift=np.zeros(1), unit=np.ones(1))
-    lo, hi = _allowed(np.zeros(2, dtype=int), lo.ravel(), hi.ravel(), 1)
+    owner, lo, hi = _forbidden(*(np.array([v], dtype=float)
+                                 for v in (a2, a1, a0, scale2, scale1)),
+                               shift=np.zeros(1), unit=np.ones(1))
+    lo, hi = _allowed(owner, lo, hi, 1)
     return IntervalUnion.from_row(lo[0], hi[0])
 
 
@@ -118,6 +125,20 @@ class TestDecompose:
         with pytest.raises(errors.DimensionMismatch):
             decompose(np.ones(3), np.ones(4))
 
+    @pytest.mark.parametrize("bad", [math.nan, INF, -INF])
+    def test_non_finite_response_is_an_input_error(self, bad):
+        # a NaN response once gave eta'y = nan without an error
+        y = np.array([bad, 1.0, 2.0, 3.0])
+        with pytest.raises(errors.InputError, match="response holds a non-finite"):
+            decompose(y, np.array([1.0, 0.0, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("bad", [math.nan, INF, -INF])
+    def test_non_finite_direction_is_an_input_error(self, bad):
+        # a NaN direction once gave eta'y = nan, and an infinite one only
+        # warned
+        with pytest.raises(errors.InputError, match="eta holds a non-finite"):
+            decompose(np.arange(4.0), np.array([bad, 1.0, 0.0, 0.0]))
+
 
 class TestQuadraticCaseAnalysis:
     def test_upward_parabola_roots(self):
@@ -163,9 +184,9 @@ class TestQuadraticCaseAnalysis:
             s = math.ldexp(1.0, k)
             coefficients = [np.array([v]) for v in
                             (1.0 / s ** 2, -7e-13 / s, 6e-26, 1.0 / s ** 2, 1.0 / s)]
-            lo, hi = _forbidden(*coefficients, shift=np.zeros(1),
-                                unit=np.array([unit]))
-            return (lo <= hi).any()
+            owner, _, _ = _forbidden(*coefficients, shift=np.zeros(1),
+                                     unit=np.array([unit]))
+            return owner.size > 0
 
         assert not failure(math.ldexp(1.0, k))
         assert failure(1.0) == (k > 0)
@@ -210,17 +231,29 @@ def failure_sets(draw):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(failure_sets())
+def test_failure_sets_are_nonempty_entries_of_their_comparisons(case):
+    """Every entry is a nonempty set (lo <= hi) of a comparison in range,
+    and no comparison owns more than two."""
+    coefficients, shift, _ = case
+    owner, lo, hi = _forbidden(*coefficients, shift=shift, unit=np.ones_like(shift))
+    assert owner.shape == lo.shape == hi.shape
+    assert (lo <= hi).all()
+    assert ((0 <= owner) & (owner < shift.size)).all()
+    assert np.bincount(owner, minlength=shift.size).max(initial=0) <= 2
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(failure_sets())
 def test_row_sweep_equals_the_one_row_reference(case):
     """Every row of the sweep is, float for float, the one-row sweep with
     ``interval_union``'s merge, which therefore never fires; the row's
     pieces come first, then empty (0, 0) padding."""
     coefficients, shift, rows = case
-    lo, hi = _forbidden(*coefficients, shift=shift, unit=np.ones_like(shift))
-    got_lo, got_hi = _allowed(np.arange(rows).repeat(lo.size // rows),
-                              lo.ravel(), hi.ravel(), rows)
-    lo, hi = lo.reshape(rows, -1), hi.reshape(rows, -1)
+    owner, lo, hi = _forbidden(*coefficients, shift=shift, unit=np.ones_like(shift))
+    of = owner // (shift.size // rows)
+    got_lo, got_hi = _allowed(of, lo, hi, rows)
     for i in range(rows):
-        want = allowed_row(lo[i], hi[i])
+        want = allowed_row(lo[of == i], hi[of == i])
         n = len(want)
         assert list(zip(got_lo[i, :n].tolist(), got_hi[i, :n].tolist())) == list(want)
         assert not got_lo[i, n:].any() and not got_hi[i, n:].any()
@@ -237,7 +270,8 @@ SWEEP_ENDS = (-INF, -2.5, -1.0, 0.0, 0.0, 1.0, 1.0 + 1e-15, 3.0, INF)
 def padded_sets(draw):
     """``(lo, hi, order)``: (rows, K) closed sets ``[lo, hi]``, each empty
     where ``lo > hi``, with 0-5 rows (none: a response without directions),
-    some rows holding no set at all, and an order to list the entries in."""
+    some rows holding no set at all, and an order to list the nonempty
+    entries in."""
     rows, k = draw(st.integers(0, 5)), draw(st.integers(0, 6))
     # no -0.0: it equals 0.0, and the two sweeps may keep either zero
     end = st.sampled_from(SWEEP_ENDS) | st.floats(-4.0, 4.0).map(lambda v: v + 0.0)
@@ -246,15 +280,16 @@ def padded_sets(draw):
     lo, hi = np.array(pairs, dtype=float).reshape(rows, k, 2).transpose(2, 0, 1)
     blank = draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
     lo[blank], hi[blank] = INF, -INF
-    order = draw(st.permutations(range(rows * k)))
+    order = draw(st.permutations(np.flatnonzero(lo <= hi).tolist()))
     return lo.copy(), hi.copy(), np.array(order, dtype=int)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(padded_sets())
 def test_segmented_sweep_equals_the_padded_sweep(case):
-    """The sweep over flat (row, lo, hi) entries, in any order, gives bit for
-    bit the padded rows of the sweep over padded rows, shape included."""
+    """The sweep over the nonempty flat (row, lo, hi) entries, in any order,
+    gives bit for bit the padded rows of the sweep over padded rows, empty
+    sets included, shape included."""
     lo, hi, order = case
     rows, k = lo.shape
     want = padded_allowed(lo, hi)
@@ -446,10 +481,10 @@ class TestSelectionEvent:
         empty = selection_events(d, d.y, etas[:0], S_hat, spec)
         assert len(empty) == 0 and list(empty) == []
 
-    def test_records_are_built_when_an_event_is_read(self, rng, monkeypatch):
-        # the batch sweeps once, for its regions; the first read sweeps
-        # once more, over every direction's failure sets, for the records
-        # of the whole batch, and a later read builds only its own records
+    def test_events_are_built_in_one_solve_and_two_sweeps(self, rng, monkeypatch):
+        # one solve of every direction's comparisons; one sweep for the
+        # regions and one, of each comparison alone, for the records, which
+        # are all built by the call: reading the events adds nothing
         from subsetci import geometry
 
         d = random_dataset(rng, n=18, p=4, signal=np.array([3.0, 2.0, 0, 0]))
@@ -457,19 +492,21 @@ class TestSelectionEvent:
         S_hat, _ = best_subset(d, spec)
         etas = target_directions(d, S_hat, [InferenceTarget.coefficient(i)
                                             for i in S_hat.indices])
-        sweeps, records = [], []
-        allowed, record = geometry._allowed, geometry.ComparisonRecord
+        solves, sweeps, records = [], [], []
+        forbidden, allowed = geometry._forbidden, geometry._allowed
+        record = geometry.ComparisonRecord
+        monkeypatch.setattr(geometry, "_forbidden",
+                            lambda *args: solves.append(1) or forbidden(*args))
         monkeypatch.setattr(geometry, "_allowed",
                             lambda *args: sweeps.append(1) or allowed(*args))
         monkeypatch.setattr(geometry, "ComparisonRecord",
                             lambda *args: records.append(1) or record(*args))
         events = selection_events(d, d.y, etas, S_hat, spec)
-        assert (len(sweeps), len(records)) == (1, 0)
-        event = events[1]
-        assert (len(sweeps), len(records)) == (2, 2 ** 4 - 2)
-        assert len(event.comparisons) == 2 ** 4 - 2
-        assert events[0].comparisons != event.comparisons
-        assert (len(sweeps), len(records)) == (2, 2 * (2 ** 4 - 2))
+        counts = (len(solves), len(sweeps), len(records))
+        assert counts == (1, 2, len(etas) * (2 ** 4 - 2))
+        assert all(len(event.comparisons) == 2 ** 4 - 2 for event in events)
+        assert events[0].comparisons != events[1].comparisons
+        assert (len(solves), len(sweeps), len(records)) == counts
 
     def test_event_records_its_direction(self, rng):
         # eta is the row the event was cut along and z the response's part
@@ -518,10 +555,12 @@ class TestSelectionEvent:
         d, spec, S_hat = self._aic_problem()
         etas = target_directions(d, S_hat, [InferenceTarget.coefficient(i)
                                             for i in S_hat.indices])
-        base = selection_events(d, d.y, etas, S_hat, spec)
-        scaled = selection_events(d, d.y, np.ldexp(etas, k), S_hat, spec)
-        assert np.array_equal(scaled.lo, np.ldexp(base.lo, k))
-        assert np.array_equal(scaled.hi, np.ldexp(base.hi, k))
+        base_lo, base_hi = padded_rows(
+            [e.region for e in selection_events(d, d.y, etas, S_hat, spec)])
+        lo, hi = padded_rows([e.region for e in selection_events(
+            d, d.y, np.ldexp(etas, k), S_hat, spec)])
+        assert np.array_equal(lo, np.ldexp(base_lo, k))
+        assert np.array_equal(hi, np.ldexp(base_hi, k))
 
     @pytest.mark.parametrize("bad", [math.nan, INF, -INF])
     def test_non_finite_direction_is_an_input_error(self, bad):

@@ -24,10 +24,10 @@ from subsetci.inference import (
     solve_intervals,
     target_directions,
 )
-from subsetci.intervals import FULL_LINE, interval_union
+from subsetci.intervals import FULL_LINE, interval_union, padded_rows
 from subsetci.truncnorm import PieceTable, TruncatedNormalSpec, invert_mean, truncated_cdf
 
-from conftest import piece_rows, random_dataset
+from conftest import random_dataset
 from pair_oracle import residual_project, sequential_region
 
 
@@ -442,7 +442,7 @@ class TestIntervalTable:
         ``truncated_cdf``, and ``interval_table`` raises where a scalar call
         does."""
         data, S, etas, regions, strategies, alpha, mu = problem
-        rows = piece_rows(regions)
+        rows = padded_rows(regions)
         cells = interval_cells(data, S, etas, rows, strategies, alpha)
         # the limits do not depend on the pivot means, and every region has
         # mass at its own observation: check every problem's limits there
@@ -487,12 +487,12 @@ class TestIntervalTable:
         etas = target_directions(d, S_hat, targets)
         events = selection_events(d, d.y, etas, S_hat, spec)
         strategies = [SigmaSpec.known(1.0), SigmaSpec.mse_aic(), SigmaSpec.mse_full()]
-        table = interval_table(d, S_hat, etas, (events.lo, events.hi),
+        table = interval_table(d, S_hat, etas, padded_rows([e.region for e in events]),
                                strategies, 0.05, np.zeros(len(targets)))
         assert table.pivots.shape == (len(targets), 3)
         assert len(built_tables) == 1
         # a response with no applicable target still builds one, empty, table
-        empty = interval_table(d, S_hat, etas[:0], piece_rows([]), strategies,
+        empty = interval_table(d, S_hat, etas[:0], padded_rows([]), strategies,
                                0.05, np.zeros(0))
         assert empty.lower.shape == empty.pivots.shape == (0, 3)
         assert len(built_tables) == 2
@@ -505,7 +505,7 @@ class TestObservationCheck:
     STRATEGIES = [SigmaSpec.known(1.0), SigmaSpec.mse_aic()]
 
     def _cells(self, data, etas, regions):
-        return interval_cells(data, IndexSet((1, 2, 3)), etas, piece_rows(regions),
+        return interval_cells(data, IndexSet((1, 2, 3)), etas, padded_rows(regions),
                               self.STRATEGIES, 0.05)
 
     def test_observation_outside_every_piece_is_refused(self, rng):

@@ -15,10 +15,7 @@ import subsetci
 PACKAGE = pathlib.Path(subsetci.__file__).parent
 
 # Public names that only callers outside the package use, with the reason.
-KEPT = {
-    "criteria.penalty_ratio_sizes":
-        "acceptance criterion 8 and the pair oracle take penalty ratios from it",
-}
+KEPT = {}
 
 
 def _modules():

@@ -12,10 +12,10 @@ from subsetci import Dataset, IndexSet, errors, truncnorm
 from subsetci.criteria import Criterion, CriterionSpec
 from subsetci.harness import SimulationConfig, simulate_coverage
 from subsetci.inference import InferenceTarget, SigmaSpec, interval_table, pivot_value
-from subsetci.intervals import FULL_LINE, interval_union
+from subsetci.intervals import FULL_LINE, interval_union, padded_rows
 from subsetci.truncnorm import (
     CDF_TOL, PieceTable, TruncatedNormalSpec, invert_mean, truncated_cdf)
-from conftest import piece_rows, random_dataset
+from conftest import random_dataset
 import pair_oracle
 from pair_oracle import log_normal_measure, normal_measure
 
@@ -265,7 +265,7 @@ def test_batch_elements_equal_single_calls(batch, shuffle):
     order = list(range(len(batch)))
     shuffle.shuffle(order)
     table = PieceTable(np.array([b[1] for b in batch]), np.array([b[2] for b in batch]),
-                       *piece_rows([b[3] for b in batch]))
+                       *padded_rows([b[3] for b in batch]))
     targets, xs, lams, regions = zip(*[batch[i] for i in order])
     mus, status = table.invert(np.array(targets), np.array(order))
     assert np.array_equal(np.isfinite(mus), status == truncnorm._SOLVED)
@@ -274,7 +274,7 @@ def test_batch_elements_equal_single_calls(batch, shuffle):
              for j in solved]
     cdfs = PieceTable(np.array([xs[j] for j in solved]),
                       np.array([lams[j] for j in solved]),
-                      *piece_rows([regions[j] for j in solved])).cdf(mus[solved])
+                      *padded_rows([regions[j] for j in solved])).cdf(mus[solved])
     for j in range(len(order)):
         if j not in solved:
             with pytest.raises((errors.BracketFailure, errors.RegionMassUnderflow)):
@@ -327,7 +327,7 @@ def cdf_rows(draw):
     mu[rng.random(k) < 0.15] = INF
     mu[rng.random(k) < 0.15] = -INF
     rows = rng.permutation(k)[:int(rng.integers(1, k + 1))]
-    return (x, lam, *piece_rows(regions), mu, rows)
+    return (x, lam, *padded_rows(regions), mu, rows)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -353,7 +353,7 @@ def test_cdf_increases_in_x_and_decreases_in_mu(problem, mu1, mu2, x1, x2):
     _, _, lam, region = problem
     mu1, mu2 = sorted((mu1, mu2))
     x1, x2 = sorted((x1, x2))
-    table = PieceTable(np.array([x1, x2, x1, x2]), np.full(4, lam), *piece_rows([region] * 4))
+    table = PieceTable(np.array([x1, x2, x1, x2]), np.full(4, lam), *padded_rows([region] * 4))
     f = table.cdf(np.array([mu1, mu1, mu2, mu2]))
     assert np.all((0.0 <= f) & (f <= 1.0))
     # rounding in log space allows ulp-sized reversals only
@@ -373,7 +373,7 @@ class TestBatchFailureIsolation:
         x, lam = 2.0, 0.8
         table = PieceTable(np.array([x, self.PINNED[0]]),
                            np.array([lam, self.PINNED[1]]),
-                           *piece_rows([region, self.PINNED[2]]))
+                           *padded_rows([region, self.PINNED[2]]))
         mus, status = table.invert(np.array([0.975, 0.975, 0.025, 0.025]),
                                    np.array([0, 1, 0, 1]))
         assert mus[1] == -INF and mus[3] == INF
@@ -398,7 +398,7 @@ class TestBatchFailureIsolation:
         x = float(etas[1] @ data.y)
         with pytest.raises(errors.ObservationOutsideRegion):
             interval_table(data, IndexSet((1, 2)), etas,
-                           piece_rows([FULL_LINE, interval_union([(x + 1.0, x + 2.0)])]),
+                           padded_rows([FULL_LINE, interval_union([(x + 1.0, x + 2.0)])]),
                            [SigmaSpec.known(1.0)], 0.05, np.zeros(2))
 
 
@@ -416,7 +416,7 @@ class TestRegionMassUnderflow:
 
     def test_batched_truncated_cdf_raises_for_any_element(self):
         table = PieceTable(np.array([0.0, 1.5e155]), np.array([1.0, self.FAR.lam]),
-                           *piece_rows([FULL_LINE, self.FAR.region]))
+                           *padded_rows([FULL_LINE, self.FAR.region]))
         with pytest.raises(errors.RegionMassUnderflow):
             table.cdf(np.array([0.0, self.FAR.mu]))
 
@@ -447,7 +447,7 @@ class TestRegionMassUnderflow:
         x, lam = 2.0, 0.8
         x_bad, lam_bad, region_bad = self.NARROW
         table = PieceTable(np.array([x, x_bad]), np.array([lam, lam_bad]),
-                           *piece_rows([region, region_bad]))
+                           *padded_rows([region, region_bad]))
         mus, status = table.invert(np.array([0.975, 0.975, 0.025, 0.025]),
                                    np.array([0, 1, 0, 1]))
         assert mus[1] == -INF and mus[3] == INF
@@ -473,7 +473,7 @@ class TestMasslessPiece:
         region = interval_union([(-1.0, 0.5), (1.0, 4.0)])
         x, lam = 2.0, 0.8
         table = PieceTable(np.array([x, self.X]), np.array([lam, self.SPEC.lam]),
-                           *piece_rows([region, self.SPEC.region]))
+                           *padded_rows([region, self.SPEC.region]))
         f = table.cdf(np.array([1.0, self.SPEC.mu]))
         assert f[1] == 0.0
         assert f[0] == truncated_cdf(x, TruncatedNormalSpec(1.0, lam, region))
@@ -511,7 +511,7 @@ class TestRootAtCdfRounding:
                 - mpmath.mpf(0.975), mu)
         assert abs(mu - float(root)) <= math.ulp(mu)
         mus, _ = PieceTable(np.array([args[1]]), np.array([args[2]]),
-                            *args[3].as_row()).invert(np.array([args[0]]), np.array([0]))
+                            *padded_rows([args[3]])).invert(np.array([args[0]]), np.array([0]))
         assert mus[0] == mu
 
     def test_root_thousands_of_scales_away(self):
@@ -529,7 +529,7 @@ class TestRootAtCdfRounding:
         x = -1.38381703386
         region = interval_union([(-1.38381796450, -0.45317277506),
                                  (85.846, 88.155), (93.230, math.inf)])
-        mu, status = PieceTable(np.array([x]), np.array([3.672]), *region.as_row()).invert(
+        mu, status = PieceTable(np.array([x]), np.array([3.672]), *padded_rows([region])).invert(
             np.array([0.975, 0.025]), np.array([0, 0]))
         assert mu.tolist() == [-math.inf, math.inf]
         assert status.tolist() == [truncnorm._STALLED] * 2
@@ -570,7 +570,7 @@ class TestSolverWork:
         targets = np.array([0.975, 0.025, 1e-6, 1 - 1e-6, 0.5])
         xs = np.array([2.3, 2.3, -1.0, 40.0, 0.0])
         lams = np.array([1.7, 1.7, 0.2, 3.0, 1e-3])
-        mus, _ = PieceTable(xs, lams, *piece_rows([FULL_LINE] * 5)).invert(targets, np.arange(5))
+        mus, _ = PieceTable(xs, lams, *padded_rows([FULL_LINE] * 5)).invert(targets, np.arange(5))
         assert tally == {"endpoints": 5, "evals": 5, "rounds": 1}
         assert np.array_equal(mus, xs - lams * ndtri(targets))
         assert invert_mean(0.975, 2.3, 1.7, FULL_LINE) == mus[0]
