@@ -12,6 +12,11 @@ score gap.  It does so in two stages: :func:`cut_comparisons` keeps the
 comparisons of one response's directions that can fail, and
 :func:`event_regions` solves and sweeps those of a whole batch of responses
 at once.
+
+:func:`_scaled_directions` checks every direction and scales it by a power
+of two; its lengths, tolerances and ``eta'y`` are formed in that scaled
+coordinate, so a direction scaled by ``2**k`` has its event scaled by
+``2**k``, exactly.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
-from typing import List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -55,7 +60,8 @@ class EtaDecomposition:
 
     @property
     def eta_norm2(self) -> float:
-        return float(self.eta @ self.eta)
+        norm = math.hypot(*self.eta)  # without overflow or underflow
+        return norm * norm
 
     def reconstruct(self) -> np.ndarray:
         return self.eta_dot_y * self.eta_tilde + self.z
@@ -87,12 +93,44 @@ class SelectionEvent:
 MIN_ETA_EXP = -1021
 
 
-def _unit_scaled(etas: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Each direction (the last axis) times the power of two ``2**-exp``
-    that brings its largest entry into [1/2, 1), and ``exp``: its squared
-    norm can then neither overflow nor underflow, and the scaling is exact."""
-    _, exp = np.frexp(np.abs(etas).max(axis=-1, initial=0.0))
-    return np.ldexp(etas, -exp[..., None]), exp
+def _scaled_directions(
+    y: np.ndarray, etas: np.ndarray, before: Optional[Callable[[int], object]] = None,
+    refuse: bool = True,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(unit, exp, t)`` of the (T, n) stack ``etas`` through ``y``: each
+    direction times the power of two ``2**-exp`` that brings its largest
+    entry into [1/2, 1), and its ``t = unit @ y``.  The scaling is exact, so
+    its ``eta'y`` is ``ldexp(t, exp)`` and its length ``ldexp(|unit|, exp)``.
+
+    A non-finite ``y`` raises ``InputError``.  Unless ``refuse`` is false,
+    the first direction that is non-finite, zero or too small, or whose
+    ``eta'y`` overflows, is refused; ``before(i)`` runs first if ``i > 0``.
+    """
+    y = np.asarray(y, dtype=float).reshape(-1)
+    etas = np.asarray(etas, dtype=float)
+    if etas.ndim != 2 or etas.shape[1] != y.shape[0]:
+        raise errors.DimensionMismatch(
+            f"y has length {y.shape[0]}, etas have shape {etas.shape}")
+    _require_finite_response(y)
+    top = np.abs(etas).max(axis=1, initial=0.0)
+    _, exp = np.frexp(top)
+    unit = np.ldexp(etas, -exp[:, None])
+    with np.errstate(all="ignore"):
+        t = unit @ y
+        ok = ((top > 0.0) & (top < math.inf) & (exp >= MIN_ETA_EXP)
+              & (np.abs(np.ldexp(t, exp)) < math.inf))
+    if refuse and not ok.all():
+        i = int(np.argmin(ok))
+        if i and before is not None:
+            before(i)
+        if not top[i] < math.inf:
+            raise errors.InputError("eta holds a non-finite value")
+        if top[i] == 0.0:
+            raise errors.ZeroEta("eta must be nonzero")
+        if exp[i] < MIN_ETA_EXP:
+            raise errors.InputError("eta is too small: eta / |eta|^2 overflows")
+        raise errors.InputError("eta'y overflows")
+    return unit, exp, t
 
 
 def _strict_supersets(cs: CandidateSet, hat: int) -> np.ndarray:
@@ -102,34 +140,25 @@ def _strict_supersets(cs: CandidateSet, hat: int) -> np.ndarray:
 
 
 def decompose(y: np.ndarray, eta: np.ndarray) -> EtaDecomposition:
-    """Split ``y`` into ``(eta'y) * eta_tilde + z`` with ``eta'z = 0``.
-
-    ``eta`` is scaled by a power of two to form its squared norm (see
-    :func:`_unit_scaled`), which changes no bit of ``eta_tilde`` or
-    ``eta'y``.  A non-finite ``y`` or ``eta`` raises ``InputError``.
-    """
+    """Split ``y`` into ``(eta'y) * eta_tilde + z`` with ``eta'z = 0``, with
+    ``eta`` measured and checked by :func:`_scaled_directions`."""
     y = np.asarray(y, dtype=float).reshape(-1)
     eta = np.asarray(eta, dtype=float).reshape(-1)
-    if y.shape != eta.shape:
-        raise errors.DimensionMismatch(
-            f"y has length {y.shape[0]}, eta has length {eta.shape[0]}")
-    _require_finite_response(y)
-    if not np.isfinite(eta).all():
-        raise errors.InputError("eta holds a non-finite value")
-    unit, exp = _unit_scaled(eta)
-    if exp < MIN_ETA_EXP:
-        raise errors.InputError("eta is too small: eta / |eta|^2 overflows")
-    nrm2 = float(unit @ unit)
-    if nrm2 == 0.0:
-        raise errors.ZeroEta("eta must be nonzero")
-    eta_tilde = np.ldexp(unit / nrm2, -exp)
-    eta_dot_y = float(np.ldexp(unit @ y, exp))
-    z = y - eta_dot_y * eta_tilde
-    return EtaDecomposition(eta=eta, eta_tilde=eta_tilde,
-                            eta_dot_y=eta_dot_y, z=z)
+    unit, exp, t = _scaled_directions(y, eta[None, :])
+    eta_tilde, z = _split(y, unit)
+    return EtaDecomposition(eta=eta, eta_tilde=np.ldexp(eta_tilde[0], -exp[0]),
+                            eta_dot_y=float(np.ldexp(t[0], exp[0])), z=z[0])
 
 
-def _forbidden(a2, a1, a0, scale2, scale1, shift, unit):
+def _split(y: np.ndarray, unit: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The scaled ``eta_tilde = unit / |unit|^2`` of each direction and the
+    response's part ``z`` orthogonal to it, from each row's own ``unit'y``
+    (a stack's matrix product rounds a row by its position)."""
+    eta_tilde = unit / np.einsum("tn,tn->t", unit, unit)[:, None]
+    return eta_tilde, y - np.einsum("tn,n->t", unit, y)[:, None] * eta_tilde
+
+
+def _forbidden(a2, a1, a0, scale2, scale1, shift):
     """Closed sets of ``s = shift + u`` where ``a2 u^2 + a1 u + a0 > 0`` fails.
 
     Each comparison yields at most two closed intervals.  They are returned
@@ -139,8 +168,7 @@ def _forbidden(a2, a1, a0, scale2, scale1, shift, unit):
     ``scale2`` and ``scale1`` are the natural magnitudes of the leading and
     linear coefficients; values within ``LEAD_TOL`` of zero relative to them
     are treated as exact zeros.  ``shift`` holds each comparison's origin, so
-    roots found in ``u`` come back in ``s``, and ``unit`` each comparison's
-    length in ``s`` of one unit of the caller's coordinate, which the merge
+    roots found in ``u`` come back in ``s``, the coordinate the merge
     tolerance is measured in.
     """
     quad = np.abs(a2) > LEAD_TOL * scale2
@@ -154,9 +182,9 @@ def _forbidden(a2, a1, a0, scale2, scale1, shift, unit):
     r2 = shift[two] + np.maximum(ra, rb)
     up = a2[two] > 0.0
     # upward parabola: fails between its roots.  A gap no wider than the
-    # interval merge tolerance is a floating-point sliver; the canonical
-    # feasible set closes it, so it forbids nothing.
-    wide = r2 - r1 > MERGE_REL * np.maximum(unit[two], np.maximum(np.abs(r1), np.abs(r2)))
+    # merge tolerance at its ends, in the scaled coordinate (so whatever the
+    # direction's own scale), is a floating-point sliver: it forbids nothing.
+    wide = r2 - r1 > MERGE_REL * np.maximum(1.0, np.maximum(np.abs(r1), np.abs(r2)))
     between = up & wide
     # downward parabola: fails outside its roots
     down = two[~up]
@@ -220,8 +248,8 @@ def _allowed(row: np.ndarray, lo: np.ndarray, hi: np.ndarray,
 class Comparisons:
     """One response's comparisons that can fail, cut along its T directions.
 
-    Direction ``i`` is scaled by ``2**-exp[i]`` (see :func:`_unit_scaled`).
-    ``t`` holds each scaled direction's ``eta'y``;
+    Direction ``i`` is scaled by ``2**-exp[i]`` (see
+    :func:`_scaled_directions`).  ``t`` holds each scaled direction's ``eta'y``;
     solved comparison ``j`` belongs to direction ``row[j]``, is against
     candidate ``model[j]``, and holds where ``a2 u^2 + a1 u + a0 > 0`` with
     ``u = s - t[row[j]]``, in the scaled direction's coordinate ``s``.
@@ -243,9 +271,8 @@ class Comparisons:
     def failure_sets(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every solved comparison's nonempty closed failure sets, in the
         scaled coordinates, as :func:`_forbidden`'s ``(owner, lo, hi)``."""
-        unit = np.ldexp(1.0, -self.exp)
         return _forbidden(self.a2, self.a1, self.a0, self.scale2, self.scale1,
-                          self.t[self.row], unit[self.row])
+                          self.t[self.row])
 
 
 def selection_event(
@@ -305,6 +332,7 @@ def selection_events(
     # nowhere
     each_lo, each_hi = (np.ldexp(side, cut.exp[cut.row, None])
                         for side in _allowed(*cut.failure_sets, len(cut.row)))
+    _, z = _split(y, _scaled_directions(y, etas)[0])
     events = []
     for i, eta in enumerate(etas):
         mine = np.flatnonzero(cut.row == i)
@@ -319,7 +347,7 @@ def selection_events(
                              if m in row else FULL_LINE)
             for m, model in enumerate(cs.models) if m != hat)
         events.append(SelectionEvent(S_hat, IntervalUnion.from_row(lo[i], hi[i]),
-                                     records, eta, decompose(y, eta).z))
+                                     records, eta, z[i]))
     return tuple(events)
 
 
@@ -351,26 +379,10 @@ def cut_comparisons(
     the criterion does not select ``S_hat``.
     """
     y = np.asarray(y, dtype=float).reshape(-1)
-    etas = np.asarray(etas, dtype=float)
-    if etas.ndim != 2 or etas.shape[1] != y.shape[0]:
-        raise errors.DimensionMismatch(
-            f"y has length {y.shape[0]}, etas have shape {etas.shape}")
-    _require_finite_response(y)
-    scaled, exp = _unit_scaled(etas)
+    # a batch fails as its first failing direction's own call would
+    scaled, exp, t = _scaled_directions(y, etas, lambda i: selection_events(
+        data, y, etas[:i], S_hat, spec, policy))
     norm2 = np.einsum("tn,tn->t", scaled, scaled)
-    ok = (norm2 > 0.0) & (norm2 < math.inf) & (exp >= MIN_ETA_EXP)
-    if not ok.all():
-        # the directions before the first bad one still fail as their own
-        # calls would
-        i = int(np.argmin(ok))
-        if i:
-            selection_events(data, y, etas[:i], S_hat, spec, policy)
-        if not np.isfinite(norm2[i]):
-            raise errors.InputError("eta holds a non-finite value")
-        if norm2[i] == 0.0:
-            raise errors.ZeroEta("eta must be nonzero")
-        raise errors.InputError("eta is too small: eta / |eta|^2 overflows")
-    t = scaled @ y
     cs = candidate_set(data, policy)
     try:
         hat = cs.index_of(S_hat)

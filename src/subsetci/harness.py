@@ -401,9 +401,8 @@ def _run_rep_chunk(
                 # direction (a point that is zero on every selected column)
                 # is not applicable either
                 etas = target_directions(data, S_hat, [targets[i] for i in rows_t])
-                live = np.einsum("tn,tn->t", etas, etas) > 0.0
-                if not live.all():
-                    rows_t, etas = rows_t[live], etas[live]
+                live = np.abs(etas).max(axis=1, initial=0.0) > 0.0
+                rows_t, etas = rows_t[live], etas[live]
                 batch.append(cut_comparisons(data, data.y, etas, S_hat, spec))
             except errors.NumericalError as exc:
                 fail(rep, exc)

@@ -2,7 +2,10 @@
 
 The corrected interval inverts the truncated-normal CDF of ``eta'y`` over the
 selection-event region in its mean parameter; the classical interval is the
-textbook normal/t interval with no conditioning.
+textbook normal/t interval with no conditioning.  Both form ``eta'y`` and
+``|eta|`` in the direction's power-of-two-scaled coordinate (see
+``geometry._scaled_directions``), so that scaling a target by ``2**k`` scales
+its limits by ``2**k`` exactly and leaves its pivot unchanged.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from scipy.stats import norm as norm_dist, t as t_dist
 
 from . import errors
 from .criteria import CandidatePolicy, CriterionSpec, DEFAULT_POLICY
-from .geometry import SelectionEvent, decompose, selection_events
+from .geometry import SelectionEvent, _scaled_directions, decompose, selection_events
 from .intervals import FULL_LINE, IntervalUnion, padded_rows
 from .linmodel import Dataset, IndexSet
 from .truncnorm import PieceTable, TruncatedNormalSpec, mass_underflow, truncated_cdf
@@ -305,22 +308,25 @@ def interval_cells(
 
     ``etas`` is the (T, n) stack of target directions and ``regions`` the
     padded rows ``(lo, hi)`` of their selection events' regions for the
-    response ``data.y``.  Estimated noise levels are plugged into the
-    known-sigma machinery.  Each target's observation is checked against
+    response ``data.y``.  Each ``eta'y`` and ``|eta|`` is formed in the
+    direction's scaled coordinate.  Estimated noise levels are plugged into
+    the known-sigma machinery.  Each target's observation is checked against
     its region once.
     """
     if not 0.0 < alpha < 1.0:
         raise errors.InputError(f"alpha must be in (0,1), got {alpha}")
-    etas = np.asarray(etas, dtype=float)
     lo, hi = regions
-    if etas.shape[0] != lo.shape[0]:
+    if len(etas) != lo.shape[0]:
         raise errors.DimensionMismatch(
-            f"{etas.shape[0]} directions for {lo.shape[0]} regions")
+            f"{len(etas)} directions for {lo.shape[0]} regions")
     sigmas = np.array([estimate_sigma(data, S_hat, s) for s in strategies],
                       dtype=float)
     crit = [critical_value(data, S_hat, s, alpha) for s in strategies]
     quants = np.array([q for q, _ in crit], dtype=float)
-    points = etas @ data.y
+    # no direction is refused here: a non-finite one gives a NaN eta'y,
+    # which no region holds, and a zero one a zero-width classical interval
+    unit, exp, t = _scaled_directions(data.y, etas, refuse=False)
+    points = np.ldexp(t, exp)
     x = points[:, None]
     outside = np.flatnonzero(~((lo < x) & (x < hi)).any(axis=1))
     if outside.size:
@@ -328,7 +334,7 @@ def interval_cells(
         raise errors.ObservationOutsideRegion(
             f"x={points[i]} is not interior to the region "
             f"{IntervalUnion.from_row(lo[i], hi[i])}")
-    scales = np.linalg.norm(etas, axis=1)
+    scales = np.ldexp(np.linalg.norm(unit, axis=1), exp)
     return IntervalCells(
         points=points, lam=np.outer(scales, sigmas),
         half=np.outer(scales, sigmas * quants), sigmas=sigmas,
@@ -407,7 +413,8 @@ def _single_target(
     A supplied event must be one of ``S_hat`` and, for what it records, cut
     along the target's direction through this response: its direction and
     its response's part orthogonal to it must be the target's and this
-    response's (to rounding: 1e-12 of their norms).
+    response's (to rounding: 1e-12 of their norms, which ``math.hypot``
+    forms without overflow or underflow).
     """
     if y is not None and y is not data.y:
         data = data.replace_y(y)
@@ -424,7 +431,7 @@ def _single_target(
              "through another response than this one")):
         if recorded is not None and (
                 np.shape(recorded) != want.shape
-                or np.linalg.norm(recorded - want) > 1e-12 * np.linalg.norm(want)):
+                or not math.dist(recorded, want) <= 1e-12 * math.hypot(*want)):
             raise errors.InputError(f"event was cut {what}")
     return data, eta, event
 
@@ -487,10 +494,8 @@ def pivot_value(
     """
     data, eta, event = _single_target(data, y, S_hat, target, criterion_spec,
                                       policy, event)
-    x = float(eta @ data.y)
-    if not event.region.contains(x):
-        raise errors.ObservationOutsideRegion(
-            f"x={x} is not interior to the region {event.region}")
-    lam = estimate_sigma(data, S_hat, sigma_spec) * float(np.linalg.norm(eta))
-    return truncated_cdf(x, TruncatedNormalSpec(
-        mu=float(hypothesized_value), lam=lam, region=event.region))
+    # alpha sets only the classical half-width, which a pivot does not read
+    cells = interval_cells(data, S_hat, eta[None, :], padded_rows([event.region]),
+                           [sigma_spec], 0.05)
+    return truncated_cdf(float(cells.points[0]), TruncatedNormalSpec(
+        mu=float(hypothesized_value), lam=float(cells.lam[0, 0]), region=event.region))

@@ -23,10 +23,6 @@ INF = math.inf
 MERGE_REL = 1e-12
 
 
-def _merge_tol(a: float, b: float) -> float:
-    return MERGE_REL * max(1.0, abs(a), abs(b))
-
-
 @dataclass(frozen=True)
 class IntervalUnion:
     """Canonical union of open intervals ``(lo, hi)`` with ``lo < hi``.
@@ -54,26 +50,14 @@ class IntervalUnion:
 
     def contains(self, t: float) -> bool:
         """Strict interior membership (endpoints count as outside)."""
-        for lo, hi in self.intervals:
-            if lo < t < hi:
-                return True
-            if t <= lo:
-                break
-        return False
+        return any(lo < t < hi for lo, hi in self.intervals)
 
     def complement(self) -> "IntervalUnion":
         """Open complement; shared endpoints (measure zero) are dropped."""
-        if self.is_empty:
-            return FULL_LINE
-        pieces = []
-        cursor = -INF
-        for lo, hi in self.intervals:
-            if cursor < lo:
-                pieces.append((cursor, lo))
-            cursor = hi
-        if cursor < INF:
-            pieces.append((cursor, INF))
-        return interval_union(pieces)
+        ends = [-INF, *(end for piece in self.intervals for end in piece), INF]
+        # the pieces are sorted and disjoint, so their gaps need no merge
+        return IntervalUnion(tuple((lo, hi) for lo, hi in zip(ends[::2], ends[1::2])
+                                   if lo < hi))
 
     def endpoints(self) -> list[float]:
         """All finite endpoints, in increasing order."""
@@ -103,7 +87,7 @@ def interval_union(pairs: Iterable[Tuple[float, float]]) -> IntervalUnion:
     merged = [kept[0]]
     for lo, hi in kept[1:]:
         plo, phi = merged[-1]
-        if lo - phi <= _merge_tol(phi, lo):
+        if lo - phi <= MERGE_REL * max(1.0, abs(phi), abs(lo)):
             merged[-1] = (plo, max(phi, hi))
         else:
             merged.append((lo, hi))

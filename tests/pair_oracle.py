@@ -362,7 +362,11 @@ def unscreened_event_rows(
     """The padded region rows of ``selection_events(data, y, etas, ...)``
     for valid input, with every comparison solved: each direction's row
     holds its comparisons' failure sets, a skipped superset comparison's
-    left out, for the one padded sweep."""
+    left out, for the one padded sweep.  Each direction is solved scaled by
+    the power of two that brings its largest entry into [1/2, 1), where the
+    sliver floor is measured, and its row scaled back."""
+    _, exp = np.frexp(np.abs(etas).max(axis=1))
+    etas = np.ldexp(etas, -exp[:, None])
     norm2 = np.einsum("tn,tn->t", etas, etas)
     t = etas @ y
     cs = candidate_set(data, policy)
@@ -388,13 +392,13 @@ def unscreened_event_rows(
     scale2 = np.outer(et2, big)
     scale1 = np.outer(2.0 * np.sqrt(et2 * float(y @ y)), big)
     owner, lo, hi = _forbidden(a2.ravel(), a1.ravel(), a0, scale2.ravel(),
-                               scale1.ravel(), np.repeat(t, idx.size), np.ones(a0.size))
+                               scale1.ravel(), np.repeat(t, idx.size))
     row, col = np.divmod(owner, idx.size)
     keep = ~(in_span[row] & superset[idx[col]])
     order = np.argsort(row[keep], kind="stable")
     lo, hi = _pack_rows(row[keep][order], lo[keep][order], hi[keep][order],
                         len(t), -math.inf)
-    return padded_allowed(lo, hi)
+    return tuple(np.ldexp(side, exp[:, None]) for side in padded_allowed(lo, hi))
 
 
 def _pack_rows(r: np.ndarray, lo: np.ndarray, hi: np.ndarray, rows: int,

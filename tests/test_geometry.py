@@ -54,7 +54,7 @@ def feasible_from_quadratic(a2, a1, a0, scale2, scale1):
     failure-set kernel and sweep applied to one comparison."""
     owner, lo, hi = _forbidden(*(np.array([v], dtype=float)
                                  for v in (a2, a1, a0, scale2, scale1)),
-                               shift=np.zeros(1), unit=np.ones(1))
+                               shift=np.zeros(1))
     lo, hi = _allowed(owner, lo, hi, 1)
     return IntervalUnion.from_row(lo[0], hi[0])
 
@@ -139,6 +139,12 @@ class TestDecompose:
         with pytest.raises(errors.InputError, match="eta holds a non-finite"):
             decompose(np.arange(4.0), np.array([bad, 1.0, 0.0, 0.0]))
 
+    def test_overflowing_eta_dot_y_is_an_input_error(self):
+        # finite input whose eta'y passes the largest float once gave
+        # eta'y = inf and a NaN z, with warnings only
+        with pytest.raises(errors.InputError, match="eta'y overflows"):
+            decompose(np.full(4, 1e10), np.array([1e300, 1.0, 0.0, 0.0]))
+
 
 class TestQuadraticCaseAnalysis:
     def test_upward_parabola_roots(self):
@@ -175,21 +181,20 @@ class TestQuadraticCaseAnalysis:
         assert hi1 == pytest.approx(-1e8, rel=1e-6)
         assert lo2 == pytest.approx(-1e-8, rel=1e-6)
 
-    @pytest.mark.parametrize("k", [0, 20, -20])
-    def test_merge_tolerance_is_measured_in_the_callers_unit(self, k):
-        # (t - 1e-13)(t - 6e-13) fails on a sliver narrower than MERGE_REL,
-        # so it forbids nothing; written in s = 2**k t, with unit 2**k, it
-        # forbids nothing either, though the sliver is 2**k times as wide
-        def failure(unit):
-            s = math.ldexp(1.0, k)
-            coefficients = [np.array([v]) for v in
-                            (1.0 / s ** 2, -7e-13 / s, 6e-26, 1.0 / s ** 2, 1.0 / s)]
-            owner, _, _ = _forbidden(*coefficients, shift=np.zeros(1),
-                                     unit=np.array([unit]))
-            return owner.size > 0
-
-        assert not failure(math.ldexp(1.0, k))
-        assert failure(1.0) == (k > 0)
+    @pytest.mark.parametrize("centre", [0.0, 1e3, -1e6])
+    @pytest.mark.parametrize("width, forbids", [(0.5, False), (2.0, True)])
+    def test_merge_tolerance_is_measured_in_the_scaled_coordinate(
+            self, centre, width, forbids):
+        # (u - 1e-13)(u - 1e-13 - w) fails on a sliver of width w around
+        # s = centre + u; narrower than MERGE_REL * max(1, |s|) in the scaled
+        # coordinate s, it forbids nothing, and twice as wide it forbids,
+        # whatever the direction's own scale was
+        r1 = 1e-13
+        r2 = r1 + width * MERGE_REL * max(1.0, abs(centre))
+        coefficients = [np.array([v]) for v in (1.0, -(r1 + r2), r1 * r2)]
+        owner, _, _ = _forbidden(*coefficients, np.ones(1), np.ones(1),
+                                 shift=np.array([centre]))
+        assert (owner.size > 0) == forbids
 
 
 @st.composite
@@ -235,7 +240,7 @@ def test_failure_sets_are_nonempty_entries_of_their_comparisons(case):
     """Every entry is a nonempty set (lo <= hi) of a comparison in range,
     and no comparison owns more than two."""
     coefficients, shift, _ = case
-    owner, lo, hi = _forbidden(*coefficients, shift=shift, unit=np.ones_like(shift))
+    owner, lo, hi = _forbidden(*coefficients, shift=shift)
     assert owner.shape == lo.shape == hi.shape
     assert (lo <= hi).all()
     assert ((0 <= owner) & (owner < shift.size)).all()
@@ -249,7 +254,7 @@ def test_row_sweep_equals_the_one_row_reference(case):
     ``interval_union``'s merge, which therefore never fires; the row's
     pieces come first, then empty (0, 0) padding."""
     coefficients, shift, rows = case
-    owner, lo, hi = _forbidden(*coefficients, shift=shift, unit=np.ones_like(shift))
+    owner, lo, hi = _forbidden(*coefficients, shift=shift)
     of = owner // (shift.size // rows)
     got_lo, got_hi = _allowed(of, lo, hi, rows)
     for i in range(rows):
@@ -510,12 +515,14 @@ class TestSelectionEvent:
 
     def test_event_records_its_direction(self, rng):
         # eta is the row the event was cut along and z the response's part
-        # orthogonal to it; both are left out of ==
+        # orthogonal to it, bit for bit decompose's whatever the row's place
+        # in the stack; both are left out of ==
         d = random_dataset(rng, n=18, p=4, signal=np.array([3.0, 2.0, 0, 0]))
         spec = CriterionSpec(Criterion.AIC, 18)
         S_hat, _ = best_subset(d, spec)
         etas = target_directions(d, S_hat, [InferenceTarget.coefficient(i)
-                                            for i in S_hat.indices])
+                                            for i in S_hat.indices] + [
+            InferenceTarget.prediction_mean(x) for x in rng.standard_normal((6, 4))])
         for eta, event in zip(etas, selection_events(d, d.y, etas, S_hat, spec)):
             assert np.array_equal(event.eta, eta)
             assert np.array_equal(event.z, decompose(d.y, eta).z)
@@ -547,11 +554,12 @@ class TestSelectionEvent:
         np.testing.assert_allclose(event.z, decompose(d.y, np.eye(20)[0]).z,
                                    rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("k", [-20, 300, 600])
+    @pytest.mark.parametrize("k", [-300, -40, -20, 300, 600])
     def test_direction_scaled_by_a_power_of_two_gives_the_scaled_event(self, k):
         # exactly: the scaled direction's |eta|^2 overflows at k = 600.  The
-        # merge tolerance is MERGE_REL * max(1, |end|) in eta'y, so scaling
-        # down is exact only while the holes stay wider than 1e-12
+        # merge tolerance is measured in the direction's scaled coordinate,
+        # so the excluded piece [-0.348, 0.348] of the coefficient-1 event
+        # stays from k = -40 on, where it is narrower than 1e-12 in eta'y
         d, spec, S_hat = self._aic_problem()
         etas = target_directions(d, S_hat, [InferenceTarget.coefficient(i)
                                             for i in S_hat.indices])

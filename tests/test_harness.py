@@ -254,12 +254,12 @@ class TestSimulateCoverage:
         solved, rootless = [], []
         forbidden = geometry._forbidden
 
-        def counted(a2, a1, a0, scale2, scale1, shift, unit):
+        def counted(a2, a1, a0, scale2, scale1, shift):
             quad = np.abs(a2) > geometry.LEAD_TOL * scale2
             rootless.append(int((quad & (a2 > 0.0)
                                  & ~(a1 * a1 - 4.0 * a2 * a0 > 0.0)).sum()))
             solved.append(a2.size)
-            return forbidden(a2, a1, a0, scale2, scale1, shift, unit)
+            return forbidden(a2, a1, a0, scale2, scale1, shift)
 
         monkeypatch.setattr(geometry, "_forbidden", counted)
         cfg = SimulationConfig(
@@ -406,6 +406,24 @@ class TestCoefficientTargets:
         assert rep.reps_completed == cfg.reps
         assert rep.cell("x1", "known", "corrected").count == with_x4
         assert rep.cell("x2", "known", "corrected").count == cfg.reps
+
+    def test_point_scaled_by_a_power_of_two_gives_the_same_cells(self):
+        # the directions of x0 * 2**-540 have entries whose squares
+        # underflow; the study once counted them as zero directions and
+        # reported no replication in any cell
+        base = dict(n=15, p=6, beta=(1.0, 2.0, 3.0, 0.0, 0.0, 0.0), rho=0.5,
+                    sigma=1.0, reps=40, master_seed=3,
+                    sigma_strategies=(SigmaSpec.known(1.0),))
+        _, points = generate_design(SimulationConfig(**base))
+        reports = [simulate_coverage(SimulationConfig(**base, targets=(
+            InferenceTarget.prediction_mean(np.ldexp(points[0], k)),)))
+            for k in (0, -540)]
+        cells = [[(c.target, c.strategy, c.method, c.hits, c.count)
+                  for c in rep.cells] for rep in reports]
+        assert cells[0] == cells[1]
+        assert all(count > 0 for *_, count in cells[0])
+        (key,) = reports[0].pivots
+        assert np.array_equal(reports[0].pivots[key], reports[1].pivots[key])
 
     @pytest.mark.parametrize("fixed", [True, False])
     def test_worker_count_does_not_change_report(self, fixed):

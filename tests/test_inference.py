@@ -27,6 +27,7 @@ from subsetci.inference import (
 from subsetci.intervals import FULL_LINE, interval_union, padded_rows
 from subsetci.truncnorm import PieceTable, TruncatedNormalSpec, invert_mean, truncated_cdf
 
+import test_geometry
 from conftest import random_dataset
 from pair_oracle import residual_project, sequential_region
 
@@ -381,6 +382,54 @@ class TestPivotValue:
         grid = np.arange(1, len(u) + 1) / len(u)
         ks = max(np.max(np.abs(u - grid)), np.max(np.abs(u - grid + 1 / len(u))))
         assert ks < 0.1
+
+
+class TestDirectionScale:
+    """A target scaled by ``2**k`` has its direction scaled by ``2**k``: its
+    event and limits scale with it and its pivot does not change, exactly,
+    also where ``|eta|^2`` overflows (k = 530) or underflows (k = -600)."""
+
+    X0 = np.array([1.0, 0.5, -1.0, 2.0])
+
+    @staticmethod
+    def _target(k):
+        return InferenceTarget.prediction_mean(np.ldexp(TestDirectionScale.X0, k))
+
+    @pytest.mark.parametrize("sigma", [SigmaSpec.known(1.0), SigmaSpec.mse_full()],
+                             ids=["known", "mse_full"])
+    @pytest.mark.parametrize("k", [-600, -40, 530])
+    def test_limits_and_pivot_scale_exactly(self, k, sigma):
+        d, spec, S_hat = test_geometry.TestSelectionEvent._aic_problem()
+
+        def limits(k):
+            target = self._target(k)
+            cor = corrected_ci(d, None, S_hat, target, 0.05, sigma, spec)
+            cla = classical_ci(d, S_hat, target, 0.05, sigma)
+            pivot = pivot_value(d, None, S_hat, target, math.ldexp(0.5, k),
+                                sigma, spec)
+            return (cor.lower, cor.upper, cor.point_estimate, cla.lower,
+                    cla.upper), pivot
+
+        base, base_pivot = limits(0)
+        assert all(map(math.isfinite, base)) and 0.0 < base_pivot < 1.0
+        got, pivot = limits(k)
+        assert got == tuple(math.ldexp(v, k) for v in base)
+        assert pivot == base_pivot
+
+    def test_event_cut_along_a_multiple_is_refused_where_the_norm_overflows(self):
+        # |eta|^2 passes the largest float at this scale, and the check once
+        # compared two infinite norms and let an event cut along 2 eta through
+        d, spec, S_hat = test_geometry.TestSelectionEvent._aic_problem()
+        target = self._target(530)
+        eta = eta_for_target(d, S_hat, target)
+        (event,) = selection_events(d, d.y, 2.0 * eta[None, :], S_hat, spec)
+        sig = SigmaSpec.known(1.0)
+        with pytest.raises(errors.InputError,
+                           match="event was cut along another direction"):
+            corrected_ci(d, None, S_hat, target, 0.05, sig, spec, event=event)
+        with pytest.raises(errors.InputError,
+                           match="event was cut along another direction"):
+            pivot_value(d, None, S_hat, target, 0.0, sig, spec, event=event)
 
 
 @st.composite

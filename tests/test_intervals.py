@@ -63,6 +63,11 @@ def test_open_interval_convention_at_endpoints():
 def test_complement_round_trip():
     u = interval_union([(-INF, -1.0), (0.0, 2.0), (5.0, INF)])
     assert u.complement().complement() == u
+    # a piece narrower than the merge tolerance is a gap of the complement,
+    # which is built from the pieces' ends without a merge
+    u = interval_union([(-INF, 0.0), (1.0, 1.0 + 1e-13), (2.0, INF)])
+    assert u.complement().intervals == ((0.0, 1.0), (1.0 + 1e-13, 2.0))
+    assert u.complement().complement() == u
 
 
 def test_endpoints_are_the_finite_ends_in_order():
