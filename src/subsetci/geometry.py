@@ -13,10 +13,10 @@ comparisons of one response's directions that can fail, and
 :func:`event_regions` solves and sweeps those of a whole batch of responses
 at once.
 
-:func:`_scaled_directions` checks every direction and scales it by a power
-of two; its lengths, tolerances and ``eta'y`` are formed in that scaled
-coordinate, so a direction scaled by ``2**k`` has its event scaled by
-``2**k``, exactly.
+:func:`_scaled_directions` checks every direction, for every caller alike,
+and scales it by a power of two; its lengths, tolerances and ``eta'y`` are
+formed in that scaled coordinate, so a direction scaled by ``2**k`` has its
+event scaled by ``2**k``, exactly.
 """
 
 from __future__ import annotations
@@ -95,16 +95,15 @@ MIN_ETA_EXP = -1021
 
 def _scaled_directions(
     y: np.ndarray, etas: np.ndarray, before: Optional[Callable[[int], object]] = None,
-    refuse: bool = True,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(unit, exp, t)`` of the (T, n) stack ``etas`` through ``y``: each
     direction times the power of two ``2**-exp`` that brings its largest
     entry into [1/2, 1), and its ``t = unit @ y``.  The scaling is exact, so
     its ``eta'y`` is ``ldexp(t, exp)`` and its length ``ldexp(|unit|, exp)``.
 
-    A non-finite ``y`` raises ``InputError``.  Unless ``refuse`` is false,
-    the first direction that is non-finite, zero or too small, or whose
-    ``eta'y`` overflows, is refused; ``before(i)`` runs first if ``i > 0``.
+    A non-finite ``y`` raises ``InputError``.  The first direction that is
+    non-finite, zero or too small, or whose ``eta'y`` overflows, is refused;
+    ``before(i)`` runs first if ``i > 0``.
     """
     y = np.asarray(y, dtype=float).reshape(-1)
     etas = np.asarray(etas, dtype=float)
@@ -119,7 +118,7 @@ def _scaled_directions(
         t = unit @ y
         ok = ((top > 0.0) & (top < math.inf) & (exp >= MIN_ETA_EXP)
               & (np.abs(np.ldexp(t, exp)) < math.inf))
-    if refuse and not ok.all():
+    if not ok.all():
         i = int(np.argmin(ok))
         if i and before is not None:
             before(i)
@@ -131,6 +130,13 @@ def _scaled_directions(
             raise errors.InputError("eta is too small: eta / |eta|^2 overflows")
         raise errors.InputError("eta'y overflows")
     return unit, exp, t
+
+
+def measure(y: np.ndarray, etas: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(eta'y, |eta|)`` of each row of the (T, n) ``etas`` through ``y``,
+    formed and refused by :func:`_scaled_directions`."""
+    unit, exp, t = _scaled_directions(y, etas)
+    return np.ldexp(t, exp), np.ldexp(np.linalg.norm(unit, axis=1), exp)
 
 
 def _strict_supersets(cs: CandidateSet, hat: int) -> np.ndarray:
@@ -249,14 +255,16 @@ class Comparisons:
     """One response's comparisons that can fail, cut along its T directions.
 
     Direction ``i`` is scaled by ``2**-exp[i]`` (see
-    :func:`_scaled_directions`).  ``t`` holds each scaled direction's ``eta'y``;
-    solved comparison ``j`` belongs to direction ``row[j]``, is against
-    candidate ``model[j]``, and holds where ``a2 u^2 + a1 u + a0 > 0`` with
-    ``u = s - t[row[j]]``, in the scaled direction's coordinate ``s``.
+    :func:`_scaled_directions`).  ``t`` and ``length`` hold each scaled
+    direction's ``eta'y`` and ``|eta|``; solved comparison ``j`` belongs to
+    direction ``row[j]``, is against candidate ``model[j]``, and holds where
+    ``a2 u^2 + a1 u + a0 > 0`` with ``u = s - t[row[j]]``, in the scaled
+    direction's coordinate ``s``.
     ``in_span`` marks the directions in the selected model's column span.
     """
 
     t: np.ndarray  # (T,)
+    length: np.ndarray  # (T,)
     exp: np.ndarray  # (T,)
     in_span: np.ndarray  # (T,)
     row: np.ndarray  # (k,)
@@ -266,6 +274,11 @@ class Comparisons:
     a0: np.ndarray
     scale2: np.ndarray
     scale1: np.ndarray
+
+    @property
+    def measurement(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Each direction's ``eta'y`` and ``|eta|``, as :func:`measure` gives."""
+        return np.ldexp(self.t, self.exp), np.ldexp(self.length, self.exp)
 
     @functools.cached_property
     def failure_sets(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -332,7 +345,7 @@ def selection_events(
     # nowhere
     each_lo, each_hi = (np.ldexp(side, cut.exp[cut.row, None])
                         for side in _allowed(*cut.failure_sets, len(cut.row)))
-    _, z = _split(y, _scaled_directions(y, etas)[0])
+    _, z = _split(y, np.ldexp(etas, -cut.exp[:, None]))
     events = []
     for i, eta in enumerate(etas):
         mine = np.flatnonzero(cut.row == i)
@@ -375,8 +388,8 @@ def cut_comparisons(
     direction in the selected span skips its strict-superset comparisons,
     which forbid nothing there.
 
-    Raises for non-finite input, a zero direction, and a response for which
-    the criterion does not select ``S_hat``.
+    Raises for a non-finite response, a refused direction, and a response
+    for which the criterion does not select ``S_hat``.
     """
     y = np.asarray(y, dtype=float).reshape(-1)
     # a batch fails as its first failing direction's own call would
@@ -425,8 +438,9 @@ def cut_comparisons(
     k = np.flatnonzero(cut)
     r, c = np.divmod(k, idx.size)
     scale1 = 2.0 * np.sqrt(et2 * float(y @ y))
-    return Comparisons(t, exp, in_span, r, idx[c], a2.take(k), a1.take(k),
-                       a0[c], scale2.take(k), scale1[r] * big[c])
+    return Comparisons(t, np.linalg.norm(scaled, axis=1), exp, in_span, r, idx[c],
+                       a2.take(k), a1.take(k), a0[c], scale2.take(k),
+                       scale1[r] * big[c])
 
 
 def event_regions(

@@ -33,6 +33,7 @@ from .geometry import (
     SelectionEvent,
     cut_comparisons,
     event_regions,
+    measure,
     selection_events,
 )
 from .inference import (
@@ -340,11 +341,11 @@ def _run_rep_chunk(
     selection events that can fail (:func:`cut_comparisons`); one
     :func:`event_regions` call solves and sweeps them for the whole block;
     each replication prepares its interval cells (:func:`interval_cells`)
-    from its own regions; then one :func:`solve_intervals` call gives the
-    corrected limits of every cell of the block and their pivots at the
-    truths.  Every cell's numbers depend on that cell alone, so they do not
-    depend on ``BLOCK``.  A replication that fails in any step fails alone,
-    with the message a call of its own gives.
+    from its own regions and its cut's measurement; then one
+    :func:`solve_intervals` call gives the corrected limits of every cell of
+    the block and their pivots at the truths.  Every cell's numbers depend on
+    that cell alone, so they do not depend on ``BLOCK``.  A replication that
+    fails in any step fails alone, with the message a call of its own gives.
     """
     strategies = config.resolved_strategies()
     spec = CriterionSpec(config.criterion, config.n)
@@ -374,8 +375,7 @@ def _run_rep_chunk(
     for block_lo in range(rep_lo, rep_hi, BLOCK):
         # step 1: each replication's selection and the comparisons of its
         # selection events that can fail
-        staged = []  # (row, rep, data, S_hat, targets, their truths, directions)
-        batch = []
+        staged = []  # (row, rep, data, S_hat, targets, their truths, cut)
         for rep in range(block_lo, min(block_lo + BLOCK, rep_hi)):
             row = rep - rep_lo
             noise = rep_stream(config.master_seed, rep).standard_normal(config.n)
@@ -403,23 +403,28 @@ def _run_rep_chunk(
                 etas = target_directions(data, S_hat, [targets[i] for i in rows_t])
                 live = np.abs(etas).max(axis=1, initial=0.0) > 0.0
                 rows_t, etas = rows_t[live], etas[live]
-                batch.append(cut_comparisons(data, data.y, etas, S_hat, spec))
             except errors.NumericalError as exc:
                 fail(rep, exc)
                 continue
-            staged.append((row, rep, data, S_hat, rows_t, truth[rows_t], etas))
+            # a refused direction depends on the selected model: fail alone
+            try:
+                cut = cut_comparisons(data, data.y, etas, S_hat, spec)
+            except (errors.InputError, errors.NumericalError) as exc:
+                fail(rep, exc)
+                continue
+            staged.append((row, rep, data, S_hat, rows_t, truth[rows_t], cut))
 
         # step 2: one solve and one sweep for the block's event regions;
         # step 3: each replication's interval cells from its regions
         pending = []  # (row, rep, applicable targets, their truths, cells)
-        for (row, rep, data, S_hat, rows_t, truth, etas), regions in zip(
-                staged, event_regions(batch)):
+        for (row, rep, data, S_hat, rows_t, truth, cut), regions in zip(
+                staged, event_regions([s[-1] for s in staged])):
             if isinstance(regions, errors.InvariantViolation):
                 fail(rep, regions)
                 continue
             try:
-                cells = interval_cells(data, S_hat, etas, regions, strategies,
-                                       config.alpha)
+                cells = interval_cells(data, S_hat, *cut.measurement, regions,
+                                       strategies, config.alpha)
             except errors.NumericalError as exc:
                 fail(rep, exc)
                 continue
@@ -442,16 +447,8 @@ def _run_rep_chunk(
             ok[row] = True
     failures.sort(key=lambda f: f[0])
 
-    return {
-        "hits_unc": hits_unc,
-        "hits_cor": hits_cor,
-        "applicable": applicable,
-        "pivots": pivots,
-        "sigmas": sigmas,
-        "sizes": sizes,
-        "ok": ok,
-        "failures": failures,
-    }
+    return dict(hits_unc=hits_unc, hits_cor=hits_cor, applicable=applicable,
+                pivots=pivots, sigmas=sigmas, sizes=sizes, ok=ok, failures=failures)
 
 
 def simulate_coverage(config: SimulationConfig, workers: int = 1) -> CoverageReport:
@@ -484,13 +481,9 @@ def simulate_coverage(config: SimulationConfig, workers: int = 1) -> CoverageRep
                        for lo, hi in chunks]
             results = [f.result() for f in futures]
 
-    hits_unc = np.concatenate([r["hits_unc"] for r in results])
-    hits_cor = np.concatenate([r["hits_cor"] for r in results])
-    applicable = np.concatenate([r["applicable"] for r in results])
-    pivots = np.concatenate([r["pivots"] for r in results])
-    sigmas = np.concatenate([r["sigmas"] for r in results])
-    sizes = np.concatenate([r["sizes"] for r in results])
-    ok = np.concatenate([r["ok"] for r in results])
+    hits_unc, hits_cor, applicable, pivots, sigmas, sizes, ok = (
+        np.concatenate([r[key] for r in results]) for key in (
+            "hits_unc", "hits_cor", "applicable", "pivots", "sigmas", "sizes", "ok"))
     failures = [f for r in results for f in r["failures"]]
 
     t_names = [f"x{i+1}" if t.kind == "prediction_mean" else t.label()
@@ -675,7 +668,7 @@ def dataset_report(
         etas = target_directions(data, selected, targets)
         events = selection_events(data, data.y, etas, selected, spec,
                                   policy=policy)
-        table = interval_table(data, selected, etas,
+        table = interval_table(data, selected, *measure(data.y, etas),
                                padded_rows([e.region for e in events]),
                                sigma_strategies, alpha, np.zeros(len(targets)))
         # a classical then a corrected row per (target, strategy)

@@ -2,10 +2,10 @@
 
 The corrected interval inverts the truncated-normal CDF of ``eta'y`` over the
 selection-event region in its mean parameter; the classical interval is the
-textbook normal/t interval with no conditioning.  Both form ``eta'y`` and
-``|eta|`` in the direction's power-of-two-scaled coordinate (see
-``geometry._scaled_directions``), so that scaling a target by ``2**k`` scales
-its limits by ``2**k`` exactly and leaves its pivot unchanged.
+textbook normal/t interval with no conditioning.  Both take ``eta'y`` and
+``|eta|`` as ``geometry.measure`` forms and refuses them, so that scaling a
+target by ``2**k`` scales its limits by ``2**k`` exactly and leaves its
+pivot unchanged.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from scipy.stats import norm as norm_dist, t as t_dist
 
 from . import errors
 from .criteria import CandidatePolicy, CriterionSpec, DEFAULT_POLICY
-from .geometry import SelectionEvent, _scaled_directions, decompose, selection_events
+from .geometry import SelectionEvent, decompose, measure, selection_events
 from .intervals import FULL_LINE, IntervalUnion, padded_rows
 from .linmodel import Dataset, IndexSet
 from .truncnorm import PieceTable, TruncatedNormalSpec, mass_underflow, truncated_cdf
@@ -245,30 +245,24 @@ def classical_ci(
     """Textbook interval on the selected model, with no selection correction:
     the one cell of :func:`interval_cells` over the whole line."""
     eta = eta_for_target(data, S_hat, target)
-    cells = interval_cells(data, S_hat, eta[None, :], padded_rows([FULL_LINE]),
-                           [sigma_spec], alpha)
+    cells = interval_cells(data, S_hat, *measure(data.y, eta[None, :]),
+                           padded_rows([FULL_LINE]), [sigma_spec], alpha)
     point, half = float(cells.points[0]), float(cells.half[0, 0])
-    return CIResult(
-        lower=point - half,
-        upper=point + half,
-        point_estimate=point,
-        pivot=None,
-        alpha=alpha,
-        method=cells.methods[0],
-        sigma_used=float(cells.sigmas[0]),
-    )
+    return CIResult(lower=point - half, upper=point + half, point_estimate=point,
+                    pivot=None, alpha=alpha, method=cells.methods[0],
+                    sigma_used=float(cells.sigmas[0]))
 
 
 @dataclass(frozen=True)
 class IntervalCells:
     """Every classical interval of one response, and its corrected ones' inputs.
 
-    Row ``i`` is the target with direction ``etas[i]``; column ``j`` is
-    noise strategy ``j``.  The classical interval is ``points[i] ± half[i, j]``;
-    the corrected one inverts the normal with scale
-    ``lam[i, j] = sigmas[j] |eta_i|`` truncated to the padded region row
-    ``lo[i]``/``hi[i]``, taken at ``points[i]``, at the equal tails of
-    ``alpha``.
+    Row ``i`` is the target whose direction ``eta_i`` has ``eta_i'y =
+    points[i]``; column ``j`` is noise strategy ``j``.  The classical
+    interval is ``points[i] ± half[i, j]``; the corrected one inverts the
+    normal with scale ``lam[i, j] = sigmas[j] |eta_i|`` truncated to the
+    padded region row ``lo[i]``/``hi[i]``, taken at ``points[i]``, at the
+    equal tails of ``alpha``.
     """
 
     points: np.ndarray  # (T,) eta'y
@@ -298,7 +292,8 @@ class IntervalTable(IntervalCells):
 def interval_cells(
     data: Dataset,
     S_hat: IndexSet,
-    etas: np.ndarray,
+    points: np.ndarray,
+    lengths: np.ndarray,
     regions: Tuple[np.ndarray, np.ndarray],
     strategies: Sequence[SigmaSpec],
     alpha: float,
@@ -306,27 +301,32 @@ def interval_cells(
     """Classical intervals and corrected-interval inputs of every (target,
     strategy) pair.
 
-    ``etas`` is the (T, n) stack of target directions and ``regions`` the
-    padded rows ``(lo, hi)`` of their selection events' regions for the
-    response ``data.y``.  Each ``eta'y`` and ``|eta|`` is formed in the
-    direction's scaled coordinate.  Estimated noise levels are plugged into
-    the known-sigma machinery.  Each target's observation is checked against
-    its region once.
+    ``points`` and ``lengths`` are the T target directions' ``eta'y`` and
+    ``|eta|`` for the response ``data.y``, as ``geometry.measure`` forms
+    them, and ``regions`` the padded rows ``(lo, hi)`` of their selection
+    events' regions.  Estimated noise levels are plugged into the
+    known-sigma machinery.  Each target's observation is checked against its
+    region once.
     """
     if not 0.0 < alpha < 1.0:
         raise errors.InputError(f"alpha must be in (0,1), got {alpha}")
     lo, hi = regions
-    if len(etas) != lo.shape[0]:
+    if len(points) != lo.shape[0]:
         raise errors.DimensionMismatch(
-            f"{len(etas)} directions for {lo.shape[0]} regions")
+            f"{len(points)} directions for {lo.shape[0]} regions")
     sigmas = np.array([estimate_sigma(data, S_hat, s) for s in strategies],
                       dtype=float)
     crit = [critical_value(data, S_hat, s, alpha) for s in strategies]
     quants = np.array([q for q, _ in crit], dtype=float)
-    # no direction is refused here: a non-finite one gives a NaN eta'y,
-    # which no region holds, and a zero one a zero-width classical interval
-    unit, exp, t = _scaled_directions(data.y, etas, refuse=False)
-    points = np.ldexp(t, exp)
+    _require_inside(points, lo, hi)
+    return IntervalCells(
+        points=points, lam=np.outer(lengths, sigmas),
+        half=np.outer(lengths, sigmas * quants), sigmas=sigmas,
+        methods=tuple(m for _, m in crit), lo=lo, hi=hi, alpha=alpha)
+
+
+def _require_inside(points: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
+    """Refuse the first ``points[i]`` not interior to its row ``lo[i]``/``hi[i]``."""
     x = points[:, None]
     outside = np.flatnonzero(~((lo < x) & (x < hi)).any(axis=1))
     if outside.size:
@@ -334,11 +334,6 @@ def interval_cells(
         raise errors.ObservationOutsideRegion(
             f"x={points[i]} is not interior to the region "
             f"{IntervalUnion.from_row(lo[i], hi[i])}")
-    scales = np.ldexp(np.linalg.norm(unit, axis=1), exp)
-    return IntervalCells(
-        points=points, lam=np.outer(scales, sigmas),
-        half=np.outer(scales, sigmas * quants), sigmas=sigmas,
-        methods=tuple(m for _, m in crit), lo=lo, hi=hi, alpha=alpha)
 
 
 def solve_intervals(
@@ -383,7 +378,8 @@ def solve_intervals(
 def interval_table(
     data: Dataset,
     S_hat: IndexSet,
-    etas: np.ndarray,
+    points: np.ndarray,
+    lengths: np.ndarray,
     regions: Tuple[np.ndarray, np.ndarray],
     strategies: Sequence[SigmaSpec],
     alpha: float,
@@ -396,8 +392,8 @@ def interval_table(
     Raises ``RegionMassUnderflow`` when a cell's region carries no
     representable mass at its mean.
     """
-    (table,) = solve_intervals(
-        [interval_cells(data, S_hat, etas, regions, strategies, alpha)], [mu])
+    (table,) = solve_intervals([interval_cells(
+        data, S_hat, points, lengths, regions, strategies, alpha)], [mu])
     if isinstance(table, errors.RegionMassUnderflow):
         raise table
     return table
@@ -407,8 +403,8 @@ def _single_target(
     data: Dataset, y: Optional[np.ndarray], S_hat: IndexSet,
     target: InferenceTarget, criterion_spec: CriterionSpec,
     policy: CandidatePolicy, event: Optional[SelectionEvent],
-) -> Tuple[Dataset, np.ndarray, SelectionEvent]:
-    """(data with response ``y``, the target's direction, its selection event).
+) -> Tuple[Dataset, np.ndarray, np.ndarray, SelectionEvent]:
+    """(data with response ``y``, the target's measurement, its selection event).
 
     A supplied event must be one of ``S_hat`` and, for what it records, cut
     along the target's direction through this response: its direction and
@@ -420,20 +416,21 @@ def _single_target(
         data = data.replace_y(y)
     eta = eta_for_target(data, S_hat, target)
     if event is None:
-        return data, eta, selection_events(data, data.y, eta[None, :], S_hat,
-                                           criterion_spec, policy)[0]
-    if event.selected != S_hat:
+        event = selection_events(data, data.y, eta[None, :], S_hat,
+                                 criterion_spec, policy)[0]
+    elif event.selected != S_hat:
         raise errors.NotSelectedModel(
             f"the event is one of {event.selected}, not of {S_hat}")
-    for recorded, want, what in (
-            (event.eta, eta, "along another direction than the target's"),
-            (event.z, decompose(data.y, eta).z,
-             "through another response than this one")):
-        if recorded is not None and (
-                np.shape(recorded) != want.shape
-                or not math.dist(recorded, want) <= 1e-12 * math.hypot(*want)):
-            raise errors.InputError(f"event was cut {what}")
-    return data, eta, event
+    else:
+        for recorded, want, what in (
+                (event.eta, eta, "along another direction than the target's"),
+                (event.z, decompose(data.y, eta).z,
+                 "through another response than this one")):
+            if recorded is not None and (
+                    np.shape(recorded) != want.shape
+                    or not math.dist(recorded, want) <= 1e-12 * math.hypot(*want)):
+                raise errors.InputError(f"event was cut {what}")
+    return (data, *measure(data.y, eta[None, :]), event)
 
 
 def corrected_ci(
@@ -459,20 +456,15 @@ def corrected_ci(
     """
     if not 0.0 < alpha < 1.0:
         raise errors.InputError(f"alpha must be in (0,1), got {alpha}")
-    data, eta, event = _single_target(data, y, S_hat, target, criterion_spec,
-                                      policy, event)
-    table = interval_table(data, S_hat, eta[None, :], padded_rows([event.region]),
+    data, points, lengths, event = _single_target(
+        data, y, S_hat, target, criterion_spec, policy, event)
+    table = interval_table(data, S_hat, points, lengths, padded_rows([event.region]),
                            [sigma_spec], alpha, [0.0])
-    return CIResult(
-        lower=float(table.lower[0, 0]),
-        upper=float(table.upper[0, 0]),
-        point_estimate=float(table.points[0]),
-        pivot=float(table.pivots[0, 0]),
-        alpha=alpha,
-        method=METHOD_CORRECTED,
-        sigma_used=float(table.sigmas[0]),
-        event_summary=event,
-    )
+    return CIResult(lower=float(table.lower[0, 0]), upper=float(table.upper[0, 0]),
+                    point_estimate=float(table.points[0]),
+                    pivot=float(table.pivots[0, 0]), alpha=alpha,
+                    method=METHOD_CORRECTED, sigma_used=float(table.sigmas[0]),
+                    event_summary=event)
 
 
 def pivot_value(
@@ -492,10 +484,9 @@ def pivot_value(
     on (0,1); it is the quantity the corrected interval inverts.  A supplied
     ``event`` is checked as :func:`corrected_ci` checks it.
     """
-    data, eta, event = _single_target(data, y, S_hat, target, criterion_spec,
-                                      policy, event)
-    # alpha sets only the classical half-width, which a pivot does not read
-    cells = interval_cells(data, S_hat, eta[None, :], padded_rows([event.region]),
-                           [sigma_spec], 0.05)
-    return truncated_cdf(float(cells.points[0]), TruncatedNormalSpec(
-        mu=float(hypothesized_value), lam=float(cells.lam[0, 0]), region=event.region))
+    data, points, lengths, event = _single_target(
+        data, y, S_hat, target, criterion_spec, policy, event)
+    lam = float(lengths[0]) * estimate_sigma(data, S_hat, sigma_spec)
+    _require_inside(points, *padded_rows([event.region]))
+    return truncated_cdf(float(points[0]), TruncatedNormalSpec(
+        mu=float(hypothesized_value), lam=lam, region=event.region))

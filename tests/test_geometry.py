@@ -18,6 +18,7 @@ from subsetci.geometry import (
     cut_comparisons,
     decompose,
     event_regions,
+    measure,
     selection_event,
     selection_events,
 )
@@ -530,6 +531,18 @@ class TestSelectionEvent:
                                            event.comparisons)
         dec = decompose(d.y, etas[0])
         assert np.array_equal(selection_event(d, dec, S_hat, spec).eta, dec.eta)
+
+    def test_cut_hands_on_what_measure_gives(self, rng):
+        # a study's cells take eta'y and |eta| from the cut, the one-target
+        # API from measure: bit for bit the same pair (the square root of
+        # the cut's own |unit|^2 rounds otherwise in some rows)
+        d = random_dataset(rng, n=18, p=4, signal=np.array([3.0, 2.0, 0, 0]))
+        spec = CriterionSpec(Criterion.AIC, 18)
+        S_hat, _ = best_subset(d, spec)
+        etas = target_directions(d, S_hat, [
+            InferenceTarget.prediction_mean(x) for x in rng.standard_normal((20, 4))])
+        got = cut_comparisons(d, d.y, etas, S_hat, spec).measurement
+        assert all(map(np.array_equal, got, measure(d.y, etas)))
 
     @staticmethod
     def _aic_problem():

@@ -245,6 +245,14 @@ class TestSimulateCoverage:
         assert blocks == 2
         assert (len(sweeps), len(records)) == (blocks, 0)
 
+    def test_study_measures_each_replication_once(self, measurements):
+        # the cut measures a replication's directions, and its interval
+        # cells take that measurement
+        cfg = tiny_config(reps=12, n_new_points=3)
+        rep = simulate_coverage(cfg)
+        assert rep.reps_completed == cfg.reps
+        assert len(measurements) == cfg.reps
+
     def test_study_solves_no_comparison_that_cannot_fail(self, monkeypatch):
         # an upward parabola without a real root fails nowhere, so a
         # table1-shaped study never hands one to the root solver, which it
@@ -424,6 +432,20 @@ class TestCoefficientTargets:
         assert all(count > 0 for *_, count in cells[0])
         (key,) = reports[0].pivots
         assert np.array_equal(reports[0].pivots[key], reports[1].pivots[key])
+
+    def test_point_too_small_to_measure_fails_its_replications_alone(self):
+        # the directions of x0 * 2**-1070 are too small for eta / |eta|^2;
+        # that refusal once aborted the whole study with an InputError
+        base = dict(n=15, p=6, beta=(1.0, 2.0, 3.0, 0.0, 0.0, 0.0), rho=0.5,
+                    sigma=1.0, reps=3, master_seed=3,
+                    sigma_strategies=(SigmaSpec.known(1.0),))
+        _, points = generate_design(SimulationConfig(**base))
+        rep = simulate_coverage(SimulationConfig(**base, targets=(
+            InferenceTarget.prediction_mean(np.ldexp(points[0], -1070)),)))
+        assert rep.reps_completed == 0
+        assert [r for r, _ in rep.failures] == [0, 1, 2]
+        assert all(msg == "InputError: eta is too small: eta / |eta|^2 overflows"
+                   for _, msg in rep.failures)
 
     @pytest.mark.parametrize("fixed", [True, False])
     def test_worker_count_does_not_change_report(self, fixed):
@@ -623,6 +645,17 @@ ALL_STRATEGIES = (SigmaSpec.known(0.5), SigmaSpec.external(0.6),
 class TestOneArithmetic:
     """The coverage study and the analysis report build their intervals the
     way the single-target API does."""
+
+    def test_analysis_measures_its_directions_at_most_twice(self, measurements):
+        # once in the selection events' cut, once for the interval table
+        import importlib.resources as ir
+
+        data = load_csv_dataset(
+            str(ir.files("subsetci") / "data" / "us_consumption.csv"),
+            "Consumption", intercept=True)
+        rep = dataset_report(data, Criterion.AIC, 0.05, ALL_STRATEGIES)
+        assert len(rep.rows) == 2 * len(ALL_STRATEGIES) * len(rep.selected)
+        assert len(measurements) <= 2
 
     def test_analysis_rows_match_single_target_api(self):
         import importlib.resources as ir

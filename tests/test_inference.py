@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from scipy.stats import norm, t as t_dist
 
 from subsetci import Dataset, IndexSet, errors
 from subsetci.criteria import Criterion, CriterionSpec, best_subset
-from subsetci.geometry import SelectionEvent, decompose, selection_events
+from subsetci.geometry import SelectionEvent, decompose, measure, selection_events
 from subsetci.inference import (
     InferenceTarget,
     METHOD_CLASSICAL_KNOWN,
@@ -431,6 +432,54 @@ class TestDirectionScale:
                            match="event was cut along another direction"):
             pivot_value(d, None, S_hat, target, 0.0, sig, spec, event=event)
 
+    @pytest.mark.parametrize("x, error, message", [
+        ((1e308,) * 4, errors.InputError, "eta'y overflows"),
+        ((0.0,) * 4, errors.ZeroEta, "eta must be nonzero")],
+        ids=["overflowing", "zero"])
+    def test_unmeasurable_direction_is_refused_by_every_interval(self, x, error,
+                                                                message):
+        # classical_ci once measured without refusing: the overflowing
+        # eta'y gave ObservationOutsideRegion ("x=inf") after a
+        # RuntimeWarning, and the zero direction the interval [0.0, 0.0]
+        d, spec, S_hat = test_geometry.TestSelectionEvent._aic_problem()
+        target = InferenceTarget.prediction_mean(x)
+        sig = SigmaSpec.known(1.0)
+        calls = (lambda: classical_ci(d, S_hat, target, 0.05, sig),
+                 lambda: corrected_ci(d, None, S_hat, target, 0.05, sig, spec),
+                 lambda: pivot_value(d, None, S_hat, target, 0.0, sig, spec))
+        for call in calls:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(error, match=message) as caught:
+                    call()
+            assert type(caught.value) is error
+
+
+class TestMeasurementCount:
+    """Each single-target interval measures its direction at most twice:
+    once in its selection event's cut (or in the check of a supplied event)
+    and once for its interval, and ``classical_ci`` once."""
+
+    @pytest.mark.parametrize("sigma", [SigmaSpec.known(1.0), SigmaSpec.mse_aic()],
+                             ids=["known", "mse_aic"])
+    def test_single_target_calls(self, measurements, sigma):
+        d, spec, S_hat = test_geometry.TestSelectionEvent._aic_problem()
+        target = InferenceTarget.prediction_mean(TestDirectionScale.X0)
+
+        def calls(run):
+            measurements.clear()
+            run()
+            return len(measurements)
+
+        assert calls(lambda: classical_ci(d, S_hat, target, 0.05, sigma)) == 1
+        event = corrected_ci(d, None, S_hat, target, 0.05, sigma,
+                             spec).event_summary
+        for supplied in (None, event):
+            assert calls(lambda: corrected_ci(d, None, S_hat, target, 0.05, sigma,
+                                              spec, event=supplied)) <= 2
+            assert calls(lambda: pivot_value(d, None, S_hat, target, 0.5, sigma,
+                                             spec, event=supplied)) <= 2
+
 
 @st.composite
 def table_problems(draw):
@@ -492,7 +541,8 @@ class TestIntervalTable:
         does."""
         data, S, etas, regions, strategies, alpha, mu = problem
         rows = padded_rows(regions)
-        cells = interval_cells(data, S, etas, rows, strategies, alpha)
+        measured = measure(data.y, etas)
+        cells = interval_cells(data, S, *measured, rows, strategies, alpha)
         # the limits do not depend on the pivot means, and every region has
         # mass at its own observation: check every problem's limits there
         (table,) = solve_intervals([cells], [cells.points])
@@ -518,9 +568,9 @@ class TestIntervalTable:
                     underflow = True
         if underflow:
             with pytest.raises(errors.RegionMassUnderflow):
-                interval_table(data, S, etas, rows, strategies, alpha, mu)
+                interval_table(data, S, *measured, rows, strategies, alpha, mu)
         else:
-            at_mu = interval_table(data, S, etas, rows, strategies, alpha, mu)
+            at_mu = interval_table(data, S, *measured, rows, strategies, alpha, mu)
             assert np.array_equal(at_mu.lower, table.lower)
             assert np.array_equal(at_mu.upper, table.upper)
             # a numerator piece ~1e300 scales out has no mass, not NaN mass
@@ -536,13 +586,14 @@ class TestIntervalTable:
         etas = target_directions(d, S_hat, targets)
         events = selection_events(d, d.y, etas, S_hat, spec)
         strategies = [SigmaSpec.known(1.0), SigmaSpec.mse_aic(), SigmaSpec.mse_full()]
-        table = interval_table(d, S_hat, etas, padded_rows([e.region for e in events]),
+        table = interval_table(d, S_hat, *measure(d.y, etas),
+                               padded_rows([e.region for e in events]),
                                strategies, 0.05, np.zeros(len(targets)))
         assert table.pivots.shape == (len(targets), 3)
         assert len(built_tables) == 1
         # a response with no applicable target still builds one, empty, table
-        empty = interval_table(d, S_hat, etas[:0], padded_rows([]), strategies,
-                               0.05, np.zeros(0))
+        empty = interval_table(d, S_hat, *measure(d.y, etas[:0]), padded_rows([]),
+                               strategies, 0.05, np.zeros(0))
         assert empty.lower.shape == empty.pivots.shape == (0, 3)
         assert len(built_tables) == 2
 
@@ -554,8 +605,11 @@ class TestObservationCheck:
     STRATEGIES = [SigmaSpec.known(1.0), SigmaSpec.mse_aic()]
 
     def _cells(self, data, etas, regions):
-        return interval_cells(data, IndexSet((1, 2, 3)), etas, padded_rows(regions),
-                              self.STRATEGIES, 0.05)
+        return self._cells_at(data, *measure(data.y, etas), regions)
+
+    def _cells_at(self, data, points, lengths, regions):
+        return interval_cells(data, IndexSet((1, 2, 3)), points, lengths,
+                              padded_rows(regions), self.STRATEGIES, 0.05)
 
     def test_observation_outside_every_piece_is_refused(self, rng):
         data = random_dataset(rng, n=12, p=3)
@@ -568,10 +622,15 @@ class TestObservationCheck:
                                         (x[1] + 1.0, x[1] + 3.0)])):
             with pytest.raises(errors.ObservationOutsideRegion, match=f"x={x[1]}"):
                 self._cells(data, etas, [inside, outside])
+        points, lengths = measure(data.y, etas)
+        points[1] = math.nan
+        with pytest.raises(errors.ObservationOutsideRegion, match="x=nan"):
+            self._cells_at(data, points, lengths, [inside, FULL_LINE])
+        # a NaN direction is refused before it has an observation
         nan_eta = etas.copy()
         nan_eta[1, 0] = math.nan
-        with pytest.raises(errors.ObservationOutsideRegion, match="x=nan"):
-            self._cells(data, nan_eta, [inside, FULL_LINE])
+        with pytest.raises(errors.InputError, match="non-finite"):
+            measure(data.y, nan_eta)
         # inside the later piece of a two-piece region, beside a one-piece one
         later = interval_union([(x[1] - 5.0, x[1] - 3.0), (x[1] - 1.0, x[1] + 1.0)])
         cells = self._cells(data, etas, [inside, later])

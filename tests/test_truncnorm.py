@@ -10,6 +10,7 @@ from scipy.stats import norm
 
 from subsetci import Dataset, IndexSet, errors, truncnorm
 from subsetci.criteria import Criterion, CriterionSpec
+from subsetci.geometry import measure
 from subsetci.harness import SimulationConfig, simulate_coverage
 from subsetci.inference import InferenceTarget, SigmaSpec, interval_table, pivot_value
 from subsetci.intervals import FULL_LINE, interval_union, padded_rows
@@ -397,7 +398,7 @@ class TestBatchFailureIsolation:
         etas = X.T / np.sum(X * X, axis=0)[:, None]
         x = float(etas[1] @ data.y)
         with pytest.raises(errors.ObservationOutsideRegion):
-            interval_table(data, IndexSet((1, 2)), etas,
+            interval_table(data, IndexSet((1, 2)), *measure(data.y, etas),
                            padded_rows([FULL_LINE, interval_union([(x + 1.0, x + 2.0)])]),
                            [SigmaSpec.known(1.0)], 0.05, np.zeros(2))
 
