@@ -135,7 +135,11 @@ def _scaled_directions(
 def measure(y: np.ndarray, etas: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """``(eta'y, |eta|)`` of each row of the (T, n) ``etas`` through ``y``,
     formed and refused by :func:`_scaled_directions`."""
-    unit, exp, t = _scaled_directions(y, etas)
+    return _measured(*_scaled_directions(y, etas))
+
+
+def _measured(unit: np.ndarray, exp: np.ndarray, t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`measure`'s ``(eta'y, |eta|)`` from :func:`_scaled_directions`."""
     return np.ldexp(t, exp), np.ldexp(np.linalg.norm(unit, axis=1), exp)
 
 

@@ -20,7 +20,8 @@ from scipy.stats import norm as norm_dist, t as t_dist
 
 from . import errors
 from .criteria import CandidatePolicy, CriterionSpec, DEFAULT_POLICY
-from .geometry import SelectionEvent, decompose, measure, selection_events
+from .geometry import (
+    SelectionEvent, _measured, _scaled_directions, _split, measure, selection_events)
 from .intervals import FULL_LINE, IntervalUnion, padded_rows
 from .linmodel import Dataset, IndexSet
 from .truncnorm import PieceTable, TruncatedNormalSpec, mass_underflow, truncated_cdf
@@ -415,22 +416,23 @@ def _single_target(
     if y is not None and y is not data.y:
         data = data.replace_y(y)
     eta = eta_for_target(data, S_hat, target)
+    if event is not None and event.selected != S_hat:
+        raise errors.NotSelectedModel(
+            f"the event is one of {event.selected}, not of {S_hat}")
+    unit, exp, t = _scaled_directions(data.y, eta[None, :])
     if event is None:
         event = selection_events(data, data.y, eta[None, :], S_hat,
                                  criterion_spec, policy)[0]
-    elif event.selected != S_hat:
-        raise errors.NotSelectedModel(
-            f"the event is one of {event.selected}, not of {S_hat}")
     else:
         for recorded, want, what in (
                 (event.eta, eta, "along another direction than the target's"),
-                (event.z, decompose(data.y, eta).z,
+                (event.z, _split(data.y, unit)[1][0],
                  "through another response than this one")):
             if recorded is not None and (
                     np.shape(recorded) != want.shape
                     or not math.dist(recorded, want) <= 1e-12 * math.hypot(*want)):
                 raise errors.InputError(f"event was cut {what}")
-    return (data, *measure(data.y, eta[None, :]), event)
+    return (data, *_measured(unit, exp, t), event)
 
 
 def corrected_ci(

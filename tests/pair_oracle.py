@@ -16,10 +16,12 @@ over flat entries segmented by row.
 screen: it solves every comparison, including those that cannot fail.
 :func:`penalty_ratio_sizes` is one comparison's threshold on the ratio of
 residual sums of squares, from the two models' sizes.
-:func:`two_half_log_cdf` is the piece table's log CDF with every piece
-evaluated twice, once whole and once clipped at the observation.
+:func:`two_half_log_cdf` is the piece table's log CDF from padded rows, with
+every piece evaluated twice, once whole and once clipped at the observation,
+by the padded kernel the table once ran (:func:`_log_measure_std`, both
+formulas on every element, and :func:`_logsumexp_rows`).
 The scalar normal interval masses at the end (``normal_measure``) are the
-one-interval view of the library's log-measure kernel, used by tests only.
+one-interval view of that kernel, used by tests only.
 :func:`complement_bases` is the candidate engine's basis build done the
 direct way, with one complete QR per model.
 """
@@ -32,6 +34,7 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
+from scipy.special import erf, log_ndtr
 
 from subsetci import errors
 from subsetci.criteria import (
@@ -48,7 +51,6 @@ from subsetci.geometry import (
 )
 from subsetci.intervals import EMPTY, FULL_LINE, IntervalUnion, interval_union
 from subsetci.linmodel import RANK_TOL, Dataset, IndexSet
-from subsetci.truncnorm import _log_measure_std, _logsumexp_rows
 
 
 def penalty_ratio_sizes(size_tilde: int, size: int, spec: CriterionSpec) -> float:
@@ -330,6 +332,46 @@ def allowed_row(lo: np.ndarray, hi: np.ndarray) -> IntervalUnion:
     ends = np.concatenate((lo[order], [math.inf]))
     gap = starts < ends
     return interval_union(zip(starts[gap].tolist(), ends[gap].tolist()))
+
+
+# The padded log-measure kernel the piece table once evaluated on every
+# column of every row: both formulas on every element, selected with no
+# branch on the data, and a row-wise sum over the columns in order.
+
+def _log1mexp(d: np.ndarray) -> np.ndarray:
+    """log(1 - exp(d)) for d <= 0, both branches evaluated everywhere."""
+    return np.where(d > -math.log(2.0), np.log(-np.expm1(d)), np.log1p(-np.exp(d)))
+
+
+def _log_measure_std(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """log P(a < Z < b) for standard normal Z, elementwise; -inf where b <= a.
+
+    A piece below the mean is reflected, ``(a, b) -> (-b, -a)``, so that one
+    upper-tail formula serves both tails; pieces straddling the mean use the
+    two nonnegative half-``erf`` terms.
+    """
+    with np.errstate(all="ignore"):
+        reflect = b <= 0.0
+        lo = np.where(reflect, -b, a)
+        hi = np.where(reflect, -a, b)
+        neg_lo = -lo
+        la = log_ndtr(neg_lo)
+        lb = log_ndtr(-hi)
+        tail = np.where(la == -np.inf, -np.inf, la + _log1mexp(lb - la))
+        straddle = np.log(0.5 * (erf(hi / math.sqrt(2.0)) + erf(neg_lo / math.sqrt(2.0))))
+        return np.where(b > a, np.where(lo >= 0.0, tail, straddle), -np.inf)
+
+
+def _logsumexp_rows(logs: np.ndarray) -> np.ndarray:
+    """log of the row sums of ``exp(logs)``, -inf for rows without mass,
+    the columns accumulated one at a time."""
+    top = logs.max(axis=1)
+    shift = np.where(np.isfinite(top), top, 0.0)
+    terms = np.exp(logs - shift[:, None])
+    total = terms[:, 0].copy()
+    for j in range(1, logs.shape[1]):
+        total += terms[:, j]
+    return np.where(top == -np.inf, -np.inf, shift + np.log(total))
 
 
 def log_normal_measure(interval: Tuple[float, float], mu: float, lam: float) -> float:

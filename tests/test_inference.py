@@ -457,8 +457,9 @@ class TestDirectionScale:
 
 class TestMeasurementCount:
     """Each single-target interval measures its direction at most twice:
-    once in its selection event's cut (or in the check of a supplied event)
-    and once for its interval, and ``classical_ci`` once."""
+    once in its selection event's cut and once for its interval; with a
+    supplied event, once for both the event's check and the interval; and
+    ``classical_ci`` once."""
 
     @pytest.mark.parametrize("sigma", [SigmaSpec.known(1.0), SigmaSpec.mse_aic()],
                              ids=["known", "mse_aic"])
@@ -474,11 +475,15 @@ class TestMeasurementCount:
         assert calls(lambda: classical_ci(d, S_hat, target, 0.05, sigma)) == 1
         event = corrected_ci(d, None, S_hat, target, 0.05, sigma,
                              spec).event_summary
-        for supplied in (None, event):
-            assert calls(lambda: corrected_ci(d, None, S_hat, target, 0.05, sigma,
-                                              spec, event=supplied)) <= 2
-            assert calls(lambda: pivot_value(d, None, S_hat, target, 0.5, sigma,
-                                             spec, event=supplied)) <= 2
+
+        def single(supplied):
+            return (calls(lambda: corrected_ci(d, None, S_hat, target, 0.05, sigma,
+                                               spec, event=supplied)),
+                    calls(lambda: pivot_value(d, None, S_hat, target, 0.5, sigma,
+                                              spec, event=supplied)))
+
+        assert max(single(None)) <= 2
+        assert single(event) == (1, 1)
 
 
 @st.composite
@@ -637,9 +642,10 @@ class TestObservationCheck:
         assert cells.lo.shape == (2, 2)
 
     def test_mixed_widths_in_one_block_solve_as_alone(self, built_tables, rng):
-        # responses whose regions have 1 to 4 pieces share one table, padded
-        # to the widest; every limit and pivot is bit for bit its own solve's,
-        # and a response whose mean leaves its regions no mass fails alone
+        # responses whose regions have 1 to 4 pieces share one table, which
+        # stores each cell's real pieces and its clipped piece, no padding;
+        # every limit and pivot is bit for bit its own solve's, and a
+        # response whose mean leaves its regions no mass fails alone
         cells, mus = [], []
         for pieces in (1, 4, 2, 2):
             data = random_dataset(rng, n=12, p=3)
@@ -654,7 +660,17 @@ class TestObservationCheck:
             mus.append(etas @ data.y + rng.uniform(-2.0, 2.0, 2))
         mus[3] = np.full(2, 1e300)
         together = solve_intervals(cells, mus)
-        assert len(built_tables) == 1 and built_tables[0].width == 4
+        assert len(built_tables) == 1
+        stored, counts = [], []
+        for c in cells:
+            for x, lo, hi in zip(c.points, c.lo, c.hi):
+                pieces = [(a, b) for a, b in zip(lo, hi) if a < b]
+                holder = next(a for a, b in pieces if a < x < b)
+                stored += (pieces + [(holder, x)]) * c.lam.shape[1]
+                counts += [len(pieces) + 1] * c.lam.shape[1]
+        table = built_tables[0]
+        assert list(zip(table.lo.tolist(), table.hi.tolist())) == stored
+        assert table.count.tolist() == counts
         for c, mu, table in zip(cells[:3], mus, together):
             (alone,) = solve_intervals([c], [mu])
             assert np.array_equal(table.lower, alone.lower)
