@@ -14,7 +14,8 @@ comparisons of one response's directions that can fail, and
 at once.
 
 :func:`_scaled_directions` checks every direction, for every caller alike,
-and scales it by a power of two; its lengths, tolerances and ``eta'y`` are
+and scales it by a power of two; :func:`_accepted` names the error of a
+direction it refuses.  A direction's lengths, tolerances and ``eta'y`` are
 formed in that scaled coordinate, so a direction scaled by ``2**k`` has its
 event scaled by ``2**k``, exactly.
 """
@@ -25,7 +26,7 @@ import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
-from typing import Callable, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -94,16 +95,17 @@ MIN_ETA_EXP = -1021
 
 
 def _scaled_directions(
-    y: np.ndarray, etas: np.ndarray, before: Optional[Callable[[int], object]] = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(unit, exp, t)`` of the (T, n) stack ``etas`` through ``y``: each
-    direction times the power of two ``2**-exp`` that brings its largest
-    entry into [1/2, 1), and its ``t = unit @ y``.  The scaling is exact, so
-    its ``eta'y`` is ``ldexp(t, exp)`` and its length ``ldexp(|unit|, exp)``.
+    y: np.ndarray, etas: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(unit, exp, t, ok)`` of the (T, n) stack ``etas`` through ``y``:
+    each direction times the power of two ``2**-exp`` that brings its
+    largest entry into [1/2, 1), and its ``t = unit @ y``.  The scaling is
+    exact, so its ``eta'y`` is ``ldexp(t, exp)`` and its length
+    ``ldexp(|unit|, exp)``.
 
-    A non-finite ``y`` raises ``InputError``.  The first direction that is
-    non-finite, zero or too small, or whose ``eta'y`` overflows, is refused;
-    ``before(i)`` runs first if ``i > 0``.
+    A non-finite ``y`` raises ``InputError``.  ``ok`` accepts each direction
+    that is finite, nonzero and not too small, and whose ``eta'y`` does not
+    overflow; :func:`_accepted` names a refused one's error.
     """
     y = np.asarray(y, dtype=float).reshape(-1)
     etas = np.asarray(etas, dtype=float)
@@ -118,13 +120,21 @@ def _scaled_directions(
         t = unit @ y
         ok = ((top > 0.0) & (top < math.inf) & (exp >= MIN_ETA_EXP)
               & (np.abs(np.ldexp(t, exp)) < math.inf))
+    return unit, exp, t, ok
+
+
+def _accepted(
+    unit: np.ndarray, exp: np.ndarray, t: np.ndarray, ok: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(unit, exp, t)`` of :func:`_scaled_directions` when it accepts every
+    direction; else the first refused direction's error: non-finite, zero
+    (``ZeroEta``), too small, or an ``eta'y`` that overflows."""
     if not ok.all():
         i = int(np.argmin(ok))
-        if i and before is not None:
-            before(i)
-        if not top[i] < math.inf:
+        # a non-finite or zero direction is left unscaled (frexp gives 0)
+        if not np.isfinite(unit[i]).all():
             raise errors.InputError("eta holds a non-finite value")
-        if top[i] == 0.0:
+        if not unit[i].any():
             raise errors.ZeroEta("eta must be nonzero")
         if exp[i] < MIN_ETA_EXP:
             raise errors.InputError("eta is too small: eta / |eta|^2 overflows")
@@ -134,8 +144,8 @@ def _scaled_directions(
 
 def measure(y: np.ndarray, etas: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """``(eta'y, |eta|)`` of each row of the (T, n) ``etas`` through ``y``,
-    formed and refused by :func:`_scaled_directions`."""
-    return _measured(*_scaled_directions(y, etas))
+    formed by :func:`_scaled_directions` and refused by :func:`_accepted`."""
+    return _measured(*_accepted(*_scaled_directions(y, etas)))
 
 
 def _measured(unit: np.ndarray, exp: np.ndarray, t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -151,10 +161,11 @@ def _strict_supersets(cs: CandidateSet, hat: int) -> np.ndarray:
 
 def decompose(y: np.ndarray, eta: np.ndarray) -> EtaDecomposition:
     """Split ``y`` into ``(eta'y) * eta_tilde + z`` with ``eta'z = 0``, with
-    ``eta`` measured and checked by :func:`_scaled_directions`."""
+    ``eta`` measured by :func:`_scaled_directions` and refused by
+    :func:`_accepted`."""
     y = np.asarray(y, dtype=float).reshape(-1)
     eta = np.asarray(eta, dtype=float).reshape(-1)
-    unit, exp, t = _scaled_directions(y, eta[None, :])
+    unit, exp, t = _accepted(*_scaled_directions(y, eta[None, :]))
     eta_tilde, z = _split(y, unit)
     return EtaDecomposition(eta=eta, eta_tilde=np.ldexp(eta_tilde[0], -exp[0]),
                             eta_dot_y=float(np.ldexp(t[0], exp[0])), z=z[0])
@@ -256,21 +267,23 @@ def _allowed(row: np.ndarray, lo: np.ndarray, hi: np.ndarray,
 
 @dataclass(frozen=True, eq=False)
 class Comparisons:
-    """One response's comparisons that can fail, cut along its T directions.
+    """One response's comparisons that can fail, cut along the K of its
+    directions that :func:`_scaled_directions` accepts.
 
-    Direction ``i`` is scaled by ``2**-exp[i]`` (see
-    :func:`_scaled_directions`).  ``t`` and ``length`` hold each scaled
-    direction's ``eta'y`` and ``|eta|``; solved comparison ``j`` belongs to
-    direction ``row[j]``, is against candidate ``model[j]``, and holds where
-    ``a2 u^2 + a1 u + a0 > 0`` with ``u = s - t[row[j]]``, in the scaled
-    direction's coordinate ``s``.
+    ``kept`` marks those K among the directions asked for.  Direction ``i``
+    (of the K) is scaled by ``2**-exp[i]``.  ``t`` and ``length`` hold each
+    scaled direction's ``eta'y`` and ``|eta|``; solved comparison ``j``
+    belongs to direction ``row[j]``, is against candidate ``model[j]``, and
+    holds where ``a2 u^2 + a1 u + a0 > 0`` with ``u = s - t[row[j]]``, in
+    the scaled direction's coordinate ``s``.
     ``in_span`` marks the directions in the selected model's column span.
     """
 
-    t: np.ndarray  # (T,)
-    length: np.ndarray  # (T,)
-    exp: np.ndarray  # (T,)
-    in_span: np.ndarray  # (T,)
+    kept: np.ndarray  # (T,) bool
+    t: np.ndarray  # (K,)
+    length: np.ndarray  # (K,)
+    exp: np.ndarray  # (K,)
+    in_span: np.ndarray  # (K,)
     row: np.ndarray  # (k,)
     model: np.ndarray  # (k,)
     a2: np.ndarray  # (k,)
@@ -332,12 +345,22 @@ def selection_events(
     second sweep of the same failure sets, each comparison's alone, gives
     the comparison records.
 
-    A failure raises what the first failing direction's own call would
-    raise; no event is returned for the others.
+    A batch with a refused direction raises the first refused direction's
+    own error (:func:`_accepted`), whatever the model or the other
+    directions would raise; any other failure is the one that direction's
+    own call raises.  No event is returned for the others.
     """
     y = np.asarray(y, dtype=float).reshape(-1)
     etas = np.asarray(etas, dtype=float)
-    cut = cut_comparisons(data, y, etas, S_hat, spec, policy)
+    # a refused direction fails the batch with its own error, before any
+    # error of the model; the stack is measured again on these paths only
+    try:
+        cut = cut_comparisons(data, y, etas, S_hat, spec, policy)
+    except errors.SubsetCIError:
+        _accepted(*_scaled_directions(y, etas))
+        raise
+    if not cut.kept.all():
+        _accepted(*_scaled_directions(y, etas))
     (region,) = _regions(cut, [len(cut.t)])
     if isinstance(region, errors.InvariantViolation):
         raise region
@@ -347,8 +370,8 @@ def selection_events(
     superset = _strict_supersets(cs, hat)
     # each solved comparison's own region; a comparison left unsolved fails
     # nowhere
-    each_lo, each_hi = (np.ldexp(side, cut.exp[cut.row, None])
-                        for side in _allowed(*cut.failure_sets, len(cut.row)))
+    each_lo, each_hi = _scaled_back(*_allowed(*cut.failure_sets, len(cut.row)),
+                                    cut.exp[cut.row])
     _, z = _split(y, np.ldexp(etas, -cut.exp[:, None]))
     events = []
     for i, eta in enumerate(etas):
@@ -387,18 +410,20 @@ def cut_comparisons(
     ``b_Si = (R_S eta_tilde_i)'(R_S y)`` and ``c2_Si = |R_S eta_tilde_i|^2``.
     One Gram kernel call over ``[y, eta_tilde_1, ..., eta_tilde_T]`` yields
     every coefficient; the constant term of each comparison is its observed
-    score gap.  Of the T x (M - 1) comparisons, only those that can fail are
+    score gap.  Of the K x (M - 1) comparisons, only those that can fail are
     kept: an upward parabola without a real root fails nowhere, and a
     direction in the selected span skips its strict-superset comparisons,
     which forbid nothing there.
 
-    Raises for a non-finite response, a refused direction, and a response
-    for which the criterion does not select ``S_hat``.
+    Only the K directions that :func:`_scaled_directions` accepts are cut;
+    ``kept`` marks them, and a refused one is left out without an error.
+    Raises for a non-finite response and a response for which the criterion
+    does not select ``S_hat``.
     """
     y = np.asarray(y, dtype=float).reshape(-1)
-    # a batch fails as its first failing direction's own call would
-    scaled, exp, t = _scaled_directions(y, etas, lambda i: selection_events(
-        data, y, etas[:i], S_hat, spec, policy))
+    scaled, exp, t, kept = _scaled_directions(y, etas)
+    if not kept.all():
+        scaled, exp, t = scaled[kept], exp[kept], t[kept]
     norm2 = np.einsum("tn,tn->t", scaled, scaled)
     cs = candidate_set(data, policy)
     try:
@@ -442,8 +467,8 @@ def cut_comparisons(
     k = np.flatnonzero(cut)
     r, c = np.divmod(k, idx.size)
     scale1 = 2.0 * np.sqrt(et2 * float(y @ y))
-    return Comparisons(t, np.linalg.norm(scaled, axis=1), exp, in_span, r, idx[c],
-                       a2.take(k), a1.take(k), a0[c], scale2.take(k),
+    return Comparisons(kept, t, np.linalg.norm(scaled, axis=1), exp, in_span, r,
+                       idx[c], a2.take(k), a1.take(k), a0[c], scale2.take(k),
                        scale1[r] * big[c])
 
 
@@ -481,8 +506,8 @@ def _regions(
     lo, hi = _allowed(whole.row[owner], lo, hi, len(whole.t))
     t = whole.t[:, None]
     inside = ((lo < t) & (t < hi)).any(axis=1)
+    lo, hi = _scaled_back(lo, hi, whole.exp)
     width = (lo < hi).sum(axis=1)
-    lo, hi = np.ldexp(lo, whole.exp[:, None]), np.ldexp(hi, whole.exp[:, None])
     out = []
     ends = np.cumsum(sizes)
     for a, b in zip(ends - sizes, ends):
@@ -494,3 +519,22 @@ def _regions(
         w = width[a:b].max(initial=1)
         out.append((lo[a:b, :w], hi[a:b, :w]))
     return out
+
+
+def _scaled_back(lo: np.ndarray, hi: np.ndarray,
+                 exp: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Padded rows of pieces, each row times ``2**exp`` of its row.
+
+    An end beyond the float range becomes an infinite one, so a piece wholly
+    beyond it is left with no width; such pieces are dropped, which keeps
+    each row's pieces at its front.
+    """
+    with np.errstate(over="ignore"):
+        lo, hi = np.ldexp(lo, exp[:, None]), np.ldexp(hi, exp[:, None])
+    # only a piece with an infinite end can have lost its width
+    gone = np.isinf(lo) & ~(lo < hi)
+    if gone.any():
+        order = np.argsort(gone, axis=1, kind="stable")
+        lo, hi = (np.take_along_axis(np.where(gone, 0.0, side), order, axis=1)
+                  for side in (lo, hi))
+    return lo, hi

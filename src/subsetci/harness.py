@@ -316,7 +316,8 @@ def _truths(data: Dataset, S_hat: IndexSet, targets: Sequence[InferenceTarget],
     adjusted = None
     for i, target in enumerate(targets):
         if target.kind == PREDICTION_MEAN:
-            out[i] = np.asarray(target.x, dtype=float)[int(intercept):] @ beta
+            with np.errstate(over="ignore"):  # beyond the float range: infinite
+                out[i] = np.asarray(target.x, dtype=float)[int(intercept):] @ beta
             continue
         which = (target.index if target.index is not None
                  else data.index_of(target.name))
@@ -344,8 +345,11 @@ def _run_rep_chunk(
     from its own regions and its cut's measurement; then one
     :func:`solve_intervals` call gives the corrected limits of every cell of
     the block and their pivots at the truths.  Every cell's numbers depend on
-    that cell alone, so they do not depend on ``BLOCK``.  A replication that
-    fails in any step fails alone, with the message a call of its own gives.
+    that cell alone, so they do not depend on ``BLOCK``.  A target whose
+    direction the cut refuses (see ``Comparisons.kept``) is not applicable in
+    that replication, and the replication's other targets keep their cells.
+    A replication that fails in any step fails alone, with the message a call
+    of its own gives.
     """
     strategies = config.resolved_strategies()
     spec = CriterionSpec(config.criterion, config.n)
@@ -397,21 +401,15 @@ def _run_rep_chunk(
                 truth = _truths(data, S_hat, targets, beta, mean_r, config.intercept)
                 rows_t = np.flatnonzero(~np.isnan(truth))
                 # every applicable target's direction and comparisons for the
-                # whole replication, each in one call; a target with a zero
-                # direction (a point that is zero on every selected column)
-                # is not applicable either
+                # whole replication, each in one call
                 etas = target_directions(data, S_hat, [targets[i] for i in rows_t])
-                live = np.abs(etas).max(axis=1, initial=0.0) > 0.0
-                rows_t, etas = rows_t[live], etas[live]
+                cut = cut_comparisons(data, data.y, etas, S_hat, spec)
             except errors.NumericalError as exc:
                 fail(rep, exc)
                 continue
-            # a refused direction depends on the selected model: fail alone
-            try:
-                cut = cut_comparisons(data, data.y, etas, S_hat, spec)
-            except (errors.InputError, errors.NumericalError) as exc:
-                fail(rep, exc)
-                continue
+            # a target whose direction the cut refuses (zero, say: a point
+            # that is zero on every selected column) is not applicable
+            rows_t = rows_t[cut.kept]
             staged.append((row, rep, data, S_hat, rows_t, truth[rows_t], cut))
 
         # step 2: one solve and one sweep for the block's event regions;

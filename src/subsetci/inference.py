@@ -21,7 +21,8 @@ from scipy.stats import norm as norm_dist, t as t_dist
 from . import errors
 from .criteria import CandidatePolicy, CriterionSpec, DEFAULT_POLICY
 from .geometry import (
-    SelectionEvent, _measured, _scaled_directions, _split, measure, selection_events)
+    SelectionEvent, _accepted, _measured, _scaled_directions, _split, measure,
+    selection_events)
 from .intervals import FULL_LINE, IntervalUnion, padded_rows
 from .linmodel import Dataset, IndexSet
 from .truncnorm import PieceTable, TruncatedNormalSpec, mass_underflow, truncated_cdf
@@ -419,7 +420,7 @@ def _single_target(
     if event is not None and event.selected != S_hat:
         raise errors.NotSelectedModel(
             f"the event is one of {event.selected}, not of {S_hat}")
-    unit, exp, t = _scaled_directions(data.y, eta[None, :])
+    unit, exp, t = _accepted(*_scaled_directions(data.y, eta[None, :]))
     if event is None:
         event = selection_events(data, data.y, eta[None, :], S_hat,
                                  criterion_spec, policy)[0]

@@ -400,21 +400,27 @@ def test_screened_sweep_equals_the_unscreened_one(case, criterion, kinds):
     assert np.array_equal(got_lo, lo) and np.array_equal(got_hi, hi)
 
 
-def _single_call_error(data, y, eta, S_hat, spec, policy):
+def _error_of(call):
+    """(type, message) of the error ``call()`` raises, or None."""
     try:
-        selection_event(data, decompose(y, eta), S_hat, spec, policy=policy)
+        call()
     except errors.SubsetCIError as exc:
-        return type(exc)
+        return type(exc), str(exc)
     return None
 
 
 @KERNEL_SETTINGS
 @given(designs(), st.sampled_from(list(Criterion)),
-       st.lists(st.sampled_from(["in-span", "off-span", "zero"]),
+       st.lists(st.sampled_from(["in-span", "off-span", "zero", "tiny"]),
                 min_size=1, max_size=4),
-       st.booleans())
-def test_first_failing_direction_decides_the_error(case, criterion, kinds,
-                                                   wrong_model):
+       st.sampled_from([None, "zero", "tiny"]), st.booleans())
+def test_a_refused_direction_decides_the_error_first(case, criterion, kinds,
+                                                     last, wrong_model):
+    # a batch with a refused direction raises the first refused direction's
+    # own error (its decompose's), whatever the model or the other
+    # directions would raise; otherwise the first failing direction's.
+    # ``last`` appends a refused direction, so that with a wrong model it
+    # follows a direction whose own call fails on the model
     data, policy, rng = case
     spec, S_hat, _ = _selected_direction(data, policy, rng, criterion)
     if wrong_model:
@@ -422,28 +428,28 @@ def test_first_failing_direction_decides_the_error(case, criterion, kinds,
         assume(others)
         S_hat = others[int(rng.integers(len(others)))]
     etas = []
-    for kind in kinds:
+    for kind in kinds + [last] * (last is not None):
         if kind == "zero":
             etas.append(np.zeros(data.n))
         elif kind == "off-span":
             etas.append(rng.standard_normal(data.n))
-        elif len(S_hat):
-            etas.append(eta_for_target(data, S_hat, InferenceTarget.coefficient(
-                int(rng.choice(S_hat.indices)))))
         else:
-            etas.append(data.X[:, 0].copy())
-    errs = [_single_call_error(data, data.y, eta, S_hat, spec, policy)
-            for eta in etas]
-    first = next((e for e in errs if e is not None), None)
-    if first is None:
-        events = selection_events(data, data.y, np.array(etas), S_hat, spec,
-                                  policy=policy)
-        assert len(events) == len(etas)
-    else:
-        with pytest.raises(errors.SubsetCIError) as exc:
-            selection_events(data, data.y, np.array(etas), S_hat, spec,
-                             policy=policy)
-        assert type(exc.value) is first
+            eta = (eta_for_target(data, S_hat, InferenceTarget.coefficient(
+                int(rng.choice(S_hat.indices)))) if len(S_hat)
+                else data.X[:, 0].copy())
+            # below the smallest normal float: too small to measure
+            etas.append(np.ldexp(eta, -1100) if kind == "tiny" else eta)
+    refused = [_error_of(lambda: decompose(data.y, eta)) for eta in etas]
+    own = [_error_of(lambda: selection_event(data, decompose(data.y, eta),
+                                             S_hat, spec, policy=policy))
+           for eta in etas]
+    want = next((e for e in refused + own if e is not None), None)
+    got = _error_of(lambda: selection_events(data, data.y, np.array(etas), S_hat,
+                                             spec, policy=policy))
+    assert got == want
+    if want is None:
+        assert len(selection_events(data, data.y, np.array(etas), S_hat, spec,
+                                    policy=policy)) == len(etas)
 
 
 def test_batched_events_refuse_mismatched_directions(small_data):

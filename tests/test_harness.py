@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import os
+import warnings
 from concurrent.futures import Future
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import pytest
 
 from subsetci import Dataset, IndexSet, errors
 from subsetci.criteria import Criterion, CriterionSpec, best_subset
+from subsetci.geometry import cut_comparisons, event_regions
 from subsetci.harness import (
     SimulationConfig,
     _run_rep_chunk,
@@ -33,6 +35,7 @@ from subsetci.inference import (
     corrected_ci,
     estimate_sigma,
     pivot_value,
+    target_directions,
 )
 from subsetci.linmodel import adjusted_coefficients
 
@@ -433,19 +436,74 @@ class TestCoefficientTargets:
         (key,) = reports[0].pivots
         assert np.array_equal(reports[0].pivots[key], reports[1].pivots[key])
 
-    def test_point_too_small_to_measure_fails_its_replications_alone(self):
-        # the directions of x0 * 2**-1070 are too small for eta / |eta|^2;
-        # that refusal once aborted the whole study with an InputError
+    def test_refused_point_leaves_the_other_targets_their_cells(self):
+        # the directions of x0 * 2**-1070 are too small for eta / |eta|^2 and
+        # the zero point's are zero: each refusal once failed the whole
+        # replication, and x0 lost its cells with it
         base = dict(n=15, p=6, beta=(1.0, 2.0, 3.0, 0.0, 0.0, 0.0), rho=0.5,
                     sigma=1.0, reps=3, master_seed=3,
                     sigma_strategies=(SigmaSpec.known(1.0),))
         _, points = generate_design(SimulationConfig(**base))
+        x0 = InferenceTarget.prediction_mean(points[0])
         rep = simulate_coverage(SimulationConfig(**base, targets=(
-            InferenceTarget.prediction_mean(np.ldexp(points[0], -1070)),)))
-        assert rep.reps_completed == 0
-        assert [r for r, _ in rep.failures] == [0, 1, 2]
-        assert all(msg == "InputError: eta is too small: eta / |eta|^2 overflows"
-                   for _, msg in rep.failures)
+            x0, InferenceTarget.prediction_mean(np.ldexp(points[0], -1070)),
+            InferenceTarget.prediction_mean((0.0,) * 6))))
+        alone = simulate_coverage(SimulationConfig(**base, targets=(x0,)))
+        assert rep.reps_completed == 3 and rep.failures == []
+        assert all(c.count == 0 for c in rep.cells if c.target != "x1")
+        cells = [[(c.strategy, c.method, c.hits, c.count)
+                  for c in r.cells if c.target == "x1"] for r in (rep, alone)]
+        assert cells[0] == cells[1]
+        assert all(count == 3 for *_, count in cells[0])
+        # the Gram's kernel rounds a direction by the stack it is in
+        key = ("x1", "known")
+        np.testing.assert_allclose(rep.pivots[key], alone.pivots[key],
+                                   rtol=1e-12, atol=0)
+
+    def test_event_beyond_the_float_range_scales_back_without_a_warning(self):
+        # the event of x0 * 2**1020 in replication 0 has the piece
+        # (-inf, -110.57 * 2**1020), beyond the largest float: scaling it
+        # back warned "overflow encountered in ldexp", an error under -W
+        # error, and left the row a piece with no width in front
+        cfg = SimulationConfig(n=15, p=6, beta=(1.0, 2.0, 3.0, 0.0, 0.0, 0.0),
+                               rho=0.5, sigma=1.0, reps=14, master_seed=3,
+                               sigma_strategies=(SigmaSpec.known(1.0),))
+        X, points = generate_design(cfg)
+        spec = CriterionSpec(cfg.criterion, cfg.n)
+        sig = SigmaSpec.known(1.0)
+        targets = [InferenceTarget.prediction_mean(np.ldexp(points[0], k))
+                   for k in (0, 1020)]
+        for rep, (data, _, S_hat) in enumerate(_replications(cfg, X)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                base, big = (corrected_ci(data, None, S_hat, t, 0.05, sig, spec)
+                             for t in targets)
+                etas = target_directions(data, S_hat, targets)
+                (lo, hi), = event_regions(
+                    [cut_comparisons(data, data.y, etas, S_hat, spec)])
+            assert (big.lower, big.upper) == (math.ldexp(base.lower, 1020),
+                                              math.ldexp(base.upper, 1020))
+            # each row's pieces stay at its front
+            real = lo < hi
+            assert not (~real[:, :-1] & real[:, 1:]).any()
+            if rep == 0:
+                assert real.sum(axis=1).tolist() == [4, 3]
+                assert lo[0, 0] == -math.inf and hi[0, 0] < -110
+
+    def test_point_whose_truth_overflows_is_refused_without_a_warning(self):
+        # x0 * 2**1023 has a truth x'beta beyond the largest float, which
+        # warned "overflow encountered" before its direction was refused
+        base = dict(n=15, p=6, beta=(1.0, 2.0, 3.0, 0.0, 0.0, 0.0), rho=0.5,
+                    sigma=1.0, reps=3, master_seed=3,
+                    sigma_strategies=(SigmaSpec.known(1.0),))
+        _, points = generate_design(SimulationConfig(**base))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = simulate_coverage(SimulationConfig(**base, targets=(
+                InferenceTarget.prediction_mean(points[0]),
+                InferenceTarget.prediction_mean(np.ldexp(points[0], 1023)))))
+        assert rep.reps_completed == 3
+        assert [c.count for c in rep.cells] == [3, 3, 0, 0]
 
     @pytest.mark.parametrize("fixed", [True, False])
     def test_worker_count_does_not_change_report(self, fixed):
