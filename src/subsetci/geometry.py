@@ -422,8 +422,7 @@ def cut_comparisons(
     """
     y = np.asarray(y, dtype=float).reshape(-1)
     scaled, exp, t, kept = _scaled_directions(y, etas)
-    if not kept.all():
-        scaled, exp, t = scaled[kept], exp[kept], t[kept]
+    scaled, exp, t = scaled[kept], exp[kept], t[kept]
     norm2 = np.einsum("tn,tn->t", scaled, scaled)
     cs = candidate_set(data, policy)
     try:
