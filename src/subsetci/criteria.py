@@ -403,7 +403,7 @@ class CandidateSet:
         g = u @ self._dirs.T  # (T+1, models below the top)
         step = np.concatenate([g[0] * g, g[1:] * g[1:]])
         for lv in reversed(self._levels[:-1]):
-            np.add(out[:, lv.supers], step[:, lv.models], out=out[:, lv.models])
+            np.add(out.take(lv.supers, axis=1), step[:, lv.models], out=out[:, lv.models])
         return out
 
     def rss_all(self, y: np.ndarray) -> np.ndarray:

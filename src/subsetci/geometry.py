@@ -410,10 +410,10 @@ def cut_comparisons(
     ``b_Si = (R_S eta_tilde_i)'(R_S y)`` and ``c2_Si = |R_S eta_tilde_i|^2``.
     One Gram kernel call over ``[y, eta_tilde_1, ..., eta_tilde_T]`` yields
     every coefficient; the constant term of each comparison is its observed
-    score gap.  Of the K x (M - 1) comparisons, only those that can fail are
-    kept: an upward parabola without a real root fails nowhere, and a
-    direction in the selected span skips its strict-superset comparisons,
-    which forbid nothing there.
+    score gap.  Of the K x (M - 1) comparisons, formed over the whole (K, M)
+    candidate row, only those that can fail are kept, in that order: an
+    upward parabola without a real root fails nowhere, and a direction in
+    the selected span skips its strict-superset comparisons.
 
     Only the K directions that :func:`_scaled_directions` accepts are cut;
     ``kept`` marks them, and a refused one is left out without an error.
@@ -439,35 +439,28 @@ def cut_comparisons(
 
     # |R_hat eta| = sqrt(c2[hat]) * |eta|^2 since eta_tilde = eta / |eta|^2
     in_span = np.sqrt(c2[:, hat]) * norm2 <= ETA_SPAN_TOL * np.sqrt(norm2)
-    superset = _strict_supersets(cs, hat)
-    active = np.ones(len(cs), dtype=bool)
-    active[hat] = False
-    all_in_span = bool(in_span.all())
-    if all_in_span:
-        active &= ~superset
-    idx = np.flatnonzero(active)
     penalties = cs.penalties(spec)
-    omegas = np.exp((penalties[hat] - penalties[idx]) / spec.n)
+    omegas = np.exp((penalties[hat] - penalties) / spec.n)
     big = np.maximum(1.0, omegas)
     # S_hat beats S along the line where rss_S > omega_S * rss_hat, with
     # rss_S(y + u eta_tilde) = rss_S(y) + 2 u b_S + u^2 c2_S: the constant
     # term is the observed score gap, which selecting S_hat made positive
-    a2 = c2[:, idx] - np.outer(c2[:, hat], omegas)
-    a1 = 2.0 * (b[:, idx] - np.outer(b[:, hat], omegas))
-    a0 = rss[idx] - omegas * rss[hat]
+    a2 = c2 - np.outer(c2[:, hat], omegas)
+    a1 = 2.0 * (b - np.outer(b[:, hat], omegas))
+    a0 = rss - omegas * rss[hat]
     et2 = np.einsum("tn,tn->t", eta_tilde, eta_tilde)
     scale2 = np.outer(et2, big)
     # only comparisons that can fail are kept: an upward parabola without
     # a real root fails nowhere, and along a direction in the selected span
     # a superset comparison is constant in t, so it is skipped
     cut = ~(a2 > LEAD_TOL * scale2) | (a1 * a1 - 4.0 * a2 * a0 > 0.0)
-    if not all_in_span:
-        cut &= ~np.logical_and.outer(in_span, superset[idx])
+    cut &= ~np.logical_and.outer(in_span, _strict_supersets(cs, hat))
+    cut[:, hat] = False
     k = np.flatnonzero(cut)
-    r, c = np.divmod(k, idx.size)
+    r, c = np.divmod(k, len(cs))
     scale1 = 2.0 * np.sqrt(et2 * float(y @ y))
     return Comparisons(kept, t, np.linalg.norm(scaled, axis=1), exp, in_span, r,
-                       idx[c], a2.take(k), a1.take(k), a0[c], scale2.take(k),
+                       c, a2.take(k), a1.take(k), a0[c], scale2.take(k),
                        scale1[r] * big[c])
 
 

@@ -180,14 +180,19 @@ def target_directions(
     ``eta = X_S (X_S'X_S)^{-1} w`` has ``eta'y`` equal to the plug-in
     estimate ``w' beta_S`` of its target and always lies in the selected
     model's column span, which keeps the selection geometry in its
-    simplified regime.  All targets share one solve against ``R_S'``.
+    simplified regime.  All targets share one solve against ``R_S'``, of
+    weights scaled by powers of two into [1/2, 1): a finite target solves
+    without overflow, and ``2**k`` times it has ``2**k`` times its direction.
     """
     W = np.array([_target_weights(data, S_hat, t) for t in targets],
                  dtype=float).reshape(len(targets), len(S_hat))
     q, r = data._qr_of(S_hat.indices)
     if not len(S_hat):
         raise errors.InputError("cannot build a target direction for an empty model")
-    return np.linalg.solve(r.T, W.T).T @ q.T
+    _, exp = np.frexp(np.abs(W).max(axis=1, initial=0.0))
+    unit = np.linalg.solve(r.T, np.ldexp(W, -exp[:, None]).T).T @ q.T
+    with np.errstate(over="ignore"):
+        return np.ldexp(unit, exp[:, None])
 
 
 def eta_for_target(data: Dataset, S_hat: IndexSet, target: InferenceTarget) -> np.ndarray:

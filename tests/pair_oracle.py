@@ -14,6 +14,10 @@ padded rows, one sort per row, as the library did before its sweep ran
 over flat entries segmented by row.
 :func:`unscreened_event_rows` is the library's batched sweep without its
 screen: it solves every comparison, including those that cannot fail.
+:func:`gathered_comparisons` is the library's cut as it was formed before it
+ran over the whole candidate row: the active candidates' coefficients
+gathered first, the selected model's strict supersets left out up front when
+every direction lies in the selected span.
 :func:`penalty_ratio_sizes` is one comparison's threshold on the ratio of
 residual sums of squares, from the two models' sizes.
 :func:`two_half_log_cdf` is the piece table's log CDF from padded rows, with
@@ -46,8 +50,11 @@ from subsetci.criteria import (
 from subsetci.geometry import (
     ETA_SPAN_TOL,
     LEAD_TOL,
+    Comparisons,
     EtaDecomposition,
     _forbidden,
+    _scaled_directions,
+    _strict_supersets,
 )
 from subsetci.intervals import EMPTY, FULL_LINE, IntervalUnion, interval_union
 from subsetci.linmodel import RANK_TOL, Dataset, IndexSet
@@ -441,6 +448,55 @@ def unscreened_event_rows(
     lo, hi = _pack_rows(row[keep][order], lo[keep][order], hi[keep][order],
                         len(t), -math.inf)
     return tuple(np.ldexp(side, exp[:, None]) for side in padded_allowed(lo, hi))
+
+
+def gathered_comparisons(
+    data: Dataset,
+    y: np.ndarray,
+    etas: np.ndarray,
+    S_hat: IndexSet,
+    spec: CriterionSpec,
+    policy: CandidatePolicy = DEFAULT_POLICY,
+) -> Comparisons:
+    """``cut_comparisons(data, y, etas, S_hat, spec, policy)`` for a response
+    that selects ``S_hat``, formed over the gathered columns ``idx`` of the
+    active candidates: every candidate but ``S_hat``, less its strict
+    supersets when every accepted direction lies in the selected span; with
+    some direction off the span, a second mask leaves the supersets out of
+    the in-span directions' rows."""
+    y = np.asarray(y, dtype=float).reshape(-1)
+    scaled, exp, t, kept = _scaled_directions(y, etas)
+    scaled, exp, t = scaled[kept], exp[kept], t[kept]
+    norm2 = np.einsum("tn,tn->t", scaled, scaled)
+    cs = candidate_set(data, policy)
+    hat = cs.index_of(S_hat)
+    eta_tilde = scaled / norm2[:, None]
+    rss, b, c2 = cs.gram(y, eta_tilde)
+    in_span = np.sqrt(c2[:, hat]) * norm2 <= ETA_SPAN_TOL * np.sqrt(norm2)
+    superset = _strict_supersets(cs, hat)
+    active = np.ones(len(cs), dtype=bool)
+    active[hat] = False
+    all_in_span = bool(in_span.all())
+    if all_in_span:
+        active &= ~superset
+    idx = np.flatnonzero(active)
+    penalties = cs.penalties(spec)
+    omegas = np.exp((penalties[hat] - penalties[idx]) / spec.n)
+    big = np.maximum(1.0, omegas)
+    a2 = c2[:, idx] - np.outer(c2[:, hat], omegas)
+    a1 = 2.0 * (b[:, idx] - np.outer(b[:, hat], omegas))
+    a0 = rss[idx] - omegas * rss[hat]
+    et2 = np.einsum("tn,tn->t", eta_tilde, eta_tilde)
+    scale2 = np.outer(et2, big)
+    cut = ~(a2 > LEAD_TOL * scale2) | (a1 * a1 - 4.0 * a2 * a0 > 0.0)
+    if not all_in_span:
+        cut &= ~np.logical_and.outer(in_span, superset[idx])
+    k = np.flatnonzero(cut)
+    r, c = np.divmod(k, idx.size)
+    scale1 = 2.0 * np.sqrt(et2 * float(y @ y))
+    return Comparisons(kept, t, np.linalg.norm(scaled, axis=1), exp, in_span, r,
+                       idx[c], a2.take(k), a1.take(k), a0[c], scale2.take(k),
+                       scale1[r] * big[c])
 
 
 def _pack_rows(r: np.ndarray, lo: np.ndarray, hi: np.ndarray, rows: int,

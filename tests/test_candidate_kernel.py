@@ -7,6 +7,7 @@ size and the empty model.
 import math
 import time
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -25,6 +26,8 @@ from subsetci.criteria import (
 from subsetci.geometry import (
     ETA_SPAN_TOL,
     LEAD_TOL,
+    Comparisons,
+    cut_comparisons,
     decompose,
     selection_event,
     selection_events,
@@ -398,6 +401,90 @@ def test_screened_sweep_equals_the_unscreened_one(case, criterion, kinds):
     lo, hi = pair_oracle.unscreened_event_rows(data, data.y, etas, S_hat,
                                                spec, policy)
     assert np.array_equal(got_lo, lo) and np.array_equal(got_hi, hi)
+
+
+def _mixed_cut(case, criterion, kinds, null):
+    """``(data, policy, spec, S_hat, etas)``: one direction per kind through
+    the response's selected model ``S_hat``, in its span, off it, along which
+    a comparison is linear in t (see :func:`_linear_direction`), zero, or
+    too small to measure.  Under ``null`` the response is noise alone, which
+    selects a small model, with strict supersets, and the directions gain
+    one in the selected span and one off it."""
+    data, policy, rng = case
+    if null:
+        data = data.replace_y(rng.standard_normal(data.n))
+        kinds = kinds + ["in-span", "off-span"]
+    spec, S_hat, _ = _selected_direction(data, policy, rng, criterion)
+    etas = []
+    for kind in kinds:
+        if kind == "off-span":
+            etas.append(rng.standard_normal(data.n))
+        elif kind == "linear":
+            etas.append(_linear_direction(data, S_hat, spec, policy, rng)[0])
+        elif kind == "zero":
+            etas.append(np.zeros(data.n))
+        else:
+            eta = _directions(data, S_hat, rng, 1, off_span=False)[0]
+            # below the smallest normal float: too small to measure
+            etas.append(np.ldexp(eta, -1100) if kind == "tiny" else eta)
+    return data, policy, spec, S_hat, np.array(etas)
+
+
+# the criterion, kinds and null arguments of _mixed_cut
+MIXED_CUTS = (st.sampled_from(list(Criterion)),
+              st.lists(st.sampled_from(["in-span", "off-span", "linear", "zero",
+                                        "tiny"]), min_size=1, max_size=5),
+              st.booleans())
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(designs(), *MIXED_CUTS)
+def test_cut_equals_the_gathered_one(case, criterion, kinds, null):
+    # the cut forms every comparison over the whole candidate row and masks
+    # its screen once; every field is, float for float and in the same
+    # order, that of gathering the active candidates' columns first
+    data, policy, spec, S_hat, etas = _mixed_cut(case, criterion, kinds, null)
+    got = cut_comparisons(data, data.y, etas, S_hat, spec, policy)
+    want = pair_oracle.gathered_comparisons(data, data.y, etas, S_hat, spec,
+                                            policy)
+    for f in fields(Comparisons):
+        g, w = getattr(got, f.name), getattr(want, f.name)
+        assert g.dtype == w.dtype and np.array_equal(g, w), f.name
+
+
+def _can_fail(dec, data, S_hat, S, spec):
+    """The cut's screen on the pair oracle's comparison: all but an upward
+    parabola without a real root."""
+    quad = pair_oracle.comparison_quadratic(dec, data, S_hat, S, spec)
+    scale2, _ = pair_oracle._pair_scales(dec, pair_oracle.penalty_ratio_sizes(
+        data.free_size(S_hat), data.free_size(S), spec))
+    return (not quad.a2 > LEAD_TOL * scale2
+            or quad.a1 * quad.a1 - 4.0 * quad.a2 * quad.a0 > 0.0)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(designs(), *MIXED_CUTS)
+def test_cut_rows_skip_the_selected_model_and_in_span_supersets(case, criterion,
+                                                                kinds, null):
+    # each direction's competitors ascend and never include S_hat; along a
+    # direction in the selected span no strict superset of S_hat is kept,
+    # and along any other one each superset comparison that can fail is
+    data, policy, spec, S_hat, etas = _mixed_cut(case, criterion, kinds, null)
+    cut = cut_comparisons(data, data.y, etas, S_hat, spec, policy)
+    models = cs_models(data, policy)
+    hat = models.index(S_hat)
+    supersets = {m for m, S in enumerate(models)
+                 if S != S_hat and pair_oracle.is_superset(S, S_hat)}
+    for i, (eta, in_span) in enumerate(zip(etas[cut.kept], cut.in_span)):
+        mine = cut.model[cut.row == i]
+        assert (np.diff(mine) > 0).all() and hat not in mine
+        kept = supersets & set(mine.tolist())
+        if in_span:
+            assert not kept
+        else:
+            dec = decompose(data.y, eta)
+            assert kept == {m for m in supersets
+                            if _can_fail(dec, data, S_hat, models[m], spec)}
 
 
 def _error_of(call):

@@ -8,7 +8,9 @@ from scipy.stats import norm, t as t_dist
 
 from subsetci import Dataset, IndexSet, errors
 from subsetci.criteria import Criterion, CriterionSpec, best_subset
-from subsetci.geometry import SelectionEvent, decompose, measure, selection_events
+from subsetci.geometry import (
+    MIN_ETA_EXP, SelectionEvent, decompose, measure, selection_events)
+from subsetci.harness import load_csv_dataset
 from subsetci.inference import (
     InferenceTarget,
     METHOD_CLASSICAL_KNOWN,
@@ -416,6 +418,31 @@ class TestDirectionScale:
         got, pivot = limits(k)
         assert got == tuple(math.ldexp(v, k) for v in base)
         assert pivot == base_pivot
+
+    @pytest.mark.parametrize("k", [-1060, -1000, 1000, 1022, 1023])
+    def test_direction_scales_exactly_to_the_ends_of_the_float_range(self, k):
+        # the weights are solved scaled into [1/2, 1): solved as given, the
+        # point 2**1022 (1, 1, 0, 0, 0) on the bundled data overflowed in the
+        # solve into an all-NaN direction, refused as non-finite.  A direction
+        # too small to measure is still refused as too small
+        import importlib.resources as ir
+
+        d = load_csv_dataset(str(ir.files("subsetci") / "data" / "us_consumption.csv"),
+                             "Consumption", intercept=True)
+        S_hat = d.full_model()
+        x0 = np.array([1.0, 1.0, 0.0, 0.0, 0.0])
+        base = eta_for_target(d, S_hat, InferenceTarget.prediction_mean(x0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            eta = eta_for_target(d, S_hat,
+                                 InferenceTarget.prediction_mean(np.ldexp(x0, k)))
+        assert np.array_equal(eta, np.ldexp(base, k))
+        if k < MIN_ETA_EXP:
+            with pytest.raises(errors.InputError, match="eta is too small"):
+                measure(d.y, eta[None, :])
+        else:
+            got, want = measure(d.y, eta[None, :]), measure(d.y, base[None, :])
+            assert all(np.array_equal(g, np.ldexp(w, k)) for g, w in zip(got, want))
 
     def test_event_cut_along_a_multiple_is_refused_where_the_norm_overflows(self):
         # |eta|^2 passes the largest float at this scale, and the check once
