@@ -18,11 +18,13 @@ from typing import List, Optional
 from . import errors
 from .criteria import Criterion
 from .harness import (
-    analyze,
+    REPORT_FORMATS,
     dataset_report,
     emit_report,
     load_csv_dataset,
     parse_config_text,
+    report_json,
+    report_to_dict,
     simulate_coverage,
 )
 from .inference import InferenceTarget, SigmaSpec
@@ -38,8 +40,7 @@ def _add_common(p: argparse.ArgumentParser, with_sigma: bool = True):
                  "repeatable")
     p.add_argument("--intercept", action="store_true",
                    help="prepend a forced intercept column")
-    p.add_argument("--format", choices=["json", "csv", "plotdata"],
-                   default="json")
+    p.add_argument("--format", choices=REPORT_FORMATS, default="json")
     p.add_argument("--out", default=None, metavar="DIR",
                    help="directory for report files (default: print to stdout)")
 
@@ -69,8 +70,9 @@ def _parse_target(text: str) -> InferenceTarget:
 
 
 def _sigma_specs(args) -> List[SigmaSpec]:
-    raw = args.sigma if getattr(args, "sigma", None) else ["mse-full"]
-    return [SigmaSpec.parse(s) for s in raw]
+    if args.command == "select":
+        return []  # a selection builds no interval
+    return [SigmaSpec.parse(s) for s in args.sigma or ["mse-full"]]
 
 
 def _print(text: str) -> None:
@@ -92,11 +94,7 @@ def _deliver(report, args):
         for p in emit_report(report, format=args.format, out_dir=args.out):
             _print(p)
     else:
-        import json
-
-        from .harness import report_to_dict
-
-        _print(json.dumps(report_to_dict(report), indent=2, sort_keys=True))
+        _print(report_json(report_to_dict(report)))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -124,8 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--reps", type=int, default=None)
     p_sim.add_argument("--seed", type=int, default=None)
     p_sim.add_argument("--workers", type=int, default=1)
-    p_sim.add_argument("--format", choices=["json", "csv", "plotdata"],
-                       default="json")
+    p_sim.add_argument("--format", choices=REPORT_FORMATS, default="json")
     p_sim.add_argument("--out", default=None)
 
     p_an = sub.add_parser("analyze", help="per-coefficient report for a CSV")
@@ -142,26 +139,6 @@ def run(argv: Optional[List[str]] = None) -> int:
         raise errors.InputError(
             f"--format {args.format} writes files; give --out DIR")
 
-    if args.command == "select":
-        data = load_csv_dataset(args.csv, args.response, intercept=args.intercept)
-        report = dataset_report(
-            data, Criterion.parse(args.criterion), args.alpha,
-            sigma_strategies=[], source=args.csv, response=args.response)
-        _deliver(report, args)
-        names = ", ".join(report.selected_names)
-        print(f"# selected model: {report.selected} ({names})", file=sys.stderr)
-        return 0
-
-    if args.command == "ci":
-        data = load_csv_dataset(args.csv, args.response, intercept=args.intercept)
-        report = dataset_report(
-            data, Criterion.parse(args.criterion), args.alpha,
-            sigma_strategies=_sigma_specs(args),
-            targets=[_parse_target(args.target)],
-            source=args.csv, response=args.response)
-        _deliver(report, args)
-        return 0
-
     if args.command == "simulate":
         try:
             with open(args.config) as fh:
@@ -175,18 +152,20 @@ def run(argv: Optional[List[str]] = None) -> int:
         if args.seed is not None:
             config = dataclasses.replace(config, master_seed=args.seed)
         report = simulate_coverage(config, workers=args.workers)
-        _deliver(report, args)
-        return 0
-
-    if args.command == "analyze":
-        report = analyze(
-            args.csv, args.response,
-            criterion=Criterion.parse(args.criterion), alpha=args.alpha,
-            sigma_strategies=_sigma_specs(args), intercept=args.intercept)
-        _deliver(report, args)
-        return 0
-
-    raise errors.InputError(f"unknown command {args.command!r}")
+    else:
+        # select, ci and analyze: the arguments are parsed before the CSV is read
+        strategies = _sigma_specs(args)
+        targets = [_parse_target(args.target)] if args.command == "ci" else None
+        data = load_csv_dataset(args.csv, args.response, intercept=args.intercept)
+        report = dataset_report(
+            data, Criterion.parse(args.criterion), args.alpha,
+            sigma_strategies=strategies, targets=targets,
+            source=args.csv, response=args.response)
+    _deliver(report, args)
+    if args.command == "select":
+        names = ", ".join(report.selected_names)
+        print(f"# selected model: {report.selected} ({names})", file=sys.stderr)
+    return 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -59,6 +59,9 @@ from .linmodel import (
 UNCORRECTED = "uncorrected"
 CORRECTED = "corrected"
 
+# The formats a report is written in (``emit_report``).
+REPORT_FORMATS = ("json", "csv", "plotdata")
+
 # Replications per block of the coverage loop: each block's corrected
 # intervals come from one truncated-normal solve.
 BLOCK = 16
@@ -80,6 +83,13 @@ def rep_stream(master_seed: int, rep_index: int) -> np.random.Generator:
 
 # --------------------------------------------------------------------------
 # configuration
+
+
+def _cell_names(targets: Sequence[InferenceTarget]) -> List[str]:
+    """The study's name for each target's cells: ``x<i>`` for a prediction
+    in place i, the target's label otherwise."""
+    return [f"x{i}" if t.kind == PREDICTION_MEAN else t.label()
+            for i, t in enumerate(targets, start=1)]
 
 
 @dataclass(frozen=True)
@@ -134,6 +144,12 @@ class SimulationConfig:
             if t.name is not None and t.name not in names:
                 raise errors.IndexOutOfRange(
                     f"no design column named {t.name!r}; expected one of {names}")
+        cells = _cell_names(self.targets or ())
+        for j, name in enumerate(cells):
+            if name in cells[:j]:
+                raise errors.InputError(
+                    f"targets {cells.index(name) + 1} and {j + 1} share the "
+                    f"cell name {name!r}")
 
     def resolved_strategies(self) -> Tuple[SigmaSpec, ...]:
         if self.sigma_strategies is not None:
@@ -268,7 +284,6 @@ class CoverageCell:
 @dataclass
 class CoverageReport:
     config: SimulationConfig
-    targets: Tuple[InferenceTarget, ...]
     cells: List[CoverageCell]
     histogram: Dict[int, int]
     per_size: Dict[Tuple[int, str, str], Tuple[int, int]]
@@ -484,8 +499,7 @@ def simulate_coverage(config: SimulationConfig, workers: int = 1) -> CoverageRep
             "hits_unc", "hits_cor", "applicable", "pivots", "sigmas", "sizes", "ok"))
     failures = [f for r in results for f in r["failures"]]
 
-    t_names = [f"x{i+1}" if t.kind == "prediction_mean" else t.label()
-               for i, t in enumerate(targets)]
+    t_names = _cell_names(targets)
     s_names = [s.label for s in strategies]
 
     cells: List[CoverageCell] = []
@@ -523,7 +537,6 @@ def simulate_coverage(config: SimulationConfig, workers: int = 1) -> CoverageRep
 
     report = CoverageReport(
         config=dataclasses.replace(config, targets=targets),
-        targets=targets,
         cells=cells,
         histogram=histogram,
         per_size=per_size,
@@ -836,86 +849,62 @@ def report_to_dict(report) -> Dict:
     raise errors.InputError(f"cannot serialize report of type {type(report)!r}")
 
 
-def _csv_number(value: float) -> str:
-    """A statistic as a CSV field; NaN, a statistic of no replication, is
-    an empty field, as JSON writes null."""
-    return "" if math.isnan(value) else repr(value)
+def report_json(doc: Dict) -> str:
+    """A report's JSON document as text: indented by 2, keys sorted."""
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+def _csv_tables(doc: Dict, format: str):
+    """(file name, header, rows) of each CSV file of ``format``, read from
+    the report's JSON document ``doc``."""
+    study = "reps_completed" in doc
+    if study and format == "csv":
+        header = ["target", "strategy", "method", "coverage", "stderr", "relative_loss"]
+        return [("report.csv", header, [[c[k] for k in header] for c in doc["coverage"]])]
+    if study:
+        # a row per target: the baseline strategy's uncorrected coverage, then
+        # each strategy's corrected one (sigma_means has a key per strategy)
+        strategies = list(doc["sigma_means"])
+        baseline = "mse_aic" if "mse_aic" in strategies else strategies[0]
+        coverage = {(c["target"], c["strategy"], c["method"]): c["coverage"]
+                    for c in doc["coverage"]}
+        points = dict.fromkeys(c["target"] for c in doc["coverage"])
+        return [("coverage_vs_point.csv",
+                 ["point", "uncorrected"] + [f"corrected_{s}" for s in strategies],
+                 [[t, coverage[t, baseline, UNCORRECTED]]
+                  + [coverage[t, s, CORRECTED] for s in strategies] for t in points]),
+                ("size_histogram.csv", ["size", "count"],
+                 [[h["size"], h["count"]] for h in doc["histogram"]])]
+    # an analysis: a row's JSON name is its CSV target
+    header = ["target", "strategy", "method", "lower", "upper"]
+    if format == "csv":
+        header += ["point", "pivot", "sigma_used"]
+    return [("report.csv" if format == "csv" else "intervals.csv", header,
+             [[r["name"]] + [r[k] for k in header[1:]] for r in doc["targets"]])]
 
 
 def emit_report(report, format: str = "json", out_dir: str = ".") -> List[str]:
-    """Write the report in the requested format; returns the paths written."""
-    if format not in ("json", "csv", "plotdata"):
+    """Write the report in the requested format, every format read from the
+    report's JSON document; returns the paths written.  In a CSV file a null
+    is an empty field and a float is its ``repr``."""
+    if format not in REPORT_FORMATS:
         raise errors.InputError(f"unknown format {format!r}")
+    doc = report_to_dict(report)
     try:
         os.makedirs(out_dir, exist_ok=True)
-        written: List[str] = []
         if format == "json":
             path = os.path.join(out_dir, "report.json")
             with open(path, "w") as fh:
-                json.dump(report_to_dict(report), fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            written.append(path)
-        elif format == "csv":
-            path = os.path.join(out_dir, "report.csv")
-            with open(path, "w", newline="") as fh:
+                fh.write(report_json(doc) + "\n")
+            return [path]
+        written: List[str] = []
+        for name, header, rows in _csv_tables(doc, format):
+            written.append(os.path.join(out_dir, name))
+            with open(written[-1], "w", newline="") as fh:
                 w = csv.writer(fh)
-                if isinstance(report, CoverageReport):
-                    w.writerow(["target", "strategy", "method", "coverage",
-                                "stderr", "relative_loss"])
-                    for c in report.cells:
-                        w.writerow([c.target, c.strategy, c.method,
-                                    _csv_number(c.coverage), _csv_number(c.stderr),
-                                    _csv_number(c.relative_loss)])
-                else:
-                    w.writerow(["target", "strategy", "method", "lower",
-                                "upper", "point", "pivot", "sigma_used"])
-                    for r in report.rows:
-                        w.writerow([r.target, r.strategy, r.method,
-                                    repr(r.lower), repr(r.upper), repr(r.point),
-                                    "" if r.pivot is None else repr(r.pivot),
-                                    repr(r.sigma_used)])
-            written.append(path)
-        else:
-            written.extend(_emit_plotdata(report, out_dir))
+                w.writerow(header)
+                w.writerows(["" if v is None else repr(float(v)) if isinstance(v, float)
+                             else v for v in row] for row in rows)
         return written
     except OSError as exc:
         raise errors.IoError(f"cannot write report: {exc}") from None
-
-
-def _emit_plotdata(report, out_dir: str) -> List[str]:
-    written = []
-    if isinstance(report, CoverageReport):
-        strategies = [s.label for s in report.config.resolved_strategies()]
-        baseline = "mse_aic" if "mse_aic" in strategies else strategies[0]
-        t_names: List[str] = []
-        for c in report.cells:
-            if c.target not in t_names:
-                t_names.append(c.target)
-        path = os.path.join(out_dir, "coverage_vs_point.csv")
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["point", "uncorrected"]
-                       + [f"corrected_{s}" for s in strategies])
-            for t in t_names:
-                row = [t, _csv_number(report.cell(t, baseline, UNCORRECTED).coverage)]
-                row += [_csv_number(report.cell(t, s, CORRECTED).coverage)
-                        for s in strategies]
-                w.writerow(row)
-        written.append(path)
-        path = os.path.join(out_dir, "size_histogram.csv")
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["size", "count"])
-            for k, v in sorted(report.histogram.items()):
-                w.writerow([k, v])
-        written.append(path)
-    else:
-        path = os.path.join(out_dir, "intervals.csv")
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["target", "strategy", "method", "lower", "upper"])
-            for r in report.rows:
-                w.writerow([r.target, r.strategy, r.method,
-                            repr(r.lower), repr(r.upper)])
-        written.append(path)
-    return written

@@ -131,16 +131,14 @@ class PieceTable:
         """The table of the rows where ``mask`` holds."""
         return self if mask.all() else self._rows(mask, np.repeat(mask, self.count))
 
-    def log_cdf(self, mu: np.ndarray, rows=None) -> Tuple[np.ndarray, np.ndarray]:
-        """(log CDF at the mean ``mu``, region-mass underflow flag) for
-        ``rows`` (every row by default).
+    def log_cdf(self, mu: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """(log CDF at the mean ``mu``, region-mass underflow flag) of every
+        row.
 
         Each entry is measured once, by the upper-tail formula on one side of
         the mean (reflected below it) or the half-``erf`` pair across it; a
         piece that rounds to no width, or has a NaN end (an infinite mean),
         has no mass.  Each half sums its terms in order, largest factored out."""
-        if rows is not None:
-            return self._take(rows).log_cdf(mu)
         with np.errstate(all="ignore"):
             m = np.repeat(mu, self.count)
             a = (self.lo - m) / self._scale

@@ -112,6 +112,16 @@ def test_missing_file_is_input_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", [["analyze"], ["ci", "--target", "coefficient:x1"]])
+def test_arguments_are_checked_before_the_csv_is_read(command, capsys):
+    # select, ci and analyze share one path: a bad --sigma is reported
+    # before a missing CSV
+    argv = [command[0], "/nonexistent/file.csv", "--response", "y", *command[1:],
+            "--sigma", "known:abc"]
+    assert main(argv) == 2
+    assert "cannot parse the sigma value" in capsys.readouterr().err
+
+
 def test_bad_target_is_input_error(data_csv):
     code = main(["ci", data_csv, "--response", "y", "--target", "huh:1"])
     assert code == 2

@@ -126,6 +126,26 @@ class TestGenerateDesign:
         tiny_config(intercept=True,
                     targets=(InferenceTarget.coefficient("Intercept"),))
 
+    def test_targets_sharing_a_cell_name_refused_at_config_time(self):
+        # a prediction in place i names its cells x<i>, a coefficient its
+        # label: two targets of one name would merge their cells and pivots
+        for targets, message in (
+                ((InferenceTarget.prediction_mean((1.0, 0.5, 0.2)),
+                  InferenceTarget.coefficient("x1")),
+                 "targets 1 and 2 share the cell name 'x1'"),
+                ((InferenceTarget.coefficient(3), InferenceTarget.coefficient("x2"),
+                  InferenceTarget.coefficient("x2")),
+                 "targets 2 and 3 share the cell name 'x2'")):
+            with pytest.raises(errors.InputError, match=message):
+                tiny_config(reps=8, sigma_strategies=(SigmaSpec.known(1.0),),
+                            targets=targets)
+        # an index target is labelled coef[i], not by its column's name
+        rep = simulate_coverage(tiny_config(
+            reps=8, sigma_strategies=(SigmaSpec.known(1.0),),
+            targets=(InferenceTarget.coefficient(1), InferenceTarget.coefficient("x1"))))
+        assert [c.target for c in rep.cells] == ["coef[1]"] * 2 + ["x1"] * 2
+        assert sorted(rep.pivots) == [("coef[1]", "known"), ("x1", "known")]
+
 
 class TestParseConfig:
     def test_round_trip_fields(self):
