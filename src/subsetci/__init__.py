@@ -6,6 +6,10 @@ intervals; inverting the truncated-normal CDF over that union yields
 intervals with exact finite-sample conditional coverage.  This package
 implements the geometry, the truncated-normal numerics, classical and
 corrected intervals, and a simulation/analysis harness with a CLI.
+
+A CSV analysis is ``dataset_report(load_csv_dataset(path, response), ...)``,
+as ``subsetci analyze`` composes it; a coverage study is
+``simulate_coverage``.
 """
 
 from . import errors
@@ -27,7 +31,7 @@ from .harness import (
     AnalysisReport,
     CoverageReport,
     SimulationConfig,
-    analyze,
+    dataset_report,
     emit_report,
     generate_design,
     load_csv_dataset,
@@ -51,7 +55,6 @@ from .linmodel import (
 )
 from .truncnorm import (
     TruncatedNormalSpec,
-    invert_mean,
     truncated_cdf,
 )
 
@@ -75,10 +78,10 @@ __all__ = [
     "SimulationConfig",
     "TruncatedNormalSpec",
     "adjusted_coefficients",
-    "analyze",
     "best_subset",
     "classical_ci",
     "corrected_ci",
+    "dataset_report",
     "decompose",
     "emit_report",
     "errors",
@@ -86,7 +89,6 @@ __all__ = [
     "eta_for_target",
     "generate_design",
     "interval_union",
-    "invert_mean",
     "load_csv_dataset",
     "pivot_value",
     "selection_event",

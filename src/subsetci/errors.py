@@ -95,7 +95,3 @@ class ObservationOutsideRegion(NumericalError):
 
 class RegionMassUnderflow(NumericalError):
     pass
-
-
-class BracketFailure(NumericalError):
-    pass

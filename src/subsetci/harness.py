@@ -115,6 +115,9 @@ class SimulationConfig:
         if len(self.beta) != self.p:
             raise errors.InputError(
                 f"beta has length {len(self.beta)}, expected p={self.p}")
+        for j, b in enumerate(self.beta, start=1):
+            if not math.isfinite(b):
+                raise errors.InputError(f"beta entry {j} is {b}; it must be finite")
         if not -1.0 < self.rho < 1.0:
             raise errors.InvalidRho(f"rho must be in (-1,1), got {self.rho}")
         if not 0.0 < self.sigma < math.inf:
@@ -292,12 +295,6 @@ class CoverageReport:
     pivots: Dict[Tuple[str, str], np.ndarray]
     reps_completed: int
     failures: List[Tuple[int, str]]
-
-    def cell(self, target: str, strategy: str, method: str) -> CoverageCell:
-        for c in self.cells:
-            if (c.target, c.strategy, c.method) == (target, strategy, method):
-                return c
-        raise KeyError((target, strategy, method))
 
     def pooled_coverage(self, strategy: str, method: str) -> float:
         hits = sum(c.hits for c in self.cells
@@ -575,6 +572,9 @@ def load_csv_dataset(
             except StopIteration:
                 raise errors.ParseError("CSV file is empty") from None
             header = [h.strip() for h in header]
+            for j, name in enumerate(header):
+                if name in header[:j]:
+                    raise errors.ParseError(f"column name {name!r} repeats in the header")
             if response_column not in header:
                 raise errors.ParseError(
                     f"response column {response_column!r} not in header {header}")
@@ -710,22 +710,6 @@ def dataset_report(
         rows=rows,
         events=events_out,
     )
-
-
-def analyze(
-    csv_path: str,
-    response_column: str,
-    criterion: Criterion = Criterion.AIC,
-    alpha: float = 0.05,
-    sigma_strategies: Sequence[SigmaSpec] = (),
-    intercept: bool = True,
-) -> AnalysisReport:
-    """Full workflow on a CSV dataset: subset search, then per-coefficient
-    classical and corrected intervals under each noise strategy."""
-    data = load_csv_dataset(csv_path, response_column, intercept=intercept)
-    return dataset_report(
-        data, criterion, alpha, sigma_strategies,
-        source=os.fspath(csv_path), response=response_column)
 
 
 # --------------------------------------------------------------------------

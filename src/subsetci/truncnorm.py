@@ -14,8 +14,9 @@ the mean, and reduces every row's two halves in one pass.  The table's
 kernel is the log CDF; ``cdf`` exponentiates it, and ``invert`` maps it to
 the probit scale, where a region without truncation gives a residual exactly
 linear in the mean.  Each row's result depends on that row alone, so a table
-gives bit-for-bit the values of a one-row table; ``truncated_cdf`` and
-``invert_mean`` are the one-problem forms.
+gives bit-for-bit the values of a one-row table; ``truncated_cdf`` is the
+one-problem CDF.  A problem that ``invert`` cannot solve is reported by its
+status, with an infinite limit, never raised.
 """
 
 from __future__ import annotations
@@ -308,33 +309,3 @@ def truncated_cdf(x: float, spec: TruncatedNormalSpec) -> float:
     table = PieceTable(np.array([x], dtype=float), np.array([spec.lam]),
                        *padded_rows([spec.region]))
     return float(table.cdf(np.array([spec.mu], dtype=float))[0])
-
-
-def invert_mean(target: float, x_obs: float, lam: float, region: IntervalUnion) -> float:
-    """Mean ``mu`` at which the truncated CDF of ``x_obs`` equals ``target``.
-
-    The one-problem form of :meth:`PieceTable.invert`; a root it cannot find
-    raises ``BracketFailure``, or ``RegionMassUnderflow`` for a region that
-    carries no representable mass.
-    """
-    if not 0.0 < target < 1.0:
-        raise errors.InputError(f"target must be in (0,1), got {target}")
-    if not region.contains(float(x_obs)):
-        raise errors.ObservationOutsideRegion(
-            f"x={x_obs} is not interior to the region {region}")
-    table = PieceTable(np.array([x_obs], dtype=float), np.array([lam], dtype=float),
-                       *padded_rows([region]))
-    mu, status = table.invert(np.array([target], dtype=float), np.zeros(1, dtype=int))
-    code = int(status[0])
-    if code in (_BELOW, _ABOVE):
-        side = "below" if code == _BELOW else "above"
-        raise errors.BracketFailure(
-            f"could not bracket target {target} from {side} (CDF pinned)")
-    if code == _UNDERFLOW:
-        raise errors.RegionMassUnderflow(
-            "region carries no representable mass while inverting the mean")
-    if code == _STALLED:
-        raise errors.BracketFailure(
-            "the root-finder stalled outside the CDF tolerance; the region "
-            "may be corrupted or the root too far in a tail")
-    return float(mu[0])

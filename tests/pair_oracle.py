@@ -26,6 +26,7 @@ by the padded kernel the table once ran (:func:`_log_measure_std`, both
 formulas on every element, and :func:`_logsumexp_rows`).
 The scalar normal interval masses at the end (``normal_measure``) are the
 one-interval view of that kernel, used by tests only.
+:func:`invert_one` is the piece table's inversion of one problem.
 :func:`complement_bases` is the candidate engine's basis build done the
 direct way, with one complete QR per model.
 """
@@ -56,8 +57,10 @@ from subsetci.geometry import (
     _scaled_directions,
     _strict_supersets,
 )
-from subsetci.intervals import EMPTY, FULL_LINE, IntervalUnion, interval_union
+from subsetci.intervals import (
+    EMPTY, FULL_LINE, IntervalUnion, interval_union, padded_rows)
 from subsetci.linmodel import RANK_TOL, Dataset, IndexSet
+from subsetci.truncnorm import PieceTable
 
 
 def penalty_ratio_sizes(size_tilde: int, size: int, spec: CriterionSpec) -> float:
@@ -398,6 +401,19 @@ def normal_measure(interval: Tuple[float, float], mu: float, lam: float) -> floa
     """Normal(mu, lam^2) probability of the open interval ``(lo, hi)``."""
     lv = log_normal_measure(interval, mu, lam)
     return math.exp(lv) if lv > -math.inf else 0.0
+
+
+def invert_one(target: float, x: float, lam: float,
+               region: IntervalUnion) -> Tuple[float, int]:
+    """``(mu, status)`` of one problem of ``PieceTable.invert``: the mean at
+    which the CDF at ``x`` of the normal with scale ``lam`` truncated to
+    ``region`` equals ``target``, from a one-row table.  A status other than
+    ``truncnorm._SOLVED`` says why no root was found, and ``mu`` is then
+    infinite."""
+    table = PieceTable(np.array([x], dtype=float), np.array([lam], dtype=float),
+                       *padded_rows([region]))
+    mu, status = table.invert(np.array([target], dtype=float), np.zeros(1, dtype=int))
+    return float(mu[0]), int(status[0])
 
 
 def unscreened_event_rows(

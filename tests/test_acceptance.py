@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from subsetci import Dataset
+from subsetci import Dataset, truncnorm
 from subsetci.criteria import (
     Criterion,
     CriterionSpec,
@@ -22,8 +22,9 @@ from subsetci.criteria import (
 from subsetci.geometry import SelectionEvent, decompose, selection_event
 from subsetci.harness import (
     SimulationConfig,
-    analyze,
+    dataset_report,
     ks_uniform,
+    load_csv_dataset,
     simulate_coverage,
 )
 from subsetci.inference import (
@@ -35,9 +36,9 @@ from subsetci.inference import (
     pivot_value,
 )
 from subsetci.intervals import FULL_LINE, interval_union
-from subsetci.truncnorm import TruncatedNormalSpec, invert_mean, truncated_cdf
+from subsetci.truncnorm import TruncatedNormalSpec, truncated_cdf
 
-from pair_oracle import penalty_ratio_sizes, sequential_region
+from pair_oracle import invert_one, penalty_ratio_sizes, sequential_region
 
 # The quadrature oracle needs working precision far beyond the smallest
 # tail masses it integrates (~1e-46 for pieces near 14 sigma), otherwise the
@@ -311,7 +312,8 @@ def test_criterion_6_truncated_normal_numerics():
         else:
             assert got == 0.0
         target = float(rng.uniform(0.01, 0.99))
-        mu_star = invert_mean(target, x, lam, region)
+        mu_star, status = invert_one(target, x, lam, region)
+        assert status == truncnorm._SOLVED
         back = truncated_cdf(
             x, TruncatedNormalSpec(mu=mu_star, lam=lam, region=region))
         worst_round = max(worst_round, abs(back - target))
@@ -325,8 +327,8 @@ def test_criterion_6_truncated_normal_numerics():
         lam = float(rng.uniform(0.2, 3))
         alpha = float(rng.uniform(0.01, 0.2))
         z = float(norm.ppf(1 - alpha / 2))
-        lo = invert_mean(1 - alpha / 2, x, lam, FULL_LINE)
-        hi = invert_mean(alpha / 2, x, lam, FULL_LINE)
+        lo, _ = invert_one(1 - alpha / 2, x, lam, FULL_LINE)
+        hi, _ = invert_one(alpha / 2, x, lam, FULL_LINE)
         worst_cls = max(worst_cls, abs(lo - (x - z * lam)),
                         abs(hi - (x + z * lam)))
     assert worst_cls <= 1e-8, f"classical reduction error {worst_cls:.2e}"
@@ -351,8 +353,9 @@ def test_criterion_7_real_data_golden():
     import importlib.resources as ir
 
     fixture = str(ir.files("subsetci") / "data" / "us_consumption.csv")
-    report = analyze(fixture, "Consumption",
-                     sigma_strategies=[SigmaSpec.mse_full()], intercept=True)
+    report = dataset_report(load_csv_dataset(fixture, "Consumption"), Criterion.AIC,
+                            0.05, [SigmaSpec.mse_full()], source=fixture,
+                            response="Consumption")
     assert report.selected_names == ("Intercept", "Income", "Production",
                                      "Savings", "Unemployment")
 

@@ -135,9 +135,10 @@ def test_bad_target_is_input_error(data_csv):
     (["simulate", "{cfg}"], "n_new_points = -1"),
     (["simulate", "{cfg}"], "master_seed = -5"),
     (["simulate", "{cfg}"], "sigma = inf"),
+    (["simulate", "{cfg}"], "beta = 1, nan, 0"),
     (["simulate", "{cfg}", "--seed", "-5"], None),
 ], ids=["sigma-text", "sigma-inf", "target-inf", "target-text",
-        "new-points", "config-seed", "config-sigma", "seed-flag"])
+        "new-points", "config-seed", "config-sigma", "config-beta", "seed-flag"])
 def test_bad_number_is_input_error(data_csv, config_file, capsys, argv,
                                    config_line):
     if config_line is not None:  # in place of the fixture's line for its key

@@ -15,10 +15,12 @@ import os
 
 import pytest
 
+from subsetci.criteria import Criterion
 from subsetci.harness import (
     SimulationConfig,
-    analyze,
+    dataset_report,
     emit_report,
+    load_csv_dataset,
     report_to_dict,
     simulate_coverage,
 )
@@ -33,8 +35,9 @@ ANALYZE_STRATEGIES = ("known:1.0", "mse-aic", "mse-full", "external:1.1")
 def analyze_report():
     """``subsetci analyze`` of the bundled data under four noise strategies."""
     path = str(ir.files("subsetci") / "data" / "us_consumption.csv")
-    return analyze(path, "Consumption",
-                   sigma_strategies=[SigmaSpec.parse(s) for s in ANALYZE_STRATEGIES])
+    return dataset_report(load_csv_dataset(path, "Consumption"), Criterion.AIC, 0.05,
+                          [SigmaSpec.parse(s) for s in ANALYZE_STRATEGIES],
+                          source=path, response="Consumption")
 
 
 def study_report():

@@ -17,7 +17,6 @@ from subsetci.harness import (
     SimulationConfig,
     _run_rep_chunk,
     _stream,
-    analyze,
     dataset_report,
     emit_report,
     generate_design,
@@ -87,6 +86,12 @@ class TestGenerateDesign:
             tiny_config(beta=(1.0,))
         with pytest.raises(errors.InputError):
             tiny_config(sigma_strategies=())
+
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
+    def test_non_finite_beta_refused_at_config_time(self, entry):
+        # refused before a design is generated, naming the entry's position
+        with pytest.raises(errors.InputError, match=f"beta entry 2 is {entry}"):
+            tiny_config(beta=(1.0, entry, 0.0))
 
     def test_linear_combo_target_refused_at_config_time(self):
         with pytest.raises(errors.InputError, match="no study truth"):
@@ -417,7 +422,8 @@ class TestCoefficientTargets:
         assert 0 < dropped < cfg.reps
         assert rep.reps_completed == cfg.reps
         assert sum(rep.histogram.values()) == cfg.reps
-        assert rep.cell("x3", "mse_aic", "corrected").count == cfg.reps - dropped
+        counts = {(c.target, c.strategy, c.method): c.count for c in rep.cells}
+        assert counts["x3", "mse_aic", "corrected"] == cfg.reps - dropped
         mse = [estimate_sigma(d, S_hat, SigmaSpec.mse_aic()) for d, _, S_hat in reps]
         assert rep.sigma_means["mse_aic"] == pytest.approx(np.mean(mse), rel=1e-12)
 
@@ -435,8 +441,9 @@ class TestCoefficientTargets:
         with_x4 = sum(4 in S_hat for _, _, S_hat in _replications(cfg, X))
         assert 0 < with_x4 < cfg.reps
         assert rep.reps_completed == cfg.reps
-        assert rep.cell("x1", "known", "corrected").count == with_x4
-        assert rep.cell("x2", "known", "corrected").count == cfg.reps
+        counts = {(c.target, c.strategy, c.method): c.count for c in rep.cells}
+        assert counts["x1", "known", "corrected"] == with_x4
+        assert counts["x2", "known", "corrected"] == cfg.reps
 
     def test_point_scaled_by_a_power_of_two_gives_the_same_cells(self):
         # the directions of x0 * 2**-540 have entries whose squares
@@ -814,8 +821,9 @@ class TestAnalyze:
         return path
 
     def test_selects_true_support_and_rejects_zero(self, synthetic_csv):
-        rep = analyze(str(synthetic_csv), "y",
-                      sigma_strategies=[SigmaSpec.mse_full()], intercept=True)
+        rep = dataset_report(load_csv_dataset(synthetic_csv, "y"), Criterion.AIC, 0.05,
+                             [SigmaSpec.mse_full()], source=os.fspath(synthetic_csv),
+                             response="y")
         assert rep.selected_names == ("Intercept", "x1", "x2")
         for row in rep.rows:
             if row.target in ("x1", "x2") and row.method == "corrected":
@@ -825,15 +833,24 @@ class TestAnalyze:
         path = tmp_path / "bad.csv"
         path.write_text("y,x1\n1.0,2.0\n1.0,oops\n")
         with pytest.raises(errors.ParseError) as exc:
-            analyze(str(path), "y")
+            load_csv_dataset(path, "y")
         assert exc.value.row == 3
         assert exc.value.column == "x1"
+
+    @pytest.mark.parametrize("header, name", [("y,x1,y", "y"), ("x1,y,x1", "x1")])
+    def test_repeated_header_name_is_refused(self, tmp_path, header, name):
+        # refused before any row is read: the malformed second row is not
+        # what the error names
+        path = tmp_path / "twice.csv"
+        path.write_text(f"{header}\n1.0,2.0,3.0\noops\n")
+        with pytest.raises(errors.ParseError, match=f"column name '{name}' repeats"):
+            load_csv_dataset(path, "y")
 
     def test_missing_response_column(self, tmp_path):
         path = tmp_path / "ok.csv"
         path.write_text("a,b\n1,2\n3,4\n5,6\n")
         with pytest.raises(errors.ParseError):
-            analyze(str(path), "nope")
+            load_csv_dataset(path, "nope")
 
     def test_p_equals_one_corrected_equals_classical(self, tmp_path, rng):
         n = 30
@@ -844,8 +861,9 @@ class TestAnalyze:
             fh.write("y,x\n")
             for i in range(n):
                 fh.write(f"{float(y[i])!r},{float(x[i])!r}\n")
-        rep = analyze(str(path), "y", sigma_strategies=[SigmaSpec.mse_aic()],
-                      intercept=False)
+        rep = dataset_report(load_csv_dataset(path, "y", intercept=False), Criterion.AIC,
+                             0.05, [SigmaSpec.mse_aic()], source=os.fspath(path),
+                             response="y")
         # single candidate: no competitors, so nothing is excluded and the
         # corrected interval is the untruncated plug-in normal interval
         assert rep.excluded_regions[0][1] == ()
@@ -991,8 +1009,9 @@ class TestEmitReport:
             fh.write("y,x1,x2\n")
             for i in range(n):
                 fh.write(f"{float(y[i])!r},{float(x1[i])!r},{float(x2[i])!r}\n")
-        rep = analyze(str(path), "y", sigma_strategies=[SigmaSpec.mse_aic()],
-                      intercept=False)
+        rep = dataset_report(load_csv_dataset(path, "y", intercept=False), Criterion.AIC,
+                             0.05, [SigmaSpec.mse_aic()], source=os.fspath(path),
+                             response="y")
         doc = report_to_dict(rep)
         assert doc["events"], "per-target event summaries missing"
         ev = doc["events"][0]

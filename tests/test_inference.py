@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import norm, t as t_dist
 
-from subsetci import Dataset, IndexSet, errors
+from subsetci import Dataset, IndexSet, errors, truncnorm
 from subsetci.criteria import Criterion, CriterionSpec, best_subset
 from subsetci.geometry import (
     MIN_ETA_EXP, SelectionEvent, decompose, measure, selection_events)
@@ -28,11 +28,11 @@ from subsetci.inference import (
     target_directions,
 )
 from subsetci.intervals import FULL_LINE, interval_union, padded_rows
-from subsetci.truncnorm import PieceTable, TruncatedNormalSpec, invert_mean, truncated_cdf
+from subsetci.truncnorm import PieceTable, TruncatedNormalSpec, truncated_cdf
 
 import test_geometry
 from conftest import random_dataset
-from pair_oracle import residual_project, sequential_region
+from pair_oracle import invert_one, residual_project, sequential_region
 
 
 def lstsq_fit(d, S):
@@ -315,10 +315,9 @@ class TestCorrectedCI:
         inner = interval_union([(-1.0, 1.0)])
         outer = interval_union([(-3.0, 3.0)])
         x, lam, alpha = 0.2, 1.0, 0.05
-        lo_in = invert_mean(1 - alpha / 2, x, lam, inner)
-        hi_in = invert_mean(alpha / 2, x, lam, inner)
-        lo_out = invert_mean(1 - alpha / 2, x, lam, outer)
-        hi_out = invert_mean(alpha / 2, x, lam, outer)
+        lo_in, hi_in, lo_out, hi_out = (
+            invert_one(target, x, lam, region)[0]
+            for region in (inner, outer) for target in (1 - alpha / 2, alpha / 2))
         assert (hi_in - lo_in) >= (hi_out - lo_out) - 1e-9
 
     def test_sigma_used_recorded(self, rng):
@@ -567,8 +566,8 @@ class TestIntervalTable:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(table_problems())
     def test_cells_equal_scalar_calls(self, problem):
-        """Every limit is bit-for-bit the scalar ``invert_mean``, or infinite
-        exactly where that call raises; every pivot is bit-for-bit the scalar
+        """Every limit is bit-for-bit its one-problem inversion, infinite
+        exactly where that inversion fails; every pivot is bit-for-bit the scalar
         ``truncated_cdf``, and ``interval_table`` raises where a scalar call
         does."""
         data, S, etas, regions, strategies, alpha, mu = problem
@@ -586,13 +585,9 @@ class TestIntervalTable:
                 lam = float(table.lam[i, j])
                 for limit, target in ((table.lower[i, j], 1 - alpha / 2),
                                       (table.upper[i, j], alpha / 2)):
-                    if np.isfinite(limit):
-                        assert limit == invert_mean(target, x, lam, region)
-                        continue
-                    assert limit == (-math.inf if target > 0.5 else math.inf)
-                    with pytest.raises((errors.BracketFailure,
-                                        errors.RegionMassUnderflow)):
-                        invert_mean(target, x, lam, region)
+                    mu_one, status = invert_one(target, x, lam, region)
+                    assert limit == mu_one
+                    assert np.isfinite(limit) == (status == truncnorm._SOLVED)
                 try:
                     scalar_pivots[i, j] = truncated_cdf(
                         x, TruncatedNormalSpec(float(mu[i]), lam, region))
@@ -667,6 +662,15 @@ class TestObservationCheck:
         later = interval_union([(x[1] - 5.0, x[1] - 3.0), (x[1] - 1.0, x[1] + 1.0)])
         cells = self._cells(data, etas, [inside, later])
         assert cells.lo.shape == (2, 2)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, math.nan])
+    def test_level_outside_the_unit_interval_is_refused(self, rng, alpha):
+        # the inversion's targets alpha/2 and 1 - alpha/2 must lie in (0, 1)
+        data = random_dataset(rng, n=12, p=3)
+        etas = rng.standard_normal((1, 12))
+        with pytest.raises(errors.InputError, match="alpha must be in"):
+            interval_cells(data, IndexSet((1, 2, 3)), *measure(data.y, etas),
+                           padded_rows([FULL_LINE]), self.STRATEGIES, alpha)
 
     def test_mixed_widths_in_one_block_solve_as_alone(self, built_tables, rng):
         # responses whose regions have 1 to 4 pieces share one table, which

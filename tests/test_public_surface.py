@@ -5,14 +5,19 @@ library code outside its own body (elsewhere in its module, or from another
 module through ``from .module import name`` or ``module.name``), or be listed
 in ``subsetci.__all__``.  Code that only tests or benchmarks call belongs in
 ``tests/`` or ``bench/``.
+
+The benchmark scripts call the library too: every name they take from it must
+exist, or every benchmark run fails.
 """
 
 import ast
+import importlib
 import pathlib
 
 import subsetci
 
 PACKAGE = pathlib.Path(subsetci.__file__).parent
+BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 
 # Public names that only callers outside the package use, with the reason.
 KEPT = {}
@@ -67,3 +72,43 @@ def test_kept_names_are_needed():
     # an entry that the package itself uses again, or that no longer
     # exists, is stale
     assert sorted(KEPT) == sorted(set(_unused_public_definitions()) & set(KEPT))
+
+
+def _bench_contract():
+    """Every dotted name the benchmark scripts take from ``subsetci``: each
+    imported module or name, and each attribute read from one of them."""
+    wanted = set()
+    for script in ("run.py", "record_reference.py"):
+        tree = ast.parse((BENCH / script).read_text())
+        local = {}  # the name an import binds -> the dotted name it binds
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                local.update((alias.asname or alias.name, alias.name)
+                             for alias in node.names
+                             if alias.name.split(".")[0] == "subsetci")
+            elif (isinstance(node, ast.ImportFrom) and node.level == 0
+                  and node.module.split(".")[0] == "subsetci"):
+                local.update((alias.asname or alias.name, f"{node.module}.{alias.name}")
+                             for alias in node.names)
+        wanted.update(local.values())
+        wanted.update(f"{local[node.value.id]}.{node.attr}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute)
+                      and isinstance(node.value, ast.Name) and node.value.id in local)
+    return wanted
+
+
+def _lookup(dotted):
+    """The module or attribute named ``dotted``, or None where it is missing."""
+    try:
+        return importlib.import_module(dotted)
+    except ImportError:
+        owner, _, attr = dotted.rpartition(".")
+        return getattr(_lookup(owner), attr, None) if owner else None
+
+
+def test_every_name_the_benchmark_takes_exists():
+    contract = _bench_contract()
+    # the oracle's single-target path and the replication clock are read
+    assert {"subsetci.geometry.selection_event", "subsetci.harness.rep_stream",
+            "subsetci.truncnorm.truncated_cdf"} <= contract
+    assert sorted(name for name in contract if _lookup(name) is None) == []

@@ -14,11 +14,10 @@ from subsetci.geometry import measure
 from subsetci.harness import SimulationConfig, simulate_coverage
 from subsetci.inference import InferenceTarget, SigmaSpec, interval_table, pivot_value
 from subsetci.intervals import FULL_LINE, interval_union, padded_rows
-from subsetci.truncnorm import (
-    CDF_TOL, PieceTable, TruncatedNormalSpec, invert_mean, truncated_cdf)
+from subsetci.truncnorm import CDF_TOL, PieceTable, TruncatedNormalSpec, truncated_cdf
 from conftest import random_dataset
 import pair_oracle
-from pair_oracle import log_normal_measure, normal_measure
+from pair_oracle import invert_one, log_normal_measure, normal_measure
 
 # working precision of the mpmath oracles, scoped to each oracle call so that
 # no module changes the process-wide setting for another
@@ -170,18 +169,25 @@ class TestTruncatedCdf:
             assert abs(truncated_cdf(x, spec) - emp) <= 3 * se + 1e-12
 
 
+def solved_mean(target, x, lam, region) -> float:
+    """The root of one inversion, which must be found."""
+    mu, status = invert_one(target, x, lam, region)
+    assert status == truncnorm._SOLVED
+    return mu
+
+
 class TestInvertMean:
     def test_untruncated_recovers_classical_endpoints(self):
         x, lam, alpha = 2.3, 1.7, 0.05
         z = norm.ppf(1 - alpha / 2)
-        lo = invert_mean(1 - alpha / 2, x, lam, FULL_LINE)
-        hi = invert_mean(alpha / 2, x, lam, FULL_LINE)
+        lo = solved_mean(1 - alpha / 2, x, lam, FULL_LINE)
+        hi = solved_mean(alpha / 2, x, lam, FULL_LINE)
         assert lo == pytest.approx(x - z * lam, abs=1e-7 * lam)
         assert hi == pytest.approx(x + z * lam, abs=1e-7 * lam)
 
     def test_symmetric_region_median(self):
         region = interval_union([(-2.0, 2.0)])
-        mu = invert_mean(0.5, 0.0, 1.0, region)
+        mu = solved_mean(0.5, 0.0, 1.0, region)
         assert mu == pytest.approx(0.0, abs=1e-7)
 
     def test_round_trip_random_specs(self, rng):
@@ -203,19 +209,9 @@ class TestInvertMean:
             else:
                 x = 0.5 * (plo + phi)
             target = float(rng.uniform(0.05, 0.95))
-            mu = invert_mean(target, x, lam, region)
+            mu = solved_mean(target, x, lam, region)
             spec = TruncatedNormalSpec(mu=mu, lam=lam, region=region)
             assert truncated_cdf(x, spec) == pytest.approx(target, abs=1e-8)
-
-    def test_observation_must_be_interior(self):
-        with pytest.raises(errors.ObservationOutsideRegion):
-            invert_mean(0.5, 5.0, 1.0, interval_union([(-1.0, 1.0)]))
-
-    def test_target_domain(self):
-        with pytest.raises(errors.InputError):
-            invert_mean(0.0, 0.0, 1.0, FULL_LINE)
-        with pytest.raises(errors.InputError):
-            invert_mean(1.5, 0.0, 1.0, FULL_LINE)
 
     def test_deep_truncation_still_inverts(self):
         # observation in a narrow far piece; mean must wander far to hit tails
@@ -223,7 +219,7 @@ class TestInvertMean:
         x = 8.5
         lam = 1.0
         for target in (0.025, 0.5, 0.975):
-            mu = invert_mean(target, x, lam, region)
+            mu = solved_mean(target, x, lam, region)
             spec = TruncatedNormalSpec(mu=mu, lam=lam, region=region)
             assert truncated_cdf(x, spec) == pytest.approx(target, abs=1e-8)
 
@@ -261,8 +257,7 @@ def problems(draw):
 def test_batch_elements_equal_single_calls(batch, shuffle):
     """Each problem of a table inversion is bit-for-bit a one-problem call,
     whatever order the table's rows are asked in and the padding other rows
-    force; a problem the table reports as infinite is one the scalar call
-    refuses."""
+    force, failed problems included."""
     order = list(range(len(batch)))
     shuffle.shuffle(order)
     table = PieceTable(np.array([b[1] for b in batch]), np.array([b[2] for b in batch]),
@@ -277,11 +272,9 @@ def test_batch_elements_equal_single_calls(batch, shuffle):
                       np.array([lams[j] for j in solved]),
                       *padded_rows([regions[j] for j in solved])).cdf(mus[solved])
     for j in range(len(order)):
+        assert (mus[j], status[j]) == invert_one(targets[j], xs[j], lams[j], regions[j])
         if j not in solved:
-            with pytest.raises((errors.BracketFailure, errors.RegionMassUnderflow)):
-                invert_mean(targets[j], xs[j], lams[j], regions[j])
             continue
-        assert mus[j] == invert_mean(targets[j], xs[j], lams[j], regions[j])
         cdf = cdfs[solved.index(j)]
         assert cdf == truncated_cdf(xs[j], specs[solved.index(j)])
         assert cdf == pytest.approx(targets[j], abs=1e-10)
@@ -384,14 +377,12 @@ class TestBatchFailureIsolation:
         assert mus[1] == -INF and mus[3] == INF
         assert status.tolist() == [truncnorm._SOLVED, truncnorm._BELOW,
                                    truncnorm._SOLVED, truncnorm._ABOVE]
-        assert mus[0] == invert_mean(0.975, x, lam, region)
-        assert mus[2] == invert_mean(0.025, x, lam, region)
+        assert mus[0] == solved_mean(0.975, x, lam, region)
+        assert mus[2] == solved_mean(0.025, x, lam, region)
 
-    def test_scalar_call_still_raises(self):
-        with pytest.raises(errors.BracketFailure):
-            invert_mean(0.975, *self.PINNED)
-        with pytest.raises(errors.BracketFailure):
-            invert_mean(0.025, *self.PINNED)
+    def test_one_row_table_reports_the_pinned_side(self):
+        assert invert_one(0.975, *self.PINNED) == (-INF, truncnorm._BELOW)
+        assert invert_one(0.025, *self.PINNED) == (INF, truncnorm._ABOVE)
 
     def test_batch_input_validation(self):
         # interval_table refuses an observation outside its target's region
@@ -441,11 +432,9 @@ class TestRegionMassUnderflow:
             pivot_value(data, None, IndexSet((1,)), InferenceTarget.coefficient(1),
                         mu, SigmaSpec.known(1.0), CriterionSpec(Criterion.AIC, 15))
 
-    def test_scalar_invert_mean_raises(self):
-        with pytest.raises(errors.RegionMassUnderflow):
-            invert_mean(0.975, *self.NARROW)
-        with pytest.raises(errors.RegionMassUnderflow):
-            invert_mean(0.025, *self.NARROW)
+    def test_one_row_table_reports_underflow(self):
+        assert invert_one(0.975, *self.NARROW) == (-INF, truncnorm._UNDERFLOW)
+        assert invert_one(0.025, *self.NARROW) == (INF, truncnorm._UNDERFLOW)
 
     def test_batch_gives_infinite_endpoint_for_that_element_only(self):
         region = interval_union([(-1.0, 0.5), (1.0, 4.0)])
@@ -457,8 +446,8 @@ class TestRegionMassUnderflow:
                                    np.array([0, 1, 0, 1]))
         assert mus[1] == -INF and mus[3] == INF
         assert status[1] == status[3] == truncnorm._UNDERFLOW
-        assert mus[0] == invert_mean(0.975, x, lam, region)
-        assert mus[2] == invert_mean(0.025, x, lam, region)
+        assert mus[0] == solved_mean(0.975, x, lam, region)
+        assert mus[2] == solved_mean(0.025, x, lam, region)
 
 
 
@@ -489,8 +478,8 @@ class TestMasslessPiece:
         assert mus[1] == -INF and mus[3] == INF
         assert status.tolist() == [truncnorm._SOLVED, truncnorm._BELOW,
                                    truncnorm._SOLVED, truncnorm._ABOVE]
-        assert mus[0] == invert_mean(0.975, x, lam, region)
-        assert mus[2] == invert_mean(0.025, x, lam, region)
+        assert mus[0] == solved_mean(0.975, x, lam, region)
+        assert mus[2] == solved_mean(0.025, x, lam, region)
 
 @mpmath.workdps(DPS)
 def hp_upper_tail_cdf(x, mu, lam, lo, hi):
@@ -509,7 +498,7 @@ class TestRootAtCdfRounding:
 
     def test_one_ulp_of_the_mean_exceeds_the_tolerance(self):
         args = (0.975, 1e6 + 0.5, 0.05, interval_union([(1e6, 1e6 + 1)]))
-        mu = invert_mean(*args)
+        mu = solved_mean(*args)
         with mpmath.workdps(DPS):
             root = mpmath.findroot(
                 lambda m: hp_upper_tail_cdf(1e6 + 0.5, m, 0.05, 1e6, 1e6 + 1)
@@ -523,7 +512,7 @@ class TestRootAtCdfRounding:
         # the root lies near mu = -5000, where log masses are about -8e5
         target, x, lam = 0.8638524125458623, -2.3319759408218856, 3.8310297261403004
         lo, hi = -2.3377685884745807, -2.052799590599084
-        mu = invert_mean(target, x, lam, interval_union([(lo, hi)]))
+        mu = solved_mean(target, x, lam, interval_union([(lo, hi)]))
         assert -6000.0 < mu < -4000.0
         assert abs(float(hp_upper_tail_cdf(x, mu, lam, lo, hi)) - target) <= 1e-9
 
@@ -538,9 +527,8 @@ class TestRootAtCdfRounding:
             np.array([0.975, 0.025]), np.array([0, 0]))
         assert mu.tolist() == [-math.inf, math.inf]
         assert status.tolist() == [truncnorm._STALLED] * 2
-        for target in (0.975, 0.025):
-            with pytest.raises(errors.BracketFailure):
-                invert_mean(target, x, 3.672, region)
+        for target, end in ((0.975, -INF), (0.025, INF)):
+            assert invert_one(target, x, 3.672, region) == (end, truncnorm._STALLED)
 
 
 def count_solver_work(monkeypatch):
@@ -578,7 +566,7 @@ class TestSolverWork:
         mus, _ = PieceTable(xs, lams, *padded_rows([FULL_LINE] * 5)).invert(targets, np.arange(5))
         assert tally == {"endpoints": 5, "evals": 5, "rounds": 1}
         assert np.array_equal(mus, xs - lams * ndtri(targets))
-        assert invert_mean(0.975, 2.3, 1.7, FULL_LINE) == mus[0]
+        assert solved_mean(0.975, 2.3, 1.7, FULL_LINE) == mus[0]
 
     def test_table1_study_spends_at_most_six_evaluations_per_endpoint(
             self, monkeypatch):
@@ -643,7 +631,7 @@ def test_inversion_matches_brentq_oracle(problem):
     where the CDF is within ``CDF_TOL`` of the target, which is what that
     tolerance leaves open where the CDF is flat in the mean."""
     target, x, lam, region = problem
-    mu = invert_mean(target, x, lam, region)
+    mu = solved_mean(target, x, lam, region)
 
     def gap(m):
         return truncated_cdf(x, TruncatedNormalSpec(m, lam, region)) - target
