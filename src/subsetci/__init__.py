@@ -14,7 +14,6 @@ as ``subsetci analyze`` composes it; a coverage study is
 
 from . import errors
 from .criteria import (
-    CandidatePolicy,
     Criterion,
     CriterionSpec,
     ScoredModel,
@@ -63,7 +62,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AnalysisReport",
     "CIResult",
-    "CandidatePolicy",
     "CoverageReport",
     "Criterion",
     "CriterionSpec",

@@ -141,7 +141,7 @@ def run(argv: Optional[List[str]] = None) -> int:
 
     if args.command == "simulate":
         try:
-            with open(args.config) as fh:
+            with open(args.config, encoding="utf-8-sig") as fh:
                 config = parse_config_text(fh.read())
         except OSError as exc:
             raise errors.IoError(f"cannot read config: {exc}") from None

@@ -67,22 +67,6 @@ class ScoredModel:
     rss: float
 
 
-@dataclass(frozen=True)
-class CandidatePolicy:
-    """Which submodels compete.
-
-    All subsets of the free columns (forced columns always included), the
-    empty free set excluded unless ``include_empty``, optionally capped at
-    ``max_size`` free columns.
-    """
-
-    max_size: Optional[int] = None
-    include_empty: bool = False
-
-
-DEFAULT_POLICY = CandidatePolicy()
-
-
 # Refuse candidate sets whose basis build would exceed this many bytes at
 # its peak; exhaustive enumeration at that scale also takes minutes.
 MAX_CANDIDATE_BYTES = 256 * 2 ** 20
@@ -94,81 +78,73 @@ _BUFFER_BYTES = 2 ** 18
 MAX_MASK_COLUMNS = 62
 
 
-def _free_sizes(n_free: int, policy: CandidatePolicy) -> range:
-    """Free-column counts admitted by ``policy`` among ``n_free`` free columns."""
-    cap = n_free if policy.max_size is None else min(policy.max_size, n_free)
-    return range(0 if policy.include_empty else 1, cap + 1)
-
-
-def _buffer_rows(n_free: int, policy: CandidatePolicy) -> Tuple[int, int]:
+def _buffer_rows(n_free: int) -> Tuple[int, int]:
     """Rows of ``p`` floats in each of the build's two level buffers, which
     hold in turn one size's complement bases and every column's coordinates
     in them, and in its buffer of the bases gathered for the next size.
     The build allocates them once, as one block, and reuses them for every
     size: fresh arrays per size would be paged in anew by every build."""
-    sizes = [k for k in _free_sizes(n_free, policy) if k]
-    level = [math.comb(n_free, j) * (n_free - j) for k in sizes for j in (k - 1, k)]
-    return (max(level, default=0),
-            max((math.comb(n_free, k) * (n_free - k + 1) for k in sizes), default=0))
+    return (max(math.comb(n_free, j) * (n_free - j) for j in range(n_free)),
+            max(math.comb(n_free, k) * (n_free - k + 1) for k in range(1, n_free + 1)))
 
 
-def _build_bytes(data: Dataset, policy: CandidatePolicy) -> Tuple[int, int, int]:
-    """``(models, stored bytes, peak bytes)`` of building the candidate set.
+def _build_bytes(data: Dataset) -> Tuple[int, int, int]:
+    """``(models, stored bytes, peak bytes)`` of building the candidate set
+    of a design with at least one free column.
 
-    The set stores one direction of ``p`` floats per model below the top
-    admitted free size ``K``, and ``p - width_K`` rows of ``p`` floats per
-    root, a model of size ``K`` (see :class:`CandidateSet`).  The peak adds
-    the build's buffers (see :func:`_buffer_rows`), four ``p``-long rows per
-    model of the largest size that bound the per-model vectors, and NumPy's
-    iteration buffers.
+    The set stores one direction of ``p`` floats per model but the full
+    model (see :class:`CandidateSet`).  The peak adds the build's buffers
+    (see :func:`_buffer_rows`), four ``p``-long rows per model of the most
+    populous size that bound the per-model vectors, and NumPy's iteration
+    buffers.
     """
     n_free = len(data.free_indices)
-    sizes = _free_sizes(n_free, policy)
-    if not sizes:
-        return 0, 0, _BUFFER_BYTES
-    count = sum(math.comb(n_free, k) for k in sizes)
-    roots = math.comb(n_free, sizes[-1])
-    stored = count - roots + roots * (n_free - sizes[-1])
-    level, gathered = _buffer_rows(n_free, policy)
-    work = 2 * level + gathered + 4 * max(math.comb(n_free, k) for k in sizes)
-    return (count, stored * data.p * 8,
+    stored = 2 ** n_free - 2
+    level, gathered = _buffer_rows(n_free)
+    work = 2 * level + gathered + 4 * math.comb(n_free, n_free // 2)
+    return (stored + 1, stored * data.p * 8,
             (stored + work) * data.p * 8 + _BUFFER_BYTES)
 
 
-def _check_budget(data: Dataset, policy: CandidatePolicy) -> None:
-    """Raise ``InputError`` before enumerating a candidate set too large to
-    build; the estimate is the build's peak (see :func:`_build_bytes`)."""
+def _check_budget(data: Dataset) -> None:
+    """Raise ``InputError`` before enumerating a candidate set that cannot
+    be built: for a design without a free column, one too wide for the
+    bitmasks, or one whose build's peak (see :func:`_build_bytes`) is over
+    the memory budget."""
+    n_free = len(data.free_indices)
+    if not n_free:
+        raise errors.InputError("the design has no free column to select")
     if data.p > MAX_MASK_COLUMNS:
         raise errors.InputError(
             f"p={data.p} exceeds {MAX_MASK_COLUMNS}, the most columns a "
             "candidate bitmask can hold")
-    count, _, peak = _build_bytes(data, policy)
+    count, _, peak = _build_bytes(data)
     if peak > MAX_CANDIDATE_BYTES:
         raise errors.InputError(
-            f"candidate policy admits {count} models whose basis build "
+            f"{n_free} free columns give {count} models whose basis build "
             f"needs about {peak / 2 ** 20:.0f} MiB, above the "
-            f"{MAX_CANDIDATE_BYTES / 2 ** 20:.0f} MiB limit; cap the model "
-            "size with CandidatePolicy(max_size=...)")
+            f"{MAX_CANDIDATE_BYTES / 2 ** 20:.0f} MiB limit")
 
 
 class _Level(NamedTuple):
-    """The candidates of one free size ``k``, at positions ``models`` in
-    canonical order, each with a complement of ``dim = p - |S|`` dimensions.
+    """The candidates of one free size ``k >= 1``, at positions ``models``
+    in canonical order, each with a complement of ``dim = p - |S|``
+    dimensions.
 
-    For ``k > 0``, ``parents`` gives each model's prefix parent (the model
-    without its largest free column) as a position among the models of size
-    ``k - 1``, or the forced columns alone at ``k = 1``, and ``read`` the
-    (parents, 0-based columns) indices that read the coordinates of each
-    model's added column and then, when the parents are candidates, of each
-    parent's superset column.  Below the top level, ``supers`` gives each
+    ``parents`` gives each model's prefix parent (the model without its
+    largest free column) as a position among the models of size ``k - 1``,
+    or the forced columns alone at ``k = 1``, and ``read`` the (parents,
+    0-based columns) indices that read the coordinates of each model's
+    added column and then, above ``k = 1``, of each parent's superset
+    column.  Below the top level, the full model, ``supers`` gives each
     model's superset parent, and ``super_columns`` the 0-based column that
     parent adds.
     """
 
     models: slice
     dim: int
-    parents: Optional[np.ndarray]
-    read: Optional[Tuple[np.ndarray, np.ndarray]]
+    parents: np.ndarray
+    read: Tuple[np.ndarray, np.ndarray]
     supers: Optional[np.ndarray]
     super_columns: Optional[np.ndarray]
 
@@ -196,19 +172,17 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
-def _candidate_list(forced: Tuple[int, ...], free: Tuple[int, ...],
-                    policy: CandidatePolicy) -> _CandidateList:
-    """Canonical order: free size, then lexicographic.  The list depends on
-    the forced and free columns and the policy only, never on the design.
-    A model's superset parent adds the first free column it lacks.
+def _candidate_list(forced: Tuple[int, ...], free: Tuple[int, ...]) -> _CandidateList:
+    """Every nonempty subset of the free columns, each with the forced ones,
+    in canonical order: free size, then lexicographic.  The list depends on
+    the forced and free columns only, never on the design.  A model's
+    superset parent adds the first free column it lacks.
     """
-    sizes = _free_sizes(len(free), policy)
+    sizes = range(1, len(free) + 1)
     models = tuple(
         IndexSet(tuple(sorted(forced + combo)))
         for k in sizes
         for combo in itertools.combinations(free, k))
-    if not models:
-        raise errors.InputError("candidate policy admits no models")
     masks = np.array([sum(1 << (i - 1) for i in m.indices) for m in models],
                      dtype=np.int64)
     by_mask = np.argsort(masks)
@@ -221,23 +195,22 @@ def _candidate_list(forced: Tuple[int, ...], free: Tuple[int, ...],
     for k in sizes:
         count = math.comb(len(free), k)
         at = slice(start, start + count)
-        parent = read = supers = added = None
-        if k:
-            children = len(free) - 1 - last
-            parent = np.repeat(np.arange(last.size), children)
-            first_child = np.cumsum(children) - children
-            last = last[parent] + 1 + np.arange(count) - first_child[parent]
-            read = (parent, columns[last])
-            if levels:
-                read = tuple(map(np.concatenate, zip(read, (
-                    np.arange(levels[-1].count), levels[-1].super_columns))))
-            parent, read = _frozen(parent), tuple(map(_frozen, read))
-        if k < sizes[-1]:
+        children = len(free) - 1 - last
+        parent = np.repeat(np.arange(last.size), children)
+        first_child = np.cumsum(children) - children
+        last = last[parent] + 1 + np.arange(count) - first_child[parent]
+        read = (parent, columns[last])
+        if levels:
+            read = tuple(map(np.concatenate, zip(read, (
+                np.arange(levels[-1].count), levels[-1].super_columns))))
+        supers = added = None
+        if k < len(free):
             added = _frozen(columns[np.argmin((masks[at, None] >> columns) & 1,
                                               axis=1)])
             supers = _frozen(by_mask[np.searchsorted(
                 masks, masks[at] | (1 << added), sorter=by_mask)])
-        levels.append(_Level(at, len(free) - k, parent, read, supers, added))
+        levels.append(_Level(at, len(free) - k, _frozen(parent),
+                             tuple(map(_frozen, read)), supers, added))
         start += count
     free_sizes = np.repeat(np.array(sizes), [lv.count for lv in levels])
     return _CandidateList(models, {m: pos for pos, m in enumerate(models)},
@@ -252,27 +225,23 @@ def _rank_check(dist: np.ndarray, root: np.ndarray,
     ``RANK_TOL`` times its largest."""
     lo = root.min(initial=np.inf, keepdims=True)
     hi = root.max(initial=np.finfo(float).tiny, keepdims=True)
-    first = listed.levels[0]
-    built = dist[first.models.stop if first.parents is None else 0:]
-    if built.min(initial=lo[0]) >= RANK_TOL * built.max(initial=hi[0]):
+    if dist.min(initial=lo[0]) >= RANK_TOL * dist.max(initial=hi[0]):
         return  # no model can fail
     for lv in listed.levels:
-        if lv.parents is not None:
-            lo = np.minimum(lo[lv.parents], dist[lv.models])
-            hi = np.maximum(hi[lv.parents], dist[lv.models])
-            bad = np.flatnonzero(lo < RANK_TOL * hi)
-            if bad.size:
-                raise errors.RankDeficient(
-                    "submodel columns are collinear beyond tolerance",
-                    model=listed.models[lv.models.start + bad[0]])
+        lo = np.minimum(lo[lv.parents], dist[lv.models])
+        hi = np.maximum(hi[lv.parents], dist[lv.models])
+        bad = np.flatnonzero(lo < RANK_TOL * hi)
+        if bad.size:
+            raise errors.RankDeficient(
+                "submodel columns are collinear beyond tolerance",
+                model=listed.models[lv.models.start + bad[0]])
 
 
 def _directions(r: np.ndarray, n_forced: int, listed: _CandidateList,
-                buffer_rows: Tuple[int, int]) -> Tuple[np.ndarray, np.ndarray]:
-    """Each candidate's direction below the top level (a (models, p) array
-    in canonical order) and the roots' complement bases stacked as rows,
-    built one free size at a time from prefix parents in buffers of
-    ``buffer_rows`` (see :func:`_buffer_rows`).
+                buffer_rows: Tuple[int, int]) -> np.ndarray:
+    """Each candidate's direction but the full model's (a (models - 1, p)
+    array in canonical order), built one free size at a time from prefix
+    parents in buffers of ``buffer_rows`` (see :func:`_buffer_rows`).
 
     If the rows of ``N_P`` span the complement of ``span R[:, P]``, the
     coordinates ``N_P R`` of every column give ``P``'s direction,
@@ -285,9 +254,9 @@ def _directions(r: np.ndarray, n_forced: int, listed: _CandidateList,
     ``j`` from the span of the parent's columns, the |diag| entry that the
     QR of the child's sorted columns ends with, which the rank check reads
     once the build is done; a deficient design builds rubbish until then.
-    The forced columns lead and ``R`` is upper triangular, so the root's
-    basis is the last ``p - n_forced`` unit vectors and its |diag| entries
-    are those of ``R``.
+    The forced columns lead and ``R`` is upper triangular, so the basis of
+    the forced columns alone is the last ``p - n_forced`` unit vectors and
+    their |diag| entries are those of ``R``.
     """
     p = r.shape[0]
     dirs = np.empty((listed.levels[-1].models.start, p))
@@ -299,57 +268,55 @@ def _directions(r: np.ndarray, n_forced: int, listed: _CandidateList,
     below = None
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for lv in listed.levels:
-            if lv.parents is not None:
-                # every column's coordinates, then the new bases, in the
-                # buffer that the level before last used
-                coords = np.matmul(level.reshape(-1, p), r,
-                                   out=spare[:level.size].reshape(-1, p))
-                rows, columns = lv.read
-                read = coords.reshape(level.shape)[rows, :, columns]
-                v = read[:lv.count]
-                if below is not None:  # the parents are candidates
-                    np.einsum("md,mdp->mp", read[lv.count:], level,
-                              out=dirs[below.models])
-                norm = np.sqrt(np.einsum("md,md->m", v, v), out=dist[lv.models])
-                gathered = np.take(level, lv.parents, axis=0, mode="clip", out=(
-                    parents[:lv.count * level[0].size].reshape(-1, *level.shape[1:])))
-                level = spare[:lv.count * lv.dim * p].reshape(lv.count, lv.dim, p)
-                # w = v + sign(v_1)|v| e_1, H = I - 2 w w'/|w|^2, |w|^2 = 2|v||w_1|
-                v[:, 0] += np.copysign(norm, v[:, 0])
-                s = np.einsum("md,mdp->mp", v, gathered)
-                s /= (norm * np.abs(v[:, 0]))[:, None]
-                np.einsum("md,mp->mdp", v[:, 1:], s, out=level)
-                np.subtract(gathered[:, 1:], level, out=level)
-                spare, other = other, spare
+            # every column's coordinates, then the new bases, in the buffer
+            # that the level before last used
+            coords = np.matmul(level.reshape(-1, p), r,
+                               out=spare[:level.size].reshape(-1, p))
+            rows, columns = lv.read
+            read = coords.reshape(level.shape)[rows, :, columns]
+            v = read[:lv.count]
+            if below is not None:  # the parents are candidates
+                np.einsum("md,mdp->mp", read[lv.count:], level,
+                          out=dirs[below.models])
+            norm = np.sqrt(np.einsum("md,md->m", v, v), out=dist[lv.models])
+            gathered = np.take(level, lv.parents, axis=0, mode="clip", out=(
+                parents[:lv.count * level[0].size].reshape(-1, *level.shape[1:])))
+            level = spare[:lv.count * lv.dim * p].reshape(lv.count, lv.dim, p)
+            # w = v + sign(v_1)|v| e_1, H = I - 2 w w'/|w|^2, |w|^2 = 2|v||w_1|
+            v[:, 0] += np.copysign(norm, v[:, 0])
+            s = np.einsum("md,mdp->mp", v, gathered)
+            s /= (norm * np.abs(v[:, 0]))[:, None]
+            np.einsum("md,mp->mdp", v[:, 1:], s, out=level)
+            np.subtract(gathered[:, 1:], level, out=level)
+            spare, other = other, spare
             below = lv
         dirs /= np.sqrt(np.einsum("mp,mp->m", dirs, dirs))[:, None]
     _rank_check(dist, np.abs(np.diag(r)[:n_forced]), listed)
-    return dirs, level.reshape(-1, p).copy()  # out of the buffers
+    return dirs
 
 
 class CandidateSet:
     """Candidate models of one design plus batched per-model kernels.
 
-    Built once per (design, policy) and cached on the dataset.  The kernels
-    work in the coordinates of the full design's thin QR ``X = Q R``: with
-    ``u = Q'v`` and ``v_perp = v - Q u``, the residual maker ``R_S`` of model
-    ``S`` (not to be confused with the triangular factor ``R``) satisfies
-    ``|R_S v|^2 = |v_perp|^2 + |N_S'u|^2``, where the columns of ``N_S``
-    (p by p - |S|) are an orthonormal basis of the complement of the span of
-    ``R[:, S]``.  A model ``S`` below the top admitted size has a superset
+    The candidates are every nonempty subset of the free columns, each with
+    the forced ones.  Built once per design and cached on the dataset.  The
+    kernels work in the coordinates of the full design's thin QR
+    ``X = Q R``: with ``u = Q'v`` and ``v_perp = v - Q u``, the residual
+    maker ``R_S`` of model ``S`` (not to be confused with the triangular
+    factor ``R``) satisfies ``|R_S v|^2 = |v_perp|^2 + |N_S'u|^2``, where
+    the columns of ``N_S`` (p by p - |S|) are an orthonormal basis of the
+    complement of the span of ``R[:, S]``.  A model ``S`` other than the full model has a superset
     parent ``S + {j}`` among the candidates; the complement of ``S`` is that
     parent's plus one unit vector ``q_S``, the residual of ``R[:, j]``
     against ``span R[:, S]``, so ``|N_S'u|^2 = |N_{S+j}'u|^2 + (q_S'u)^2``.
     Such a model stores ``q_S`` only, ``p`` floats instead of the
-    ``(p - |S|) * p`` of a basis; the roots, the models of the top size,
-    store their bases (none for the full model, whose complement is empty).
+    ``(p - |S|) * p`` of a basis; the full model's complement is empty.
     """
 
-    def __init__(self, data: Dataset, policy: CandidatePolicy):
-        _check_budget(data, policy)
+    def __init__(self, data: Dataset):
+        _check_budget(data)
         self.data = data
-        self.policy = policy
-        listed = _candidate_list(data.forced_indices, data.free_indices, policy)
+        listed = _candidate_list(data.forced_indices, data.free_indices)
         self.models = list(listed.models)
         self._position = listed.position
         self.free_sizes = listed.free_sizes
@@ -358,9 +325,8 @@ class CandidateSet:
         self._penalties: dict = {}
         self._q, r = data._qr_of(data.full_model().indices)
         self._levels = listed.levels
-        self._dirs, self._roots = _directions(
-            r, len(data.forced_indices), listed,
-            _buffer_rows(len(data.free_indices), policy))
+        self._dirs = _directions(r, len(data.forced_indices), listed,
+                                 _buffer_rows(len(data.free_indices)))
 
     def __len__(self) -> int:
         return len(self.models)
@@ -370,8 +336,7 @@ class CandidateSet:
             return self._position[S]
         except KeyError:
             raise errors.InputError(
-                f"model {S} is not a candidate under the current policy"
-            ) from None
+                f"model {S} is not a candidate") from None
 
     def _gram(self, vs: np.ndarray) -> np.ndarray:
         """Residual inner products of ``vs = [v_0, v_1, ..., v_T]`` (a (T+1, n)
@@ -380,8 +345,8 @@ class CandidateSet:
         for ``t = 1..T``.
 
         The part of each vector outside the full design's span is shared by
-        all candidates.  A root adds the sum over the vector's coordinates in
-        its basis; every other model adds the product of the vectors'
+        all candidates, and is the full model's value, last in canonical
+        order.  Every other model adds the product of the vectors'
         coordinates along its direction to its superset parent's value, one
         size level at a time down from the top.  Every value is so a sum of
         squares, and each cross term a sum of products bounded by
@@ -391,15 +356,9 @@ class CandidateSet:
         perp = vs - u @ self._q.T
         t = len(vs) - 1
         out = np.empty((2 * t + 1, len(self.models)))
-        top = self._levels[-1]
-        c = (u @ self._roots.T).reshape(t + 1, top.count, top.dim)
-        np.einsum("md,tmd->tm", c[0], c, out=out[:t + 1, top.models])
-        if t:
-            np.einsum("tmd,tmd->tm", c[1:], c[1:], out=out[t + 1:, top.models])
-        shared = np.concatenate([
+        out[:, -1] = np.concatenate([
             np.einsum("tn,tn->t", np.broadcast_to(perp[0], perp.shape), perp),
             np.einsum("tn,tn->t", perp[1:], perp[1:])])
-        out[:, top.models] += shared[:, None]
         g = u @ self._dirs.T  # (T+1, models below the top)
         step = np.concatenate([g[0] * g, g[1:] * g[1:]])
         for lv in reversed(self._levels[:-1]):
@@ -449,27 +408,22 @@ class CandidateSet:
         return self.score_rss(rss, spec), rss
 
 
-def candidate_set(data: Dataset, policy: CandidatePolicy = DEFAULT_POLICY) -> CandidateSet:
-    key = ("candidates", policy)
-    hit = data._cache.get(key)
+def candidate_set(data: Dataset) -> CandidateSet:
+    hit = data._cache.get("candidates")
     if hit is None:
-        hit = CandidateSet(data, policy)
-        data._cache[key] = hit
+        hit = CandidateSet(data)
+        data._cache["candidates"] = hit
     return hit
 
 
-def best_subset(
-    data: Dataset,
-    spec: CriterionSpec,
-    policy: CandidatePolicy = DEFAULT_POLICY,
-) -> Tuple[IndexSet, List[ScoredModel]]:
+def best_subset(data: Dataset, spec: CriterionSpec) -> Tuple[IndexSet, List[ScoredModel]]:
     """Exhaustively score all candidates and return the winner plus the field.
 
     Ties break toward the smaller model, then the lexicographically smaller
     index list; the canonical enumeration order makes the first minimum the
     tie-break winner.
     """
-    cs = candidate_set(data, policy)
+    cs = candidate_set(data)
     scores, rss = cs.scores(data.y, spec)
     best = int(np.argmin(scores))
     scored = [

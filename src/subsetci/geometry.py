@@ -31,13 +31,7 @@ from typing import List, Optional, Tuple, Union
 import numpy as np
 
 from . import errors
-from .criteria import (
-    CandidatePolicy,
-    CandidateSet,
-    CriterionSpec,
-    DEFAULT_POLICY,
-    candidate_set,
-)
+from .criteria import CandidateSet, CriterionSpec, candidate_set
 from .intervals import FULL_LINE, MERGE_REL, IntervalUnion
 from .linmodel import Dataset, IndexSet, _require_finite_response
 
@@ -310,7 +304,6 @@ def selection_event(
     decomp: EtaDecomposition,
     S_hat: IndexSet,
     spec: CriterionSpec,
-    policy: CandidatePolicy = DEFAULT_POLICY,
 ) -> SelectionEvent:
     """Intersect all pairwise comparisons into the event region for ``S_hat``.
 
@@ -324,7 +317,7 @@ def selection_event(
     describes the construction.
     """
     return selection_events(data, decomp.reconstruct(), decomp.eta[None, :],
-                            S_hat, spec, policy)[0]
+                            S_hat, spec)[0]
 
 
 def selection_events(
@@ -333,7 +326,6 @@ def selection_events(
     etas: np.ndarray,
     S_hat: IndexSet,
     spec: CriterionSpec,
-    policy: CandidatePolicy = DEFAULT_POLICY,
 ) -> Tuple[SelectionEvent, ...]:
     """The selection event of ``S_hat`` along each row of the (T, n) ``etas``.
 
@@ -355,7 +347,7 @@ def selection_events(
     # a refused direction fails the batch with its own error, before any
     # error of the model; the stack is measured again on these paths only
     try:
-        cut = cut_comparisons(data, y, etas, S_hat, spec, policy)
+        cut = cut_comparisons(data, y, etas, S_hat, spec)
     except errors.SubsetCIError:
         _accepted(*_scaled_directions(y, etas))
         raise
@@ -365,7 +357,7 @@ def selection_events(
     if isinstance(region, errors.InvariantViolation):
         raise region
     lo, hi = region
-    cs = candidate_set(data, policy)
+    cs = candidate_set(data)
     hat = cs.index_of(S_hat)
     superset = _strict_supersets(cs, hat)
     # each solved comparison's own region; a comparison left unsolved fails
@@ -397,7 +389,6 @@ def cut_comparisons(
     etas: np.ndarray,
     S_hat: IndexSet,
     spec: CriterionSpec,
-    policy: CandidatePolicy = DEFAULT_POLICY,
 ) -> Comparisons:
     """The comparisons of ``S_hat`` that can fail along each row of the
     (T, n) ``etas`` through ``y``: the per-response stage of
@@ -424,12 +415,12 @@ def cut_comparisons(
     scaled, exp, t, kept = _scaled_directions(y, etas)
     scaled, exp, t = scaled[kept], exp[kept], t[kept]
     norm2 = np.einsum("tn,tn->t", scaled, scaled)
-    cs = candidate_set(data, policy)
+    cs = candidate_set(data)
     try:
         hat = cs.index_of(S_hat)
     except errors.InputError:
         raise errors.NotSelectedModel(
-            f"{S_hat} is not a candidate under the current policy") from None
+            f"{S_hat} is not a candidate") from None
     eta_tilde = scaled / norm2[:, None]
     rss, b, c2 = cs.gram(y, eta_tilde)
     best = int(np.argmin(cs.score_rss(rss, spec)))

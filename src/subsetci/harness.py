@@ -21,10 +21,8 @@ import numpy as np
 
 from . import errors
 from .criteria import (
-    CandidatePolicy,
     Criterion,
     CriterionSpec,
-    DEFAULT_POLICY,
     ScoredModel,
     best_subset,
     candidate_set,
@@ -372,7 +370,7 @@ def _run_rep_chunk(
     if config.fixed_design:
         base = _design_dataset(config, X, np.zeros(config.n))
         base_mean = X @ beta  # noiseless response under the true coefficients
-        cs = candidate_set(base, DEFAULT_POLICY)
+        cs = candidate_set(base)
     else:
         cov_chol = _ar1_cholesky(config)
 
@@ -405,7 +403,7 @@ def _run_rep_chunk(
                 Xr = Z @ cov_chol.T
                 mean_r = Xr @ beta
                 data = _design_dataset(config, Xr, mean_r + config.sigma * noise)
-                local_cs = candidate_set(data, DEFAULT_POLICY)
+                local_cs = candidate_set(data)
             try:
                 scores, _ = local_cs.scores(data.y, spec)
                 S_hat = local_cs.models[int(np.argmin(scores))]
@@ -565,7 +563,7 @@ def load_csv_dataset(
 ) -> Dataset:
     """Read a numeric CSV with a header row into a Dataset."""
     try:
-        with open(csv_path, newline="") as fh:
+        with open(csv_path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)
@@ -658,7 +656,6 @@ def dataset_report(
     alpha: float,
     sigma_strategies: Sequence[SigmaSpec],
     targets: Optional[Sequence[InferenceTarget]] = None,
-    policy: CandidatePolicy = DEFAULT_POLICY,
     source: str = "<memory>",
     response: str = "y",
 ) -> AnalysisReport:
@@ -669,7 +666,7 @@ def dataset_report(
     if not 0.0 < alpha < 1.0:
         raise errors.InputError(f"alpha must be in (0,1), got {alpha}")
     spec = CriterionSpec(criterion, data.n)
-    selected, scored = best_subset(data, spec, policy)
+    selected, scored = best_subset(data, spec)
     if targets is None:
         targets = [InferenceTarget.coefficient(data.name_of(i))
                    for i in selected.indices]
@@ -677,8 +674,7 @@ def dataset_report(
     rows: List[AnalysisRow] = []
     if sigma_strategies and targets:
         etas = target_directions(data, selected, targets)
-        events = selection_events(data, data.y, etas, selected, spec,
-                                  policy=policy)
+        events = selection_events(data, data.y, etas, selected, spec)
         table = interval_table(data, selected, *measure(data.y, etas),
                                padded_rows([e.region for e in events]),
                                sigma_strategies, alpha, np.zeros(len(targets)))

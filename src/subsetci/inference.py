@@ -19,7 +19,7 @@ import numpy as np
 from scipy.stats import norm as norm_dist, t as t_dist
 
 from . import errors
-from .criteria import CandidatePolicy, CriterionSpec, DEFAULT_POLICY
+from .criteria import CriterionSpec
 from .geometry import (
     SelectionEvent, _accepted, _measured, _scaled_directions, _split, measure,
     selection_events)
@@ -409,7 +409,7 @@ def interval_table(
 def _single_target(
     data: Dataset, y: Optional[np.ndarray], S_hat: IndexSet,
     target: InferenceTarget, criterion_spec: CriterionSpec,
-    policy: CandidatePolicy, event: Optional[SelectionEvent],
+    event: Optional[SelectionEvent],
 ) -> Tuple[Dataset, np.ndarray, np.ndarray, SelectionEvent]:
     """(data with response ``y``, the target's measurement, its selection event).
 
@@ -428,7 +428,7 @@ def _single_target(
     unit, exp, t = _accepted(*_scaled_directions(data.y, eta[None, :]))
     if event is None:
         event = selection_events(data, data.y, eta[None, :], S_hat,
-                                 criterion_spec, policy)[0]
+                                 criterion_spec)[0]
     else:
         for recorded, want, what in (
                 (event.eta, eta, "along another direction than the target's"),
@@ -449,7 +449,6 @@ def corrected_ci(
     alpha: float,
     sigma_spec: SigmaSpec,
     criterion_spec: CriterionSpec,
-    policy: CandidatePolicy = DEFAULT_POLICY,
     event: Optional[SelectionEvent] = None,
 ) -> CIResult:
     """Selection-corrected equal-tail interval for the target.
@@ -465,7 +464,7 @@ def corrected_ci(
     if not 0.0 < alpha < 1.0:
         raise errors.InputError(f"alpha must be in (0,1), got {alpha}")
     data, points, lengths, event = _single_target(
-        data, y, S_hat, target, criterion_spec, policy, event)
+        data, y, S_hat, target, criterion_spec, event)
     table = interval_table(data, S_hat, points, lengths, padded_rows([event.region]),
                            [sigma_spec], alpha, [0.0])
     return CIResult(lower=float(table.lower[0, 0]), upper=float(table.upper[0, 0]),
@@ -483,7 +482,6 @@ def pivot_value(
     hypothesized_value: float,
     sigma_spec: SigmaSpec,
     criterion_spec: CriterionSpec,
-    policy: CandidatePolicy = DEFAULT_POLICY,
     event: Optional[SelectionEvent] = None,
 ) -> float:
     """Truncated-normal CDF of ``eta'y`` at a hypothesized target value.
@@ -493,7 +491,7 @@ def pivot_value(
     ``event`` is checked as :func:`corrected_ci` checks it.
     """
     data, points, lengths, event = _single_target(
-        data, y, S_hat, target, criterion_spec, policy, event)
+        data, y, S_hat, target, criterion_spec, event)
     lam = float(lengths[0]) * estimate_sigma(data, S_hat, sigma_spec)
     _require_inside(points, *padded_rows([event.region]))
     return truncated_cdf(float(points[0]), TruncatedNormalSpec(

@@ -42,12 +42,7 @@ import numpy as np
 from scipy.special import erf, log_ndtr
 
 from subsetci import errors
-from subsetci.criteria import (
-    CandidatePolicy,
-    CriterionSpec,
-    DEFAULT_POLICY,
-    candidate_set,
-)
+from subsetci.criteria import CriterionSpec, candidate_set
 from subsetci.geometry import (
     ETA_SPAN_TOL,
     LEAD_TOL,
@@ -80,8 +75,7 @@ def residual_project(data: Dataset, S: IndexSet, v: np.ndarray) -> np.ndarray:
     return v - q @ (q.T @ v)
 
 
-def complement_bases(data: Dataset, policy: CandidatePolicy
-                     ) -> Tuple[List[IndexSet], List[np.ndarray]]:
+def complement_bases(data: Dataset) -> Tuple[List[IndexSet], List[np.ndarray]]:
     """Candidate models in canonical order and each one's complement basis,
     as the rows of a (p - |S|, p) block, from one complete-mode QR of
     ``R[:, S]`` per model, batched by width.
@@ -90,18 +84,13 @@ def complement_bases(data: Dataset, policy: CandidatePolicy
     |diag| of that QR falls below ``RANK_TOL`` times its largest.
     """
     forced, free = data.forced_indices, data.free_indices
-    cap = len(free) if policy.max_size is None else min(policy.max_size, len(free))
     models = [IndexSet(tuple(sorted(forced + combo)))
-              for k in range(0 if policy.include_empty else 1, cap + 1)
+              for k in range(1, len(free) + 1)
               for combo in itertools.combinations(free, k)]
     _, r = data._qr_of(data.full_model().indices)
-    p = data.p
     blocks: List[np.ndarray] = []
     for width in sorted({len(m) for m in models}):
         group = [m for m in models if len(m) == width]
-        if width == 0:
-            blocks.extend(np.eye(p) for _ in group)
-            continue
         cols = np.array([m.indices for m in group]) - 1
         q_s, r_s = np.linalg.qr(r[:, cols].transpose(1, 0, 2), mode="complete")
         d = np.abs(np.diagonal(r_s, axis1=1, axis2=2))
@@ -271,7 +260,6 @@ def sequential_region(
     S_hat: IndexSet,
     spec: CriterionSpec,
     skip_supersets: bool,
-    policy: CandidatePolicy = DEFAULT_POLICY,
 ) -> IntervalUnion:
     """Intersection of the per-pair sets, one competitor at a time.
 
@@ -284,7 +272,7 @@ def sequential_region(
         raise EtaNotInSpan("skipping superset comparisons needs eta in the "
                            "column span of the selected model")
     region = FULL_LINE
-    for S in candidate_set(data, policy).models:
+    for S in candidate_set(data).models:
         if S == S_hat:
             continue
         if is_superset(S, S_hat) and skip_supersets:
@@ -303,7 +291,6 @@ def superset_lower_bound(
     S_hat: IndexSet,
     coefficient_index: int,
     spec: CriterionSpec,
-    policy: CandidatePolicy = DEFAULT_POLICY,
 ) -> float:
     """Bound on ``(eta'y)^2`` from the sub-models of ``S_hat`` that drop
     ``coefficient_index``, one n-space projection per sub-model."""
@@ -313,7 +300,7 @@ def superset_lower_bound(
     allowed = set(S_hat.indices) - {coefficient_index}
     best = 0.0
     found = False
-    for model in candidate_set(data, policy).models:
+    for model in candidate_set(data).models:
         if model == S_hat or not set(model.indices) <= allowed:
             continue
         omega = penalty_ratio_sizes(k_hat, data.free_size(model), spec)
@@ -422,7 +409,6 @@ def unscreened_event_rows(
     etas: np.ndarray,
     S_hat: IndexSet,
     spec: CriterionSpec,
-    policy: CandidatePolicy = DEFAULT_POLICY,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """The padded region rows of ``selection_events(data, y, etas, ...)``
     for valid input, with every comparison solved: each direction's row
@@ -434,7 +420,7 @@ def unscreened_event_rows(
     etas = np.ldexp(etas, -exp[:, None])
     norm2 = np.einsum("tn,tn->t", etas, etas)
     t = etas @ y
-    cs = candidate_set(data, policy)
+    cs = candidate_set(data)
     hat = cs.index_of(S_hat)
     eta_tilde = etas / norm2[:, None]
     rss, b, c2 = cs.gram(y, eta_tilde)
@@ -472,9 +458,8 @@ def gathered_comparisons(
     etas: np.ndarray,
     S_hat: IndexSet,
     spec: CriterionSpec,
-    policy: CandidatePolicy = DEFAULT_POLICY,
 ) -> Comparisons:
-    """``cut_comparisons(data, y, etas, S_hat, spec, policy)`` for a response
+    """``cut_comparisons(data, y, etas, S_hat, spec)`` for a response
     that selects ``S_hat``, formed over the gathered columns ``idx`` of the
     active candidates: every candidate but ``S_hat``, less its strict
     supersets when every accepted direction lies in the selected span; with
@@ -484,7 +469,7 @@ def gathered_comparisons(
     scaled, exp, t, kept = _scaled_directions(y, etas)
     scaled, exp, t = scaled[kept], exp[kept], t[kept]
     norm2 = np.einsum("tn,tn->t", scaled, scaled)
-    cs = candidate_set(data, policy)
+    cs = candidate_set(data)
     hat = cs.index_of(S_hat)
     eta_tilde = scaled / norm2[:, None]
     rss, b, c2 = cs.gram(y, eta_tilde)

@@ -1,7 +1,6 @@
 """The R-space candidate engine against direct n-space oracles.
 
-Designs are drawn by hypothesis and cover a forced intercept, a capped model
-size and the empty model.
+Designs are drawn by hypothesis, with and without a forced intercept.
 """
 
 import math
@@ -15,8 +14,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from subsetci import Dataset, IndexSet, criteria, errors
 from subsetci.criteria import (
-    DEFAULT_POLICY,
-    CandidatePolicy,
     CandidateSet,
     Criterion,
     CriterionSpec,
@@ -43,14 +40,10 @@ KERNEL_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 
 @st.composite
 def designs(draw):
-    """(dataset, policy, rng) with n >= p + 4, so AICc is defined everywhere."""
+    """(dataset, rng) with n >= p + 4, so AICc is defined everywhere."""
     p = draw(st.integers(2, 5))
     intercept = draw(st.booleans())
     n = draw(st.integers(p + 4, 24))
-    n_free = p - 1 if intercept else p
-    policy = CandidatePolicy(
-        max_size=draw(st.one_of(st.none(), st.integers(1, n_free))),
-        include_empty=draw(st.booleans()))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     X = rng.standard_normal((n, p))
     if intercept:
@@ -59,20 +52,17 @@ def designs(draw):
     data = Dataset(X, y, tuple(f"x{j}" for j in range(1, p + 1)),
                    intercept_policy=INTERCEPT_FORCED if intercept
                    else INTERCEPT_NONE)
-    return data, policy, rng
+    return data, rng
 
 
 def _lstsq_residual(X, S, v):
-    if not len(S):
-        return v
     Xs = X[:, [i - 1 for i in S.indices]]
     return v - Xs @ np.linalg.lstsq(Xs, v, rcond=None)[0]
 
 
-def _selected_direction(data, policy, rng, criterion, prediction=False):
+def _selected_direction(data, rng, criterion, prediction=False):
     spec = CriterionSpec(criterion, data.n)
-    S_hat, _ = best_subset(data, spec, policy)
-    assume(len(S_hat) > 0)
+    S_hat, _ = best_subset(data, spec)
     if prediction:
         target = InferenceTarget.prediction_mean(rng.standard_normal(data.p))
     else:
@@ -94,8 +84,8 @@ def _assert_same_region(got, want):
 @KERNEL_SETTINGS
 @given(designs())
 def test_rss_and_gram_match_lstsq_residuals(case):
-    data, policy, rng = case
-    cs = candidate_set(data, policy)
+    data, rng = case
+    cs = candidate_set(data)
     a = rng.standard_normal(data.n)
     b = rng.standard_normal(data.n)
     rss = cs.rss_all(data.y)
@@ -116,8 +106,8 @@ def test_rss_and_gram_match_lstsq_residuals(case):
 def test_gram_matches_per_model_qr_oracle(case, count):
     # every candidate's residual inner products of a vector and a stack of
     # vectors, against each model's own thin QR in n-space
-    data, policy, rng = case
-    cs = candidate_set(data, policy)
+    data, rng = case
+    cs = candidate_set(data)
     a = rng.standard_normal(data.n)
     B = rng.standard_normal((count, data.n))
     aa, ab, bb = cs.gram(a, B)
@@ -138,11 +128,9 @@ def test_direction_in_a_models_span_leaves_it_no_negative_residual(case):
     # direction inside span X[:, S] gives a tiny c2 that is never negative,
     # and the selection events' in-span rule, applied to it, decides as the
     # oracle does
-    data, policy, rng = case
-    cs = candidate_set(data, policy)
+    data, rng = case
+    cs = candidate_set(data)
     for S in cs.models:
-        if not len(S):
-            continue
         eta = data.X[:, [i - 1 for i in S.indices]] @ rng.standard_normal(len(S))
         norm2 = float(eta @ eta)
         _, _, (c2,) = cs.gram(data.y, (eta / norm2)[None])
@@ -157,10 +145,10 @@ def test_direction_in_a_models_span_leaves_it_no_negative_residual(case):
 def test_swept_region_equals_sequential_pair_intersection(case, criterion, skip):
     # along a direction in the selected span the event skips superset
     # comparisons; the oracle's region is the same with or without them
-    data, policy, rng = case
-    spec, S_hat, dec = _selected_direction(data, policy, rng, criterion)
-    event = selection_event(data, dec, S_hat, spec, policy=policy)
-    want = pair_oracle.sequential_region(dec, data, S_hat, spec, skip, policy)
+    data, rng = case
+    spec, S_hat, dec = _selected_direction(data, rng, criterion)
+    event = selection_event(data, dec, S_hat, spec)
+    want = pair_oracle.sequential_region(dec, data, S_hat, spec, skip)
     _assert_same_region(event.region, want)
 
 
@@ -168,27 +156,27 @@ def test_swept_region_equals_sequential_pair_intersection(case, criterion, skip)
 @given(designs(), st.sampled_from(list(Criterion)), st.booleans())
 def test_skipping_supersets_leaves_region_unchanged(case, criterion, prediction):
     # every superset comparison the event skips holds on the whole line
-    data, policy, rng = case
-    spec, S_hat, dec = _selected_direction(data, policy, rng, criterion,
+    data, rng = case
+    spec, S_hat, dec = _selected_direction(data, rng, criterion,
                                            prediction)
-    event = selection_event(data, dec, S_hat, spec, policy=policy)
+    event = selection_event(data, dec, S_hat, spec)
     for c in event.comparisons:
         if c.skipped:
             assert pair_oracle.simplified_comparison(
                 dec, data, S_hat, c.competitor, spec) == FULL_LINE
     _assert_same_region(event.region, pair_oracle.sequential_region(
-        dec, data, S_hat, spec, False, policy))
+        dec, data, S_hat, spec, False))
 
 
 @KERNEL_SETTINGS
 @given(designs(), st.sampled_from(list(Criterion)))
 def test_swept_region_equals_pair_intersection_off_span(case, criterion):
     # a direction outside the selected span gives downward parabolas too
-    data, policy, rng = case
-    spec, S_hat, _ = _selected_direction(data, policy, rng, criterion)
+    data, rng = case
+    spec, S_hat, _ = _selected_direction(data, rng, criterion)
     dec = decompose(data.y, rng.standard_normal(data.n))
-    event = selection_event(data, dec, S_hat, spec, policy=policy)
-    want = pair_oracle.sequential_region(dec, data, S_hat, spec, False, policy)
+    event = selection_event(data, dec, S_hat, spec)
+    want = pair_oracle.sequential_region(dec, data, S_hat, spec, False)
     _assert_same_region(event.region, want)
 
 
@@ -196,26 +184,26 @@ def test_swept_region_equals_pair_intersection_off_span(case, criterion):
 @given(designs(), st.sampled_from(list(Criterion)),
        st.sampled_from(["coefficient", "prediction", "off-span"]))
 def test_observed_statistic_lies_in_its_event(case, criterion, direction):
-    data, policy, rng = case
-    spec, S_hat, dec = _selected_direction(data, policy, rng, criterion,
+    data, rng = case
+    spec, S_hat, dec = _selected_direction(data, rng, criterion,
                                            direction == "prediction")
     if direction == "off-span":
         dec = decompose(data.y, rng.standard_normal(data.n))
-    event = selection_event(data, dec, S_hat, spec, policy=policy)
+    event = selection_event(data, dec, S_hat, spec)
     assert event.region.contains(dec.eta_dot_y)
 
 
 @KERNEL_SETTINGS
 @given(designs(), st.sampled_from(list(Criterion)))
 def test_superset_lower_bound_matches_pair_oracle(case, criterion):
-    data, policy, rng = case
-    spec, S_hat, _ = _selected_direction(data, policy, rng, criterion)
+    data, rng = case
+    spec, S_hat, _ = _selected_direction(data, rng, criterion)
     i = int(rng.choice(S_hat.indices))
     # a coefficient's event lies outside the oracle's bound on (eta'y)^2
     eta = eta_for_target(data, S_hat, InferenceTarget.coefficient(i))
     dec = decompose(data.y, eta)
-    bound = pair_oracle.superset_lower_bound(dec, data, S_hat, i, spec, policy)
-    region = selection_event(data, dec, S_hat, spec, policy=policy).region
+    bound = pair_oracle.superset_lower_bound(dec, data, S_hat, i, spec)
+    region = selection_event(data, dec, S_hat, spec).region
     assert pair_oracle.outside_bound(region, bound, dec.eta_norm2)
 
 
@@ -236,16 +224,16 @@ def _directions(data, S_hat, rng, count, off_span):
     return np.array(etas)
 
 
-def cs_models(data, policy):
-    return candidate_set(data, policy).models
+def cs_models(data):
+    return candidate_set(data).models
 
 
-def _oracle_records(dec, data, S_hat, spec, policy):
+def _oracle_records(dec, data, S_hat, spec):
     """(competitor, per-pair set or None if skipped) in canonical order: a
     direction in the selected span skips the strict supersets of ``S_hat``."""
     in_span = pair_oracle.eta_in_span(dec, data, S_hat)
     out = []
-    for S in cs_models(data, policy):
+    for S in cs_models(data):
         if S == S_hat:
             continue
         if in_span and pair_oracle.is_superset(S, S_hat):
@@ -257,20 +245,20 @@ def _oracle_records(dec, data, S_hat, spec, policy):
 
 
 def _check_events_against_single_calls_and_oracle(data, etas, events, S_hat,
-                                                  spec, policy):
+                                                  spec):
     """Each batched event (with its comparison records) is its own
     one-direction call's and the pair oracle's: skipping supersets for a
     direction in the selected span, including them for any other."""
     assert len(events) == len(etas)
     for eta, event in zip(etas, events):
         dec = decompose(data.y, eta)
-        one = selection_event(data, dec, S_hat, spec, policy=policy)
+        one = selection_event(data, dec, S_hat, spec)
         in_span = pair_oracle.eta_in_span(dec, data, S_hat)
         assert event.selected == S_hat
         _assert_same_region(event.region, one.region)
         _assert_same_region(event.region, pair_oracle.sequential_region(
-            dec, data, S_hat, spec, in_span, policy))
-        want = _oracle_records(dec, data, S_hat, spec, policy)
+            dec, data, S_hat, spec, in_span))
+        want = _oracle_records(dec, data, S_hat, spec)
         assert len(event.comparisons) == len(one.comparisons) == len(want)
         for got, single, (competitor, oracle) in zip(event.comparisons,
                                                      one.comparisons, want):
@@ -287,18 +275,18 @@ def _check_events_against_single_calls_and_oracle(data, etas, events, S_hat,
        st.integers(1, 4))
 def test_batched_events_match_single_calls_and_pair_oracle(case, criterion,
                                                            off_span, count):
-    data, policy, rng = case
-    spec, S_hat, _ = _selected_direction(data, policy, rng, criterion)
+    data, rng = case
+    spec, S_hat, _ = _selected_direction(data, rng, criterion)
     etas = _directions(data, S_hat, rng, count, off_span)
-    events = selection_events(data, data.y, etas, S_hat, spec, policy=policy)
+    events = selection_events(data, data.y, etas, S_hat, spec)
     assert len(events) == count
     for eta, event in zip(etas, events):
         dec = decompose(data.y, eta)
         assert event.selected == S_hat
-        one = selection_event(data, dec, S_hat, spec, policy=policy)
+        one = selection_event(data, dec, S_hat, spec)
         _assert_same_region(event.region, one.region)
         _assert_same_region(event.region, pair_oracle.sequential_region(
-            dec, data, S_hat, spec, False, policy))
+            dec, data, S_hat, spec, False))
 
 
 @KERNEL_SETTINGS
@@ -306,12 +294,12 @@ def test_batched_events_match_single_calls_and_pair_oracle(case, criterion,
        st.integers(1, 3))
 def test_batched_comparison_records_match_single_calls_and_pair_oracle(
         case, criterion, off_span, count):
-    data, policy, rng = case
-    spec, S_hat, _ = _selected_direction(data, policy, rng, criterion)
+    data, rng = case
+    spec, S_hat, _ = _selected_direction(data, rng, criterion)
     etas = _directions(data, S_hat, rng, count, off_span)
-    events = selection_events(data, data.y, etas, S_hat, spec, policy=policy)
+    events = selection_events(data, data.y, etas, S_hat, spec)
     _check_events_against_single_calls_and_oracle(data, etas, events, S_hat,
-                                                  spec, policy)
+                                                  spec)
 
 
 @KERNEL_SETTINGS
@@ -325,8 +313,8 @@ def test_mixed_span_batches_skip_supersets_only_in_span(case, criterion,
     # direction leaves the span by 5e-9 relative, inside ETA_SPAN_TOL: its
     # superset comparisons keep a small linear term that would cut a spurious
     # far-tail root if they were not skipped
-    data, policy, rng = case
-    spec, S_hat, _ = _selected_direction(data, policy, rng, criterion)
+    data, rng = case
+    spec, S_hat, _ = _selected_direction(data, rng, criterion)
     assume(len(S_hat) < data.p)  # the full model has every eta in span
     kinds = kinds + ["nudged", "off-span"]
     etas = []
@@ -341,21 +329,21 @@ def test_mixed_span_batches_skip_supersets_only_in_span(case, criterion,
             eta = eta + 5e-9 * np.linalg.norm(eta) / np.linalg.norm(off) * off
         etas.append(eta)
     etas = np.array(etas)
-    events = selection_events(data, data.y, etas, S_hat, spec, policy=policy)
+    events = selection_events(data, data.y, etas, S_hat, spec)
     assert [pair_oracle.eta_in_span(decompose(data.y, eta), data, S_hat)
             for eta in etas] == [kind != "off-span" for kind in kinds]
     _check_events_against_single_calls_and_oracle(data, etas, events, S_hat,
-                                                  spec, policy)
+                                                  spec)
 
 
-def _linear_direction(data, S_hat, spec, policy, rng):
+def _linear_direction(data, S_hat, spec, rng):
     """A direction along which the comparison of ``S_hat`` with a smaller
     model ``S`` is linear in t, and that ``S``.  With g in the span of
     ``S_hat`` and h orthogonal to every column, eta = g + a h gives
     |R_S eta|^2 - omega |R_hat eta|^2 = |R_S g|^2 - (omega - 1) a^2 |h|^2,
     which vanishes at the ``a`` below (omega > 1, as S has the smaller
     penalty)."""
-    cs = candidate_set(data, policy)
+    cs = candidate_set(data)
     smaller = [S for S in cs.models if len(S) < len(S_hat)]
     assume(smaller)
     S = smaller[int(rng.integers(len(smaller)))]
@@ -377,8 +365,8 @@ def _linear_direction(data, S_hat, spec, policy, rng):
 def test_screened_sweep_equals_the_unscreened_one(case, criterion, kinds):
     # the event solves only the comparisons that can fail; its region rows
     # are, float for float, those of solving every comparison
-    data, policy, rng = case
-    spec, S_hat, _ = _selected_direction(data, policy, rng, criterion)
+    data, rng = case
+    spec, S_hat, _ = _selected_direction(data, rng, criterion)
     etas = []
     for kind in kinds:
         if kind == "in-span":
@@ -386,7 +374,7 @@ def test_screened_sweep_equals_the_unscreened_one(case, criterion, kinds):
         elif kind == "off-span":
             etas.append(rng.standard_normal(data.n))
         else:
-            eta, S = _linear_direction(data, S_hat, spec, policy, rng)
+            eta, S = _linear_direction(data, S_hat, spec, rng)
             dec = decompose(data.y, eta)
             quad = pair_oracle.comparison_quadratic(dec, data, S_hat, S, spec)
             scale2, scale1 = pair_oracle._pair_scales(
@@ -397,37 +385,37 @@ def test_screened_sweep_equals_the_unscreened_one(case, criterion, kinds):
             etas.append(eta)
     etas = np.array(etas)
     got_lo, got_hi = padded_rows([e.region for e in selection_events(
-        data, data.y, etas, S_hat, spec, policy=policy)])
+        data, data.y, etas, S_hat, spec)])
     lo, hi = pair_oracle.unscreened_event_rows(data, data.y, etas, S_hat,
-                                               spec, policy)
+                                               spec)
     assert np.array_equal(got_lo, lo) and np.array_equal(got_hi, hi)
 
 
 def _mixed_cut(case, criterion, kinds, null):
-    """``(data, policy, spec, S_hat, etas)``: one direction per kind through
+    """``(data, spec, S_hat, etas)``: one direction per kind through
     the response's selected model ``S_hat``, in its span, off it, along which
     a comparison is linear in t (see :func:`_linear_direction`), zero, or
     too small to measure.  Under ``null`` the response is noise alone, which
     selects a small model, with strict supersets, and the directions gain
     one in the selected span and one off it."""
-    data, policy, rng = case
+    data, rng = case
     if null:
         data = data.replace_y(rng.standard_normal(data.n))
         kinds = kinds + ["in-span", "off-span"]
-    spec, S_hat, _ = _selected_direction(data, policy, rng, criterion)
+    spec, S_hat, _ = _selected_direction(data, rng, criterion)
     etas = []
     for kind in kinds:
         if kind == "off-span":
             etas.append(rng.standard_normal(data.n))
         elif kind == "linear":
-            etas.append(_linear_direction(data, S_hat, spec, policy, rng)[0])
+            etas.append(_linear_direction(data, S_hat, spec, rng)[0])
         elif kind == "zero":
             etas.append(np.zeros(data.n))
         else:
             eta = _directions(data, S_hat, rng, 1, off_span=False)[0]
             # below the smallest normal float: too small to measure
             etas.append(np.ldexp(eta, -1100) if kind == "tiny" else eta)
-    return data, policy, spec, S_hat, np.array(etas)
+    return data, spec, S_hat, np.array(etas)
 
 
 # the criterion, kinds and null arguments of _mixed_cut
@@ -443,10 +431,9 @@ def test_cut_equals_the_gathered_one(case, criterion, kinds, null):
     # the cut forms every comparison over the whole candidate row and masks
     # its screen once; every field is, float for float and in the same
     # order, that of gathering the active candidates' columns first
-    data, policy, spec, S_hat, etas = _mixed_cut(case, criterion, kinds, null)
-    got = cut_comparisons(data, data.y, etas, S_hat, spec, policy)
-    want = pair_oracle.gathered_comparisons(data, data.y, etas, S_hat, spec,
-                                            policy)
+    data, spec, S_hat, etas = _mixed_cut(case, criterion, kinds, null)
+    got = cut_comparisons(data, data.y, etas, S_hat, spec)
+    want = pair_oracle.gathered_comparisons(data, data.y, etas, S_hat, spec)
     for f in fields(Comparisons):
         g, w = getattr(got, f.name), getattr(want, f.name)
         assert g.dtype == w.dtype and np.array_equal(g, w), f.name
@@ -469,9 +456,9 @@ def test_cut_rows_skip_the_selected_model_and_in_span_supersets(case, criterion,
     # each direction's competitors ascend and never include S_hat; along a
     # direction in the selected span no strict superset of S_hat is kept,
     # and along any other one each superset comparison that can fail is
-    data, policy, spec, S_hat, etas = _mixed_cut(case, criterion, kinds, null)
-    cut = cut_comparisons(data, data.y, etas, S_hat, spec, policy)
-    models = cs_models(data, policy)
+    data, spec, S_hat, etas = _mixed_cut(case, criterion, kinds, null)
+    cut = cut_comparisons(data, data.y, etas, S_hat, spec)
+    models = cs_models(data)
     hat = models.index(S_hat)
     supersets = {m for m, S in enumerate(models)
                  if S != S_hat and pair_oracle.is_superset(S, S_hat)}
@@ -508,10 +495,10 @@ def test_a_refused_direction_decides_the_error_first(case, criterion, kinds,
     # directions would raise; otherwise the first failing direction's.
     # ``last`` appends a refused direction, so that with a wrong model it
     # follows a direction whose own call fails on the model
-    data, policy, rng = case
-    spec, S_hat, _ = _selected_direction(data, policy, rng, criterion)
+    data, rng = case
+    spec, S_hat, _ = _selected_direction(data, rng, criterion)
     if wrong_model:
-        others = [S for S in cs_models(data, policy) if S != S_hat]
+        others = [S for S in cs_models(data) if S != S_hat]
         assume(others)
         S_hat = others[int(rng.integers(len(others)))]
     etas = []
@@ -521,22 +508,21 @@ def test_a_refused_direction_decides_the_error_first(case, criterion, kinds,
         elif kind == "off-span":
             etas.append(rng.standard_normal(data.n))
         else:
-            eta = (eta_for_target(data, S_hat, InferenceTarget.coefficient(
-                int(rng.choice(S_hat.indices)))) if len(S_hat)
-                else data.X[:, 0].copy())
+            eta = eta_for_target(data, S_hat, InferenceTarget.coefficient(
+                int(rng.choice(S_hat.indices))))
             # below the smallest normal float: too small to measure
             etas.append(np.ldexp(eta, -1100) if kind == "tiny" else eta)
     refused = [_error_of(lambda: decompose(data.y, eta)) for eta in etas]
     own = [_error_of(lambda: selection_event(data, decompose(data.y, eta),
-                                             S_hat, spec, policy=policy))
+                                             S_hat, spec))
            for eta in etas]
     want = next((e for e in refused + own if e is not None), None)
     got = _error_of(lambda: selection_events(data, data.y, np.array(etas), S_hat,
-                                             spec, policy=policy))
+                                             spec))
     assert got == want
     if want is None:
-        assert len(selection_events(data, data.y, np.array(etas), S_hat, spec,
-                                    policy=policy)) == len(etas)
+        assert len(selection_events(data, data.y, np.array(etas), S_hat,
+                                    spec)) == len(etas)
 
 
 def test_batched_events_refuse_mismatched_directions(small_data):
@@ -583,7 +569,7 @@ def test_candidate_list_is_shared_but_rank_check_runs_per_design(rng):
 
 @st.composite
 def basis_designs(draw):
-    """(dataset, policy) over random, ill-scaled and planted-collinear designs.
+    """A dataset over random, ill-scaled and planted-collinear designs.
 
     A planted design replaces its last 2 or 3 columns with copies of
     ``b = 1e6 a + z``, each plus its own 1e-6 times noise, where ``a`` is
@@ -596,10 +582,6 @@ def basis_designs(draw):
     copies = draw(st.integers(2, 3))
     p = draw(st.integers(copies + 1 + intercept if kind == "collinear" else 2, 6))
     n = draw(st.integers(p + 4, 20))
-    n_free = p - 1 if intercept else p
-    policy = CandidatePolicy(
-        max_size=draw(st.one_of(st.none(), st.integers(1, n_free))),
-        include_empty=draw(st.booleans()))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     X = rng.standard_normal((n, p))
     if kind == "ill-scaled":
@@ -609,34 +591,32 @@ def basis_designs(draw):
         X[:, -copies:] = b[:, None] + 1e-6 * rng.standard_normal((n, copies))
     if intercept:
         X[:, 0] = 1.0
-    data = Dataset(X, rng.standard_normal(n),
+    return Dataset(X, rng.standard_normal(n),
                    tuple(f"x{j}" for j in range(1, p + 1)),
                    intercept_policy=INTERCEPT_FORCED if intercept
                    else INTERCEPT_NONE)
-    return data, policy
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(basis_designs())
-def test_prefix_tree_bases_match_per_model_qr_oracle(case):
-    # a model below the top admitted size stores one unit direction:
-    # orthogonal to its own columns and inside the span of its superset
-    # parent's, so it is that parent's complement basis plus one row; a root
-    # stores its complement basis
-    data, policy = case
+def test_prefix_tree_bases_match_per_model_qr_oracle(data):
+    # a model other than the full one stores one unit direction: orthogonal
+    # to its own columns and inside the span of its superset parent's, so it
+    # is that parent's complement basis plus one row; the full model, last,
+    # stores none
     try:
-        models, blocks = pair_oracle.complement_bases(data, policy)
+        models, blocks = pair_oracle.complement_bases(data)
     except errors.RankDeficient as exc:
         with pytest.raises(errors.RankDeficient) as got:
-            CandidateSet(data, policy)
+            CandidateSet(data)
         assert got.value.model == exc.model
         return
-    cs = CandidateSet(data, policy)
+    cs = CandidateSet(data)
     assert cs.models == models
+    assert cs.models[-1] == data.full_model()
+    assert len(cs._dirs) == len(cs) - 1
     _, r = data._qr_of(data.full_model().indices)
     scale = np.linalg.norm(r)
-    top = cs._levels[-1]
-    assert len(cs._dirs) == top.models.start
     for lv in cs._levels[:-1]:
         for S, q, sup in zip(models[lv.models], cs._dirs[lv.models], lv.supers):
             parent = models[sup]
@@ -646,15 +626,6 @@ def test_prefix_tree_bases_match_per_model_qr_oracle(case):
             assert abs(q @ q - 1.0) <= 1e-14
             assert np.abs(q @ r[:, cols]).max(initial=0.0) <= 1e-13 * scale
             assert np.linalg.norm(blocks[sup] @ q) <= 1e-13
-    row = 0
-    for S, want in zip(models[top.models], blocks[top.models]):
-        got = cs._roots[row:row + len(want)]
-        row += len(want)
-        cols = [i - 1 for i in S.indices]
-        assert np.abs(got @ got.T - np.eye(len(got))).max(initial=0.0) <= 1e-13
-        assert np.abs(got @ r[:, cols]).max(initial=0.0) <= 1e-13 * scale
-        assert np.abs(got.T @ got - want.T @ want).max() <= 1e-12
-    assert row == len(cs._roots)
 
 
 @pytest.mark.parametrize("intercept", [INTERCEPT_NONE, INTERCEPT_FORCED])
@@ -667,7 +638,7 @@ def test_candidate_build_makes_at_most_one_qr_call(rng, monkeypatch, intercept):
     qr = np.linalg.qr
     monkeypatch.setattr(np.linalg, "qr",
                         lambda *args, **kw: calls.append(1) or qr(*args, **kw))
-    CandidateSet(data, CandidatePolicy(include_empty=True))
+    CandidateSet(data)
     assert len(calls) <= 1
 
 
@@ -701,8 +672,6 @@ def test_aicc_degenerate_only_for_sizes_that_occur(small_data):
     spec = CriterionSpec(Criterion.AICC, 5)
     with pytest.raises(errors.AICcDegenerate):
         candidate_set(small_data).penalties(spec)
-    capped = candidate_set(small_data, CandidatePolicy(max_size=3))
-    assert np.all(np.isfinite(capped.penalties(spec)))
 
 
 class TestCandidateBudget:
@@ -731,16 +700,15 @@ class TestCandidateBudget:
     def test_build_peak_is_within_the_estimate(self, rng):
         data = self._wide(rng, 14, n=100)
         # the candidate list is shared by every design of a layout
-        criteria._candidate_list(data.forced_indices, data.free_indices,
-                                 DEFAULT_POLICY)
-        _, stored, estimate = criteria._build_bytes(data, DEFAULT_POLICY)
+        criteria._candidate_list(data.forced_indices, data.free_indices)
+        _, stored, estimate = criteria._build_bytes(data)
         tracemalloc.start()
         try:
-            cs = CandidateSet(data, DEFAULT_POLICY)
+            cs = CandidateSet(data)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert cs._dirs.nbytes + cs._roots.nbytes == stored
+        assert cs._dirs.nbytes == stored
         assert peak <= estimate <= 1.25 * peak
 
     # an uncapped build over 18 free columns (262,143 models) traces a peak
@@ -751,16 +719,11 @@ class TestCandidateBudget:
         data = self._wide(rng, n_free)
         if refused:
             with pytest.raises(errors.InputError, match="MiB"):
-                criteria._check_budget(data, DEFAULT_POLICY)
+                criteria._check_budget(data)
         else:
-            criteria._check_budget(data, DEFAULT_POLICY)
-
-    def test_capped_policy_on_the_same_design_is_built(self, rng):
-        data = self._wide(rng, 24)
-        cs = candidate_set(data, CandidatePolicy(max_size=2))
-        assert len(cs) == 24 + 24 * 23 // 2
+            criteria._check_budget(data)
 
     def test_bitmask_width_refused(self, rng):
         data = self._wide(rng, 63, n=70)
         with pytest.raises(errors.InputError, match="bitmask"):
-            candidate_set(data, CandidatePolicy(max_size=1))
+            candidate_set(data)

@@ -1,3 +1,4 @@
+import importlib.resources as ir
 import json
 import os
 import pathlib
@@ -153,6 +154,52 @@ def test_bad_number_is_input_error(data_csv, config_file, capsys, argv,
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def _report(capsys, argv):
+    """``main(argv)``'s JSON document, less its time stamp and its source."""
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    del doc["generated_at"]
+    doc["config"].pop("source", None)
+    return doc
+
+
+def test_csv_with_a_byte_order_mark_reads_as_without(tmp_path, capsys):
+    # Excel's "CSV UTF-8" starts the file with a UTF-8 byte-order mark
+    bundled = pathlib.Path(str(ir.files("subsetci") / "data" / "us_consumption.csv"))
+    marked = tmp_path / "bom.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + bundled.read_bytes())
+    want, got = (_report(capsys, ["select", str(path), "--response", "Consumption",
+                                  "--intercept"]) for path in (bundled, marked))
+    assert got == want  # the selected model, the scores and the rest
+
+
+def test_config_with_a_byte_order_mark_reads_as_without(config_file, tmp_path,
+                                                        capsys):
+    marked = tmp_path / "bom.cfg"
+    marked.write_bytes(b"\xef\xbb\xbf" + pathlib.Path(config_file).read_bytes())
+    assert _report(capsys, ["simulate", str(marked)]) == \
+        _report(capsys, ["simulate", config_file])
+
+
+@pytest.mark.parametrize("header, intercept, count", [
+    (["y"] + [f"x{j}" for j in range(1, 20)], [], "19 free columns"),
+    (["y"], ["--intercept"], "no free column")],
+    ids=["19-free-columns", "response-only"])
+def test_designs_without_a_buildable_candidate_set_are_input_errors(
+        tmp_path, capsys, header, intercept, count):
+    # 19 free columns are over the candidate set's memory budget; a design
+    # of the intercept alone has no model to select
+    rng = np.random.default_rng(6)
+    path = tmp_path / "design.csv"
+    path.write_text("\n".join([",".join(header)] + [
+        ",".join(repr(float(v)) for v in rng.standard_normal(len(header)))
+        for _ in range(30)]) + "\n")
+    assert main(["select", str(path), "--response", "y", *intercept]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert count in err and "policy" not in err.lower()
 
 
 def test_bad_response_is_input_error(data_csv):

@@ -6,7 +6,6 @@ import pytest
 
 from subsetci import Dataset, IndexSet, errors
 from subsetci.criteria import (
-    CandidatePolicy,
     Criterion,
     CriterionSpec,
     best_subset,
@@ -115,25 +114,16 @@ class TestPenaltyRatio:
 
 class TestEnumeration:
     def test_all_nonempty_subsets(self, small_data):
-        cands = candidate_set(small_data, CandidatePolicy()).models
+        cands = candidate_set(small_data).models
         assert len(cands) == 2 ** small_data.p - 1
         assert cands[0] == IndexSet((1,))
         assert cands[-1] == small_data.full_model()
-
-    def test_max_size_cap(self, small_data):
-        cands = candidate_set(small_data, CandidatePolicy(max_size=1)).models
-        assert len(cands) == small_data.p
-
-    def test_include_empty(self, small_data):
-        cands = candidate_set(small_data, CandidatePolicy(include_empty=True)).models
-        assert cands[0] == IndexSet(())
-        assert len(cands) == 2 ** small_data.p
 
     def test_forced_column_always_present(self, rng):
         X = np.column_stack([np.ones(12), rng.standard_normal((12, 3))])
         d = Dataset(X, rng.standard_normal(12), ("Intercept", "a", "b", "c"),
                     intercept_policy="forced_first_column")
-        cands = candidate_set(d, CandidatePolicy()).models
+        cands = candidate_set(d).models
         assert len(cands) == 2 ** 3 - 1
         assert all(1 in S for S in cands)
 
@@ -235,5 +225,3 @@ def test_candidate_set_cached(small_data):
     a = candidate_set(small_data)
     b = candidate_set(small_data)
     assert a is b
-    c = candidate_set(small_data, CandidatePolicy(max_size=2))
-    assert c is not a

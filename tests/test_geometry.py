@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from subsetci import IndexSet, errors
 from subsetci.criteria import (
-    CandidatePolicy,
     Criterion,
     CriterionSpec,
     best_subset,
@@ -689,30 +688,6 @@ class TestSelectionEvent:
         assert ev.region.contains(dec.eta_dot_y)
         assert not any(c.skipped for c in ev.comparisons)
         assert grid_mismatches(d, dec, S_hat, spec, ev.region) == 0
-
-    def test_empty_model_policy_grid_oracle(self, rng):
-        # admitting the no-regressor model adds one more comparison; the
-        # region must still match the rerun oracle under the same policy
-        policy = CandidatePolicy(include_empty=True)
-        for seed in range(3):
-            r = np.random.default_rng(seed + 900)
-            d = random_dataset(r, n=15, p=3)
-            spec = CriterionSpec(Criterion.AIC, 15)
-            S_hat, _ = best_subset(d, spec, policy)
-            if not len(S_hat):
-                continue
-            eta = eta_for_target(d, S_hat,
-                                 InferenceTarget.coefficient(S_hat.indices[0]))
-            dec = decompose(d.y, eta)
-            ev = selection_event(d, dec, S_hat, spec, policy=policy)
-            assert len(ev.comparisons) == 2 ** 3 - 1
-            ends = ev.region.endpoints()
-            for t in np.linspace(dec.eta_dot_y - 6, dec.eta_dot_y + 6, 81):
-                if any(abs(t - e) < 1e-7 for e in ends):
-                    continue
-                sel, _ = best_subset(d.replace_y(t * dec.eta_tilde + dec.z),
-                                     spec, policy)
-                assert ev.region.contains(t) == (sel == S_hat)
 
     def test_bic_grid_oracle(self, rng):
         for seed in range(4):
